@@ -14,7 +14,8 @@
 #include "cell/library.hpp"
 #include "chip/device.hpp"
 #include "control/orchestrator.hpp"
-#include "core/closed_loop.hpp"
+#include "control/streaming.hpp"
+#include "core/threadpool.hpp"
 #include "fluidic/chamber_network.hpp"
 #include "obs/obs.hpp"
 #include "physics/medium.hpp"
@@ -101,12 +102,13 @@ void bm_control_episode(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     auto world = make_world(side, n_cages);
-    core::ClosedLoopTransporter transporter(world->cages, world->engine, world->imager,
-                                            world->defects, 0.4, config);
+    control::ClosedLoopEngine engine(world->cages, world->engine, world->imager,
+                                     world->defects, 0.4, config);
     Rng rng(90210);
     state.ResumeTiming();
     const control::EpisodeReport report =
-        transporter.execute(world->goals, world->bodies, world->cage_bodies, rng);
+        engine.run(world->goals, world->bodies, world->cage_bodies, rng.split(),
+                   &core::ThreadPool::global());
     state.PauseTiming();
     total_ticks += report.ticks;
     delivered += static_cast<double>(report.delivered_ids.size());
@@ -203,11 +205,10 @@ void run_orchestrator_bench(benchmark::State& state, int n_chambers,
     control::Orchestrator orch(net, config);
     Rng rng(90210);
     obs::Observer observer(with_obs ? bench_obs_config() : obs::ObsConfig{});
+    orch.set_observer(with_obs ? &observer : nullptr);
     state.ResumeTiming();
     const control::OrchestratorReport report =
-        core::ClosedLoopTransporter::execute_orchestrated(
-            orch, chambers, transfers, rng, 0,
-            with_obs ? &observer : nullptr);
+        orch.run(chambers, transfers, rng.split(), &core::ThreadPool::global());
     state.PauseTiming();
     total_ticks += report.ticks;
     delivered += static_cast<double>(report.delivered_transfers.size());
@@ -359,9 +360,9 @@ void run_streaming_bench(benchmark::State& state, bool with_obs,
                           &w->bodies, w->cage_bodies, w->goals});
     Rng rng(90210);
     obs::Observer observer(with_obs ? bench_obs_config() : obs::ObsConfig{});
+    service.set_observer(with_obs ? &observer : nullptr);
     state.ResumeTiming();
-    last = core::ClosedLoopTransporter::execute_streaming(
-        service, chambers, rng, 0, with_obs ? &observer : nullptr);
+    last = service.run(chambers, rng.split(), &core::ThreadPool::global());
     state.PauseTiming();
     total_ticks += last.ticks;
     state.ResumeTiming();

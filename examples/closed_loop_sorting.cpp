@@ -16,7 +16,8 @@
 #include "cell/library.hpp"
 #include "chip/device.hpp"
 #include "common/table.hpp"
-#include "core/closed_loop.hpp"
+#include "control/engine.hpp"
+#include "core/threadpool.hpp"
 #include "physics/medium.hpp"
 
 using namespace biochip;
@@ -101,12 +102,13 @@ int main() {
     auto world = make_world(cfg, cage);
     control::ControlConfig c = control_cfg;
     c.closed_loop = closed;
-    core::ClosedLoopTransporter transporter(world->cages, world->engine, world->imager,
-                                            world->defects, 0.4, c);
+    control::ClosedLoopEngine engine(world->cages, world->engine, world->imager,
+                                     world->defects, 0.4, c);
     Rng rng(90210);
     const auto t0 = std::chrono::steady_clock::now();
     const control::EpisodeReport report =
-        transporter.execute(world->goals, world->bodies, world->cage_bodies, rng);
+        engine.run(world->goals, world->bodies, world->cage_bodies, rng.split(),
+                   &core::ThreadPool::global());
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
     reports[closed ? 1 : 0] = report;
@@ -132,12 +134,13 @@ int main() {
   std::vector<Vec3> positions[2];
   for (const std::size_t parts : {std::size_t{1}, std::size_t{0}}) {
     auto world = make_world(cfg, cage);
-    core::ClosedLoopTransporter transporter(world->cages, world->engine, world->imager,
-                                            world->defects, 0.4, control_cfg);
-    std::vector<core::ClosedLoopTransporter::Episode> episodes{
-        {&transporter, world->goals, &world->bodies, world->cage_bodies}};
+    control::ClosedLoopEngine engine(world->cages, world->engine, world->imager,
+                                     world->defects, 0.4, control_cfg);
+    std::vector<control::ClosedLoopEngine::Episode> episodes{
+        {&engine, world->goals, &world->bodies, world->cage_bodies}};
     Rng rng(90210);
-    core::ClosedLoopTransporter::execute_episodes(episodes, rng, parts);
+    control::ClosedLoopEngine::run_episodes(episodes, rng.split(),
+                                            core::ThreadPool::global(), parts);
     for (const physics::ParticleBody& b : world->bodies)
       positions[parts].push_back(b.position);
   }

@@ -19,7 +19,8 @@
 #include "cell/library.hpp"
 #include "chip/device.hpp"
 #include "common/table.hpp"
-#include "core/closed_loop.hpp"
+#include "control/orchestrator.hpp"
+#include "core/threadpool.hpp"
 #include "fluidic/chamber_network.hpp"
 #include "physics/medium.hpp"
 
@@ -173,8 +174,7 @@ int main() {
     Rng rng(90210);
     const auto t0 = std::chrono::steady_clock::now();
     const control::OrchestratorReport report =
-        core::ClosedLoopTransporter::execute_orchestrated(orch, s.chambers,
-                                                          s.transfers, rng);
+        orch.run(s.chambers, s.transfers, rng.split(), &core::ThreadPool::global());
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
     reports[closed ? 1 : 0] = report;
@@ -208,8 +208,7 @@ int main() {
     Scenario s = make_scenario(cfg, cage);
     control::Orchestrator orch(net, base);
     Rng rng(90210);
-    core::ClosedLoopTransporter::execute_orchestrated(orch, s.chambers, s.transfers,
-                                                      rng, parts);
+    orch.run(s.chambers, s.transfers, rng.split(), &core::ThreadPool::global(), parts);
     for (const auto& w : s.worlds)
       for (const physics::ParticleBody& b : w->bodies)
         positions[parts].push_back(b.position);

@@ -45,7 +45,7 @@
 #include "chip/defects.hpp"
 #include "chip/device.hpp"
 #include "control/orchestrator.hpp"
-#include "core/closed_loop.hpp"
+#include "core/threadpool.hpp"
 #include "fluidic/chamber_network.hpp"
 #include "obs/obs.hpp"
 #include "physics/medium.hpp"
@@ -304,9 +304,10 @@ RoundResult run_round(const chip::DeviceConfig& cfg, const field::HarmonicCage& 
   control::Orchestrator orch(net, config);
   std::vector<control::ChamberSetup> chambers;
   for (auto& w : worlds) chambers.push_back(w->setup());
+  orch.set_observer(obs);
   Rng rng = Rng(0x50AC).fork(round);
-  result.report = core::ClosedLoopTransporter::execute_orchestrated(
-      orch, chambers, transfers, rng, max_parts, obs);
+  result.report =
+      orch.run(chambers, transfers, rng.split(), &core::ThreadPool::global(), max_parts);
   return result;
 }
 

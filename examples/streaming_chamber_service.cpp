@@ -49,7 +49,7 @@
 #include "cell/library.hpp"
 #include "chip/device.hpp"
 #include "control/streaming.hpp"
-#include "core/closed_loop.hpp"
+#include "core/threadpool.hpp"
 #include "fluidic/chamber_network.hpp"
 #include "obs/obs.hpp"
 #include "physics/medium.hpp"
@@ -163,10 +163,10 @@ control::StreamingReport run_arm(const chip::DeviceConfig& cfg,
   control::StreamingService service(net, scfg);
   std::vector<control::ChamberSetup> chambers;
   for (auto& w : worlds) chambers.push_back(w->setup());
+  service.set_observer(obs);
   Rng rng(seed);
   const control::StreamingReport report =
-      core::ClosedLoopTransporter::execute_streaming(service, chambers, rng,
-                                                     max_parts, obs);
+      service.run(chambers, rng.split(), &core::ThreadPool::global(), max_parts);
   if (positions != nullptr)
     for (const auto& w : worlds)
       for (const physics::ParticleBody& b : w->bodies)

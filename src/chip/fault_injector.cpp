@@ -24,6 +24,11 @@ FaultInjector::FaultInjector(FaultScheduleConfig config,
                              Rng stream)
     : config_(std::move(config)), chambers_(std::move(chambers)), n_ports_(n_ports),
       stream_(stream), electrode_fired_(chambers_.size(), 0) {
+  const FaultRates& r = config_.rates;
+  sampling_ = r.electrode_dead > 0.0 || r.electrode_stuck_cage > 0.0 ||
+              r.electrode_silent_dead > 0.0 || r.sensor_row_dropout > 0.0 ||
+              r.sensor_pixel_burst > 0.0 || r.port_intermittent > 0.0 ||
+              r.port_failed > 0.0;
   for (const ChamberShape& shape : chambers_)
     BIOCHIP_REQUIRE(shape.cols >= 1 && shape.rows >= 1,
                     "fault injector needs positive chamber site grids");
@@ -68,10 +73,15 @@ std::vector<FaultEvent> FaultInjector::tick(int t) {
     f.tick = t;
     fired.push_back(f);
   }
+  if (sampling_) sample(t, fired);
+  injected_ += fired.size();
+  return fired;
+}
 
-  // ---- sampled faults: per-chamber streams keyed (chamber, t). Each kind
-  // draws in a fixed order from the same stream, so the schedule is a pure
-  // function of (seed, chamber, t).
+void FaultInjector::sample(int t, std::vector<FaultEvent>& fired) {
+  // ---- per-chamber streams keyed (chamber, t). Each kind draws in a fixed
+  // order from the same stream, so the schedule is a pure function of
+  // (seed, chamber, t).
   const FaultRates& rates = config_.rates;
   for (std::size_t c = 0; c < chambers_.size(); ++c) {
     const ChamberShape& shape = chambers_[c];
@@ -124,9 +134,6 @@ std::vector<FaultEvent> FaultInjector::tick(int t) {
     if (rates.port_failed > 0.0 && rng.bernoulli(rates.port_failed))
       fired.push_back({t, FaultKind::kPortFailed, -1, {}, static_cast<int>(p), 0});
   }
-
-  injected_ += fired.size();
-  return fired;
 }
 
 }  // namespace biochip::chip

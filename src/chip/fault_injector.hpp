@@ -12,11 +12,11 @@
 /// of the control stack honors (docs/architecture.md).
 ///
 /// The injector only *decides* what fails when; it owns no chip state.
-/// The caller (`control::Orchestrator`, or a test driving a single
-/// `control::EpisodeRuntime`) applies each returned `FaultEvent` to the live
-/// world — defect-map mutation, sensor overlay, port health — and records it
-/// as a typed `control::ControlEvent`, so tests can account injected vs
-/// observed exactly.
+/// The caller (`control::ChamberFleet` and the driver that owns the ports,
+/// or a test driving a single `control::EpisodeRuntime`) applies each
+/// returned `FaultEvent` to the live world — defect-map mutation, sensor
+/// overlay, port health — and records it as a typed `control::ControlEvent`,
+/// so tests can account injected vs observed exactly.
 
 #include <cstddef>
 #include <cstdint>
@@ -91,8 +91,10 @@ struct ChamberShape {
 /// `stream.fork(chamber).fork(t)` (chambers) and
 /// `stream.fork(n_chambers + port).fork(t)` (ports): the result depends only
 /// on (config, shapes, seed, t), never on call interleaving, so serial and
-/// pooled runs see the identical schedule. Ticks must be queried in
-/// strictly increasing order (the electrode-fault cap counts fired faults).
+/// pooled runs see the identical schedule. With no positive rate nothing is
+/// sampled and `tick` returns the scripted faults alone (none for an empty
+/// schedule). Ticks must be queried in strictly increasing order (the
+/// electrode-fault cap counts fired faults).
 class FaultInjector {
  public:
   FaultInjector(FaultScheduleConfig config, std::vector<ChamberShape> chambers,
@@ -109,10 +111,14 @@ class FaultInjector {
   std::size_t electrode_faults(int chamber) const;
 
  private:
+  /// Appends tick t's Poisson-sampled faults to `fired`.
+  void sample(int t, std::vector<FaultEvent>& fired);
+
   FaultScheduleConfig config_;
   std::vector<ChamberShape> chambers_;
   std::size_t n_ports_;
   Rng stream_;
+  bool sampling_ = false;  ///< some rate is positive
   std::size_t next_scripted_ = 0;
   int last_tick_ = 0;
   std::size_t injected_ = 0;

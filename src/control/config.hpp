@@ -140,7 +140,8 @@ struct ControlConfig {
   /// per-electrode drive (+`field_tracking_drive` on every site whose trap
   /// ground-truth-functions, 0 elsewhere) and the tracker re-solves only the
   /// windows around electrodes whose drive changed, re-anchoring with a full
-  /// FMG solve on the `field_tracking.incremental.reanchor_period` cadence.
+  /// solve of the configured cycle (V-cycle by default) on the
+  /// `field_tracking.incremental.reanchor_period` cadence.
   /// Deterministic: the drive depends only on simulation state, and the
   /// windowed solver is bitwise identical serial vs pooled.
   std::size_t field_tracking_nodes_per_pitch = 0;

@@ -714,4 +714,26 @@ EpisodeReport ClosedLoopEngine::run(const std::vector<CageGoal>& goals,
   return runtime.finish();
 }
 
+std::vector<EpisodeReport> ClosedLoopEngine::run_episodes(std::vector<Episode>& episodes,
+                                                          Rng stream_base,
+                                                          core::ThreadPool& pool,
+                                                          std::size_t max_parts) {
+  std::vector<EpisodeReport> results(episodes.size());
+  // One counter-based stream per episode: results are independent of how
+  // the pool chunks the episode range.
+  pool.parallel_for(
+      0, episodes.size(),
+      [&](std::size_t eb, std::size_t ee) {
+        for (std::size_t n = eb; n < ee; ++n) {
+          Episode& ep = episodes[n];
+          BIOCHIP_REQUIRE(ep.engine != nullptr && ep.bodies != nullptr,
+                          "episode needs an engine and a body array");
+          results[n] = ep.engine->run(ep.goals, *ep.bodies, ep.cage_bodies,
+                                      stream_base.fork(n), nullptr);
+        }
+      },
+      max_parts);
+  return results;
+}
+
 }  // namespace biochip::control

@@ -93,6 +93,26 @@ class ClosedLoopEngine {
                     const std::vector<std::pair<int, int>>& cage_bodies,
                     Rng stream_base, core::ThreadPool* pool);
 
+  /// One independent episode for `run_episodes`. Episodes must not share
+  /// engines (i.e. controllers / manipulation engines / defect maps) or body
+  /// arrays: each one mutates its own chip state.
+  struct Episode {
+    ClosedLoopEngine* engine = nullptr;
+    std::vector<CageGoal> goals;
+    std::vector<physics::ParticleBody>* bodies = nullptr;
+    std::vector<std::pair<int, int>> cage_bodies;
+  };
+
+  /// Run many independent episodes concurrently over `pool` in at most
+  /// `max_parts` chunks. Episode n runs on `stream_base.fork(n)`; inside the
+  /// fan-out each episode's body loop runs serially (nested parallel_for on
+  /// one pool would deadlock), so results are bitwise identical for any
+  /// `max_parts` (pass 1 for the serial reference).
+  static std::vector<EpisodeReport> run_episodes(std::vector<Episode>& episodes,
+                                                 Rng stream_base,
+                                                 core::ThreadPool& pool,
+                                                 std::size_t max_parts = 0);
+
  private:
   friend class EpisodeRuntime;
 

@@ -1,8 +1,6 @@
 #include "control/orchestrator.hpp"
 
 #include <algorithm>
-#include <memory>
-#include <optional>
 
 #include "common/error.hpp"
 #include "core/threadpool.hpp"
@@ -56,19 +54,8 @@ OrchestratorReport Orchestrator::run(std::vector<ChamberSetup>& chambers,
                                      std::size_t max_parts) {
   const std::size_t n_chambers = network_.chamber_count();
   const std::size_t n_ports = network_.port_count();
-  BIOCHIP_REQUIRE(chambers.size() == n_chambers,
-                  "one ChamberSetup per network chamber");
-  for (std::size_t c = 0; c < n_chambers; ++c) {
-    const ChamberSetup& setup = chambers[c];
-    BIOCHIP_REQUIRE(setup.cages != nullptr && setup.engine != nullptr &&
-                        setup.imager != nullptr && setup.defects != nullptr &&
-                        setup.bodies != nullptr,
-                    "chamber setup is incomplete");
-    const fluidic::ChamberSite& site = network_.chamber(static_cast<int>(c));
-    BIOCHIP_REQUIRE(setup.cages->array().cols() == site.cols &&
-                        setup.cages->array().rows() == site.rows,
-                    "chamber world does not match the network site grid");
-  }
+  // Before the port staging below reads the setups' cages and defects.
+  ChamberFleet::check(network_, chambers);
 
   // Port health: a permanently failed port never carries a transfer again; an
   // intermittent outage holds admissions until `port_down_until` passes.
@@ -147,44 +134,11 @@ OrchestratorReport Orchestrator::run(std::vector<ChamberSetup>& chambers,
         {tr.cage_id, states[i].port_from});
   }
 
-  // One control stack per chamber, on disjoint fork-stream spaces.
-  std::vector<std::unique_ptr<ClosedLoopEngine>> engines;
-  std::vector<std::unique_ptr<EpisodeRuntime>> runtimes;
-  engines.reserve(n_chambers);
-  runtimes.reserve(n_chambers);
-  for (std::size_t c = 0; c < n_chambers; ++c) {
-    ChamberSetup& setup = chambers[c];
-    engines.push_back(std::make_unique<ClosedLoopEngine>(
-        *setup.cages, *setup.engine, *setup.imager, *setup.defects,
-        config_.site_period, config_.control));
-    // pool = nullptr inside the runtime: the chamber fan-out owns the pool
-    // (nested parallel_for would deadlock); per-body streams are
-    // counter-based, so this changes nothing bitwise.
-    runtimes.push_back(std::make_unique<EpisodeRuntime>(
-        *engines.back(), chamber_goals[c], *setup.bodies, setup.cage_bodies,
-        stream_base.fork(static_cast<std::uint64_t>(c)), nullptr));
-  }
-
-  // Fault schedule, on its own stream slot past the chamber space (chamber c
-  // forks `stream_base.fork(c)`, c < n_chambers — disjoint by construction).
-  std::optional<chip::FaultInjector> injector;
-  {
-    const chip::FaultRates& r = config_.faults.rates;
-    const bool any_rate = r.electrode_dead > 0.0 || r.electrode_stuck_cage > 0.0 ||
-                          r.electrode_silent_dead > 0.0 ||
-                          r.sensor_row_dropout > 0.0 || r.sensor_pixel_burst > 0.0 ||
-                          r.port_intermittent > 0.0 || r.port_failed > 0.0;
-    if (!config_.faults.scripted.empty() || any_rate) {
-      std::vector<chip::ChamberShape> shapes;
-      shapes.reserve(n_chambers);
-      for (std::size_t c = 0; c < n_chambers; ++c) {
-        const fluidic::ChamberSite& site = network_.chamber(static_cast<int>(c));
-        shapes.push_back({site.cols, site.rows});
-      }
-      injector.emplace(config_.faults, std::move(shapes), n_ports,
-                       stream_base.fork(static_cast<std::uint64_t>(n_chambers)));
-    }
-  }
+  // One control stack per chamber on `stream_base.fork(c)`; the fault
+  // schedule on the slot past the chamber space (disjoint by construction).
+  ChamberFleet fleet(network_, chambers, chamber_goals, config_.site_period,
+                     config_.control, config_.faults, stream_base,
+                     stream_base.fork(static_cast<std::uint64_t>(n_chambers)));
 
   OrchestratorReport report;
   report.transfers.resize(transfers.size());
@@ -192,12 +146,11 @@ OrchestratorReport Orchestrator::run(std::vector<ChamberSetup>& chambers,
     for (std::size_t p = 0; p < n_ports; ++p)
       if (port_failed[p]) report.failed_ports.push_back(static_cast<int>(p));
     for (std::size_t c = 0; c < n_chambers; ++c) {
-      report.final_truth_defects.push_back(runtimes[c]->truth_defects());
-      report.health.push_back(runtimes[c]->health_state());
+      report.final_truth_defects.push_back(fleet[c].truth_defects());
+      report.health.push_back(fleet[c].health_state());
     }
   };
-  report.planned = std::all_of(runtimes.begin(), runtimes.end(),
-                               [](const auto& r) { return r->planned(); });
+  report.planned = fleet.planned();
   if (!report.planned) {
     // Same contract as the single-chamber engine: no episode, but complete
     // accounting — every chamber report is final, every transfer failed.
@@ -207,16 +160,15 @@ OrchestratorReport Orchestrator::run(std::vector<ChamberSetup>& chambers,
     // Queued transfers never staged a goal, so there is nothing to pull.
     for (std::size_t i = 0; i < transfers.size(); ++i) {
       if (states[i].outcome.phase == TransferPhase::kQueued) continue;
-      EpisodeRuntime& src =
-          *runtimes[static_cast<std::size_t>(transfers[i].from_chamber)];
+      EpisodeRuntime& src = fleet[static_cast<std::size_t>(transfers[i].from_chamber)];
       if (src.planned()) src.drop_goal(transfers[i].cage_id);
     }
     for (std::size_t c = 0; c < n_chambers; ++c)
-      report.chambers.push_back(runtimes[c]->finish());
+      report.chambers.push_back(fleet[c].finish());
     for (std::size_t i = 0; i < transfers.size(); ++i) {
       const TransferGoal& tr = transfers[i];
       if (states[i].outcome.phase == TransferPhase::kQueued) continue;
-      if (runtimes[static_cast<std::size_t>(tr.from_chamber)]->planned()) continue;
+      if (fleet[static_cast<std::size_t>(tr.from_chamber)].planned()) continue;
       std::vector<int>& failed =
           report.chambers[static_cast<std::size_t>(tr.from_chamber)].failed_ids;
       failed.erase(std::remove(failed.begin(), failed.end(), tr.cage_id),
@@ -236,7 +188,8 @@ OrchestratorReport Orchestrator::run(std::vector<ChamberSetup>& chambers,
   int budget = config_.max_ticks;
   if (budget <= 0) {
     int base = 0;
-    for (const auto& r : runtimes) base = std::max(base, r->budget());
+    for (std::size_t c = 0; c < n_chambers; ++c)
+      base = std::max(base, fleet[c].budget());
     int slack = 0;
     for (const TransferGoal& tr : transfers) {
       const fluidic::ChamberSite& dest = network_.chamber(tr.to_chamber);
@@ -256,9 +209,9 @@ OrchestratorReport Orchestrator::run(std::vector<ChamberSetup>& chambers,
   if (obs_ != nullptr && obs_->enabled()) {
     reg = &obs_->metrics();
     trace = obs_->trace();
+    fleet.set_trace(trace);
     for (std::size_t c = 0; c < n_chambers; ++c) {
-      runtimes[c]->set_trace(trace, static_cast<int>(c));
-      fold_health(*reg, static_cast<int>(c), runtimes[c]->health_state());
+      fold_health(*reg, static_cast<int>(c), fleet[c].health_state());
       reg->gauge("chamber.replans", static_cast<int>(c));
     }
     reg->counter("transfer.requests");
@@ -282,9 +235,9 @@ OrchestratorReport Orchestrator::run(std::vector<ChamberSetup>& chambers,
     reg->set_counter(reg->counter("orchestrator.faults_injected"),
                      report.injected_faults.size());
     for (std::size_t c = 0; c < n_chambers; ++c) {
-      fold_health(*reg, static_cast<int>(c), runtimes[c]->health_state());
+      fold_health(*reg, static_cast<int>(c), fleet[c].health_state());
       reg->set(reg->gauge("chamber.replans", static_cast<int>(c)),
-               static_cast<std::int64_t>(runtimes[c]->replans()));
+               static_cast<std::int64_t>(fleet[c].replans()));
     }
     fold_pool(*reg, pool != nullptr ? pool->stats().since(pool_base)
                                     : core::PoolStats{});
@@ -292,7 +245,7 @@ OrchestratorReport Orchestrator::run(std::vector<ChamberSetup>& chambers,
   };
 
   const auto chamber_done = [&](std::size_t c, int t) {
-    return closed ? runtimes[c]->all_delivered() : t >= runtimes[c]->horizon();
+    return closed ? fleet[c].all_delivered() : t >= fleet[c].horizon();
   };
   // True while another transfer occupies (or tows toward) a port from the
   // same side — the physical port site holds one cage at a time.
@@ -320,47 +273,27 @@ OrchestratorReport Orchestrator::run(std::vector<ChamberSetup>& chambers,
     for (std::size_t p = 0; p < n_ports; ++p) {
       if (!port_failed[p] && port_down_until[p] == t) {
         const int a = network_.port(static_cast<int>(p)).a;
-        runtimes[static_cast<std::size_t>(a)]->record_event(
+        fleet[static_cast<std::size_t>(a)].record_event(
             {t, EventKind::kPortRestored, static_cast<int>(p),
              network_.port_site(static_cast<int>(p), a)});
       }
     }
-    if (injector.has_value()) {
-      for (const chip::FaultEvent& f : injector->tick(t)) {
-        report.injected_faults.push_back(f);
-        switch (f.kind) {
-          case chip::FaultKind::kElectrodeDead:
-          case chip::FaultKind::kElectrodeStuckCage:
-          case chip::FaultKind::kElectrodeSilentDead:
-            runtimes[static_cast<std::size_t>(f.chamber)]->apply_electrode_fault(
-                t, f.site, f.kind);
-            break;
-          case chip::FaultKind::kSensorRowDropout:
-            runtimes[static_cast<std::size_t>(f.chamber)]->begin_sensor_dropout(
-                t, f.site.row, f.duration);
-            break;
-          case chip::FaultKind::kSensorPixelBurst:
-            runtimes[static_cast<std::size_t>(f.chamber)]->begin_sensor_burst(
-                t, f.site, config_.faults.burst_tile, f.duration);
-            break;
-          case chip::FaultKind::kPortIntermittent: {
-            port_down_until[static_cast<std::size_t>(f.port)] =
-                std::max(port_down_until[static_cast<std::size_t>(f.port)],
-                         t + f.duration);
-            const int a = network_.port(f.port).a;
-            runtimes[static_cast<std::size_t>(a)]->record_event(
-                {t, EventKind::kPortDown, f.port, network_.port_site(f.port, a)});
-            break;
-          }
-          case chip::FaultKind::kPortFailed: {
-            port_failed[static_cast<std::size_t>(f.port)] = 1;
-            const int a = network_.port(f.port).a;
-            runtimes[static_cast<std::size_t>(a)]->record_event(
-                {t, EventKind::kPortFailed, f.port, network_.port_site(f.port, a)});
-            break;
-          }
-        }
+    for (const chip::FaultEvent& f : fleet.faults(t)) {
+      report.injected_faults.push_back(f);
+      if (fleet.apply(t, f)) continue;
+      // A port fault: the outage or failure lands in the audit trail of the
+      // port's first chamber, in schedule order.
+      const auto p = static_cast<std::size_t>(f.port);
+      EventKind kind = EventKind::kPortFailed;
+      if (f.kind == chip::FaultKind::kPortIntermittent) {
+        port_down_until[p] = std::max(port_down_until[p], t + f.duration);
+        kind = EventKind::kPortDown;
+      } else {
+        port_failed[p] = 1;
       }
+      const int a = network_.port(f.port).a;
+      fleet[static_cast<std::size_t>(a)].record_event(
+          {t, kind, f.port, network_.port_site(f.port, a)});
     }
 
     // ---- idle-chamber elision: a finished chamber referenced by no live
@@ -378,7 +311,7 @@ OrchestratorReport Orchestrator::run(std::vector<ChamberSetup>& chambers,
         referenced[static_cast<std::size_t>(transfers[i].to_chamber)] = 1;
       }
       for (std::size_t c = 0; c < n_chambers; ++c)
-        if (!referenced[c] && runtimes[c]->all_delivered()) {
+        if (!referenced[c] && fleet[c].all_delivered()) {
           elide[c] = 1;
           ++report.elided_chamber_ticks;
         }
@@ -386,20 +319,7 @@ OrchestratorReport Orchestrator::run(std::vector<ChamberSetup>& chambers,
 
     // ---- barrier-synchronized chamber ticks (disjoint worlds + streams).
     phase.begin("chambers");
-    const auto step = [&](std::size_t c) {
-      if (elide[c]) runtimes[c]->idle_tick(t);
-      else runtimes[c]->tick(t);
-    };
-    if (pool != nullptr) {
-      pool->parallel_for(
-          0, n_chambers,
-          [&](std::size_t cb, std::size_t ce) {
-            for (std::size_t c = cb; c < ce; ++c) step(c);
-          },
-          max_parts);
-    } else {
-      for (std::size_t c = 0; c < n_chambers; ++c) step(c);
-    }
+    fleet.step(t, elide, pool, max_parts);
 
     phase.begin("arbitrate");
     // ---- queued transfers claim freed ports (serial, ascending order: an
@@ -409,7 +329,7 @@ OrchestratorReport Orchestrator::run(std::vector<ChamberSetup>& chambers,
         TransferState& st = states[i];
         if (st.outcome.phase != TransferPhase::kQueued) continue;
         const TransferGoal& tr = transfers[i];
-        EpisodeRuntime& src = *runtimes[static_cast<std::size_t>(tr.from_chamber)];
+        EpisodeRuntime& src = fleet[static_cast<std::size_t>(tr.from_chamber)];
         const std::vector<int> candidates =
             network_.ports_between(tr.from_chamber, tr.to_chamber);
         bool any_alive = false;
@@ -418,7 +338,7 @@ OrchestratorReport Orchestrator::run(std::vector<ChamberSetup>& chambers,
           // Belief-blocked endpoint sites only ever get worse (defects and
           // quarantine are one-way), so such a port counts as dead here.
           if (!src.site_ok(network_.port_site(p, tr.from_chamber)) ||
-              !runtimes[static_cast<std::size_t>(tr.to_chamber)]->site_ok(
+              !fleet[static_cast<std::size_t>(tr.to_chamber)].site_ok(
                   network_.port_site(p, tr.to_chamber)))
             continue;
           any_alive = true;
@@ -450,8 +370,8 @@ OrchestratorReport Orchestrator::run(std::vector<ChamberSetup>& chambers,
           st.outcome.phase == TransferPhase::kDelivered ||
           st.outcome.phase == TransferPhase::kFailed)
         continue;
-      EpisodeRuntime& src = *runtimes[static_cast<std::size_t>(tr.from_chamber)];
-      EpisodeRuntime& dst = *runtimes[static_cast<std::size_t>(tr.to_chamber)];
+      EpisodeRuntime& src = fleet[static_cast<std::size_t>(tr.from_chamber)];
+      EpisodeRuntime& dst = fleet[static_cast<std::size_t>(tr.to_chamber)];
 
       const auto fail_transfer = [&](int tick, GridCoord where) {
         src.record_event({tick, EventKind::kDeliveryFailed, tr.cage_id, where});
@@ -615,7 +535,7 @@ OrchestratorReport Orchestrator::run(std::vector<ChamberSetup>& chambers,
   // the explicit failure event is owed.
   for (std::size_t i = 0; i < transfers.size(); ++i) {
     TransferState& st = states[i];
-    EpisodeRuntime& src = *runtimes[static_cast<std::size_t>(transfers[i].from_chamber)];
+    EpisodeRuntime& src = fleet[static_cast<std::size_t>(transfers[i].from_chamber)];
     if (st.outcome.phase == TransferPhase::kQueued) {
       src.record_event({report.ticks, EventKind::kDeliveryFailed,
                         transfers[i].cage_id, src.site(transfers[i].cage_id)});
@@ -629,7 +549,7 @@ OrchestratorReport Orchestrator::run(std::vector<ChamberSetup>& chambers,
     src.drop_goal(transfers[i].cage_id);
   }
   for (std::size_t c = 0; c < n_chambers; ++c)
-    report.chambers.push_back(runtimes[c]->finish());
+    report.chambers.push_back(fleet[c].finish());
   for (std::size_t i = 0; i < transfers.size(); ++i) {
     TransferState& st = states[i];
     if (st.outcome.phase == TransferPhase::kInDestination ||

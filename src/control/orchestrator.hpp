@@ -7,10 +7,10 @@
 /// the die and cells move between them through microfluidic channels. The
 /// orchestrator scales the closed loop to that shape: one full control stack
 /// (`Supervisor` + `OccupancyTracker` + `Replanner`, held by an
-/// `EpisodeRuntime`) runs **per fluidic chamber**, chambers tick
-/// concurrently on the worker pool, and a serial arbitration pass between
-/// ticks turns cross-chamber transfers into typed route *requests* between
-/// supervisors:
+/// `EpisodeRuntime`) runs **per fluidic chamber** in a `ChamberFleet`,
+/// chambers tick concurrently on the worker pool, and a serial arbitration
+/// pass between ticks turns cross-chamber transfers into typed route
+/// *requests* between supervisors:
 ///
 ///   1. the source chamber's supervisor tows the cage to its transfer-port
 ///      site like any other delivery;
@@ -27,14 +27,13 @@
 ///      (`admit_cage`), which supervises the final delivery leg.
 ///
 /// Determinism contract: chamber c draws every stream from
-/// `stream_base.fork(c)` — disjoint per-chamber stream spaces — chamber
-/// ticks are barrier-synchronized, and arbitration runs serially in
-/// ascending transfer order, so a multi-chamber episode is **bitwise
-/// identical** for any worker count and chunking (pass `max_parts = 1` for
-/// the serial reference).
+/// `stream_base.fork(c)` — disjoint per-chamber stream spaces — and the
+/// fault schedule from `stream_base.fork(n_chambers)`; chamber ticks are
+/// barrier-synchronized, and arbitration runs serially in ascending transfer
+/// order, so a multi-chamber episode is **bitwise identical** for any worker
+/// count and chunking (pass `max_parts = 1` for the serial reference).
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "chip/defects.hpp"
@@ -42,6 +41,7 @@
 #include "common/rng.hpp"
 #include "control/config.hpp"
 #include "control/engine.hpp"
+#include "control/fleet.hpp"
 #include "control/health.hpp"
 #include "fluidic/chamber_network.hpp"
 
@@ -53,19 +53,6 @@ class Observer;
 }
 
 namespace biochip::control {
-
-/// One chamber's chip world, owned by the caller. Chambers must not share
-/// mutable state (each has its own controller / engine / defect map / body
-/// array) — the same isolation rule as `ClosedLoopTransporter::Episode`.
-struct ChamberSetup {
-  chip::CageController* cages = nullptr;
-  core::ManipulationEngine* engine = nullptr;
-  const sensor::FrameSynthesizer* imager = nullptr;
-  const chip::DefectMap* defects = nullptr;
-  std::vector<physics::ParticleBody>* bodies = nullptr;
-  std::vector<std::pair<int, int>> cage_bodies;  ///< cage id → body index
-  std::vector<CageGoal> goals;                   ///< intra-chamber deliveries
-};
 
 /// One cross-chamber delivery: the cage starts in `from_chamber` and must
 /// end at `destination` in `to_chamber`, handed through the network port

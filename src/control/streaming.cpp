@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <optional>
 
 #include "common/error.hpp"
@@ -136,64 +135,23 @@ StreamingReport StreamingService::run(std::vector<ChamberSetup>& chambers,
                                       std::size_t max_parts) {
   const std::size_t n_chambers = network_.chamber_count();
   const std::size_t n_inlets = network_.inlet_count();
-  BIOCHIP_REQUIRE(chambers.size() == n_chambers,
-                  "one ChamberSetup per network chamber");
-  for (std::size_t c = 0; c < n_chambers; ++c) {
-    const ChamberSetup& setup = chambers[c];
-    BIOCHIP_REQUIRE(setup.cages != nullptr && setup.engine != nullptr &&
-                        setup.imager != nullptr && setup.defects != nullptr &&
-                        setup.bodies != nullptr,
-                    "chamber setup is incomplete");
-    const fluidic::ChamberSite& site = network_.chamber(static_cast<int>(c));
-    BIOCHIP_REQUIRE(setup.cages->array().cols() == site.cols &&
-                        setup.cages->array().rows() == site.rows,
-                    "chamber world does not match the network site grid");
-  }
 
   // The memory contract needs both recyclers: body/track/plan slots in the
   // runtime (`recycle_slots`) and cage ids in the controller.
   ControlConfig control = config_.control;
   control.recycle_slots = true;
-  for (ChamberSetup& setup : chambers) setup.cages->set_recycle_ids(true);
 
   // Stream-space layout: fork(0) = arrival processes (keyed (inlet, tick) —
   // invariant to chamber count and worker count), fork(1) = fault schedule,
   // fork(2).fork(c) = chamber c's control stack.
   const Rng arrivals_base = stream_base.fork(0);
-  std::vector<std::unique_ptr<ClosedLoopEngine>> engines;
-  std::vector<std::unique_ptr<EpisodeRuntime>> runtimes;
-  engines.reserve(n_chambers);
-  runtimes.reserve(n_chambers);
-  for (std::size_t c = 0; c < n_chambers; ++c) {
-    ChamberSetup& setup = chambers[c];
-    engines.push_back(std::make_unique<ClosedLoopEngine>(
-        *setup.cages, *setup.engine, *setup.imager, *setup.defects,
-        config_.site_period, control));
-    // pool = nullptr inside the runtime: the chamber fan-out owns the pool.
-    runtimes.push_back(std::make_unique<EpisodeRuntime>(
-        *engines.back(), setup.goals, *setup.bodies, setup.cage_bodies,
-        stream_base.fork(2).fork(static_cast<std::uint64_t>(c)), nullptr));
-    BIOCHIP_REQUIRE(runtimes.back()->planned(),
-                    "a streaming chamber failed its initial plan");
-  }
-
-  std::optional<chip::FaultInjector> injector;
-  {
-    const chip::FaultRates& r = config_.faults.rates;
-    const bool any_rate = r.electrode_dead > 0.0 || r.electrode_stuck_cage > 0.0 ||
-                          r.electrode_silent_dead > 0.0 ||
-                          r.sensor_row_dropout > 0.0 || r.sensor_pixel_burst > 0.0;
-    if (!config_.faults.scripted.empty() || any_rate) {
-      std::vector<chip::ChamberShape> shapes;
-      shapes.reserve(n_chambers);
-      for (std::size_t c = 0; c < n_chambers; ++c) {
-        const fluidic::ChamberSite& site = network_.chamber(static_cast<int>(c));
-        shapes.push_back({site.cols, site.rows});
-      }
-      injector.emplace(config_.faults, std::move(shapes), network_.port_count(),
-                       stream_base.fork(1));
-    }
-  }
+  std::vector<std::vector<CageGoal>> goals;
+  goals.reserve(chambers.size());
+  for (const ChamberSetup& setup : chambers) goals.push_back(setup.goals);
+  ChamberFleet fleet(network_, chambers, goals, config_.site_period, control,
+                     config_.faults, stream_base.fork(2), stream_base.fork(1));
+  BIOCHIP_REQUIRE(fleet.planned(), "a streaming chamber failed its initial plan");
+  for (ChamberSetup& setup : chambers) setup.cages->set_recycle_ids(true);
 
   AdmissionController admission(config_.admission, n_inlets);
   std::vector<std::vector<InFlight>> in_flight(n_chambers);
@@ -220,8 +178,7 @@ StreamingReport StreamingService::run(std::vector<ChamberSetup>& chambers,
   if (obs_ != nullptr && obs_->enabled()) {
     reg = &obs_->metrics();
     trace = obs_->trace();
-    for (std::size_t c = 0; c < n_chambers; ++c)
-      runtimes[c]->set_trace(trace, static_cast<int>(c));
+    fleet.set_trace(trace);
     // Pre-register everything (all event kinds × chambers included) so the
     // snapshot shape is identical from the first tick onward, whether or
     // not a given kind ever fires.
@@ -238,7 +195,7 @@ StreamingReport StreamingService::run(std::vector<ChamberSetup>& chambers,
     for (std::size_t c = 0; c < n_chambers; ++c) {
       reg->gauge("service.in_flight", static_cast<int>(c));
       reg->gauge("service.replans", static_cast<int>(c));
-      fold_health(*reg, static_cast<int>(c), runtimes[c]->health_state());
+      fold_health(*reg, static_cast<int>(c), fleet[c].health_state());
       for (std::size_t k = 0; k < kEventKindCount; ++k)
         event_metric(*reg, static_cast<int>(c), static_cast<EventKind>(k));
     }
@@ -259,29 +216,7 @@ StreamingReport StreamingService::run(std::vector<ChamberSetup>& chambers,
     phase.begin("faults");
     // ---- runtime faults, serial before the fan-out (chamber kinds only;
     // port kinds were rejected at construction).
-    if (injector.has_value()) {
-      for (const chip::FaultEvent& f : injector->tick(t)) {
-        switch (f.kind) {
-          case chip::FaultKind::kElectrodeDead:
-          case chip::FaultKind::kElectrodeStuckCage:
-          case chip::FaultKind::kElectrodeSilentDead:
-            runtimes[static_cast<std::size_t>(f.chamber)]->apply_electrode_fault(
-                t, f.site, f.kind);
-            break;
-          case chip::FaultKind::kSensorRowDropout:
-            runtimes[static_cast<std::size_t>(f.chamber)]->begin_sensor_dropout(
-                t, f.site.row, f.duration);
-            break;
-          case chip::FaultKind::kSensorPixelBurst:
-            runtimes[static_cast<std::size_t>(f.chamber)]->begin_sensor_burst(
-                t, f.site, config_.faults.burst_tile, f.duration);
-            break;
-          case chip::FaultKind::kPortIntermittent:
-          case chip::FaultKind::kPortFailed:
-            break;  // unreachable: rejected at construction
-        }
-      }
-    }
+    for (const chip::FaultEvent& f : fleet.faults(t)) fleet.apply(t, f);
 
     // ---- arrivals, serial in ascending inlet order. Shedding happens here,
     // at the watermark — overload degrades the shed fraction, never memory.
@@ -292,7 +227,7 @@ StreamingReport StreamingService::run(std::vector<ChamberSetup>& chambers,
       const fluidic::InletPort& inlet = network_.inlet(static_cast<int>(i));
       for (const int type : types)
         if (!admission.offer(static_cast<int>(i), t, type))
-          runtimes[static_cast<std::size_t>(inlet.chamber)]->record_event(
+          fleet[static_cast<std::size_t>(inlet.chamber)].record_event(
               {t, EventKind::kAdmissionShed, -1, inlet.site});
     }
 
@@ -302,7 +237,7 @@ StreamingReport StreamingService::run(std::vector<ChamberSetup>& chambers,
     std::vector<std::uint8_t> elide(n_chambers, 0);
     if (config_.elide_idle_chambers) {
       for (std::size_t c = 0; c < n_chambers; ++c)
-        if (runtimes[c]->active_goal_count() == 0 &&
+        if (fleet[c].active_goal_count() == 0 &&
             chambers[c].cages->cage_count() == 0) {
           elide[c] = 1;
           ++report.elided_chamber_ticks;
@@ -311,20 +246,7 @@ StreamingReport StreamingService::run(std::vector<ChamberSetup>& chambers,
 
     // ---- barrier-synchronized chamber ticks (disjoint worlds + streams).
     phase.begin("chambers");
-    const auto step = [&](std::size_t c) {
-      if (elide[c]) runtimes[c]->idle_tick(t);
-      else runtimes[c]->tick(t);
-    };
-    if (pool != nullptr) {
-      pool->parallel_for(
-          0, n_chambers,
-          [&](std::size_t cb, std::size_t ce) {
-            for (std::size_t c = cb; c < ce; ++c) step(c);
-          },
-          max_parts);
-    } else {
-      for (std::size_t c = 0; c < n_chambers; ++c) step(c);
-    }
+    fleet.step(t, elide, pool, max_parts);
 
     // ---- harvest delivered cells (before admission, so the freed quota and
     // goal site are reusable the same tick), then evict deadline breakers —
@@ -332,7 +254,7 @@ StreamingReport StreamingService::run(std::vector<ChamberSetup>& chambers,
     // the chamber shut.
     phase.begin("harvest");
     for (std::size_t c = 0; c < n_chambers; ++c) {
-      EpisodeRuntime& rt = *runtimes[c];
+      EpisodeRuntime& rt = fleet[c];
       std::vector<InFlight>& fl = in_flight[c];
       for (std::size_t k = 0; k < fl.size();) {
         if (rt.supervises(fl[k].cage_id) &&
@@ -374,7 +296,7 @@ StreamingReport StreamingService::run(std::vector<ChamberSetup>& chambers,
       if (!admission.has_waiting(static_cast<int>(i))) continue;
       const fluidic::InletPort& inlet = network_.inlet(static_cast<int>(i));
       const std::size_t c = static_cast<std::size_t>(inlet.chamber);
-      EpisodeRuntime& rt = *runtimes[c];
+      EpisodeRuntime& rt = fleet[c];
       const PendingCell head = admission.head(static_cast<int>(i));
       bool admitted = false;
       if (admitted_this_tick[c] < config_.admission.admissions_per_tick &&
@@ -411,20 +333,19 @@ StreamingReport StreamingService::run(std::vector<ChamberSetup>& chambers,
     // aggregate counters and drop committed-path history behind the clock.
     phase.begin("fold");
     for (std::size_t c = 0; c < n_chambers; ++c) {
-      const std::vector<ControlEvent> drained =
-          runtimes[c]->take_observed_events();
+      const std::vector<ControlEvent> drained = fleet[c].take_observed_events();
       for (const ControlEvent& e : drained)
         ++report.event_counts[c][static_cast<std::size_t>(e.kind)];
       if (reg != nullptr)
         fold_events(*reg, static_cast<int>(c), drained);
-      runtimes[c]->compact_paths(t);
+      fleet[c].compact_paths(t);
     }
 
     // ---- residency accounting (the gates the soak smoke test holds).
     std::size_t caged = 0, resident = 0, slots = 0;
     for (std::size_t c = 0; c < n_chambers; ++c) {
       caged += in_flight[c].size();
-      resident += runtimes[c]->resident_bodies();
+      resident += fleet[c].resident_bodies();
       slots += chambers[c].cages->slot_count();
     }
     report.peak_in_flight =
@@ -447,9 +368,9 @@ StreamingReport StreamingService::run(std::vector<ChamberSetup>& chambers,
         reg->set(reg->gauge("service.in_flight", static_cast<int>(c)),
                  static_cast<std::int64_t>(in_flight[c].size()));
         reg->set(reg->gauge("service.replans", static_cast<int>(c)),
-                 static_cast<std::int64_t>(runtimes[c]->replans()));
-        fold_health(*reg, static_cast<int>(c), runtimes[c]->health_state());
-        frames += runtimes[c]->frames_sensed();
+                 static_cast<std::int64_t>(fleet[c].replans()));
+        fold_health(*reg, static_cast<int>(c), fleet[c].health_state());
+        frames += fleet[c].frames_sensed();
       }
       reg->set(reg->gauge("service.frames_sensed"),
                static_cast<std::int64_t>(frames));
@@ -459,8 +380,7 @@ StreamingReport StreamingService::run(std::vector<ChamberSetup>& chambers,
                static_cast<std::int64_t>(slots));
       reg->set_counter(reg->counter("service.elided_ticks"),
                        report.elided_chamber_ticks);
-      reg->set_counter(reg->counter("service.faults_injected"),
-                       injector.has_value() ? injector->injected() : 0);
+      reg->set_counter(reg->counter("service.faults_injected"), fleet.injected());
       reg->set(reg->gauge("service.peak_in_flight"),
                static_cast<std::int64_t>(report.peak_in_flight));
       reg->set(reg->gauge("service.peak_resident_bodies"),
@@ -477,18 +397,17 @@ StreamingReport StreamingService::run(std::vector<ChamberSetup>& chambers,
   report.ticks = config_.ticks;
   for (std::size_t c = 0; c < n_chambers; ++c) {
     // Final drain: no further health observation will run, so take all.
-    const std::vector<ControlEvent> drained =
-        runtimes[c]->take_observed_events(true);
+    const std::vector<ControlEvent> drained = fleet[c].take_observed_events(true);
     for (const ControlEvent& e : drained)
       ++report.event_counts[c][static_cast<std::size_t>(e.kind)];
     if (reg != nullptr) fold_events(*reg, static_cast<int>(c), drained);
-    report.frames_sensed += runtimes[c]->frames_sensed();
-    report.health.push_back(runtimes[c]->health_state());
+    report.frames_sensed += fleet[c].frames_sensed();
+    report.health.push_back(fleet[c].health_state());
     report.in_flight_end += in_flight[c].size();
   }
   report.admission = admission.stats();
   report.queued_end = admission.total_queued();
-  report.injected_faults = injector.has_value() ? injector->injected() : 0;
+  report.injected_faults = fleet.injected();
   if (reg != nullptr) {
     fold_admission(*reg, report.admission);
     reg->set(reg->gauge("service.frames_sensed"),

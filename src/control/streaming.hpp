@@ -14,8 +14,9 @@
 ///     (seed, inlet id, tick), never on worker count, chamber count, or call
 ///     interleaving — and offers them to the `AdmissionController`, which
 ///     sheds past the queue-depth watermark (`kAdmissionShed`);
-///  3. fans the per-chamber supervisory ticks over the worker pool
-///     (barrier-synchronized, disjoint fork-stream spaces);
+///  3. steps its `ChamberFleet`: the per-chamber supervisory ticks fan out
+///     over the worker pool (barrier-synchronized, disjoint fork-stream
+///     spaces);
 ///  4. harvests delivered cages (time-in-chip into a fixed-bin latency
 ///     histogram, cage + body slot recycled), evicts cells past the service
 ///     deadline (`kDeliveryFailed` — an explicit failure, never a livelock);
@@ -47,8 +48,8 @@
 #include "control/admission.hpp"
 #include "control/config.hpp"
 #include "control/engine.hpp"
+#include "control/fleet.hpp"
 #include "control/health.hpp"
-#include "control/orchestrator.hpp"
 #include "fluidic/chamber_network.hpp"
 #include "physics/dynamics.hpp"
 

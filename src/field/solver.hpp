@@ -134,9 +134,10 @@ struct IncrementalOptions {
   /// Hard sweep cap per windowed correction (windows are tiny, so this is a
   /// runaway guard, not a tuning knob).
   std::size_t max_sweeps = 512;
-  /// Full-solve re-anchor cadence: every N-th update runs the complete FMG
-  /// oracle instead of a windowed correction, discarding any accumulated
-  /// exterior drift. 0 = never re-anchor.
+  /// Full-solve re-anchor cadence: every N-th update runs the complete solve
+  /// (the configured cycle, V-cycle by default — the oracle) instead of a
+  /// windowed correction, discarding any accumulated exterior drift.
+  /// 0 = never re-anchor.
   std::size_t reanchor_period = 64;
 };
 

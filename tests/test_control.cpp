@@ -10,9 +10,10 @@
 
 #include "cell/library.hpp"
 #include "chip/device.hpp"
+#include "control/engine.hpp"
 #include "control/events.hpp"
 #include "control/tracker.hpp"
-#include "core/closed_loop.hpp"
+#include "core/threadpool.hpp"
 #include "physics/medium.hpp"
 
 namespace biochip::control {
@@ -143,10 +144,11 @@ class ClosedLoopTest : public ::testing::Test {
   }
 
   EpisodeReport run(World& world, const ControlConfig& config, std::uint64_t seed) {
-    core::ClosedLoopTransporter transporter(world.cages, world.engine, world.imager,
-                                            world.defects, 0.4, config);
+    ClosedLoopEngine engine(world.cages, world.engine, world.imager, world.defects, 0.4,
+                            config);
     Rng rng(seed);
-    return transporter.execute(world.goals, world.bodies, world.cage_bodies, rng);
+    return engine.run(world.goals, world.bodies, world.cage_bodies, rng.split(),
+                      &core::ThreadPool::global());
   }
 
   chip::DeviceConfig cfg_;
@@ -195,18 +197,18 @@ TEST_F(ClosedLoopTest, EpisodeFanOutBitwiseIdenticalToSerial) {
 
   const auto run_episodes = [&](std::size_t max_parts) {
     std::vector<std::unique_ptr<World>> worlds;
-    std::vector<std::unique_ptr<core::ClosedLoopTransporter>> transporters;
-    std::vector<core::ClosedLoopTransporter::Episode> episodes;
+    std::vector<std::unique_ptr<ClosedLoopEngine>> engines;
+    std::vector<ClosedLoopEngine::Episode> episodes;
     for (int n = 0; n < 3; ++n) {
       worlds.push_back(make_world());
       World& w = *worlds.back();
-      transporters.push_back(std::make_unique<core::ClosedLoopTransporter>(
-          w.cages, w.engine, w.imager, w.defects, 0.4, config));
-      episodes.push_back({transporters.back().get(), w.goals, &w.bodies, w.cage_bodies});
+      engines.push_back(std::make_unique<ClosedLoopEngine>(w.cages, w.engine, w.imager,
+                                                           w.defects, 0.4, config));
+      episodes.push_back({engines.back().get(), w.goals, &w.bodies, w.cage_bodies});
     }
     Rng rng(4242);
-    const auto reports =
-        core::ClosedLoopTransporter::execute_episodes(episodes, rng, max_parts);
+    const auto reports = ClosedLoopEngine::run_episodes(
+        episodes, rng.split(), core::ThreadPool::global(), max_parts);
     std::vector<Vec3> positions;
     for (const auto& w : worlds)
       for (const physics::ParticleBody& b : w->bodies) positions.push_back(b.position);

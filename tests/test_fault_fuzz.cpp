@@ -17,7 +17,7 @@
 #include "common/error.hpp"
 #include "control/health.hpp"
 #include "control/orchestrator.hpp"
-#include "core/closed_loop.hpp"
+#include "core/threadpool.hpp"
 #include "fluidic/chamber_network.hpp"
 #include "physics/medium.hpp"
 
@@ -43,16 +43,18 @@ TEST(FaultInjectorTest, ScriptedFireExactlyAndSampledSchedulesAreDeterministic) 
   cfg.rates.port_intermittent = 0.01;
   const std::vector<chip::ChamberShape> shapes{{16, 16}, {16, 16}};
 
-  const auto collect = [&](std::uint64_t seed) {
-    chip::FaultInjector inj(cfg, shapes, 1, Rng(seed));
+  const auto collect = [&](const chip::FaultScheduleConfig& schedule,
+                           std::uint64_t seed) {
+    chip::FaultInjector inj(schedule, shapes, 1, Rng(seed));
     std::vector<chip::FaultEvent> all;
     for (int t = 1; t <= 50; ++t)
       for (const chip::FaultEvent& f : inj.tick(t)) all.push_back(f);
+    EXPECT_EQ(inj.injected(), all.size());
     return all;
   };
 
-  const std::vector<chip::FaultEvent> a = collect(7);
-  const std::vector<chip::FaultEvent> b = collect(7);
+  const std::vector<chip::FaultEvent> a = collect(cfg, 7);
+  const std::vector<chip::FaultEvent> b = collect(cfg, 7);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t n = 0; n < a.size(); ++n)
     EXPECT_TRUE(same_fault(a[n], b[n])) << "event " << n;
@@ -73,6 +75,19 @@ TEST(FaultInjectorTest, ScriptedFireExactlyAndSampledSchedulesAreDeterministic) 
   }
   EXPECT_GE(scripted_seen, 1u);
   EXPECT_EQ(chip::FaultInjector(cfg, shapes, 1, Rng(7)).injected(), 0u);
+
+  // With every rate at zero nothing is sampled: an empty schedule never
+  // fires, and a scripted-only schedule fires exactly its script. Every
+  // fault-free driver run takes this path.
+  chip::FaultScheduleConfig scripted_only;
+  scripted_only.scripted = cfg.scripted;
+  for (const chip::FaultScheduleConfig& quiet :
+       {chip::FaultScheduleConfig{}, scripted_only}) {
+    const std::vector<chip::FaultEvent> fired = collect(quiet, 7);
+    ASSERT_EQ(fired.size(), quiet.scripted.size());
+    for (std::size_t n = 0; n < fired.size(); ++n)
+      EXPECT_TRUE(same_fault(fired[n], quiet.scripted[n])) << "event " << n;
+  }
 }
 
 TEST(FaultInjectorTest, ElectrodeCapBoundsSampledFaults) {
@@ -341,10 +356,10 @@ TEST_F(FaultFuzzTest, RescueRecoversCellFromBlockedNeighborhood) {
     de.distance_pitches = (to - from).norm() / cfg_.pitch;
     config.directed_escapes = {de};
 
-    core::ClosedLoopTransporter transporter(w->cages, w->engine, w->imager,
-                                            w->defects, 0.4, config);
+    ClosedLoopEngine engine(w->cages, w->engine, w->imager, w->defects, 0.4, config);
     Rng rng(808);
-    return transporter.execute(w->goals, w->bodies, w->cage_bodies, rng);
+    return engine.run(w->goals, w->bodies, w->cage_bodies, rng.split(),
+                      &core::ThreadPool::global());
   };
 
   const EpisodeReport with_rescue = run_once(true);
@@ -576,8 +591,8 @@ TEST_F(FaultFuzzTest, PooledBitwiseIdenticalUnderFaultFuzz) {
     const std::vector<TransferGoal> transfers{{0, cage_a, 1, {12, 8}},
                                               {1, cage_b, 2, {12, 10}}};
     Rng rng(424242);
-    const OrchestratorReport report = core::ClosedLoopTransporter::execute_orchestrated(
-        orch, chambers, transfers, rng, max_parts);
+    const OrchestratorReport report = orch.run(chambers, transfers, rng.split(),
+                                               &core::ThreadPool::global(), max_parts);
 
     std::vector<Vec3> positions;
     for (const World* w : {w0.get(), w1.get(), w2.get()})

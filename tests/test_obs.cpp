@@ -15,7 +15,6 @@
 #include "chip/device.hpp"
 #include "common/error.hpp"
 #include "control/streaming.hpp"
-#include "core/closed_loop.hpp"
 #include "core/threadpool.hpp"
 #include "field/solver.hpp"
 #include "fluidic/chamber_network.hpp"

@@ -13,7 +13,7 @@
 #include "chip/device.hpp"
 #include "common/error.hpp"
 #include "control/orchestrator.hpp"
-#include "core/closed_loop.hpp"
+#include "core/threadpool.hpp"
 #include "fluidic/chamber_network.hpp"
 #include "physics/medium.hpp"
 
@@ -281,6 +281,20 @@ TEST_F(OrchestratorTest, DefectBlockedPortFailsExplicitly) {
   EXPECT_EQ(report2.denials, 0u);  // fail-fast, not deny/backoff
 }
 
+// An incomplete chamber setup is rejected before the port staging reads the
+// transfer source's defect map.
+TEST_F(OrchestratorTest, NullSourceDefectMapIsRejected) {
+  fluidic::ChamberNetwork net = chain(2);
+  auto w0 = make_world();
+  auto w1 = make_world();
+  const int cage = w0->add_cell({10, 8});
+  Orchestrator orch(net, OrchestratorConfig{});
+  std::vector<ChamberSetup> chambers{w0->setup(), w1->setup()};
+  chambers[0].defects = nullptr;
+  EXPECT_THROW(orch.run(chambers, {{0, cage, 1, {12, 8}}}, Rng(5), nullptr),
+               PreconditionError);
+}
+
 // Bitwise identity of the pooled chamber fan-out vs the serial reference on
 // a 3-chamber chain with transfers, intra-chamber goals, scripted and
 // random escapes: same trajectories, same event logs, same accounting.
@@ -303,8 +317,8 @@ TEST_F(OrchestratorTest, PooledBitwiseIdenticalToSerialWithThreeChambers) {
     const std::vector<TransferGoal> transfers{{0, cage_a, 1, {12, 8}},
                                               {1, cage_b, 2, {12, 10}}};
     Rng rng(90210);
-    const OrchestratorReport report = core::ClosedLoopTransporter::execute_orchestrated(
-        orch, chambers, transfers, rng, max_parts);
+    const OrchestratorReport report = orch.run(chambers, transfers, rng.split(),
+                                               &core::ThreadPool::global(), max_parts);
 
     std::vector<Vec3> positions;
     for (const World* w : {w0.get(), w1.get(), w2.get()})

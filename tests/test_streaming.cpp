@@ -11,8 +11,9 @@
 
 #include "cell/library.hpp"
 #include "chip/device.hpp"
+#include "common/error.hpp"
 #include "control/streaming.hpp"
-#include "core/closed_loop.hpp"
+#include "core/threadpool.hpp"
 #include "fluidic/chamber_network.hpp"
 #include "physics/medium.hpp"
 
@@ -174,8 +175,8 @@ TEST_F(StreamingTest, SerialVsPooledBitwiseIdentical) {
     StreamingService service(network, cfg);
     std::vector<ChamberSetup> chambers{w0->setup(), w1->setup()};
     Rng rng(90210);
-    const StreamingReport report = core::ClosedLoopTransporter::execute_streaming(
-        service, chambers, rng, max_parts);
+    const StreamingReport report =
+        service.run(chambers, rng.split(), &core::ThreadPool::global(), max_parts);
 
     std::vector<Vec3> positions;
     for (const World* w : {w0.get(), w1.get()})
@@ -303,6 +304,18 @@ TEST_F(StreamingTest, OverloadShedsTypedEventsAndStaysBounded) {
 
 // --------------------------------------------- steady-state sense slow-down ----
 
+// An incomplete chamber setup is rejected before the service touches it.
+TEST_F(StreamingTest, NullDefectMapIsRejected) {
+  const fluidic::ChamberNetwork network = net(1, {0});
+  auto w = make_world();
+  StreamingConfig cfg = base_config(*w, 1, 0.1);
+  cfg.goal_sites = {{{12, 8}}};
+  StreamingService service(network, cfg);
+  std::vector<ChamberSetup> chambers{w->setup()};
+  chambers[0].defects = nullptr;
+  EXPECT_THROW(service.run(chambers, Rng(5), nullptr), PreconditionError);
+}
+
 // In healthy steady state the sense slow-down halves the frame budget
 // without changing a single observable: same events at the same ticks, same
 // deliveries, same trajectories — only fewer CDS frames spent. A 32-frame
@@ -316,11 +329,11 @@ TEST_F(StreamingTest, SteadySenseSlowdownPreservesTheEventStream) {
     ControlConfig config;
     config.frames_per_tick = 32;
     config.steady_frames_divisor = divisor;
-    core::ClosedLoopTransporter transporter(world.cages, world.engine, world.imager,
-                                            world.defects, 0.4, config);
+    ClosedLoopEngine engine(world.cages, world.engine, world.imager, world.defects, 0.4,
+                            config);
     Rng rng(5150);
-    EpisodeReport report =
-        transporter.execute(world.goals, world.bodies, world.cage_bodies, rng);
+    EpisodeReport report = engine.run(world.goals, world.bodies, world.cage_bodies,
+                                      rng.split(), &core::ThreadPool::global());
     std::vector<Vec3> positions;
     for (const physics::ParticleBody& b : world.bodies)
       positions.push_back(b.position);
