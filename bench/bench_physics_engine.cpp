@@ -117,7 +117,8 @@ void bm_integrator_throughput(benchmark::State& state) {
   Rng rng(3);
   const auto& model = rig.engine.field_model();
   for (auto _ : state) {
-    integ.advance(bodies, [&](Vec3 p) { return model.grad_erms2(p); }, rng, 10);
+    for (physics::ParticleBody& body : bodies)
+      integ.advance(body, [&](Vec3 p) { return model.grad_erms2(p); }, rng, 10);
     benchmark::DoNotOptimize(bodies.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 10 *
@@ -150,7 +151,8 @@ void bm_grad_cage_scaling(benchmark::State& state) {
   Rng rng(3);
   const auto& model = rig.engine.field_model();
   for (auto _ : state) {
-    integ.advance(bodies, [&](Vec3 p) { return model.grad_erms2(p); }, rng, 10);
+    for (physics::ParticleBody& body : bodies)
+      integ.advance(body, [&](Vec3 p) { return model.grad_erms2(p); }, rng, 10);
     benchmark::DoNotOptimize(bodies.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 10 *

@@ -10,7 +10,7 @@
 
 #include "cad/benchmarks.hpp"
 #include "common/table.hpp"
-#include "core/platform.hpp"
+#include "control/platform.hpp"
 
 using namespace biochip;
 
@@ -22,10 +22,10 @@ int main() {
 
   // The machine: a 128x128 tile of the paper device, 4 concurrent mixer
   // regions, 2 I/O ports, cages dragged at 50 um/s.
-  core::PlatformConfig config = core::PlatformConfig::paper_defaults();
+  control::PlatformConfig config = control::PlatformConfig::paper_defaults();
   config.device.cols = 128;
   config.device.rows = 128;
-  core::LabOnChipPlatform lab(config);
+  control::LabOnChipPlatform lab(config);
   const cad::ChipResources resources{4, 0, 2};
 
   const cad::SynthesisResult result = lab.run_assay(assay, resources);

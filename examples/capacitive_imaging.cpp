@@ -12,7 +12,7 @@
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
-#include "core/platform.hpp"
+#include "control/platform.hpp"
 #include "sensor/detect.hpp"
 #include "sensor/frame.hpp"
 
@@ -39,11 +39,11 @@ void render(const Grid2& frame, double sigma) {
 }  // namespace
 
 int main() {
-  core::PlatformConfig config = core::PlatformConfig::paper_defaults();
+  control::PlatformConfig config = control::PlatformConfig::paper_defaults();
   config.device.cols = 72;
   config.device.rows = 24;  // letterbox tile renders nicely in a terminal
   config.seed = 314;
-  core::LabOnChipPlatform lab(config);
+  control::LabOnChipPlatform lab(config);
 
   // A sparse scene: 6 polystyrene beads (strong nDEP at 100 kHz, good test
   // targets for the capacitive sensor).

@@ -12,7 +12,7 @@
 
 #include "cell/library.hpp"
 #include "common/table.hpp"
-#include "core/platform.hpp"
+#include "control/platform.hpp"
 #include "physics/dielectrics.hpp"
 
 using namespace biochip;
@@ -34,12 +34,12 @@ int main() {
             << "\n\n";
 
   // 2. Load a mixed sample on a 96x96 tile of the paper device.
-  core::PlatformConfig config = core::PlatformConfig::paper_defaults();
+  control::PlatformConfig config = control::PlatformConfig::paper_defaults();
   config.device.cols = 96;
   config.device.rows = 96;
   config.device.drive_frequency = f_op;
   config.seed = 2025;
-  core::LabOnChipPlatform lab(config);
+  control::LabOnChipPlatform lab(config);
   lab.load_sample({{viable, 12, 0.06}, {dead, 12, 0.06}});
 
   // 3. Attempt to trap every cell: only nDEP (viable) cells can be caged.
@@ -69,7 +69,7 @@ int main() {
     bool progress = false;
     for (const auto& [cage_id, label] : cages) {
       if (done[cage_id]) continue;
-      const core::MoveResult mv = lab.move_cell(cage_id, dest[cage_id]);
+      const control::MoveResult mv = lab.move_cell(cage_id, dest[cage_id]);
       if (mv.success) {
         done[cage_id] = true;
         ++recovered;

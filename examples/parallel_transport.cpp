@@ -9,16 +9,16 @@
 
 #include "cell/library.hpp"
 #include "common/table.hpp"
-#include "core/platform.hpp"
+#include "control/platform.hpp"
 
 using namespace biochip;
 
 int main() {
-  core::PlatformConfig config = core::PlatformConfig::paper_defaults();
+  control::PlatformConfig config = control::PlatformConfig::paper_defaults();
   config.device.cols = 48;
   config.device.rows = 48;
   config.seed = 77;
-  core::LabOnChipPlatform lab(config);
+  control::LabOnChipPlatform lab(config);
 
   // Nine cells pre-positioned on a 3x3 block (4-pitch spacing).
   lab.load_sample({{cell::viable_lymphocyte(), 9, 0.0}});
@@ -35,21 +35,20 @@ int main() {
   }
   std::cout << "Trapped " << cages.size() << " cells on a 3x3 block.\n";
 
-  Table t({"maneuver", "cages", "steps", "moves", "time [s]", "all retained"});
+  Table t({"maneuver", "cages", "steps", "time [s]", "all retained"});
 
   // Maneuver 1: convoy — the whole block shifts 15 pitches east together.
   {
-    std::vector<core::ParallelMoveRequest> reqs;
+    std::vector<control::CageGoal> goals;
     for (int id : cages) {
       const GridCoord s = lab.cages().site(id);
-      reqs.push_back({id, {s.col + 15, s.row}});
+      goals.push_back({id, {s.col + 15, s.row}});
     }
-    const core::ParallelMoveResult r = lab.move_cells(reqs);
+    const control::EpisodeReport r = lab.move_cells(goals);
     t.row()
         .cell("convoy +15 east")
-        .cell(static_cast<int>(reqs.size()))
-        .cell(static_cast<int>(r.steps_executed))
-        .cell(r.routes.total_moves)
+        .cell(static_cast<int>(goals.size()))
+        .cell(r.ticks)
         .cell(r.elapsed, 1)
         .cell(r.success ? "yes" : (r.planned ? "LOST" : "PLAN FAILED"));
   }
@@ -59,15 +58,14 @@ int main() {
   {
     std::vector<GridCoord> sites;
     for (int id : cages) sites.push_back(lab.cages().site(id));
-    std::vector<core::ParallelMoveRequest> reqs;
+    std::vector<control::CageGoal> goals;
     for (std::size_t i = 0; i < cages.size(); ++i)
-      reqs.push_back({cages[i], sites[cages.size() - 1 - i]});
-    const core::ParallelMoveResult r = lab.move_cells(reqs);
+      goals.push_back({cages[i], sites[cages.size() - 1 - i]});
+    const control::EpisodeReport r = lab.move_cells(goals);
     t.row()
         .cell("block rotation 180deg")
-        .cell(static_cast<int>(reqs.size()))
-        .cell(static_cast<int>(r.steps_executed))
-        .cell(r.routes.total_moves)
+        .cell(static_cast<int>(goals.size()))
+        .cell(r.ticks)
         .cell(r.elapsed, 1)
         .cell(r.success ? "yes" : (r.planned ? "LOST" : "PLAN FAILED"));
   }

@@ -8,18 +8,18 @@
 
 #include "cell/library.hpp"
 #include "common/table.hpp"
-#include "core/platform.hpp"
+#include "control/platform.hpp"
 
 using namespace biochip;
 
 int main() {
   // 1. The platform: paper-scale chip (0.35 µm CMOS, 20 µm pitch, 100 µm
   //    chamber) — shrunk to a 64x64 tile so the demo runs instantly.
-  core::PlatformConfig config = core::PlatformConfig::paper_defaults();
+  control::PlatformConfig config = control::PlatformConfig::paper_defaults();
   config.device.cols = 64;
   config.device.rows = 64;
   config.seed = 7;
-  core::LabOnChipPlatform lab(config);
+  control::LabOnChipPlatform lab(config);
 
   std::cout << "Device: " << lab.device().array().electrode_count()
             << " electrodes, " << lab.device().chamber_volume() * 1e9
@@ -48,7 +48,7 @@ int main() {
 
   // 5. Drag it 12 pitches away at 50 um/s, physics-in-the-loop.
   const GridCoord to{from.col < 32 ? from.col + 12 : from.col - 12, from.row};
-  const core::MoveResult mv = lab.move_cell(*cage, to);
+  const control::MoveResult mv = lab.move_cell(*cage, to);
 
   Table report({"metric", "value"});
   report.row().cell("move succeeded").cell(mv.success ? "yes" : "no");

@@ -65,8 +65,8 @@ EpisodeRuntime::EpisodeRuntime(ClosedLoopEngine& owner, std::vector<CageGoal> go
   initial_blocked_ = static_cast<std::size_t>(
       std::count(blocked_.begin(), blocked_.end(), std::uint8_t{1}));
 
-  // Initial plan, ParallelTransporter-style: parked cages become zero-length
-  // requests so the planner keeps traffic separated from them.
+  // Initial plan: parked cages become zero-length requests so the planner
+  // keeps traffic separated from them.
   cad::RouteConfig plan_cfg;
   plan_cfg.cols = array.cols();
   plan_cfg.rows = array.rows();
@@ -169,6 +169,7 @@ bool EpisodeRuntime::body_index_of(int cage_id, std::size_t& out) const {
 
 bool EpisodeRuntime::site_ok(GridCoord s) const {
   const chip::ElectrodeArray& array = owner_.cages_.array();
+  BIOCHIP_DBG_REQUIRE(array.contains(s), "site outside the array");
   return blocked_[static_cast<std::size_t>(s.row) *
                       static_cast<std::size_t>(array.cols()) +
                   static_cast<std::size_t>(s.col)] == 0;
@@ -176,6 +177,7 @@ bool EpisodeRuntime::site_ok(GridCoord s) const {
 
 bool EpisodeRuntime::truth_site_ok(GridCoord s) const {
   const chip::ElectrodeArray& array = owner_.cages_.array();
+  BIOCHIP_DBG_REQUIRE(array.contains(s), "site outside the array");
   return truth_blocked_[static_cast<std::size_t>(s.row) *
                             static_cast<std::size_t>(array.cols()) +
                         static_cast<std::size_t>(s.col)] == 0;
@@ -347,8 +349,7 @@ void EpisodeRuntime::integrate_range(int t, std::size_t nb, std::size_t ne) {
     Rng stream = owner_.config_.recycle_slots
                      ? phys_base_.fork(body_streams_[n]).fork(static_cast<std::uint64_t>(t))
                      : phys_base_.fork(static_cast<std::uint64_t>(t) * bodies_.size() + n);
-    for (std::size_t s = 0; s < substeps_; ++s)
-      owner_.engine_.integrator().step(bodies_[n], grad, stream);
+    owner_.engine_.integrator().advance(bodies_[n], grad, stream, substeps_);
   }
 }
 

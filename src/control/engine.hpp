@@ -185,6 +185,7 @@ class EpisodeRuntime {
   }
   GridCoord site(int cage_id) const { return owner_.cages_.site(cage_id); }
   /// True when the defect map leaves this site usable as a cage position.
+  /// `site` must lie in the array (checked in Debug builds).
   bool site_ok(GridCoord site) const;
   /// Trap center of a site in this chamber's coordinates.
   Vec3 trap_center(GridCoord site) const;

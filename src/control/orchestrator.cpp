@@ -86,6 +86,10 @@ OrchestratorReport Orchestrator::run(std::vector<ChamberSetup>& chambers,
                         tr.to_chamber >= 0 &&
                         static_cast<std::size_t>(tr.to_chamber) < n_chambers,
                     "transfer names an unknown chamber");
+    BIOCHIP_REQUIRE(chambers[static_cast<std::size_t>(tr.to_chamber)]
+                        .cages->array()
+                        .contains(tr.destination),
+                    "transfer destination outside the destination chamber");
     const std::vector<int> candidates =
         network_.ports_between(tr.from_chamber, tr.to_chamber);
     BIOCHIP_REQUIRE(!candidates.empty(), "no port connects the transfer's chambers");

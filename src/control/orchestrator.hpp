@@ -61,7 +61,8 @@ struct TransferGoal {
   int from_chamber = 0;
   int cage_id = 0;  ///< id in the source chamber's controller
   int to_chamber = 0;
-  GridCoord destination;  ///< final site in the destination chamber
+  GridCoord destination;  ///< final site in the destination chamber (must lie
+                          ///< in its grid; `Orchestrator::run` throws otherwise)
 };
 
 /// Lifecycle of one transfer.

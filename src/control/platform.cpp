@@ -1,12 +1,14 @@
-#include "core/platform.hpp"
+#include "control/platform.hpp"
 
 #include <algorithm>
 #include <cmath>
 
+#include "chip/defects.hpp"
 #include "common/error.hpp"
 #include "common/units.hpp"
+#include "core/threadpool.hpp"
 
-namespace biochip::core {
+namespace biochip::control {
 
 namespace {
 
@@ -169,13 +171,18 @@ MoveResult LabOnChipPlatform::move_cell(int cage_id, GridCoord destination) {
   return result;
 }
 
-ParallelMoveResult LabOnChipPlatform::move_cells(
-    const std::vector<ParallelMoveRequest>& requests) {
-  ParallelTransporter transporter(cages_, engine_, site_period());
-  ParallelMoveResult result =
-      transporter.execute(requests, bodies_, cage_to_body_, rng_);
+EpisodeReport LabOnChipPlatform::move_cells(const std::vector<CageGoal>& goals) {
+  ControlConfig config;
+  config.closed_loop = false;
+  // Ring 0 on a clean map blocks no site: edge sites lack a full
+  // counter-phase ring, but every cage keeps its trap wherever it sits.
+  config.defect_ring = 0;
+  const chip::DefectMap clean(device_.array());
+  ClosedLoopEngine episode(cages_, engine_, imager_, clean, site_period(), config);
+  EpisodeReport report = episode.run(goals, bodies_, cage_to_body_, rng_.split(),
+                                     &core::ThreadPool::global());
   refresh_engine_sites();
-  return result;
+  return report;
 }
 
 cad::SynthesisResult LabOnChipPlatform::run_assay(const cad::AssayGraph& graph,
@@ -189,4 +196,4 @@ cad::SynthesisResult LabOnChipPlatform::run_assay(const cad::AssayGraph& graph,
   return cad::synthesize(graph, cfg);
 }
 
-}  // namespace biochip::core
+}  // namespace biochip::control

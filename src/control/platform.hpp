@@ -2,6 +2,10 @@
 /// \file platform.hpp
 /// \brief `LabOnChipPlatform` — the top-level public API: device + physics +
 /// sensing + CAD glued into load / detect / trap / move / report.
+///
+/// The facade sits in the control layer because its collective move
+/// (`move_cells`) runs as an open-loop control episode: `ClosedLoopEngine`
+/// with `ControlConfig::closed_loop = false`.
 
 #include <cstdint>
 #include <optional>
@@ -12,14 +16,14 @@
 #include "cell/population.hpp"
 #include "chip/cage.hpp"
 #include "chip/device.hpp"
-#include "core/parallel.hpp"
+#include "control/engine.hpp"
 #include "core/simulation.hpp"
 #include "physics/medium.hpp"
 #include "sensor/detect.hpp"
 #include "sensor/frame.hpp"
 #include "sensor/scan.hpp"
 
-namespace biochip::core {
+namespace biochip::control {
 
 /// Platform-wide configuration.
 struct PlatformConfig {
@@ -40,7 +44,7 @@ struct PlatformConfig {
 /// Result of one platform-level cell move.
 struct MoveResult {
   bool success = false;
-  TowReport tow;
+  core::TowReport tow;
   std::size_t pattern_updates = 0;  ///< actuation reprogramming events
   double electronics_time = 0.0;    ///< total programming time [s]
 };
@@ -81,7 +85,22 @@ class LabOnChipPlatform {
   /// Move many trapped cells *simultaneously*: collision-free multi-cage
   /// routing (time-expanded A*) executed one actuation step at a time with
   /// full particle dynamics. The chip's signature parallel operation.
-  ParallelMoveResult move_cells(const std::vector<ParallelMoveRequest>& requests);
+  ///
+  /// Runs as one open-loop control episode, with the per-body physics fanned
+  /// out over `core::ThreadPool::global()`. The episode sees a clean defect
+  /// map and a zero defect ring, so every cage keeps its trap on any site,
+  /// edge sites included, as under `move_cell`. Further:
+  ///  * delivery is judged once, at the end, on the goal cages only: a goal
+  ///    cage is delivered iff it sits at its destination with its cell inside
+  ///    the capture basin (the criterion every driver uses). Parked cages
+  ///    and the steps in between are not audited;
+  ///  * every sample body is integrated each tick, so untrapped cells keep
+  ///    evolving during the move;
+  ///  * physics draws from the episode's counter-based streams, split once
+  ///    from the platform generator per call.
+  /// Every goal cage must hold a trapped cell; a destination outside the
+  /// array throws `PreconditionError`.
+  EpisodeReport move_cells(const std::vector<CageGoal>& goals);
 
   /// Synthesize an assay onto this chip (dims/step period derived from the
   /// device and tow speed).
@@ -102,7 +121,7 @@ class LabOnChipPlatform {
   chip::BiochipDevice device_;
   field::HarmonicCage unit_cage_;
   chip::CageController cages_;
-  ManipulationEngine engine_;
+  core::ManipulationEngine engine_;
   sensor::FrameSynthesizer imager_;
   std::vector<cell::Instance> sample_;
   std::vector<physics::ParticleBody> bodies_;
@@ -110,4 +129,4 @@ class LabOnChipPlatform {
   Rng rng_;
 };
 
-}  // namespace biochip::core
+}  // namespace biochip::control

@@ -254,6 +254,8 @@ TowReport ManipulationEngine::tow(physics::ParticleBody& particle,
     sites.front() = path[hop];
     field_.set_sites(sites);
     const Vec3 trap = field_.trap_center(path[hop]);
+    // Stepped here rather than through `advance`: max_lag samples the lag
+    // after every step, not once per period.
     for (std::size_t s = 0; s < substeps; ++s) {
       integrator_.step(particle, [this](Vec3 p) { return field_.grad_erms2(p); }, rng);
       const double lag = (particle.position - trap).norm();
@@ -277,8 +279,8 @@ void ManipulationEngine::settle(physics::ParticleBody& particle, double duration
   BIOCHIP_REQUIRE(duration >= 0.0, "duration must be non-negative");
   const double dt = integrator_.options().dt;
   const auto steps = static_cast<std::size_t>(std::round(duration / dt));
-  for (std::size_t s = 0; s < steps; ++s)
-    integrator_.step(particle, [this](Vec3 p) { return field_.grad_erms2(p); }, rng);
+  integrator_.advance(particle, [this](Vec3 p) { return field_.grad_erms2(p); }, rng,
+                      steps);
 }
 
 }  // namespace biochip::core

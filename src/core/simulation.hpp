@@ -108,7 +108,7 @@ class ManipulationEngine {
 
   const CageFieldModel& field_model() const { return field_; }
   /// Mutable access for callers that manage the active cage set themselves
-  /// (e.g. ParallelTransporter synchronizing sites with its CageController).
+  /// (e.g. control::EpisodeRuntime publishing each tick's trap sites).
   CageFieldModel& field_model() { return field_; }
   physics::OverdampedIntegrator& integrator() { return integrator_; }
 

@@ -3,9 +3,10 @@
 /// \brief Fixed worker pool with statically-chunked parallel_for.
 ///
 /// The reusable parallelism layer for every compute subsystem: the field
-/// solver sweeps z-planes over it, the dynamics engine fans particle
-/// populations out over it, and future subsystems (sensor scans, Monte Carlo
-/// flows) are expected to build on it rather than spawning ad-hoc threads.
+/// solver sweeps z-planes over it, the control layer fans out the bodies of
+/// an episode, whole episodes and the chambers of a fleet over it, and
+/// future subsystems (sensor scans, Monte Carlo flows) are expected to build
+/// on it rather than spawning ad-hoc threads.
 ///
 /// Design rules:
 ///  * Workers are created once and parked on a condition variable between

@@ -45,21 +45,30 @@ struct PlaneRunner {
   std::size_t max_parts = 0;
   std::vector<double>* scratch = nullptr;
 
+  // fn(k, shared_z): shared_z is true when another lane owns plane k-1 or
+  // k+1 in this job, i.e. on the first and last plane of every chunk but
+  // the outer faces (stencil::smooth_plane's `shared_z`).
   template <typename Fn>
-  double run_max(std::size_t nz, const Fn& fn) const {
+  double run_max_z(std::size_t nz, const Fn& fn) const {
     if (pool == nullptr || nz < 2) {
       double worst = 0.0;
-      for (std::size_t k = 0; k < nz; ++k) worst = std::max(worst, fn(k));
+      for (std::size_t k = 0; k < nz; ++k) worst = std::max(worst, fn(k, false));
       return worst;
     }
     std::vector<double>& out = *scratch;
     pool->parallel_for(
         0, nz,
         [&](std::size_t kb, std::size_t ke) {
-          for (std::size_t k = kb; k < ke; ++k) out[k] = fn(k);
+          for (std::size_t k = kb; k < ke; ++k)
+            out[k] = fn(k, (k == kb && kb > 0) || (k + 1 == ke && ke < nz));
         },
         max_parts);
     return *std::max_element(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(nz));
+  }
+
+  template <typename Fn>
+  double run_max(std::size_t nz, const Fn& fn) const {
+    return run_max_z(nz, [&](std::size_t k, bool) { return fn(k); });
   }
 
   template <typename Fn>
@@ -191,13 +200,13 @@ SolveStats sor_solve(Grid3& phi, const DirichletBc& bc, const double* rhs,
   const std::vector<std::uint8_t> plane_fixed = classify_planes(fixed, dims);
   const std::uint8_t* pf = plane_fixed.data();
   const auto parallel_sweep = [&](bool track) {
-    const double u0 = planes.run_max(dims.nz, [&](std::size_t k) {
+    const double u0 = planes.run_max_z(dims.nz, [&](std::size_t k, bool shared_z) {
       return stencil::smooth_plane(d, fixed, rhs, h2, dims, omega, 0, k, pf[k] != 0,
-                                   track);
+                                   track, shared_z);
     });
-    const double u1 = planes.run_max(dims.nz, [&](std::size_t k) {
+    const double u1 = planes.run_max_z(dims.nz, [&](std::size_t k, bool shared_z) {
       return stencil::smooth_plane(d, fixed, rhs, h2, dims, omega, 1, k, pf[k] != 0,
-                                   track);
+                                   track, shared_z);
     });
     return std::max(u0, u1);
   };
@@ -450,10 +459,12 @@ class VcycleDriver {
         ++s;
       } else {
         for (int color = 0; color < 2; ++color) {
-          const double u = planes_.run_max(v.dims.nz, [&](std::size_t k) {
-            return stencil::smooth_plane(v.phi, v.fixed, v.rhs, v.h2, v.dims, omega,
-                                         color, k, v.plane_fixed[k] != 0);
-          });
+          const double u =
+              planes_.run_max_z(v.dims.nz, [&](std::size_t k, bool shared_z) {
+                return stencil::smooth_plane(v.phi, v.fixed, v.rhs, v.h2, v.dims, omega,
+                                             color, k, v.plane_fixed[k] != 0, true,
+                                             shared_z);
+              });
           update = std::max(color == 0 ? 0.0 : update, u);
         }
         ++s;

@@ -144,10 +144,13 @@ __attribute__((target("avx2"))) inline __m256i free_mask(const std::uint8_t* f,
 /// case) commit with two 64-bit scalar stores; blocks containing Dirichlet
 /// nodes take a masked store (vmaskmovpd stalls store-to-load forwarding,
 /// so it is kept off the hot path). The opposite-color and Dirichlet lanes
-/// are never written, so concurrent sweeps of neighboring planes stay
-/// race-free. Bit-identical to the scalar relax: same operation order, no
-/// FMA (see file header).
-template <bool HasRhs, bool HasFixed, bool TrackMax>
+/// are never written. The inactive lanes of the z-neighbor rows are the
+/// color that a concurrent sweep of plane k±1 writes, so `SharedZ` (another
+/// lane owns a neighbor plane) loads those two rows on the active lanes
+/// only; vmaskmovpd costs an extra uop per load, so planes whose neighbors
+/// the same lane relaxes keep plain loads. Bit-identical to the scalar
+/// relax: same operation order, no FMA (see file header).
+template <bool HasRhs, bool HasFixed, bool TrackMax, bool SharedZ>
 __attribute__((target("avx2"))) inline std::size_t smooth_row_avx2(
     double* r, const std::uint8_t* f, const double* rjm, const double* rjp,
     const double* rkm, const double* rkp, const double* rr, double h2, double omega,
@@ -165,8 +168,13 @@ __attribute__((target("avx2"))) inline std::size_t smooth_row_avx2(
     __m256d nb = _mm256_add_pd(_mm256_loadu_pd(r + i - 1), _mm256_loadu_pd(r + i + 1));
     nb = _mm256_add_pd(nb, _mm256_loadu_pd(rjm + i));
     nb = _mm256_add_pd(nb, _mm256_loadu_pd(rjp + i));
-    nb = _mm256_add_pd(nb, _mm256_loadu_pd(rkm + i));
-    nb = _mm256_add_pd(nb, _mm256_loadu_pd(rkp + i));
+    if constexpr (SharedZ) {
+      nb = _mm256_add_pd(nb, _mm256_maskload_pd(rkm + i, colormask));
+      nb = _mm256_add_pd(nb, _mm256_maskload_pd(rkp + i, colormask));
+    } else {
+      nb = _mm256_add_pd(nb, _mm256_loadu_pd(rkm + i));
+      nb = _mm256_add_pd(nb, _mm256_loadu_pd(rkp + i));
+    }
     if constexpr (HasRhs) {
       // Register barriers block FMA contraction: this row kernel also gets
       // inlined into the AVX-512 plane clone, whose target enables FMA.
@@ -207,7 +215,7 @@ __attribute__((target("avx2"))) inline std::size_t smooth_row_avx2(
 /// active), native k-register masked stores (which, unlike vmaskmovpd,
 /// forward cleanly). Same IEEE operations in the same order as the scalar
 /// and AVX2 paths — all three are bit-identical.
-template <bool HasRhs, bool HasFixed, bool TrackMax>
+template <bool HasRhs, bool HasFixed, bool TrackMax, bool SharedZ>
 __attribute__((target("avx512f,avx512dq,avx512vl,avx512bw"))) inline std::size_t
 smooth_row_avx512(double* r, const std::uint8_t* f, const double* rjm,
                   const double* rjp, const double* rkm, const double* rkp,
@@ -224,8 +232,14 @@ smooth_row_avx512(double* r, const std::uint8_t* f, const double* rjm,
     __m512d nb = _mm512_add_pd(_mm512_loadu_pd(r + i - 1), _mm512_loadu_pd(r + i + 1));
     nb = _mm512_add_pd(nb, _mm512_loadu_pd(rjm + i));
     nb = _mm512_add_pd(nb, _mm512_loadu_pd(rjp + i));
-    nb = _mm512_add_pd(nb, _mm512_loadu_pd(rkm + i));
-    nb = _mm512_add_pd(nb, _mm512_loadu_pd(rkp + i));
+    if constexpr (SharedZ) {
+      // Active lanes only from the z-neighbor rows (see smooth_row_avx2).
+      nb = _mm512_add_pd(nb, _mm512_maskz_loadu_pd(0x55, rkm + i));
+      nb = _mm512_add_pd(nb, _mm512_maskz_loadu_pd(0x55, rkp + i));
+    } else {
+      nb = _mm512_add_pd(nb, _mm512_loadu_pd(rkm + i));
+      nb = _mm512_add_pd(nb, _mm512_loadu_pd(rkp + i));
+    }
     if constexpr (HasRhs) {
       // The empty asm pins each product in a register so the compiler
       // cannot contract it with the following add/sub into an FMA: the
@@ -385,42 +399,42 @@ double smooth_plane_generic(double* d, const std::uint8_t* fixed, const double* 
 }
 
 #if BIOCHIP_STENCIL_X86
-template <bool HasRhs, bool HasFixed, bool TrackMax>
+template <bool HasRhs, bool HasFixed, bool TrackMax, bool SharedZ>
 __attribute__((target("avx2"))) double smooth_plane_x2(double* d,
                                                        const std::uint8_t* fixed,
                                                        const double* rhs, double h2,
                                                        Dims g, double omega, int color,
                                                        std::size_t k) {
   BIOCHIP_SMOOTH_PLANE_BODY(
-      if (nx >= 32) i = smooth_row_avx2<HasRhs, HasFixed, TrackMax>(
+      if (nx >= 32) i = smooth_row_avx2<HasRhs, HasFixed, TrackMax, SharedZ>(
           r, f, rjm, rjp, rkm, rkp, rr, h2, omega, i, ilast, max_update);)
 }
 
-template <bool HasRhs, bool HasFixed, bool TrackMax>
+template <bool HasRhs, bool HasFixed, bool TrackMax, bool SharedZ>
 __attribute__((target("avx512f,avx512dq,avx512vl,avx512bw"))) double smooth_plane_x5(
     double* d, const std::uint8_t* fixed, const double* rhs, double h2, Dims g,
     double omega, int color, std::size_t k) {
   BIOCHIP_SMOOTH_PLANE_BODY(
       if (nx >= 32) {
-        i = smooth_row_avx512<HasRhs, HasFixed, TrackMax>(
+        i = smooth_row_avx512<HasRhs, HasFixed, TrackMax, SharedZ>(
             r, f, rjm, rjp, rkm, rkp, rr, h2, omega, i, ilast, max_update);
-        i = smooth_row_avx2<HasRhs, HasFixed, TrackMax>(
+        i = smooth_row_avx2<HasRhs, HasFixed, TrackMax, SharedZ>(
             r, f, rjm, rjp, rkm, rkp, rr, h2, omega, i, ilast, max_update);
       })
 }
 #endif
 
-template <bool HasRhs, bool HasFixed, bool TrackMax>
+template <bool HasRhs, bool HasFixed, bool TrackMax, bool SharedZ>
 double smooth_plane_impl(double* d, const std::uint8_t* fixed, const double* rhs,
                          double h2, Dims g, double omega, int color, std::size_t k) {
 #if BIOCHIP_STENCIL_X86
   const int vec = simd_level();
   if (vec == 2)
-    return smooth_plane_x5<HasRhs, HasFixed, TrackMax>(d, fixed, rhs, h2, g, omega,
-                                                       color, k);
+    return smooth_plane_x5<HasRhs, HasFixed, TrackMax, SharedZ>(d, fixed, rhs, h2, g,
+                                                                omega, color, k);
   if (vec == 1)
-    return smooth_plane_x2<HasRhs, HasFixed, TrackMax>(d, fixed, rhs, h2, g, omega,
-                                                       color, k);
+    return smooth_plane_x2<HasRhs, HasFixed, TrackMax, SharedZ>(d, fixed, rhs, h2, g,
+                                                                omega, color, k);
 #endif
   return smooth_plane_generic<HasRhs, HasFixed, TrackMax>(d, fixed, rhs, h2, g, omega,
                                                           color, k);
@@ -490,13 +504,13 @@ inline int calibrate_simd_level(int best_supported) {
       for (std::size_t k = 0; k < g.nz; ++k) {
 #if BIOCHIP_STENCIL_X86
         if (level == 2) {
-          smooth_plane_x5<false, false, true>(buf.get(), fixed.get(), nullptr, 1.0, g,
-                                              1.15, color, k);
+          smooth_plane_x5<false, false, true, false>(buf.get(), fixed.get(), nullptr,
+                                                     1.0, g, 1.15, color, k);
           continue;
         }
         if (level == 1) {
-          smooth_plane_x2<false, false, true>(buf.get(), fixed.get(), nullptr, 1.0, g,
-                                              1.15, color, k);
+          smooth_plane_x2<false, false, true, false>(buf.get(), fixed.get(), nullptr,
+                                                     1.0, g, 1.15, color, k);
           continue;
         }
 #endif
@@ -538,18 +552,25 @@ inline int calibrate_simd_level(int best_supported) {
 /// caller classified planes once per solve), which removes every mask load
 /// and branch from the hot loop. `track_update = false` skips the
 /// max-update reduction (for sweeps whose norm nobody reads); it never
-/// changes the relaxed values.
+/// changes the relaxed values. `shared_z = true` declares that another lane
+/// may relax plane k-1 or k+1 at the same time (the first and last plane of
+/// a pooled chunk); the vector rows then read only the nodes that such a
+/// sweep leaves alone. It never changes the relaxed values either.
 inline double smooth_plane(double* d, const std::uint8_t* fixed, const double* rhs,
                            double h2, Dims g, double omega, int color, std::size_t k,
-                           bool plane_has_fixed = true, bool track_update = true) {
-  const auto call = [&](auto hr, auto hf, auto tm) {
-    return detail::smooth_plane_impl<hr.value, hf.value, tm.value>(d, fixed, rhs, h2, g,
-                                                                   omega, color, k);
+                           bool plane_has_fixed = true, bool track_update = true,
+                           bool shared_z = false) {
+  const auto call = [&](auto hr, auto hf, auto tm, auto sz) {
+    return detail::smooth_plane_impl<hr.value, hf.value, tm.value, sz.value>(
+        d, fixed, rhs, h2, g, omega, color, k);
   };
   using T = std::true_type;
   using F = std::false_type;
+  const auto with_sz = [&](auto hr, auto hf, auto tm) {
+    return shared_z ? call(hr, hf, tm, T{}) : call(hr, hf, tm, F{});
+  };
   const auto with_tm = [&](auto hr, auto hf) {
-    return track_update ? call(hr, hf, T{}) : call(hr, hf, F{});
+    return track_update ? with_sz(hr, hf, T{}) : with_sz(hr, hf, F{});
   };
   const auto with_hf = [&](auto hr) {
     return plane_has_fixed ? with_tm(hr, T{}) : with_tm(hr, F{});

@@ -9,7 +9,7 @@
 /// fluctuation-dissipation.
 
 #include <concepts>
-#include <vector>
+#include <cstddef>
 
 #include "common/geometry.hpp"
 #include "common/rng.hpp"
@@ -74,32 +74,14 @@ class OverdampedIntegrator {
     confine(p);
   }
 
-  /// Advance a population by `steps` steps (serial; one shared RNG stream).
+  /// Advance one particle by `steps` steps on one stream, with the field
+  /// held fixed — the period advance every driver calls (one site period of
+  /// a chamber tick, a settle). Populations are the caller's loop: the
+  /// caller owns the fan-out and keys one stream per body, so trajectories
+  /// do not depend on how a pool chunks the bodies.
   template <FieldGradient GradFn>
-  void advance(std::vector<ParticleBody>& particles, GradFn&& grad_erms2, Rng& rng,
-               std::size_t steps) const {
-    for (std::size_t s = 0; s < steps; ++s)
-      for (ParticleBody& p : particles) step(p, grad_erms2, rng);
-  }
-
-  /// Advance a population by `steps` steps with the particle loop fanned out
-  /// over an executor (anything with `parallel_for(begin, end, chunk_fn)`,
-  /// e.g. core::ThreadPool). Each particle integrates on its own
-  /// counter-based child stream (Rng::fork), so the trajectory of every
-  /// particle is independent of the executor's size and chunking — the same
-  /// seed gives the same population on 1 thread or 16. Draws one split from
-  /// `rng` so back-to-back calls use fresh streams. Note the streams differ
-  /// from the serial overload's shared-stream draws by construction.
-  template <FieldGradient GradFn, typename Executor>
-  void advance(std::vector<ParticleBody>& particles, GradFn&& grad_erms2, Rng& rng,
-               std::size_t steps, Executor& executor) const {
-    const Rng base = rng.split();
-    executor.parallel_for(0, particles.size(), [&](std::size_t b, std::size_t e) {
-      for (std::size_t n = b; n < e; ++n) {
-        Rng stream = base.fork(n);
-        for (std::size_t s = 0; s < steps; ++s) step(particles[n], grad_erms2, stream);
-      }
-    });
+  void advance(ParticleBody& p, GradFn&& grad_erms2, Rng& rng, std::size_t steps) const {
+    for (std::size_t s = 0; s < steps; ++s) step(p, grad_erms2, rng);
   }
 
   /// Suggested stable time step for a trap of the given stiffness: the

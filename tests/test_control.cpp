@@ -237,6 +237,49 @@ TEST_F(ClosedLoopTest, EpisodeFanOutBitwiseIdenticalToSerial) {
   }
 }
 
+// Bitwise identity of the per-body physics fan-out inside one episode vs
+// the serial body loop, closed and open loop: every body integrates on its
+// own stream, so how the pool chunks the bodies cannot show.
+TEST_F(ClosedLoopTest, PerBodyPoolBitwiseIdenticalToSerial) {
+  core::ThreadPool pool(4);
+  for (const bool closed : {true, false}) {
+    ControlConfig config;
+    config.closed_loop = closed;
+    config.forced_escapes = {{4, 0}};
+    config.escape_rate = 0.002;
+    const auto run_with = [&](core::ThreadPool* p) {
+      auto world = make_world();
+      ClosedLoopEngine engine(world->cages, world->engine, world->imager,
+                              world->defects, 0.4, config);
+      const EpisodeReport report =
+          engine.run(world->goals, world->bodies, world->cage_bodies, Rng(77), p);
+      std::vector<Vec3> positions;
+      for (const physics::ParticleBody& b : world->bodies) positions.push_back(b.position);
+      return std::make_pair(report, positions);
+    };
+    const auto [serial, serial_pos] = run_with(nullptr);
+    const auto [pooled, pooled_pos] = run_with(&pool);
+    ASSERT_TRUE(serial.planned) << "closed " << closed;
+    ASSERT_EQ(serial_pos.size(), pooled_pos.size());
+    for (std::size_t n = 0; n < serial_pos.size(); ++n)
+      ASSERT_EQ(serial_pos[n], pooled_pos[n]) << "closed " << closed << " body " << n;
+    ASSERT_EQ(serial.events.size(), pooled.events.size()) << "closed " << closed;
+    for (std::size_t e = 0; e < serial.events.size(); ++e) {
+      EXPECT_EQ(serial.events[e].tick, pooled.events[e].tick);
+      EXPECT_EQ(serial.events[e].kind, pooled.events[e].kind);
+      EXPECT_EQ(serial.events[e].cage_id, pooled.events[e].cage_id);
+      EXPECT_EQ(serial.events[e].site, pooled.events[e].site);
+    }
+    EXPECT_EQ(serial.success, pooled.success);
+    EXPECT_EQ(serial.ticks, pooled.ticks);
+    EXPECT_EQ(serial.elapsed, pooled.elapsed);
+    EXPECT_EQ(serial.replans, pooled.replans);
+    EXPECT_EQ(serial.frames_sensed, pooled.frames_sensed);
+    EXPECT_EQ(serial.delivered_ids, pooled.delivered_ids);
+    EXPECT_EQ(serial.failed_ids, pooled.failed_ids);
+  }
+}
+
 // Defect-injection fuzz: randomized defect maps and random escapes. The
 // engine must never crash, never silently drop a cell from the books —
 // every goal cage ends in exactly one of delivered/failed, and every

@@ -10,7 +10,7 @@
 #include "chip/defects.hpp"
 #include "common/error.hpp"
 #include "common/stats.hpp"
-#include "core/platform.hpp"
+#include "control/platform.hpp"
 #include "flow/centering.hpp"
 #include "fluidic/network.hpp"
 #include "sensor/detect.hpp"
@@ -24,11 +24,11 @@ namespace {
 class ParallelTest : public ::testing::Test {
  protected:
   ParallelTest() {
-    core::PlatformConfig cfg = core::PlatformConfig::paper_defaults();
+    control::PlatformConfig cfg = control::PlatformConfig::paper_defaults();
     cfg.device.cols = 48;
     cfg.device.rows = 48;
     cfg.seed = 1234;
-    lab_ = std::make_unique<core::LabOnChipPlatform>(cfg);
+    lab_ = std::make_unique<control::LabOnChipPlatform>(cfg);
     lab_->load_sample({{cell::viable_lymphocyte(), 6, 0.0}});
     // Deterministic starting sites: a row of separated cells.
     for (std::size_t i = 0; i < lab_->bodies().size(); ++i) {
@@ -42,19 +42,20 @@ class ParallelTest : public ::testing::Test {
   }
 
   void SetUp() override { ASSERT_EQ(cages_.size(), 6u); }
-  std::unique_ptr<core::LabOnChipPlatform> lab_;
+  std::unique_ptr<control::LabOnChipPlatform> lab_;
   std::vector<int> cages_;
 };
 
 TEST_F(ParallelTest, ConvoyMovesTogether) {
   // All six cages shift 10 rows north simultaneously.
-  std::vector<core::ParallelMoveRequest> reqs;
+  std::vector<control::CageGoal> goals;
   for (int id : cages_)
-    reqs.push_back({id, {lab_->cages().site(id).col, lab_->cages().site(id).row + 10}});
-  const core::ParallelMoveResult result = lab_->move_cells(reqs);
+    goals.push_back({id, {lab_->cages().site(id).col, lab_->cages().site(id).row + 10}});
+  const control::EpisodeReport result = lab_->move_cells(goals);
   EXPECT_TRUE(result.planned);
-  EXPECT_TRUE(result.success) << result.lost_cage_ids.size() << " lost";
-  for (const auto& req : reqs) EXPECT_EQ(lab_->cages().site(req.cage_id), req.destination);
+  EXPECT_TRUE(result.success) << result.failed_ids.size() << " failed";
+  for (const auto& goal : goals)
+    EXPECT_EQ(lab_->cages().site(goal.cage_id), goal.destination);
   // Every particle arrived at its trap.
   for (int id : cages_) {
     const int bidx = *lab_->body_in_cage(id);
@@ -71,7 +72,7 @@ TEST_F(ParallelTest, CrossingPairResolvedAndExecuted) {
   // First and last cage swap columns — paths must weave around the others.
   const GridCoord a = lab_->cages().site(cages_.front());
   const GridCoord b = lab_->cages().site(cages_.back());
-  const core::ParallelMoveResult result =
+  const control::EpisodeReport result =
       lab_->move_cells({{cages_.front(), b}, {cages_.back(), a}});
   EXPECT_TRUE(result.planned);
   EXPECT_TRUE(result.success);
@@ -80,16 +81,55 @@ TEST_F(ParallelTest, CrossingPairResolvedAndExecuted) {
 }
 
 TEST_F(ParallelTest, ElapsedMatchesStepsTimesPeriod) {
-  std::vector<core::ParallelMoveRequest> reqs{
-      {cages_[0], {lab_->cages().site(cages_[0]).col, 40}}};
-  const core::ParallelMoveResult result = lab_->move_cells(reqs);
+  const control::EpisodeReport result =
+      lab_->move_cells({{cages_[0], {lab_->cages().site(cages_[0]).col, 40}}});
   ASSERT_TRUE(result.success);
-  EXPECT_NEAR(result.elapsed,
-              static_cast<double>(result.steps_executed) * lab_->site_period(), 1e-9);
+  EXPECT_NEAR(result.elapsed, static_cast<double>(result.ticks) * lab_->site_period(),
+              1e-9);
 }
 
 TEST_F(ParallelTest, DestinationOutsideArrayThrows) {
   EXPECT_THROW(lab_->move_cells({{cages_[0], {100, 100}}}), PreconditionError);
+}
+
+// Edge sites lack a full counter-phase ring, but on a clean map every cage
+// keeps its trap wherever it sits: goals on the last row and the last column
+// are delivered, and a cage parked on row 0 keeps its cell through the move.
+// A held cell sits within thermal jitter (~0.1 µm) of its trap; one whose
+// trap is dropped lags a pitch behind or sediments at ~1 µm/s, so these
+// checks use a quarter pitch, not the capture-basin 25 µm.
+constexpr double kHeldRadius = 5e-6;
+
+TEST_F(ParallelTest, EdgeDestinationsDelivered) {
+  const GridCoord a = lab_->cages().site(cages_.front());
+  const GridCoord b = lab_->cages().site(cages_.back());
+  const std::vector<control::CageGoal> goals{{cages_.front(), {a.col, 47}},
+                                             {cages_.back(), {47, b.row}}};
+  const control::EpisodeReport result = lab_->move_cells(goals);
+  EXPECT_TRUE(result.planned);
+  EXPECT_TRUE(result.success) << result.failed_ids.size() << " failed";
+  for (const auto& goal : goals) {
+    EXPECT_EQ(lab_->cages().site(goal.cage_id), goal.destination);
+    const int bidx = *lab_->body_in_cage(goal.cage_id);
+    const Vec3 trap{(goal.destination.col + 0.5) * 20e-6,
+                    (goal.destination.row + 0.5) * 20e-6, lab_->unit_cage().center.z};
+    EXPECT_LT((lab_->bodies()[static_cast<std::size_t>(bidx)].position - trap).norm(),
+              kHeldRadius)
+        << goal.cage_id;
+  }
+}
+
+TEST_F(ParallelTest, CageParkedOnEdgeKeepsItsCell) {
+  const GridCoord edge{lab_->cages().site(cages_[0]).col, 0};
+  ASSERT_TRUE(lab_->move_cell(cages_[0], edge).success);
+  const control::EpisodeReport result =
+      lab_->move_cells({{cages_[1], {lab_->cages().site(cages_[1]).col, 20}}});
+  EXPECT_TRUE(result.success);
+  EXPECT_EQ(lab_->cages().site(cages_[0]), edge);
+  const int bidx = *lab_->body_in_cage(cages_[0]);
+  const Vec3 trap{(edge.col + 0.5) * 20e-6, 0.5 * 20e-6, lab_->unit_cage().center.z};
+  EXPECT_LT((lab_->bodies()[static_cast<std::size_t>(bidx)].position - trap).norm(),
+            kHeldRadius);
 }
 
 // ------------------------------------------------------------------ defects ----

@@ -9,7 +9,7 @@
 #include "cell/library.hpp"
 #include "chip/device.hpp"
 #include "common/units.hpp"
-#include "core/platform.hpp"
+#include "control/platform.hpp"
 #include "flow/montecarlo.hpp"
 #include "fluidic/fabrication.hpp"
 #include "fluidic/packaging.hpp"
@@ -133,11 +133,11 @@ TEST(Integration, ClaimC6_DryFilmPackageOnCmosDie) {
 
 // Platform-level single-cell workflow: load -> image -> trap -> move -> verify.
 TEST(Integration, SingleCellWorkflowEndToEnd) {
-  core::PlatformConfig cfg = core::PlatformConfig::paper_defaults();
+  control::PlatformConfig cfg = control::PlatformConfig::paper_defaults();
   cfg.device.cols = 48;
   cfg.device.rows = 48;
   cfg.seed = 2024;
-  core::LabOnChipPlatform lab(cfg);
+  control::LabOnChipPlatform lab(cfg);
   lab.load_sample({{cell::viable_lymphocyte(), 4, 0.05}});
 
   // Image with enough averaging for clean detection.
@@ -152,7 +152,7 @@ TEST(Integration, SingleCellWorkflowEndToEnd) {
     if (!cage) continue;
     const GridCoord dest{lane, 24};
     lane += 4;
-    const core::MoveResult mv = lab.move_cell(*cage, dest);
+    const control::MoveResult mv = lab.move_cell(*cage, dest);
     if (mv.success) ++moved;
   }
   EXPECT_GE(moved, 2);
@@ -161,10 +161,10 @@ TEST(Integration, SingleCellWorkflowEndToEnd) {
 // CAD + platform: an assay's transport clock is the cage speed, and the
 // paper-scale array synthesizes the whole benchmark suite.
 TEST(Integration, AssaySynthesisOnPaperArray) {
-  core::PlatformConfig cfg = core::PlatformConfig::paper_defaults();
+  control::PlatformConfig cfg = control::PlatformConfig::paper_defaults();
   cfg.device.cols = 128;  // quarter array keeps the test fast
   cfg.device.rows = 128;
-  core::LabOnChipPlatform lab(cfg);
+  control::LabOnChipPlatform lab(cfg);
   for (const cad::AssayGraph& assay : cad::benchmark_suite()) {
     const cad::SynthesisResult r = lab.run_assay(assay, cad::ChipResources{6, 0, 4});
     EXPECT_TRUE(r.success) << assay.name();
@@ -175,11 +175,11 @@ TEST(Integration, AssaySynthesisOnPaperArray) {
 // Determinism across the whole stack: identical seeds, identical outcomes.
 TEST(Integration, FullStackDeterminism) {
   auto run_once = []() {
-    core::PlatformConfig cfg = core::PlatformConfig::paper_defaults();
+    control::PlatformConfig cfg = control::PlatformConfig::paper_defaults();
     cfg.device.cols = 32;
     cfg.device.rows = 32;
     cfg.seed = 555;
-    core::LabOnChipPlatform lab(cfg);
+    control::LabOnChipPlatform lab(cfg);
     lab.load_sample({{cell::viable_lymphocyte(), 3, 0.05}});
     const auto cage = lab.trap_cell(1);
     if (!cage) return Vec3{};

@@ -295,6 +295,21 @@ TEST_F(OrchestratorTest, NullSourceDefectMapIsRejected) {
                PreconditionError);
 }
 
+// A destination off the destination chamber's grid is rejected before any
+// tick runs: the cage never leaves its start site. ({16, 8} is one column
+// past a 16x16 grid; unchecked, its row-major index aliases site {0, 9}.)
+TEST_F(OrchestratorTest, TransferDestinationOutsideChamberIsRejected) {
+  fluidic::ChamberNetwork net = chain(2);
+  auto w0 = make_world();
+  auto w1 = make_world();
+  const int cage = w0->add_cell({10, 8});
+  Orchestrator orch(net, OrchestratorConfig{});
+  std::vector<ChamberSetup> chambers{w0->setup(), w1->setup()};
+  EXPECT_THROW(orch.run(chambers, {{0, cage, 1, {16, 8}}}, Rng(6), nullptr),
+               PreconditionError);
+  EXPECT_EQ(w0->cages.site(cage), (GridCoord{10, 8}));
+}
+
 // Bitwise identity of the pooled chamber fan-out vs the serial reference on
 // a 3-chamber chain with transfers, intra-chamber goals, scripted and
 // random escapes: same trajectories, same event logs, same accounting.

@@ -9,7 +9,6 @@
 #include "common/error.hpp"
 #include "common/stats.hpp"
 #include "common/units.hpp"
-#include "core/threadpool.hpp"
 #include "physics/brownian.hpp"
 #include "physics/dep.hpp"
 #include "physics/dielectrics.hpp"
@@ -328,39 +327,11 @@ TEST_F(DynamicsTest, RelaxationIntoHarmonicTrap) {
   const double gamma = stokes_drag_coefficient(medium_, p.radius);
   const double k = -prefactor * cage.c_r;
   const double steps = 200.0;
-  std::vector<ParticleBody> swarm{p};
-  integ.advance(swarm, [&](Vec3 q) { return cage.grad_erms2(q); }, rng,
+  integ.advance(p, [&](Vec3 q) { return cage.grad_erms2(q); }, rng,
                 static_cast<std::size_t>(steps));
-  p = swarm.front();
   const double expect =
       10e-6 * std::exp(-k * opts_.dt * steps / gamma);
   EXPECT_NEAR(p.position.x - 5e-4, expect, 0.15 * 10e-6);
-}
-
-TEST_F(DynamicsTest, ParallelAdvanceIsChunkingInvariant) {
-  // The pooled advance fans particles out on counter-based streams, so the
-  // same seed must give bit-identical trajectories for any pool size.
-  const field::HarmonicCage cage{{5e-4, 5e-4, 5e-5}, 0.0, 1e19, 1e19};
-  OverdampedIntegrator integ(medium_, opts_);
-  auto make_swarm = [&] {
-    std::vector<ParticleBody> swarm;
-    for (int n = 0; n < 17; ++n)
-      swarm.push_back({{5e-4 + 1e-6 * n, 5e-4 - 2e-6 * n, 5e-5}, 5e-6,
-                       medium_.density + 50.0, -1.5e-25, n});
-    return swarm;
-  };
-  auto grad = [&](Vec3 q) { return cage.grad_erms2(q); };
-
-  std::vector<ParticleBody> one = make_swarm(), four = make_swarm();
-  core::ThreadPool pool1(1), pool4(4);
-  Rng rng1(77), rng4(77);
-  integ.advance(one, grad, rng1, 50, pool1);
-  integ.advance(four, grad, rng4, 50, pool4);
-  for (std::size_t n = 0; n < one.size(); ++n) {
-    EXPECT_EQ(one[n].position, four[n].position) << "particle " << n;
-  }
-  // Both overloads leave the caller's generator in the same state.
-  EXPECT_EQ(rng1(), rng4());
 }
 
 TEST_F(DynamicsTest, GravityOnlySedimentation) {
