@@ -159,6 +159,43 @@ void bm_grad_cage_scaling(benchmark::State& state) {
                           static_cast<std::int64_t>(kBodies));
 }
 
+// One site period (400 steps at dt = 1 ms) of a lymphocyte in a parked cage
+// (arg 0: the body starts at the trap and stays caged) or just after its
+// cage hopped (arg 1: every period starts one pitch behind the trap).
+// bm_period_advance passes the field model, so the integrator may draw the
+// period exactly; bm_period_advance_em passes a plain gradient callable,
+// which always steps. `exact_share` = advances that took the exact path.
+template <bool kThroughModel>
+void period_advance(benchmark::State& state) {
+  Rig rig;
+  const GridCoord site{10, 10};
+  core::CageFieldModel& model = rig.engine.field_model();
+  model.set_sites({site});
+  physics::ParticleBody body = rig.cell_at(site, cell::viable_lymphocyte());
+  const bool towed = state.range(0) == 1;
+  const Vec3 start = body.position - Vec3{towed ? rig.device.array().pitch() : 0.0, 0.0, 0.0};
+  body.position = start;
+  const physics::OverdampedIntegrator& integ = rig.engine.integrator();
+  constexpr std::size_t kPeriod = 400;
+  Rng rng(5);
+  std::int64_t exact = 0;
+  for (auto _ : state) {
+    if (towed) body.position = start;
+    bool drawn = false;
+    if constexpr (kThroughModel)
+      drawn = integ.advance(body, model, rng, kPeriod);
+    else
+      drawn = integ.advance(body, [&](Vec3 p) { return model.grad_erms2(p); }, rng, kPeriod);
+    exact += drawn ? 1 : 0;
+    benchmark::DoNotOptimize(body.position);
+  }
+  state.counters["exact_share"] =
+      static_cast<double>(exact) / static_cast<double>(state.iterations());
+}
+
+void bm_period_advance(benchmark::State& state) { period_advance<true>(state); }
+void bm_period_advance_em(benchmark::State& state) { period_advance<false>(state); }
+
 void bm_tow_simulation(benchmark::State& state) {
   Rig rig;
   const cell::ParticleSpec spec = cell::viable_lymphocyte();
@@ -183,6 +220,8 @@ BENCHMARK(bm_grad_cage_scaling)
     ->Arg(256)
     ->Arg(1024)
     ->Unit(benchmark::kMicrosecond);
+BENCHMARK(bm_period_advance)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+BENCHMARK(bm_period_advance_em)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 BENCHMARK(bm_tow_simulation)->Unit(benchmark::kMillisecond);
 
 }  // namespace

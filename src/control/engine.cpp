@@ -339,7 +339,7 @@ bool EpisodeRuntime::all_delivered() const {
 }
 
 void EpisodeRuntime::integrate_range(int t, std::size_t nb, std::size_t ne) {
-  const auto grad = [this](Vec3 p) { return owner_.engine_.field_model().grad_erms2(p); };
+  const core::CageFieldModel& field = owner_.engine_.field_model();
   for (std::size_t n = nb; n < ne; ++n) {
     if (body_active_[n] == 0) continue;  // the cell left this chamber
     // Legacy keying indexes by (tick, slot) — valid because slots are never
@@ -349,7 +349,8 @@ void EpisodeRuntime::integrate_range(int t, std::size_t nb, std::size_t ne) {
     Rng stream = owner_.config_.recycle_slots
                      ? phys_base_.fork(body_streams_[n]).fork(static_cast<std::uint64_t>(t))
                      : phys_base_.fork(static_cast<std::uint64_t>(t) * bodies_.size() + n);
-    owner_.engine_.integrator().advance(bodies_[n], grad, stream, substeps_);
+    advanced_exact_[n] =
+        owner_.engine_.integrator().advance(bodies_[n], field, stream, substeps_) ? 1 : 0;
   }
 }
 
@@ -438,6 +439,7 @@ void EpisodeRuntime::tick(int t) {
   // ---- physics: every body relaxes for one site period against the traps
   // selected above.
   owner_.engine_.field_model().set_sites(std::move(sites));
+  advanced_exact_.resize(bodies_.size());
   if (pool_ != nullptr) {
     pool_->parallel_for(0, bodies_.size(), [&](std::size_t nb, std::size_t ne) {
       integrate_range(t, nb, ne);
@@ -445,6 +447,11 @@ void EpisodeRuntime::tick(int t) {
   } else {
     integrate_range(t, 0, bodies_.size());
   }
+  // Path counts are summed here, after the fan-out, so they stay serial ≡
+  // pooled like everything else on the counting plane.
+  for (std::size_t n = 0; n < bodies_.size(); ++n)
+    if (body_active_[n] != 0)
+      ++(advanced_exact_[n] != 0 ? report_.exact_advances : report_.em_advances);
   report_.elapsed += owner_.site_period_;
 
   // ---- fault injection: kick a trapped cell out of its basin. Directed

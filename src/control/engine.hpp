@@ -64,6 +64,10 @@ struct EpisodeReport {
   double elapsed = 0.0;  ///< physical episode time [s]
   std::size_t replans = 0;  ///< successful online re-routes
   std::size_t frames_sensed = 0;  ///< CDS frames averaged across all ticks
+  /// Period advances of live bodies, by path (`OverdampedIntegrator::advance`):
+  /// drawn exactly inside one trap's basin, or stepped substep by substep.
+  std::size_t exact_advances = 0;
+  std::size_t em_advances = 0;
   std::vector<ControlEvent> events;  ///< full audit trail, chronological
   /// Ground-truth delivery accounting over the goal cages: a cage is
   /// delivered iff it sits at its destination with its cell inside the
@@ -210,6 +214,9 @@ class EpisodeRuntime {
   std::size_t replans() const {
     return replanner_.has_value() ? replanner_->replans() : 0;
   }
+  /// Period advances so far by path (obs gauge folds; see EpisodeReport).
+  std::size_t exact_advances() const { return report_.exact_advances; }
+  std::size_t em_advances() const { return report_.em_advances; }
 
   /// Attach the timing plane: `tick()` then records actuate / physics /
   /// sense / track / plan phase spans into `trace` on lane `lane`
@@ -347,6 +354,9 @@ class EpisodeRuntime {
   /// the physics stream is keyed by `body_streams_` instead — a persistent
   /// per-admission counter that never repeats across reuse.
   std::vector<std::uint8_t> body_active_;
+  /// Aligned with `bodies_`: 1 when this tick's advance took the exact
+  /// path. Written per body inside the fan-out, counted after it.
+  std::vector<std::uint8_t> advanced_exact_;
   std::vector<std::uint64_t> body_streams_;  ///< per-slot physics stream id
   std::uint64_t next_body_stream_ = 0;       ///< monotone admission counter
   std::vector<std::size_t> free_body_slots_;  ///< released slots (recycling on)

@@ -217,6 +217,8 @@ OrchestratorReport Orchestrator::run(std::vector<ChamberSetup>& chambers,
     for (std::size_t c = 0; c < n_chambers; ++c) {
       fold_health(*reg, static_cast<int>(c), fleet[c].health_state());
       reg->gauge("chamber.replans", static_cast<int>(c));
+      reg->gauge("chamber.exact_advances", static_cast<int>(c));
+      reg->gauge("chamber.em_advances", static_cast<int>(c));
     }
     reg->counter("transfer.requests");
     reg->counter("transfer.admissions");
@@ -242,6 +244,10 @@ OrchestratorReport Orchestrator::run(std::vector<ChamberSetup>& chambers,
       fold_health(*reg, static_cast<int>(c), fleet[c].health_state());
       reg->set(reg->gauge("chamber.replans", static_cast<int>(c)),
                static_cast<std::int64_t>(fleet[c].replans()));
+      reg->set(reg->gauge("chamber.exact_advances", static_cast<int>(c)),
+               static_cast<std::int64_t>(fleet[c].exact_advances()));
+      reg->set(reg->gauge("chamber.em_advances", static_cast<int>(c)),
+               static_cast<std::int64_t>(fleet[c].em_advances()));
     }
     fold_pool(*reg, pool != nullptr ? pool->stats().since(pool_base)
                                     : core::PoolStats{});

@@ -195,6 +195,8 @@ StreamingReport StreamingService::run(std::vector<ChamberSetup>& chambers,
     for (std::size_t c = 0; c < n_chambers; ++c) {
       reg->gauge("service.in_flight", static_cast<int>(c));
       reg->gauge("service.replans", static_cast<int>(c));
+      reg->gauge("service.exact_advances", static_cast<int>(c));
+      reg->gauge("service.em_advances", static_cast<int>(c));
       fold_health(*reg, static_cast<int>(c), fleet[c].health_state());
       for (std::size_t k = 0; k < kEventKindCount; ++k)
         event_metric(*reg, static_cast<int>(c), static_cast<EventKind>(k));
@@ -369,6 +371,10 @@ StreamingReport StreamingService::run(std::vector<ChamberSetup>& chambers,
                  static_cast<std::int64_t>(in_flight[c].size()));
         reg->set(reg->gauge("service.replans", static_cast<int>(c)),
                  static_cast<std::int64_t>(fleet[c].replans()));
+        reg->set(reg->gauge("service.exact_advances", static_cast<int>(c)),
+                 static_cast<std::int64_t>(fleet[c].exact_advances()));
+        reg->set(reg->gauge("service.em_advances", static_cast<int>(c)),
+                 static_cast<std::int64_t>(fleet[c].em_advances()));
         fold_health(*reg, static_cast<int>(c), fleet[c].health_state());
         frames += fleet[c].frames_sensed();
       }
@@ -402,6 +408,8 @@ StreamingReport StreamingService::run(std::vector<ChamberSetup>& chambers,
       ++report.event_counts[c][static_cast<std::size_t>(e.kind)];
     if (reg != nullptr) fold_events(*reg, static_cast<int>(c), drained);
     report.frames_sensed += fleet[c].frames_sensed();
+    report.exact_advances += fleet[c].exact_advances();
+    report.em_advances += fleet[c].em_advances();
     report.health.push_back(fleet[c].health_state());
     report.in_flight_end += in_flight[c].size();
   }

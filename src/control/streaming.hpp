@@ -113,6 +113,9 @@ struct StreamingReport {
   std::size_t peak_resident_bodies = 0; ///< max Σ body-array slots
   std::size_t peak_cage_slots = 0;      ///< max Σ cage-controller slots
   std::size_t frames_sensed = 0;        ///< CDS frames across all chambers
+  /// Period advances across all chambers, by path (see EpisodeReport).
+  std::size_t exact_advances = 0;
+  std::size_t em_advances = 0;
   /// `event_counts[c][k]` = events of `EventKind` k chamber c emitted.
   std::vector<std::vector<std::uint64_t>> event_counts;
   std::uint64_t injected_faults = 0;

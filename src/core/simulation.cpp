@@ -147,6 +147,41 @@ Vec3 CageFieldModel::drive_from(Vec3 center, Vec3 p) const {
   return unit_.moved_to(center).grad_erms2(p);
 }
 
+template <typename Visit>
+void CageFieldModel::for_each_site_near(const Aabb& box, Visit&& visit) const {
+  // Candidate sites: those whose center (site + 0.5)·pitch lies within the
+  // capture radius of the box on each axis — for a point query, a
+  // constant-size box independent of the active cage count.
+  const double lo_c = (box.min.x - capture_radius_) / pitch_ - 0.5;
+  const double hi_c = (box.max.x + capture_radius_) / pitch_ - 0.5;
+  const double lo_r = (box.min.y - capture_radius_) / pitch_ - 0.5;
+  const double hi_r = (box.max.y + capture_radius_) / pitch_ - 0.5;
+  // Queries so far out (or radii so large) that site indices leave the int
+  // range cannot use the rounding trick; the scan handles them correctly.
+  const double coord_limit = 2147483000.0;
+  if (std::fabs(lo_c) < coord_limit && std::fabs(hi_c) < coord_limit &&
+      std::fabs(lo_r) < coord_limit && std::fabs(hi_r) < coord_limit) {
+    const auto cmin = static_cast<std::int64_t>(std::ceil(lo_c));
+    const auto cmax = static_cast<std::int64_t>(std::floor(hi_c));
+    const auto rmin = static_cast<std::int64_t>(std::ceil(lo_r));
+    const auto rmax = static_cast<std::int64_t>(std::floor(hi_r));
+    if (cmax < cmin || rmax < rmin) return;
+    // Degenerate configuration (capture radius spanning more candidate
+    // sites than there are live cages): the scan is the cheaper probe.
+    const std::uint64_t box_cells = static_cast<std::uint64_t>(cmax - cmin + 1) *
+                                    static_cast<std::uint64_t>(rmax - rmin + 1);
+    if (box_cells <= sites_.size()) {
+      for (std::int64_t r = rmin; r <= rmax; ++r)
+        for (std::int64_t c = cmin; c <= cmax; ++c) {
+          const GridCoord site{static_cast<int>(c), static_cast<int>(r)};
+          if (site_active(site)) visit(site);
+        }
+      return;
+    }
+  }
+  for (const GridCoord site : sites_) visit(site);
+}
+
 Vec3 CageFieldModel::grad_erms2(Vec3 p) const {
   // Nearest active trap wins; beyond the capture radius the background field
   // is laterally uniform and exerts no DEP drive.
@@ -155,48 +190,20 @@ Vec3 CageFieldModel::grad_erms2(Vec3 p) const {
   const double dz = p.z - unit_.center.z;  // all traps share the cage height
   if (dz * dz > cap2) return {};
 
-  // Candidate sites: those whose center (site + 0.5)·pitch lies within the
-  // capture radius of p on each axis — a constant-size box independent of
-  // the active cage count.
-  const double lo_c = (p.x - capture_radius_) / pitch_ - 0.5;
-  const double hi_c = (p.x + capture_radius_) / pitch_ - 0.5;
-  const double lo_r = (p.y - capture_radius_) / pitch_ - 0.5;
-  const double hi_r = (p.y + capture_radius_) / pitch_ - 0.5;
-  // Queries so far out (or radii so large) that site indices leave the int
-  // range cannot use the rounding trick; the scan handles them correctly.
-  const double coord_limit = 2147483000.0;
-  if (!(std::fabs(lo_c) < coord_limit && std::fabs(hi_c) < coord_limit &&
-        std::fabs(lo_r) < coord_limit && std::fabs(hi_r) < coord_limit))
-    return grad_erms2_linear(p);
-  const auto cmin = static_cast<std::int64_t>(std::ceil(lo_c));
-  const auto cmax = static_cast<std::int64_t>(std::floor(hi_c));
-  const auto rmin = static_cast<std::int64_t>(std::ceil(lo_r));
-  const auto rmax = static_cast<std::int64_t>(std::floor(hi_r));
-  if (cmax < cmin || rmax < rmin) return {};
-
-  // Degenerate configuration (capture radius spanning more candidate sites
-  // than there are live cages): the scan is the cheaper probe.
-  const std::uint64_t box_cells = static_cast<std::uint64_t>(cmax - cmin + 1) *
-                                  static_cast<std::uint64_t>(rmax - rmin + 1);
-  if (box_cells > sites_.size()) return grad_erms2_linear(p);
-
   double best_d2 = cap2;
   bool found = false;
   GridCoord best_site;
   Vec3 best_center;
-  for (std::int64_t r = rmin; r <= rmax; ++r)
-    for (std::int64_t c = cmin; c <= cmax; ++c) {
-      const GridCoord site{static_cast<int>(c), static_cast<int>(r)};
-      if (!site_active(site)) continue;
-      const Vec3 center = trap_center(site);
-      const double d2 = (p - center).norm2();
-      if (d2 > best_d2) continue;
-      if (found && !closer_site(d2, site, best_d2, best_site)) continue;
-      best_d2 = d2;
-      best_site = site;
-      best_center = center;
-      found = true;
-    }
+  for_each_site_near({p, p}, [&](GridCoord site) {
+    const Vec3 center = trap_center(site);
+    const double d2 = (p - center).norm2();
+    if (d2 > best_d2) return;
+    if (found && !closer_site(d2, site, best_d2, best_site)) return;
+    best_d2 = d2;
+    best_site = site;
+    best_center = center;
+    found = true;
+  });
   return found ? drive_from(best_center, p) : Vec3{};
 }
 
@@ -216,6 +223,46 @@ Vec3 CageFieldModel::grad_erms2_linear(Vec3 p) const {
     found = true;
   }
   return found ? drive_from(best_center, p) : Vec3{};
+}
+
+std::optional<field::HarmonicCage> CageFieldModel::harmonic_basin(const Aabb& box) const {
+  // The only candidate is the trap nearest the box center: a trap that
+  // governs the whole box governs its center.
+  const Vec3 mid = box.center();
+  bool found = false;
+  GridCoord best;
+  double best_d2 = 0.0;
+  for_each_site_near(box, [&](GridCoord site) {
+    const double d2 = (mid - trap_center(site)).norm2();
+    if (found && !closer_site(d2, site, best_d2, best)) return;
+    best_d2 = d2;
+    best = site;
+    found = true;
+  });
+  if (!found) return std::nullopt;
+  const Vec3 t = trap_center(best);
+
+  // Inside the capture radius everywhere: test the box corner farthest
+  // from the trap (the same norm2 grad_erms2 compares, so this is exact).
+  const Vec3 far{std::max(std::fabs(box.min.x - t.x), std::fabs(box.max.x - t.x)),
+                 std::max(std::fabs(box.min.y - t.y), std::fabs(box.max.y - t.y)),
+                 std::max(std::fabs(box.min.z - t.z), std::fabs(box.max.z - t.z))};
+  if (!(far.norm2() < capture_radius_ * capture_radius_)) return std::nullopt;
+
+  // Strictly nearer than every rival u everywhere: the points nearer t
+  // than u form a half-space, so only the box corner farthest along u - t
+  // needs the test. It compares the same norm2 grad_erms2 does, so an exact
+  // tie there is rejected.
+  bool sole = true;
+  for_each_site_near(box, [&](GridCoord site) {
+    if (!sole || site == best) return;
+    const Vec3 u = trap_center(site);
+    const Vec3 q{u.x > t.x ? box.max.x : box.min.x, u.y > t.y ? box.max.y : box.min.y,
+                 u.z > t.z ? box.max.z : box.min.z};
+    sole = (q - t).norm2() < (q - u).norm2();
+  });
+  if (!sole) return std::nullopt;
+  return unit_.moved_to(t);
 }
 
 ManipulationEngine::ManipulationEngine(const chip::BiochipDevice& device,
@@ -279,8 +326,7 @@ void ManipulationEngine::settle(physics::ParticleBody& particle, double duration
   BIOCHIP_REQUIRE(duration >= 0.0, "duration must be non-negative");
   const double dt = integrator_.options().dt;
   const auto steps = static_cast<std::size_t>(std::round(duration / dt));
-  integrator_.advance(particle, [this](Vec3 p) { return field_.grad_erms2(p); }, rng,
-                      steps);
+  integrator_.advance(particle, field_, rng, steps);
 }
 
 }  // namespace biochip::core

@@ -11,6 +11,7 @@
 /// The surrogate-vs-solver error is quantified in `bench_field_solver`.
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "chip/cage.hpp"
@@ -62,13 +63,33 @@ class CageFieldModel {
 
   /// Reference implementation: linear scan over the active site list. Same
   /// field as grad_erms2, including tie-breaking; kept as the equivalence
-  /// oracle for tests and as the fallback when the capture radius spans more
-  /// candidate sites than there are active cages.
+  /// oracle for tests.
   Vec3 grad_erms2_linear(Vec3 p) const;
+
+  /// The model as a `physics::FieldGradient`: grad_erms2.
+  Vec3 operator()(Vec3 p) const { return grad_erms2(p); }
+
+  /// Basin certificate for the integrator's exact period advance (this
+  /// makes the model a `physics::HarmonicBasinField`): the trap whose drive
+  /// grad_erms2 returns at every point of `box` — within the capture radius
+  /// of the whole box, and strictly nearer than every other active trap
+  /// anywhere in it — as the unit cage moved to that trap's center. Nullopt
+  /// when no single trap qualifies; exact ties (the tow-hop midpoint) do
+  /// not, and duplicate sites count as one trap. Probes the spatial hash
+  /// over the box dilated by the capture radius, with one half-space test
+  /// per rival trap.
+  std::optional<field::HarmonicCage> harmonic_basin(const Aabb& box) const;
 
  private:
   /// O(1) membership probe of the active-site hash set.
   bool site_active(GridCoord site) const;
+  /// Visit every active site whose trap can lie within the capture radius
+  /// of some point of `box` (grad_erms2 passes a point): the hashed probe
+  /// of the box dilated by the capture radius, or a scan of the whole site
+  /// list (duplicates repeat) when that box spans more candidate sites than
+  /// there are active cages.
+  template <typename Visit>
+  void for_each_site_near(const Aabb& box, Visit&& visit) const;
   /// Drive field of the cage parked at `center`, evaluated at p.
   Vec3 drive_from(Vec3 center, Vec3 p) const;
   void rebuild_index();
@@ -118,7 +139,9 @@ class ManipulationEngine {
   TowReport tow(physics::ParticleBody& particle, const std::vector<GridCoord>& path,
                 double site_period, Rng& rng);
 
-  /// Let a free (untrapped) particle settle for `duration` seconds.
+  /// Let a free (untrapped) particle settle for `duration` seconds: one
+  /// period advance through the field model, so a particle already deep in
+  /// a trap's basin takes the integrator's exact path.
   void settle(physics::ParticleBody& particle, double duration, Rng& rng);
 
  private:

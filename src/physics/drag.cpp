@@ -20,7 +20,7 @@ double faxen_wall_correction(double radius, double wall_distance) {
   const double denom =
       1.0 - (9.0 / 16.0) * r + (1.0 / 8.0) * r * r * r - (45.0 / 256.0) * r * r * r * r -
       (1.0 / 16.0) * r * r * r * r * r;
-  // The series stays positive for r <= 1 (denom(1) ~ 0.26); guard regardless.
+  // The series stays positive for r <= 1 (denom(1) = 0.324); guard regardless.
   return denom > 0.05 ? 1.0 / denom : 20.0;
 }
 

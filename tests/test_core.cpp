@@ -2,9 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
-
 #include <memory>
+#include <vector>
 
 #include "cad/benchmarks.hpp"
 #include "cell/library.hpp"
@@ -259,6 +260,89 @@ TEST(CageFieldModel, SetSitesFuzzHashedVsLinearEveryStep) {
       ASSERT_EQ(inc.grad_erms2(p), fresh.grad_erms2(p)) << "step=" << step;
     }
   }
+}
+
+// Basin certificates (the integrator's exact period advance relies on them):
+// a certified trap's drive must be the field at every point of the box.
+void expect_basin_sound(const CageFieldModel& model, const Aabb& box,
+                        const field::HarmonicCage& basin) {
+  const Vec3 e = box.extent();
+  for (int i = 0; i <= 4; ++i)
+    for (int j = 0; j <= 4; ++j)
+      for (int k = 0; k <= 4; ++k) {
+        const Vec3 q{std::min(box.max.x, box.min.x + e.x * i / 4.0),
+                     std::min(box.max.y, box.min.y + e.y * j / 4.0),
+                     std::min(box.max.z, box.min.z + e.z * k / 4.0)};
+        ASSERT_EQ(basin.grad_erms2(q), model.grad_erms2_linear(q)) << q;
+        ASSERT_EQ(basin.grad_erms2(q), model.grad_erms2(q)) << q;
+      }
+}
+
+TEST(CageFieldModel, HarmonicBasinCertifiesOnlyOneTrapBoxes) {
+  // tie_model geometry: traps at odd integers, capture radius 3, so the
+  // midpoint below is a true floating-point tie.
+  CageFieldModel model = tie_model();
+  EXPECT_FALSE(model.harmonic_basin({{0, 0, 0}, {0.1, 0.1, 0.1}}));  // no traps
+
+  model.set_sites({{0, 0}, {1, 0}});
+  const Vec3 a = model.trap_center({0, 0});  // (1, 1, 0)
+  const Vec3 d{0.1, 0.1, 0.1};
+  // A box around one trap: certified as that trap.
+  const auto basin = model.harmonic_basin({a - d, a + d});
+  ASSERT_TRUE(basin);
+  EXPECT_EQ(basin->center, a);
+  expect_basin_sound(model, {a - d, a + d}, *basin);
+  // The exact midpoint (a tow-hop tie), and a box straddling it.
+  const Vec3 mid{2.0, 1.0, 0.0};
+  EXPECT_FALSE(model.harmonic_basin({mid, mid}));
+  EXPECT_FALSE(model.harmonic_basin({mid - d, mid + d}));
+  // Just on a's side of the bisector: certified.
+  const Vec3 near_mid{1.8, 1.0, 0.0};
+  EXPECT_TRUE(model.harmonic_basin({near_mid - d, near_mid + d}));
+  // A box whose far corner leaves the capture radius.
+  EXPECT_FALSE(model.harmonic_basin({a - Vec3{2.5, 2.0, 0.0}, a}));
+
+  // Duplicate sites count as one trap.
+  model.set_sites({{0, 0}, {0, 0}});
+  EXPECT_TRUE(model.harmonic_basin({a - d, a + d}));
+}
+
+TEST(CageFieldModel, HarmonicBasinFuzzIsSound) {
+  // Random site sets (with duplicates, and with a far background that
+  // switches the candidate probe from the linear scan to the hash) and
+  // random boxes near them: every certified box must match both gradient
+  // paths on a 5×5×5 grid, and both answers must occur often.
+  CageFieldModel model(test_cage(), 20e-6, 30e-6);
+  Rng rng(515);
+  int certified = 0;
+  int rejected = 0;
+  for (int trial = 0; trial < 1500; ++trial) {
+    std::vector<GridCoord> sites;
+    const auto n = rng.uniform_int(1, 5);
+    for (std::int64_t i = 0; i < n; ++i)
+      sites.push_back({static_cast<int>(rng.uniform_int(0, 7)),
+                       static_cast<int>(rng.uniform_int(0, 7))});
+    if (rng.bernoulli(0.2)) sites.push_back(sites.front());
+    if (rng.bernoulli(0.5))
+      for (int i = 0; i < 40; ++i) sites.push_back({i, 60});
+    model.set_sites(sites);
+    const Vec3 c = model.trap_center(sites[static_cast<std::size_t>(
+                       rng.uniform_int(0, n - 1))]) +
+                   Vec3{rng.uniform(-30e-6, 30e-6), rng.uniform(-30e-6, 30e-6),
+                        rng.uniform(-10e-6, 10e-6)};
+    const Vec3 half{rng.uniform(0.0, 10e-6), rng.uniform(0.0, 10e-6), rng.uniform(0.0, 5e-6)};
+    const Aabb box{c - half, c + half};
+    const auto basin = model.harmonic_basin(box);
+    if (!basin) {
+      ++rejected;
+      continue;
+    }
+    ++certified;
+    expect_basin_sound(model, box, *basin);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(certified, 200);
+  EXPECT_GT(rejected, 200);
 }
 
 // ---------------------------------------------------- manipulation engine ----

@@ -1,14 +1,25 @@
 // Tests for the physics substrate: media, dielectric spectra, DEP forces,
 // hydrodynamics, Brownian motion, electro-thermal screens, overdamped
-// dynamics, and levitation equilibria.
+// dynamics (including the exact period advance inside a cage), and
+// levitation equilibria.
+//
+// BIOCHIP_LONGFUZZ=<n> multiplies the exact-advance harness's draw count
+// (the `longfuzz` ctest label runs with n=10).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <string>
+#include <vector>
 
+#include "cell/library.hpp"
+#include "chip/device.hpp"
 #include "common/error.hpp"
 #include "common/stats.hpp"
 #include "common/units.hpp"
+#include "core/simulation.hpp"
 #include "physics/brownian.hpp"
 #include "physics/dep.hpp"
 #include "physics/dielectrics.hpp"
@@ -392,6 +403,214 @@ TEST_F(DynamicsTest, InvalidOptionsThrow) {
   DynamicsOptions empty = opts_;
   empty.bounds = {{0, 0, 0}, {0, 0, 0}};
   EXPECT_THROW(OverdampedIntegrator(medium_, empty), PreconditionError);
+}
+
+// ------------------------------------------------- exact period advance ----
+//
+// advance() through a basin-certifying field (core::CageFieldModel) draws a
+// caged body's end point from the step chain's N-step law; through a plain
+// gradient callable it steps. The step chain is the oracle: the harness
+// compares the two arms' end-point distributions, and every fallback must be
+// bit-identical to stepping.
+
+std::size_t longfuzz_factor() {
+  const char* env = std::getenv("BIOCHIP_LONGFUZZ");
+  if (env == nullptr) return 1;
+  const long v = std::strtol(env, nullptr, 10);
+  return v > 1 ? static_cast<std::size_t>(v) : 1;
+}
+
+// The paper chip's calibrated cage, solved once for the whole suite.
+struct PaperCage {
+  chip::BiochipDevice device{[] {
+    chip::DeviceConfig cfg = chip::paper_config_on_node(chip::paper_node());
+    cfg.cols = 32;
+    cfg.rows = 32;
+    return cfg;
+  }()};
+  Medium medium = dep_buffer();
+  field::HarmonicCage cage = device.calibrate_cage(5, 6);
+};
+
+const PaperCage& paper_cage() {
+  static const PaperCage rig;
+  return rig;
+}
+
+class ExactAdvanceTest : public ::testing::Test {
+ protected:
+  // One site period of a chamber tick: 0.4 s at dt = 1 ms.
+  static constexpr std::size_t kPeriod = 400;
+
+  ExactAdvanceTest() : model_(rig_.cage, pitch(), 30e-6), integ_(rig_.medium, options()) {}
+
+  double pitch() const { return rig_.device.array().pitch(); }
+  // The manipulation engine's integrator settings.
+  DynamicsOptions options(double dt = 1e-3) const {
+    return {.dt = dt,
+            .brownian = true,
+            .gravity = true,
+            .wall_correction = true,
+            .bounds = rig_.device.chamber_bounds()};
+  }
+  ParticleBody body(const cell::ParticleSpec& spec, Vec3 at) const {
+    return {at, spec.radius, spec.density,
+            spec.dep_prefactor(rig_.medium, rig_.device.config().drive_frequency), 0};
+  }
+  Vec3 trap(GridCoord site) const { return model_.trap_center(site); }
+
+  // `advance` through the model must fall back (return false) and end
+  // bit-identical to stepping the plain callable on the same stream.
+  void expect_bitwise_em(const OverdampedIntegrator& integ, const ParticleBody& start,
+                         std::uint64_t seed) const {
+    ParticleBody a = start;
+    ParticleBody b = start;
+    Rng ra(seed);
+    Rng rb(seed);
+    EXPECT_FALSE(integ.advance(a, model_, ra, kPeriod));
+    integ.advance(b, [&](Vec3 p) { return model_.grad_erms2(p); }, rb, kPeriod);
+    EXPECT_EQ(a.position, b.position);
+    EXPECT_EQ(ra.normal(), rb.normal());
+    EXPECT_EQ(ra(), rb());
+  }
+
+  const PaperCage& rig_ = paper_cage();
+  core::CageFieldModel model_;
+  OverdampedIntegrator integ_;
+};
+
+// End points of `n` independent period advances from `start`, per axis.
+struct Arm {
+  std::vector<double> axis[3];
+  std::size_t exact = 0;  ///< advances that took the exact path
+};
+
+template <typename Field>
+Arm draw_arm(const OverdampedIntegrator& integ, Field&& field, const ParticleBody& start,
+             const Rng& base, std::size_t n, std::size_t steps) {
+  Arm arm;
+  for (std::vector<double>& v : arm.axis) v.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    ParticleBody b = start;
+    Rng stream = base.fork(i);
+    if (integ.advance(b, field, stream, steps)) ++arm.exact;
+    arm.axis[0].push_back(b.position.x);
+    arm.axis[1].push_back(b.position.y);
+    arm.axis[2].push_back(b.position.z);
+  }
+  return arm;
+}
+
+// Two-sample Kolmogorov-Smirnov statistic D.
+double ks_statistic(std::vector<double> a, std::vector<double> b) {
+  std::sort(a.begin(), a.end());
+  std::sort(b.begin(), b.end());
+  const auto na = static_cast<double>(a.size());
+  const auto nb = static_cast<double>(b.size());
+  std::size_t i = 0;
+  std::size_t j = 0;
+  double d = 0.0;
+  while (i < a.size() && j < b.size()) {
+    const double x = std::min(a[i], b[j]);
+    while (i < a.size() && a[i] <= x) ++i;
+    while (j < b.size() && b[j] <= x) ++j;
+    d = std::max(d, std::fabs(static_cast<double>(i) / na - static_cast<double>(j) / nb));
+  }
+  return d;
+}
+
+// The statistical gate: per axis, the exact arm and the step-chain arm agree
+// in mean (5 SE), in variance (|ln ratio| within 5 SE of ln s²), and in
+// distribution (two-sample KS below its α = 1e-4 critical value, 0.0498 at
+// 4,000 draws per arm). Cases: a lymphocyte and a 5 µm bead, each at the
+// trap, one pitch behind it (the cage just hopped) and (1.2, 0.6) pitch off
+// axis. Every model-arm draw must take the exact path.
+TEST_F(ExactAdvanceTest, PeriodLawMatchesStepChain) {
+  const std::size_t n = 4000 * longfuzz_factor();
+  const double dn = static_cast<double>(n);
+  const double ks_critical = std::sqrt(-std::log(1e-4 / 2.0) / 2.0) * std::sqrt(2.0 / dn);
+  const double lnvar_bound = 5.0 * std::sqrt(4.0 / (dn - 1.0));
+  const GridCoord site{16, 16};
+  model_.set_sites({site});
+  const double p = pitch();
+  const struct {
+    const char* name;
+    Vec3 offset;
+  } starts[] = {{"at trap", {}}, {"towed", {-p, 0.0, 0.0}}, {"off axis", {1.2 * p, 0.6 * p, 0.0}}};
+  std::uint64_t seed = 1;
+  for (const cell::ParticleSpec& spec : {cell::viable_lymphocyte(), cell::polystyrene_bead(5e-6)})
+    for (const auto& start : starts) {
+      SCOPED_TRACE(spec.name + " " + start.name);
+      const ParticleBody b = body(spec, trap(site) + start.offset);
+      const Arm exact = draw_arm(integ_, model_, b, Rng(seed++), n, kPeriod);
+      const Arm em = draw_arm(integ_, [&](Vec3 q) { return model_.grad_erms2(q); }, b,
+                              Rng(seed++), n, kPeriod);
+      EXPECT_EQ(exact.exact, n);
+      EXPECT_EQ(em.exact, 0u);
+      for (int axis = 0; axis < 3; ++axis) {
+        SCOPED_TRACE("axis " + std::to_string(axis));
+        RunningStats se;
+        RunningStats so;
+        for (const double v : exact.axis[axis]) se.add(v);
+        for (const double v : em.axis[axis]) so.add(v);
+        const double sem = std::sqrt(se.variance() / dn + so.variance() / dn);
+        EXPECT_LE(std::fabs(se.mean() - so.mean()), 5.0 * sem);
+        EXPECT_LE(std::fabs(std::log(se.variance() / so.variance())), lnvar_bound);
+        EXPECT_LT(ks_statistic(exact.axis[axis], em.axis[axis]), ks_critical);
+      }
+    }
+}
+
+TEST_F(ExactAdvanceTest, ExactPathDrawsThreeNormals) {
+  const GridCoord site{16, 16};
+  model_.set_sites({site});
+  ParticleBody b = body(cell::viable_lymphocyte(), trap(site));
+  Rng ra(7);
+  Rng rb(7);
+  ASSERT_TRUE(integ_.advance(b, model_, ra, kPeriod));
+  for (int i = 0; i < 3; ++i) rb.normal();
+  EXPECT_EQ(ra.normal(), rb.normal());
+  EXPECT_EQ(ra(), rb());
+  EXPECT_LT((b.position - trap(site)).norm(), 1e-6);
+}
+
+TEST_F(ExactAdvanceTest, ZeroStepsLeaveBodyAndStreamUntouched) {
+  const GridCoord site{16, 16};
+  model_.set_sites({site});
+  const ParticleBody start = body(cell::viable_lymphocyte(), trap(site));
+  ParticleBody b = start;
+  Rng ra(8);
+  Rng rb(8);
+  EXPECT_FALSE(integ_.advance(b, model_, ra, 0));
+  EXPECT_EQ(b.position, start.position);
+  EXPECT_EQ(ra.normal(), rb.normal());
+  EXPECT_EQ(ra(), rb());
+}
+
+TEST_F(ExactAdvanceTest, FallbacksAreBitwiseStepChain) {
+  const cell::ParticleSpec spec = cell::viable_lymphocyte();
+  const GridCoord site{16, 16};
+
+  // Equidistant between two active traps: an exact tie never certifies.
+  model_.set_sites({{15, 16}, {17, 16}});
+  expect_bitwise_em(integ_, body(spec, trap(site)), 11);
+
+  model_.set_sites({site});
+  // Outside every capture radius (two pitches from the only trap).
+  expect_bitwise_em(integ_, body(spec, trap(site) + Vec3{2.0 * pitch(), 0.0, 0.0}), 12);
+  // Resting on the floor under the trap.
+  Vec3 floor = trap(site);
+  floor.z = rig_.device.chamber_bounds().min.z + spec.radius;
+  expect_bitwise_em(integ_, body(spec, floor), 13);
+
+  // A lid 50 nm above the trap (less than 8 σ_z): the reach box touches it.
+  DynamicsOptions low_lid = options();
+  low_lid.bounds.max.z = trap(site).z + spec.radius + 50e-9;
+  expect_bitwise_em(OverdampedIntegrator(rig_.medium, low_lid), body(spec, trap(site)), 14);
+
+  // dt = 6 ms makes the z step factor a = 1 - dt k_z / γ negative.
+  expect_bitwise_em(OverdampedIntegrator(rig_.medium, options(6e-3)), body(spec, trap(site)),
+                    15);
 }
 
 // ------------------------------------------------------------ levitation ----
