@@ -1,12 +1,10 @@
-// Experiment S-1 — field-solver engineering: SOR vs cascade vs multigrid
-// V-cycle scaling (with fine-grid-equivalent work accounting), solver
-// accuracy against the analytic parallel-plate solution, and the
-// superposition-cache ablation that makes many-pattern simulation
-// tractable (DESIGN.md §5).
+// Experiment S-1 — field-solver engineering: plain SOR vs multigrid V-cycle
+// scaling (with fine-grid-equivalent work accounting), solver accuracy
+// against the analytic parallel-plate solution, and cage calibration vs
+// grid resolution.
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cmath>
 #include <iostream>
 
@@ -14,7 +12,6 @@
 #include "common/table.hpp"
 #include "common/units.hpp"
 #include "field/analytic.hpp"
-#include "field/basis_cache.hpp"
 #include "field/boundary.hpp"
 #include "field/incremental.hpp"
 #include "field/phasor.hpp"
@@ -43,109 +40,85 @@ DirichletBc plate_bc(const Grid3& g, double v_bottom, double v_top) {
 // cage_reference_bc in field/boundary.hpp. Unlike the parallel-plate
 // problem — whose solution is linear in z, so nested iteration interpolates
 // it exactly and converges in one fine sweep — this is a genuinely 3D
-// workload on which the multilevel strategies earn their keep;
-// bm_multilevel / bm_cascade run on it for exactly that reason.
+// workload on which the multigrid cycle earns its keep; bm_multilevel runs
+// on it for exactly that reason.
 DirichletBc cage_bc(const Grid3& g, double v) { return cage_reference_bc(g, v); }
 
 void print_solver_scaling() {
-  print_banner(
-      std::cout,
-      "S-1: SOR vs cascade vs V-cycle vs FMG (cage-electrode BC, matched residual)");
-  Table t({"grid", "SOR fe-sweeps", "cascade fe-sweeps", "vcycle fe-sweeps",
-           "fmg fe-sweeps", "fmg cycles", "residual [V]", "cascade/fmg"});
+  print_banner(std::cout, "S-1: SOR vs V-cycle (cage-electrode BC, matched residual)");
+  Table t({"grid", "SOR fe-sweeps", "vcycle fe-sweeps", "vcycle cycles", "residual [V]",
+           "SOR/vcycle"});
   for (std::size_t n : {17u, 33u, 65u}) {
-    Grid3 a(n, n, n, 1e-6), b(n, n, n, 1e-6), c(n, n, n, 1e-6), d(n, n, n, 1e-6);
+    Grid3 a(n, n, n, 1e-6), b(n, n, n, 1e-6);
     const DirichletBc bc = cage_bc(a, 3.3);
     SolverOptions plain;
     plain.multilevel = false;
-    SolverOptions cascade;
-    cascade.cycle = CycleType::cascade;
     const SolveStats sa = solve_laplace(a, bc, plain);
-    const SolveStats sb = solve_laplace(b, bc, cascade);
-    // The cycles target the residual the cascade actually achieved, so the
+    // The cycle targets the residual plain SOR actually achieved, so the
     // work columns compare equal-quality solves.
     SolverOptions vcycle;
-    vcycle.cycle = CycleType::vcycle;
-    vcycle.cycle_tolerance = laplacian_residual(b, bc);
-    const SolveStats sc = solve_laplace(c, bc, vcycle);
-    SolverOptions fmg;
-    fmg.cycle = CycleType::fmg;
-    fmg.cycle_tolerance = vcycle.cycle_tolerance;
-    const SolveStats sd = solve_laplace(d, bc, fmg);
+    vcycle.cycle_tolerance = laplacian_residual(a, bc);
+    const SolveStats sb = solve_laplace(b, bc, vcycle);
     t.row()
         .cell(std::to_string(n) + "^3")
         .cell(sa.fine_equiv_sweeps, 1)
         .cell(sb.fine_equiv_sweeps, 1)
-        .cell(sc.fine_equiv_sweeps, 1)
-        .cell(sd.fine_equiv_sweeps, 1)
-        .cell(std::to_string(sd.cycles))
-        .cell(laplacian_residual(d, bc), 9)
-        .cell(sb.fine_equiv_sweeps / sd.fine_equiv_sweeps, 2);
+        .cell(std::to_string(sb.cycles))
+        .cell(laplacian_residual(b, bc), 9)
+        .cell(sa.fine_equiv_sweeps / sb.fine_equiv_sweeps, 2);
   }
   t.print(std::cout);
-  std::cout << "\nShape check: the cascade's fine-equivalent work grows with grid\n"
-               "size (it only improves the initial guess); the V-cycle corrects\n"
-               "fine-grid error on coarse grids, so its work per solve stays\n"
-               "nearly flat; FMG prepends the nested-iteration start and cuts\n"
-               "another cycle or two off the fine-level iteration.\n";
+  std::cout << "\nShape check: plain SOR's fine-equivalent work grows with grid size;\n"
+               "the V-cycle corrects fine-grid error on coarse grids, so its work\n"
+               "per solve stays nearly flat.\n";
 
   print_banner(std::cout,
                "S-1: thin-gap (1-node) calibration patch — RAP coarse operators");
-  Table tg({"grid", "vcycle rho/cycle", "cascade fe-sweeps", "vcycle fe-sweeps",
-            "fmg fe-sweeps", "fallback sweeps"});
+  Table tg({"grid", "vcycle rho/cycle", "SOR fe-sweeps", "vcycle fe-sweeps",
+            "fallback sweeps"});
   for (std::size_t n : {33u, 65u}) {
-    Grid3 a(n, n, n, 1e-6), b(n, n, n, 1e-6), c(n, n, n, 1e-6);
+    Grid3 a(n, n, n, 1e-6), b(n, n, n, 1e-6);
     const DirichletBc bc = cage_thin_gap_bc(a, 3.3, 1);
     const auto residual_after = [&](std::size_t cycles) {
       Grid3 phi(n, n, n, 1e-6);
       SolverOptions o;
-      o.cycle = CycleType::vcycle;
       o.cycle_tolerance = 1e-300;
       o.max_cycles = cycles;
       o.max_sweeps = 0;
       return solve_laplace(phi, bc, o).final_residual;
     };
     const double rho = std::sqrt(residual_after(4) / residual_after(2));
-    SolverOptions cascade;
-    cascade.cycle = CycleType::cascade;
-    const SolveStats sa = solve_laplace(a, bc, cascade);
+    SolverOptions plain;
+    plain.multilevel = false;
+    const SolveStats sa = solve_laplace(a, bc, plain);
     SolverOptions vcycle;
-    vcycle.cycle = CycleType::vcycle;
     vcycle.cycle_tolerance = laplacian_residual(a, bc);
     const SolveStats sb = solve_laplace(b, bc, vcycle);
-    SolverOptions fmg;
-    fmg.cycle = CycleType::fmg;
-    fmg.cycle_tolerance = vcycle.cycle_tolerance;
-    const SolveStats sc = solve_laplace(c, bc, fmg);
-    // Any sweep beyond the per-cycle budget would be fallback tail work;
-    // with RAP coarse operators this column must read 0.
-    const std::size_t fallback =
-        sb.sweeps - sb.cycles * (vcycle.pre_smooth + vcycle.post_smooth);
+    // Any fine sweep beyond the V(2,2) budget of four per cycle would be
+    // fallback tail work; with RAP coarse operators this column must read 0.
+    const std::size_t fallback = sb.sweeps - 4 * sb.cycles;
     tg.row()
         .cell(std::to_string(n) + "^3")
         .cell(rho, 4)
         .cell(sa.fine_equiv_sweeps, 1)
         .cell(sb.fine_equiv_sweeps, 1)
-        .cell(sc.fine_equiv_sweeps, 1)
         .cell(std::to_string(fallback));
   }
   tg.print(std::cout);
   std::cout << "\nShape check: before the Galerkin (RAP) coarse operators this BC\n"
                "stalled the cycle (injected coarse masks erase a 1-node gap) and\n"
-               "bailed out to the cascade; now the contraction is grid-independent\n"
+               "fell back to a slower solve; now the contraction is grid-independent\n"
                "and the fallback column is zero.\n";
 
   print_banner(std::cout, "S-1: plate-problem accuracy (both strategies, tol 1e-6)");
-  Table t2({"grid", "vcycle err vs analytic [V]", "cascade err vs analytic [V]"});
+  Table t2({"grid", "vcycle err vs analytic [V]", "SOR err vs analytic [V]"});
   for (std::size_t n : {17u, 33u, 65u}) {
     Grid3 b(n, n, n, 1e-6), c(n, n, n, 1e-6);
     const DirichletBc bc = plate_bc(b, 0.0, 3.3);
-    SolverOptions cascade;
-    cascade.cycle = CycleType::cascade;
-    SolverOptions vcycle;
-    vcycle.cycle = CycleType::vcycle;
-    solve_laplace(b, bc, cascade);
-    solve_laplace(c, bc, vcycle);
+    SolverOptions plain;
+    plain.multilevel = false;
+    solve_laplace(b, bc, plain);
+    solve_laplace(c, bc);
     const double gap = static_cast<double>(n - 1) * 1e-6;
     double errb = 0.0, errc = 0.0;
     for (std::size_t k = 0; k < n; ++k) {
@@ -157,62 +130,6 @@ void print_solver_scaling() {
     t2.row().cell(std::to_string(n) + "^3").cell(errc, 6).cell(errb, 6);
   }
   t2.print(std::cout);
-}
-
-void print_superposition_ablation() {
-  print_banner(std::cout,
-               "S-1 ablation: superposition cache vs direct solve (5x5 patch)");
-  const double pitch = 20.0_um;
-  ChamberDomain domain{5 * pitch, 5 * pitch, 5 * pitch, pitch / 4.0};
-  std::vector<Rect> footprints;
-  for (int r = 0; r < 5; ++r)
-    for (int c = 0; c < 5; ++c) {
-      const double x0 = c * pitch + 0.1 * pitch, y0 = r * pitch + 0.1 * pitch;
-      footprints.push_back({{x0, y0}, {x0 + 0.8 * pitch, y0 + 0.8 * pitch}});
-    }
-  BasisCache cache(domain, footprints, true);
-
-  // Time K pattern evaluations both ways.
-  const int kPatterns = 16;
-  auto make_drive = [&](int k) {
-    std::vector<std::complex<double>> drive(25, {-3.3, 0.0});
-    drive[static_cast<std::size_t>(k) % 25] = {3.3, 0.0};
-    return drive;
-  };
-
-  const auto t0 = std::chrono::steady_clock::now();
-  double acc = 0.0;
-  for (int k = 0; k < kPatterns; ++k)
-    acc += cache.compose(make_drive(k), {3.3, 0.0}).erms2_at({50.0_um, 50.0_um, 20.0_um});
-  const auto t1 = std::chrono::steady_clock::now();
-  for (int k = 0; k < kPatterns; ++k)
-    acc +=
-        cache.solve_direct(make_drive(k), {3.3, 0.0}).erms2_at({50.0_um, 50.0_um, 20.0_um});
-  const auto t2 = std::chrono::steady_clock::now();
-  benchmark::DoNotOptimize(acc);
-
-  const double t_compose =
-      std::chrono::duration<double>(t1 - t0).count() / kPatterns;
-  const double t_direct = std::chrono::duration<double>(t2 - t1).count() / kPatterns;
-  Table t({"path", "per-pattern time [ms]", "speedup", "one-time cost"});
-  t.row().cell("direct solve").cell(t_direct * 1e3, 2).cell(1.0, 1).cell("-");
-  t.row()
-      .cell("superposition cache")
-      .cell(t_compose * 1e3, 2)
-      .cell(t_direct / t_compose, 1)
-      .cell(std::to_string(cache.solves_performed()) + " basis solves");
-  t.print(std::cout);
-
-  // Accuracy of the composed field vs direct.
-  std::vector<std::complex<double>> drive = make_drive(12);
-  const PhasorSolution composed = cache.compose(drive, {3.3, 0.0});
-  const PhasorSolution direct = cache.solve_direct(drive, {3.3, 0.0});
-  double worst = 0.0;
-  for (std::size_t n = 0; n < composed.phi_re().size(); ++n)
-    worst = std::max(worst, std::fabs(composed.phi_re().data()[n] -
-                                      direct.phi_re().data()[n]));
-  std::cout << "\nComposition error vs direct solve: " << si_format(worst, "V")
-            << " (superposition is exact up to solver tolerance).\n";
 }
 
 void print_cage_convergence() {
@@ -255,33 +172,16 @@ void bm_multilevel(benchmark::State& state) {
   for (auto _ : state) {
     Grid3 g(n, n, n, 1e-6);
     const DirichletBc bc = cage_bc(g, 3.3);
-    SolverOptions opts;
-    opts.cycle = CycleType::vcycle;
-    SolveStats s = solve_laplace(g, bc, opts);
+    SolveStats s = solve_laplace(g, bc);
     fe = s.fine_equiv_sweeps;
     benchmark::DoNotOptimize(s.sweeps);
   }
   state.counters["fe_sweeps"] = fe;
 }
 
-// The nested-iteration oracle on the same workload, for the head-to-head.
-void bm_cascade(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  double fe = 0.0;
-  for (auto _ : state) {
-    Grid3 g(n, n, n, 1e-6);
-    const DirichletBc bc = cage_bc(g, 3.3);
-    SolverOptions opts;
-    opts.cycle = CycleType::cascade;
-    SolveStats s = solve_laplace(g, bc, opts);
-    fe = s.fine_equiv_sweeps;
-    benchmark::DoNotOptimize(s.sweeps);
-  }
-  state.counters["fe_sweeps"] = fe;
-}
 
-// The production repeated-solve pattern (basis-cache builds, phasor
-// quadrature pairs): the Galerkin hierarchy is prepared once in a shared
+// The production repeated-solve pattern (phasor quadrature pairs,
+// calibration sweeps): the Galerkin hierarchy is prepared once in a shared
 // MultigridWorkspace and reused, so the RAP build cost amortizes away.
 // bm_multilevel measures the cold path (fresh workspace per solve).
 void bm_vcycle_warm(benchmark::State& state) {
@@ -291,9 +191,7 @@ void bm_vcycle_warm(benchmark::State& state) {
   for (auto _ : state) {
     Grid3 g(n, n, n, 1e-6);
     const DirichletBc bc = cage_bc(g, 3.3);
-    SolverOptions opts;
-    opts.cycle = CycleType::vcycle;
-    SolveStats s = solve_laplace(g, bc, opts, &workspace);
+    SolveStats s = solve_laplace(g, bc, {}, &workspace);
     fe = s.fine_equiv_sweeps;
     benchmark::DoNotOptimize(s.sweeps);
   }
@@ -303,10 +201,8 @@ void bm_vcycle_warm(benchmark::State& state) {
   // is bit-identical to the cold path, so this must read 0.
   Grid3 warm(n, n, n, 1e-6), cold(n, n, n, 1e-6);
   const DirichletBc bc = cage_bc(warm, 3.3);
-  SolverOptions opts;
-  opts.cycle = CycleType::vcycle;
-  solve_laplace(warm, bc, opts, &workspace);
-  solve_laplace(cold, bc, opts);
+  solve_laplace(warm, bc, {}, &workspace);
+  solve_laplace(cold, bc);
   double worst = 0.0;
   for (std::size_t m = 0; m < warm.size(); ++m)
     worst = std::max(worst, std::fabs(warm.data()[m] - cold.data()[m]));
@@ -371,38 +267,15 @@ void bm_incremental(benchmark::State& state) {
   state.counters["window_fraction"] = ticks > 0.0 ? fraction / ticks : 0.0;
 }
 
-// Full multigrid on the same workload: nested-iteration start + per-level
-// V-cycles over the Galerkin hierarchy.
-void bm_fmg(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  double fe = 0.0;
-  for (auto _ : state) {
-    Grid3 g(n, n, n, 1e-6);
-    const DirichletBc bc = cage_bc(g, 3.3);
-    SolverOptions opts;
-    opts.cycle = CycleType::fmg;
-    SolveStats s = solve_laplace(g, bc, opts);
-    fe = s.fine_equiv_sweeps;
-    benchmark::DoNotOptimize(s.sweeps);
-  }
-  state.counters["fe_sweeps"] = fe;
-}
-
 // Thin-gap (1-node) calibration-patch BC: the geometry whose coarse masks
-// lose the gap under injection. range(1) selects the strategy so the JSON
-// carries the cascade/vcycle/fmg work trajectory on the RAP-critical case.
+// lose the gap under injection — the RAP-critical case for the V-cycle.
 void bm_thin_gap(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const auto strategy = static_cast<int>(state.range(1));
   double fe = 0.0;
   for (auto _ : state) {
     Grid3 g(n, n, n, 1e-6);
     const DirichletBc bc = cage_thin_gap_bc(g, 3.3, 1);
-    SolverOptions opts;
-    opts.cycle = strategy == 0   ? CycleType::cascade
-                 : strategy == 1 ? CycleType::vcycle
-                                 : CycleType::fmg;
-    SolveStats s = solve_laplace(g, bc, opts);
+    SolveStats s = solve_laplace(g, bc);
     fe = s.fine_equiv_sweeps;
     benchmark::DoNotOptimize(s.sweeps);
   }
@@ -469,18 +342,9 @@ void bm_sor_threads(benchmark::State& state) {
 
 BENCHMARK(bm_sor)->Arg(17)->Arg(33)->Arg(65)->Unit(benchmark::kMillisecond);
 BENCHMARK(bm_multilevel)->Arg(17)->Arg(33)->Arg(65)->Unit(benchmark::kMillisecond);
-BENCHMARK(bm_cascade)->Arg(17)->Arg(33)->Arg(65)->Unit(benchmark::kMillisecond);
 BENCHMARK(bm_vcycle_warm)->Arg(33)->Arg(65)->Unit(benchmark::kMillisecond);
 BENCHMARK(bm_incremental)->Arg(1)->Arg(16)->Arg(0)->Unit(benchmark::kMillisecond);
-BENCHMARK(bm_fmg)->Arg(17)->Arg(33)->Arg(65)->Unit(benchmark::kMillisecond);
-BENCHMARK(bm_thin_gap)
-    ->Args({33, 0})
-    ->Args({33, 1})
-    ->Args({33, 2})
-    ->Args({65, 0})
-    ->Args({65, 1})
-    ->Args({65, 2})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(bm_thin_gap)->Arg(33)->Arg(65)->Unit(benchmark::kMillisecond);
 BENCHMARK(bm_var_smooth)
     ->Args({65, 0})
     ->Args({65, 1})
@@ -497,7 +361,6 @@ BENCHMARK(bm_sor_threads)
 
 int main(int argc, char** argv) {
   print_solver_scaling();
-  print_superposition_ablation();
   print_cage_convergence();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -11,7 +11,6 @@
 #include "chip/timing.hpp"
 #include "common/geometry.hpp"
 #include "field/analytic.hpp"
-#include "field/basis_cache.hpp"
 #include "field/phasor.hpp"
 
 namespace biochip::chip {

@@ -140,14 +140,15 @@ struct ControlConfig {
   /// per-electrode drive (+`field_tracking_drive` on every site whose trap
   /// ground-truth-functions, 0 elsewhere) and the tracker re-solves only the
   /// windows around electrodes whose drive changed, re-anchoring with a full
-  /// solve of the configured cycle (V-cycle by default) on the
+  /// solve (the V-cycle unless `field_tracking.multilevel` is off) on the
   /// `field_tracking.incremental.reanchor_period` cadence.
   /// Deterministic: the drive depends only on simulation state, and the
   /// windowed solver is bitwise identical serial vs pooled.
   std::size_t field_tracking_nodes_per_pitch = 0;
   /// Drive written to a live (ground-truth-functional) cage-site electrode.
   double field_tracking_drive = 1.0;
-  /// Solver policy of the tracked field (cycle/tolerance/incremental block).
+  /// Solver policy of the tracked field (tolerances, cycle cap, incremental
+  /// block).
   field::SolverOptions field_tracking;
 };
 

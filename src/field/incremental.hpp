@@ -12,12 +12,12 @@
 /// footprint (`MultigridWorkspace::solve_window`) instead of re-solving the
 /// array. Windows that overlap or are stencil-adjacent merge into one box
 /// before relaxing. The neglected exterior correction decays like a dipole
-/// field past the window edge; a periodic full solve (the configured cycle,
-/// V-cycle by default) re-anchors the cached solution and bounds the
-/// accumulated drift. Re-anchor solves restart from a zeroed interior,
-/// so their result is bitwise identical to a cold full solve of the same
-/// boundary data — which is exactly the equivalence oracle the test harness
-/// compares against (`tests/test_field_incremental.cpp`).
+/// field past the window edge; a periodic full solve (`solve_laplace`, the
+/// V-cycle unless `SolverOptions::multilevel` is off) re-anchors the cached
+/// solution and bounds the accumulated drift. Re-anchor solves restart from
+/// a zeroed interior, so their result is bitwise identical to a cold full
+/// solve of the same boundary data — which is exactly the equivalence oracle
+/// the test harness compares against (`tests/test_field_incremental.cpp`).
 ///
 /// Determinism: updates are a pure function of the drive sequence — changed
 /// electrodes are detected by exact comparison, window clusters merge and

@@ -61,7 +61,7 @@ struct PhasorStats {
 /// Solve the phasor problem for the given domain/electrodes/lid.
 /// `workspace` (optional) caches the multigrid hierarchy across solves on
 /// the same grid shape — the two quadrature solves share it, and callers
-/// performing many solves on one domain (BasisCache) reuse it throughout.
+/// performing many solves on one domain reuse it throughout.
 PhasorSolution solve_phasor(const ChamberDomain& domain,
                             const std::vector<ElectrodePatch>& electrodes,
                             std::optional<std::complex<double>> lid,

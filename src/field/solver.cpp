@@ -91,58 +91,39 @@ void apply_dirichlet(Grid3& phi, const DirichletBc& bc) {
     if (bc.fixed[n]) phi.data()[n] = bc.value[n];
 }
 
-// Serial red-black sweep with the two colors fused into one plane-pipelined
-// pass: color 1 of plane k-1 relaxes immediately after color 0 of plane k,
-// while the three-plane window is still cache-resident. Every read each
-// relax makes sees exactly the value it would in the two-pass ordering
-// (color 0 of plane k runs before color 1 of planes >= k-1; color 1 of
-// plane k runs after color 0 of planes <= k+1), so the result is bitwise
-// identical to the half-sweep pair — at half the DRAM traffic, which is
-// what bounds large grids.
-double fused_sweep(double* d, const std::uint8_t* fixed, const std::uint8_t* plane_fixed,
-                   const double* rhs, double h2, stencil::Dims dims, double omega) {
-  const auto has = [&](std::size_t k) { return plane_fixed == nullptr || plane_fixed[k] != 0; };
-  double worst = stencil::smooth_plane(d, fixed, rhs, h2, dims, omega, 0, 0, has(0));
-  for (std::size_t k = 1; k < dims.nz; ++k) {
-    worst = std::max(worst,
-                     stencil::smooth_plane(d, fixed, rhs, h2, dims, omega, 0, k, has(k)));
-    worst = std::max(worst, stencil::smooth_plane(d, fixed, rhs, h2, dims, omega, 1,
-                                                  k - 1, has(k - 1)));
-  }
-  return std::max(worst, stencil::smooth_plane(d, fixed, rhs, h2, dims, omega, 1,
-                                               dims.nz - 1, has(dims.nz - 1)));
-}
-
-// Two full sweeps pipelined through one memory pass (temporal blocking).
-// Four stages trail each other down the plane axis — A1 = sweep s color 0,
-// B1 = sweep s color 1, A2 = sweep s+1 color 0, B2 = sweep s+1 color 1 —
-// in the order A1(k), B1(k-1), A2(k-2), B2(k-3). Each stage finds every
-// neighbor value in exactly the state the sequential four-half-sweep order
-// would produce (the trailing stage at plane p runs only after the leading
-// stage has cleared p+1), so the result is bitwise identical while the
-// grid streams through the cache once instead of twice.
-// Only the second sweep's update norm is tracked — the first one's is never
-// consulted by any caller, and skipping the reduction trims the hot loop.
-double fused_sweep_pair(double* d, const std::uint8_t* fixed,
-                        const std::uint8_t* plane_fixed, const double* rhs, double h2,
-                        stencil::Dims dims, double omega) {
-  const auto nz = static_cast<std::ptrdiff_t>(dims.nz);
-  double u2 = 0.0;
-  const auto stage = [&](int color, std::ptrdiff_t k, bool track) {
-    if (k < 0 || k >= nz) return;
-    const auto ku = static_cast<std::size_t>(k);
-    const bool has = plane_fixed == nullptr || plane_fixed[ku] != 0;
-    const double u =
-        stencil::smooth_plane(d, fixed, rhs, h2, dims, omega, color, ku, has, track);
-    if (track) u2 = std::max(u2, u);
+// One red-black sweep of the 7-point operator. Serial sweeps fuse the two
+// colors into one plane-pipelined pass: color 1 of plane k-1 relaxes
+// immediately after color 0 of plane k, while the three-plane window is
+// still cache-resident. Every read each relax makes sees exactly the value
+// it would in the two-pass ordering (color 0 of plane k runs before color 1
+// of planes >= k-1; color 1 of plane k runs after color 0 of planes <= k+1),
+// so the result is bitwise identical to the half-sweep pair — at half the
+// DRAM traffic, which is what bounds large grids. Pooled sweeps fan each
+// color out over planes (same-color nodes of different planes are
+// independent, so that order gives the same bits too). Returns the max node
+// update, or 0 when `track` is false (the relaxed values never depend on it).
+double sweep_const(const PlaneRunner& planes, double* d, const std::uint8_t* fixed,
+                   const std::uint8_t* plane_fixed, const double* rhs, double h2,
+                   stencil::Dims dims, double omega, bool track) {
+  const auto relax = [&](int color, std::size_t k, bool shared_z) {
+    return stencil::smooth_plane(d, fixed, rhs, h2, dims, omega, color, k,
+                                 plane_fixed[k] != 0, track, shared_z);
   };
-  for (std::ptrdiff_t kk = 0; kk < nz + 3; ++kk) {
-    stage(0, kk, false);
-    stage(1, kk - 1, false);
-    stage(0, kk - 2, true);
-    stage(1, kk - 3, true);
+  if (planes.pool == nullptr) {
+    double worst = relax(0, 0, false);
+    for (std::size_t k = 1; k < dims.nz; ++k) {
+      worst = std::max(worst, relax(0, k, false));
+      worst = std::max(worst, relax(1, k - 1, false));
+    }
+    return std::max(worst, relax(1, dims.nz - 1, false));
   }
-  return u2;
+  double update = 0.0;
+  for (int color = 0; color < 2; ++color) {
+    const double u = planes.run_max_z(
+        dims.nz, [&](std::size_t k, bool shared_z) { return relax(color, k, shared_z); });
+    update = std::max(update, u);
+  }
+  return update;
 }
 
 // Per-plane Dirichlet classification: flags[k] != 0 when plane k holds any
@@ -173,11 +154,9 @@ double residual_norm(const Grid3& phi, const DirichletBc& bc, const double* rhs)
   return worst;
 }
 
-// Red-black SOR on ∇²φ = rhs (rhs null = Laplace). `ratio` is this grid's
-// node count relative to the finest grid of the enclosing solve, for the
-// fine-equivalent work accounting.
+// Red-black SOR on ∇²φ = rhs (rhs null = Laplace).
 SolveStats sor_solve(Grid3& phi, const DirichletBc& bc, const double* rhs,
-                     const SolverOptions& opts, double ratio) {
+                     const SolverOptions& opts) {
   // Auto-omega honours the actual per-axis dimensions: on anisotropic
   // chamber grids (129×129×9) the longest-side model formula over-relaxes
   // the short axis and slows convergence.
@@ -191,53 +170,31 @@ SolveStats sor_solve(Grid3& phi, const DirichletBc& bc, const double* rhs,
   const stencil::Dims dims{phi.nx(), phi.ny(), phi.nz()};
   const double h2 = phi.spacing() * phi.spacing();
   double* d = phi.data().data();
-  const std::uint8_t* fixed = bc.fixed.data();
-
-  // Convergence is tested every second sweep on both the serial and the
-  // threaded path: identical stopping schedules keep sweep counts and
-  // results bitwise equal across thread counts, and the pairing lets the
-  // serial path pipeline two sweeps through one memory pass.
-  const std::vector<std::uint8_t> plane_fixed = classify_planes(fixed, dims);
-  const std::uint8_t* pf = plane_fixed.data();
-  const auto parallel_sweep = [&](bool track) {
-    const double u0 = planes.run_max_z(dims.nz, [&](std::size_t k, bool shared_z) {
-      return stencil::smooth_plane(d, fixed, rhs, h2, dims, omega, 0, k, pf[k] != 0,
-                                   track, shared_z);
-    });
-    const double u1 = planes.run_max_z(dims.nz, [&](std::size_t k, bool shared_z) {
-      return stencil::smooth_plane(d, fixed, rhs, h2, dims, omega, 1, k, pf[k] != 0,
-                                   track, shared_z);
-    });
-    return std::max(u0, u1);
+  const std::vector<std::uint8_t> plane_fixed = classify_planes(bc.fixed.data(), dims);
+  const auto sweep = [&](bool track) {
+    return sweep_const(planes, d, bc.fixed.data(), plane_fixed.data(), rhs, h2, dims,
+                       omega, track);
   };
+
+  // Convergence is tested after every second sweep (or the last one the cap
+  // allows), on the serial and the threaded path alike, so sweep counts and
+  // results stay bitwise equal across thread counts; the first sweep of a
+  // pair skips the update norm nobody reads.
   SolveStats stats;
-  std::size_t s = 0;
-  while (s < opts.max_sweeps) {
-    if (s + 2 <= opts.max_sweeps) {
-      double u2;
-      if (pool == nullptr) {
-        u2 = fused_sweep_pair(d, fixed, pf, rhs, h2, dims, omega);
-      } else {
-        parallel_sweep(false);
-        u2 = parallel_sweep(true);
-      }
-      s += 2;
-      stats.sweeps = s;
-      stats.final_update = u2;
-    } else {
-      stats.final_update = pool == nullptr
-                               ? fused_sweep(d, fixed, pf, rhs, h2, dims, omega)
-                               : parallel_sweep(true);
-      ++s;
-      stats.sweeps = s;
+  while (stats.sweeps < opts.max_sweeps) {
+    if (stats.sweeps + 2 <= opts.max_sweeps) {
+      sweep(false);
+      ++stats.sweeps;
     }
+    stats.final_update = sweep(true);
+    ++stats.sweeps;
     if (stats.final_update < opts.tolerance) {
       stats.converged = true;
       break;
     }
   }
   stats.total_sweeps = stats.sweeps;
-  stats.fine_equiv_sweeps = static_cast<double>(stats.sweeps) * ratio;
+  stats.fine_equiv_sweeps = static_cast<double>(stats.sweeps);
   return stats;
 }
 
@@ -248,55 +205,6 @@ bool can_coarsen_dims(std::size_t nx, std::size_t ny, std::size_t nz) {
 
 bool can_coarsen(const Grid3& g) { return can_coarsen_dims(g.nx(), g.ny(), g.nz()); }
 
-// Restrict BC by injection at coincident nodes.
-void restrict_bc(const Grid3& fine, const DirichletBc& fine_bc, const Grid3& coarse,
-                 DirichletBc& coarse_bc) {
-  for (std::size_t k = 0; k < coarse.nz(); ++k)
-    for (std::size_t j = 0; j < coarse.ny(); ++j)
-      for (std::size_t i = 0; i < coarse.nx(); ++i) {
-        const std::size_t fn = fine.index_unchecked(2 * i, 2 * j, 2 * k);
-        const std::size_t cn = coarse.index_unchecked(i, j, k);
-        coarse_bc.fixed[cn] = fine_bc.fixed[fn];
-        coarse_bc.value[cn] = fine_bc.value[fn];
-      }
-}
-
-// ------------------------------------------------------- cascade (oracle) ----
-
-// Coarse-to-fine nested iteration: improves the initial guess only, never
-// corrects fine-grid error on a coarse grid. Kept as the equivalence and
-// regression oracle for the V-cycle.
-SolveStats multilevel_solve(Grid3& phi, const DirichletBc& bc, const SolverOptions& opts,
-                            std::size_t& total_sweeps, double& fine_equiv, double ratio) {
-  if (can_coarsen(phi)) {
-    Grid3 coarse((phi.nx() - 1) / 2 + 1, (phi.ny() - 1) / 2 + 1, (phi.nz() - 1) / 2 + 1,
-                 phi.spacing() * 2.0);
-    DirichletBc coarse_bc = DirichletBc::all_free(coarse);
-    restrict_bc(phi, bc, coarse, coarse_bc);
-    // Inject current fine values as the coarse initial guess.
-    for (std::size_t k = 0; k < coarse.nz(); ++k)
-      for (std::size_t j = 0; j < coarse.ny(); ++j)
-        for (std::size_t i = 0; i < coarse.nx(); ++i)
-          coarse.at_unchecked(i, j, k) = phi.at_unchecked(2 * i, 2 * j, 2 * k);
-    multilevel_solve(coarse, coarse_bc, opts, total_sweeps, fine_equiv, ratio / 8.0);
-    // Prolong: trilinear interpolation of the coarse solution as the fine guess.
-    const double h = phi.spacing();
-    for (std::size_t k = 0; k < phi.nz(); ++k)
-      for (std::size_t j = 0; j < phi.ny(); ++j)
-        for (std::size_t i = 0; i < phi.nx(); ++i) {
-          const std::size_t n = phi.index_unchecked(i, j, k);
-          if (bc.fixed[n]) continue;
-          phi.data()[n] = coarse.sample({static_cast<double>(i) * h,
-                                         static_cast<double>(j) * h,
-                                         static_cast<double>(k) * h});
-        }
-  }
-  SolveStats stats = sor_solve(phi, bc, nullptr, opts, ratio);
-  total_sweeps += stats.sweeps;
-  fine_equiv += stats.fine_equiv_sweeps;
-  return stats;
-}
-
 // ----------------------------------------------------------------- V-cycle ----
 
 // A 27-point variable-coefficient smoothing sweep touches ~27/7 of the
@@ -304,53 +212,8 @@ SolveStats multilevel_solve(Grid3& phi, const DirichletBc& bc, const SolverOptio
 // in the fine-equivalent accounting (see docs/perf.md).
 constexpr double kVarSweepCost = 27.0 / 7.0;
 
-// FMG prolongation: tricubic interpolation of the coarse-level solution
-// REPLACING the free nodes of fine plane kf (nested iteration overwrites
-// the finer level's initial guess, exactly like the cascade). The upward
-// FMG transfer is higher order than the V-cycle's correction transfer
-// (trilinear) so the interpolation error of the start does not dominate the
-// first fine cycles; 4-tap cubic weights (-1, 9, 9, -1)/16 per odd axis,
-// mirrored across faces to match the Neumann symmetry. Writes only plane kf,
-// reads the coarse grid: safe to fan over planes.
-void fmg_prolong_plane(const double* coarse, stencil::Dims c, double* fine,
-                       const std::uint8_t* fine_fixed, stencil::Dims f, std::size_t kf) {
-  const auto taps = [](std::size_t gf, std::size_t n, std::size_t idx[4],
-                       double w[4]) -> int {
-    if (gf % 2 == 0) {
-      idx[0] = gf / 2;
-      w[0] = 1.0;
-      return 1;
-    }
-    const std::ptrdiff_t i0 = static_cast<std::ptrdiff_t>((gf - 1) / 2);
-    idx[0] = stencil::mirror_index(i0 - 1, n);
-    idx[1] = static_cast<std::size_t>(i0);
-    idx[2] = static_cast<std::size_t>(i0) + 1;
-    idx[3] = stencil::mirror_index(i0 + 2, n);
-    w[0] = w[3] = -1.0 / 16.0;
-    w[1] = w[2] = 9.0 / 16.0;
-    return 4;
-  };
-  std::size_t ks[4], js[4], is[4];
-  double wk[4], wj[4], wi[4];
-  const int nk = taps(kf, c.nz, ks, wk);
-  for (std::size_t jf = 0; jf < f.ny; ++jf) {
-    const int nj = taps(jf, c.ny, js, wj);
-    for (std::size_t i = 0; i < f.nx; ++i) {
-      const std::size_t n = (kf * f.ny + jf) * f.nx + i;
-      if (fine_fixed[n]) continue;
-      const int ni = taps(i, c.nx, is, wi);
-      double acc = 0.0;
-      for (int a = 0; a < nk; ++a)
-        for (int b = 0; b < nj; ++b) {
-          const double* row = coarse + (ks[a] * c.ny + js[b]) * c.nx;
-          double part = 0.0;
-          for (int d = 0; d < ni; ++d) part += wi[d] * row[is[d]];
-          acc += wk[a] * wj[b] * part;
-        }
-      fine[n] = acc;
-    }
-  }
-}
+// Smoothing sweeps before and after each coarse-grid correction: V(2,2).
+constexpr std::size_t kSmoothSweeps = 2;
 
 // One level of the V-cycle as raw views over either the caller's fine grid
 // or a workspace level.
@@ -376,63 +239,14 @@ class VcycleDriver {
  public:
   VcycleDriver(std::vector<LevelView> views, PlaneRunner planes,
                const SolverOptions& opts, SolveStats& stats)
-      : views_(std::move(views)), planes_(planes), opts_(opts), stats_(stats),
+      : views_(std::move(views)), planes_(planes), stats_(stats),
         // Smoothing wants mild over-relaxation, not the near-2 plain-SOR
         // optimum (which barely damps high frequencies): 1.15 measured best
         // on the cage-electrode workload across 33³..65³.
         omega_(opts.omega > 0.0 ? opts.omega : 1.15) {}
 
   // Runs one V-cycle from the finest level; returns the last fine max update.
-  double cycle() { return cycle_at(views_[0], 0); }
-
-  // Full-multigrid start: nested iteration in the injected-BC frame.
-  // The fine problem (Dirichlet values and all) is injected down the level
-  // chain, the coarsest level is solved nearly exactly, and on the way up
-  // each level gets `opts.fmg_level_cycles` V-cycles — the level itself
-  // smoothing with the injected-BC 7-point operator, its error corrections
-  // running down the regular Galerkin sub-hierarchy — before its solution is
-  // prolonged (tricubic) to the next finer level. Keeping the Dirichlet
-  // VALUES on every level is what makes the start effective: an error-frame
-  // (residual-restriction) start must reconstruct the boundary layers from
-  // restricted single-node source layers, which full weighting smears — the
-  // measured head start was ~1.6×, versus several cycles for this frame.
-  // `cviews` are the per-level injected-BC views (index 0 = the fine view).
-  void fmg_start(const std::vector<LevelView>& cviews) {
-    const std::size_t last = views_.size() - 1;
-    // Inject the problem down the chain: node (i,j,k) of level l coincides
-    // with node (2i,2j,2k) of level l-1, so values (boundary and initial
-    // guess alike) inject level by level.
-    for (std::size_t l = 1; l <= last; ++l) {
-      const LevelView& c = cviews[l];
-      const LevelView& p = cviews[l - 1];
-      planes_.run(c.dims.nz, [&](std::size_t k) {
-        for (std::size_t j = 0; j < c.dims.ny; ++j)
-          for (std::size_t i = 0; i < c.dims.nx; ++i)
-            c.phi[(k * c.dims.ny + j) * c.dims.nx + i] =
-                p.phi[(2 * k * p.dims.ny + 2 * j) * p.dims.nx + 2 * i];
-      });
-      if (c.rhs != nullptr) {
-        // Poisson: restrict the load down the chain by full weighting.
-        planes_.run(c.dims.nz, [&](std::size_t kc) {
-          stencil::restrict_plane(l == 1 ? views_[0].rhs : cviews[l - 1].rhs_store,
-                                  p.dims, c.rhs_store, c.fixed, c.dims, kc);
-        });
-      }
-      stats_.fine_equiv_sweeps += c.ratio;
-    }
-    for (std::size_t l = last; l >= 1; --l) {
-      const LevelView& v = cviews[l];
-      if (l == last)
-        solve_coarsest(v);
-      else
-        for (std::size_t n = 0; n < opts_.fmg_level_cycles; ++n) cycle_at(v, l);
-      const LevelView& up = cviews[l - 1];
-      planes_.run(up.dims.nz, [&](std::size_t kf) {
-        fmg_prolong_plane(v.phi, v.dims, up.phi, up.fixed, up.dims, kf);
-      });
-      stats_.fine_equiv_sweeps += up.ratio;
-    }
-  }
+  double cycle() { return cycle_at(0); }
 
   // Residual norm of the finest level (update units; no residual store).
   double fine_residual_norm() {
@@ -445,33 +259,13 @@ class VcycleDriver {
 
  private:
   // Constant-coefficient smoothing for the finest (7-point Laplacian) level.
-  double smooth_const(const LevelView& v, std::size_t sweeps, double omega,
-                      bool count_fine) {
+  double smooth_const(const LevelView& v, std::size_t sweeps, double omega) {
     double update = 0.0;
-    std::size_t s = 0;
-    while (s < sweeps) {
-      if (planes_.pool == nullptr && s + 2 <= sweeps) {
-        update = fused_sweep_pair(v.phi, v.fixed, v.plane_fixed, v.rhs, v.h2, v.dims,
-                                  omega);
-        s += 2;
-      } else if (planes_.pool == nullptr) {
-        update = fused_sweep(v.phi, v.fixed, v.plane_fixed, v.rhs, v.h2, v.dims, omega);
-        ++s;
-      } else {
-        for (int color = 0; color < 2; ++color) {
-          const double u =
-              planes_.run_max_z(v.dims.nz, [&](std::size_t k, bool shared_z) {
-                return stencil::smooth_plane(v.phi, v.fixed, v.rhs, v.h2, v.dims, omega,
-                                             color, k, v.plane_fixed[k] != 0, true,
-                                             shared_z);
-              });
-          update = std::max(color == 0 ? 0.0 : update, u);
-        }
-        ++s;
-      }
-    }
+    for (std::size_t s = 0; s < sweeps; ++s)
+      update = sweep_const(planes_, v.phi, v.fixed, v.plane_fixed, v.rhs, v.h2, v.dims,
+                           omega, s + 1 == sweeps);
     stats_.total_sweeps += sweeps;
-    if (count_fine) stats_.sweeps += sweeps;
+    stats_.sweeps += sweeps;
     stats_.fine_equiv_sweeps += static_cast<double>(sweeps) * v.ratio;
     return update;
   }
@@ -506,9 +300,9 @@ class VcycleDriver {
     return update;
   }
 
-  double smooth(const LevelView& v, std::size_t sweeps, double omega, bool count_fine) {
+  double smooth(const LevelView& v, std::size_t sweeps, double omega) {
     if (v.coef != nullptr) return smooth_var(v, sweeps, omega);
-    return smooth_const(v, sweeps, omega, count_fine);
+    return smooth_const(v, sweeps, omega);
   }
 
   // Solve the coarsest level nearly exactly: it is a few thousand nodes at
@@ -517,22 +311,21 @@ class VcycleDriver {
     const double omega = optimal_omega(v.dims.nx, v.dims.ny, v.dims.nz);
     double first = -1.0;
     for (std::size_t s = 0; s < 100; ++s) {
-      const double u = smooth(v, 1, omega, false);
+      const double u = smooth(v, 1, omega);
       if (first < 0.0) first = u;
       if (u == 0.0 || u < 1e-10 * first) break;
     }
   }
 
-  // One V-cycle rooted at level l, smoothing the given view at the root
-  // (the regular Galerkin view, or an injected-BC 7-point view during the
-  // FMG upward pass); sub-level corrections always run the Galerkin chain.
-  double cycle_at(const LevelView& v, std::size_t l) {
+  // One V-cycle rooted at level l.
+  double cycle_at(std::size_t l) {
+    const LevelView& v = views_[l];
     if (l + 1 == views_.size()) {
       solve_coarsest(v);
       return 0.0;
     }
     const LevelView& c = views_[l + 1];
-    smooth(v, opts_.pre_smooth, omega_, l == 0);
+    smooth(v, kSmoothSweeps, omega_);
     // Residual, restricted by full weighting, becomes the coarse RHS of the
     // error equation A_{l+1} e = R r with e = 0 at restricted Dirichlet
     // nodes. A_{l+1} is the Galerkin product R·A_l·P, so features thinner
@@ -554,30 +347,28 @@ class VcycleDriver {
     });
     std::fill_n(c.phi, c.dims.size(), 0.0);
     stats_.fine_equiv_sweeps += c.ratio;
-    cycle_at(c, l + 1);
+    cycle_at(l + 1);
     // Plain multigrid correction: phi += P·e.
     planes_.run(v.dims.nz, [&](std::size_t kf) {
       stencil::prolong_correct_plane(c.phi, c.dims, v.phi, v.fixed, v.dims, kf);
     });
     stats_.fine_equiv_sweeps += v.ratio;
-    return smooth(v, opts_.post_smooth, omega_, l == 0);
+    return smooth(v, kSmoothSweeps, omega_);
   }
 
   std::vector<LevelView> views_;
   PlaneRunner planes_;
-  const SolverOptions& opts_;
   SolveStats& stats_;
   double omega_;
 };
 
 SolveStats vcycle_solve(Grid3& phi, const DirichletBc& bc, const double* fine_rhs,
-                        const SolverOptions& opts, MultigridWorkspace* workspace,
-                        bool fmg) {
+                        const SolverOptions& opts, MultigridWorkspace* workspace) {
   MultigridWorkspace local;
   MultigridWorkspace& ws = workspace != nullptr ? *workspace : local;
   ws.prepare(phi, bc);
   if (ws.levels().empty())  // hierarchy degenerate (no Dirichlet node at all)
-    return sor_solve(phi, bc, fine_rhs, opts, 1.0);
+    return sor_solve(phi, bc, fine_rhs, opts);
 
   std::shared_ptr<core::ThreadPool> owned;
   core::ThreadPool* pool = resolve_pool(opts, owned);
@@ -606,32 +397,9 @@ SolveStats vcycle_solve(Grid3& phi, const DirichletBc& bc, const double* fine_rh
     views.push_back(lv);
   }
 
-  // Injected-BC views for the FMG upward pass: same storage, but each level
-  // smooths its own 7-point re-discretization (coef = null) — the Galerkin
-  // stencils eliminate the Dirichlet columns, so they cannot see the
-  // injected boundary VALUES the nested-iteration start relies on. For the
-  // Laplace case the level rhs is null (the same array later serves as the
-  // restriction target of the cycle phase).
-  std::vector<LevelView> cviews;
-  if (fmg) {
-    cviews = views;
-    for (std::size_t l = 1; l < cviews.size(); ++l) {
-      cviews[l].coef = nullptr;
-      cviews[l].inv_diag = nullptr;
-      if (fine_rhs == nullptr) cviews[l].rhs = nullptr;
-    }
-  }
-
   SolveStats stats;
   VcycleDriver driver(std::move(views), planes, opts, stats);
   const double target = opts.cycle_tolerance > 0.0 ? opts.cycle_tolerance : opts.tolerance;
-  if (fmg) {
-    // Nested-iteration start; the fine grid may already be inside tolerance
-    // before the first full cycle.
-    driver.fmg_start(cviews);
-    stats.final_residual = driver.fine_residual_norm();
-    stats.converged = stats.final_residual < target;
-  }
   // With Galerkin (RAP) coarse operators the coarse-grid correction is
   // variationally consistent with the fine operator on every geometry —
   // including boundary features thinner than the coarse spacing — so the
@@ -646,30 +414,36 @@ SolveStats vcycle_solve(Grid3& phi, const DirichletBc& bc, const double* fine_rh
   }
   // Terminal safety net only (max_cycles exhausted): with RAP coarse
   // operators the cycle no longer stalls on representable geometry, so this
-  // is not a mid-flight bail-out. Skipped when the caller left no sweep
-  // budget (max_sweeps = 0): the cascade's prolongation without any
-  // smoothing would only corrupt the cycle's iterate.
+  // is not a mid-flight bail-out. Plain SOR continues from the cycles'
+  // iterate. Skipped when the caller left no sweep budget (max_sweeps = 0),
+  // so the stats then report the cycles alone.
   if (!stats.converged && opts.max_sweeps > 0) {
-    if (fine_rhs == nullptr) {
-      std::size_t total = 0;
-      double fine_equiv = 0.0;
-      const SolveStats tail = multilevel_solve(phi, bc, opts, total, fine_equiv, 1.0);
-      stats.sweeps += tail.sweeps;
-      stats.total_sweeps += total;
-      stats.fine_equiv_sweeps += fine_equiv;
-      stats.final_update = tail.final_update;
-      stats.converged = tail.converged;
-    } else {
-      // The cascade is Laplace-only; Poisson problems finish on plain SOR.
-      const SolveStats tail = sor_solve(phi, bc, fine_rhs, opts, 1.0);
-      stats.sweeps += tail.sweeps;
-      stats.total_sweeps += tail.total_sweeps;
-      stats.fine_equiv_sweeps += tail.fine_equiv_sweeps;
-      stats.final_update = tail.final_update;
-      stats.converged = tail.converged;
-    }
+    const SolveStats tail = sor_solve(phi, bc, fine_rhs, opts);
+    stats.sweeps += tail.sweeps;
+    stats.total_sweeps += tail.total_sweeps;
+    stats.fine_equiv_sweeps += tail.fine_equiv_sweeps;
+    stats.final_update = tail.final_update;
+    stats.converged = tail.converged;
     stats.final_residual = residual_norm(phi, bc, fine_rhs);
   }
+  return stats;
+}
+
+// Shared body of solve_laplace / solve_poisson (rhs null = Laplace): the
+// V-cycle when multilevel is on and the grid coarsens, plain SOR otherwise.
+SolveStats solve(Grid3& phi, const DirichletBc& bc, const double* rhs,
+                 const SolverOptions& opts, MultigridWorkspace* workspace) {
+  BIOCHIP_REQUIRE(bc.fixed.size() == phi.size() && bc.value.size() == phi.size(),
+                  "Dirichlet BC size does not match grid");
+  BIOCHIP_REQUIRE(phi.nx() >= 2 && phi.ny() >= 2 && phi.nz() >= 2,
+                  "solver needs at least 2 nodes per axis");
+  apply_dirichlet(phi, bc);
+  const SolveStats stats = opts.multilevel && can_coarsen(phi)
+                               ? vcycle_solve(phi, bc, rhs, opts, workspace)
+                               : sor_solve(phi, bc, rhs, opts);
+  // Every solve folds into the workspace's accounting, so its cumulative
+  // counters stay an exact sum of the returned SolveStats.
+  if (workspace != nullptr) workspace->accounting().account(stats);
   return stats;
 }
 
@@ -1080,49 +854,13 @@ double optimal_omega(std::size_t nx, std::size_t ny, std::size_t nz) {
 
 SolveStats solve_laplace(Grid3& phi, const DirichletBc& bc, const SolverOptions& opts,
                          MultigridWorkspace* workspace) {
-  BIOCHIP_REQUIRE(bc.fixed.size() == phi.size() && bc.value.size() == phi.size(),
-                  "Dirichlet BC size does not match grid");
-  BIOCHIP_REQUIRE(phi.nx() >= 2 && phi.ny() >= 2 && phi.nz() >= 2,
-                  "solver needs at least 2 nodes per axis");
-  apply_dirichlet(phi, bc);
-  // Every exit funnels through the accounting fold so a shared workspace's
-  // cumulative counters stay an exact sum of the returned SolveStats.
-  const auto finish = [workspace](SolveStats stats) {
-    if (workspace != nullptr) workspace->accounting().account(stats);
-    return stats;
-  };
-  if (opts.multilevel && can_coarsen(phi)) {
-    if (opts.cycle != CycleType::cascade)
-      return finish(vcycle_solve(phi, bc, nullptr, opts, workspace,
-                                 opts.cycle == CycleType::fmg));
-    std::size_t total = 0;
-    double fine_equiv = 0.0;
-    SolveStats stats = multilevel_solve(phi, bc, opts, total, fine_equiv, 1.0);
-    stats.total_sweeps = total;
-    stats.fine_equiv_sweeps = fine_equiv;
-    return finish(stats);
-  }
-  return finish(sor_solve(phi, bc, nullptr, opts, 1.0));
+  return solve(phi, bc, nullptr, opts, workspace);
 }
 
 SolveStats solve_poisson(Grid3& phi, const Grid3& f, const DirichletBc& bc,
                          const SolverOptions& opts, MultigridWorkspace* workspace) {
-  BIOCHIP_REQUIRE(bc.fixed.size() == phi.size() && bc.value.size() == phi.size(),
-                  "Dirichlet BC size does not match grid");
   BIOCHIP_REQUIRE(f.same_shape(phi), "Poisson RHS shape does not match grid");
-  BIOCHIP_REQUIRE(phi.nx() >= 2 && phi.ny() >= 2 && phi.nz() >= 2,
-                  "solver needs at least 2 nodes per axis");
-  apply_dirichlet(phi, bc);
-  const auto finish = [workspace](SolveStats stats) {
-    if (workspace != nullptr) workspace->accounting().account(stats);
-    return stats;
-  };
-  // The cascade is a Laplace-only oracle; any multilevel Poisson solve goes
-  // through the V-cycle (the error equation needs a true residual cycle).
-  if (opts.multilevel && can_coarsen(phi))
-    return finish(vcycle_solve(phi, bc, f.data().data(), opts, workspace,
-                               opts.cycle == CycleType::fmg));
-  return finish(sor_solve(phi, bc, f.data().data(), opts, 1.0));
+  return solve(phi, bc, f.data().data(), opts, workspace);
 }
 
 double laplacian_residual(const Grid3& phi, const DirichletBc& bc) {

@@ -9,23 +9,19 @@
 ///    which models the insulating chip passivation between electrodes and
 ///    the fluid-chamber side walls.
 ///
-/// Four solution strategies are provided:
-///  * red-black successive over-relaxation (SOR);
-///  * multilevel nested iteration (coarse-to-fine SOR cascade), kept as the
-///    equivalence/regression oracle for the cycles below;
-///  * a true multigrid V-cycle (CycleType::vcycle, the production path):
-///    pre-smoothing, residual restriction by full weighting, recursive
-///    coarse-grid correction of the error equation ∇²e = r, trilinear
-///    prolongation with correction and post-smoothing. Coarse-level
-///    operators are Galerkin (RAP) products — 27-point variable-coefficient
-///    stencils that keep sub-coarse-grid boundary features (1–2-node
-///    electrode gaps) represented on every level, so the cycle contracts at
-///    a grid-independent rate on every boundary geometry the chip model
-///    produces. Solve cost is effectively linear in node count;
-///  * full multigrid (CycleType::fmg): nested iteration through the same
-///    Galerkin hierarchy — coarsest-level solve, prolongate, one or two
-///    V-cycles per level — combining the cascade's cheap initial guess with
-///    the V-cycle's O(N) error correction.
+/// Two solution strategies are provided:
+///  * red-black successive over-relaxation (SOR): the reference the
+///    multigrid agreement tests compare against, and the solve for grids
+///    that cannot coarsen;
+///  * a multigrid V(2,2)-cycle (the production path): pre-smoothing,
+///    residual restriction by full weighting, recursive coarse-grid
+///    correction of the error equation ∇²e = r, trilinear prolongation with
+///    correction and post-smoothing. Coarse-level operators are Galerkin
+///    (RAP) products — 27-point variable-coefficient stencils that keep
+///    sub-coarse-grid boundary features (1–2-node electrode gaps)
+///    represented on every level, so the cycle contracts at a
+///    grid-independent rate on every boundary geometry the chip model
+///    produces. Solve cost is effectively linear in node count.
 ///
 /// Every operator (smoothing, residual, restriction, prolongation) runs on
 /// the shared plane-wise stencil kernel (`field/stencil_kernel.hpp`):
@@ -50,13 +46,6 @@ struct DirichletBc {
 
   /// Construct an all-free BC sized for the given grid.
   static DirichletBc all_free(const Grid3& grid);
-};
-
-/// Multilevel strategy selector.
-enum class CycleType {
-  cascade,  ///< coarse-to-fine nested iteration (initial-guess improvement only)
-  vcycle,   ///< residual-restricting V-cycle (coarse-grid error correction)
-  fmg,      ///< full multigrid: nested-iteration start + V-cycles per level
 };
 
 /// Axis-aligned, inclusive node-index box — the region of influence of a
@@ -135,8 +124,8 @@ struct IncrementalOptions {
   /// runaway guard, not a tuning knob).
   std::size_t max_sweeps = 512;
   /// Full-solve re-anchor cadence: every N-th update runs the complete solve
-  /// (the configured cycle, V-cycle by default — the oracle) instead of a
-  /// windowed correction, discarding any accumulated exterior drift.
+  /// (`solve_laplace` — the oracle) instead of a windowed correction,
+  /// discarding any accumulated exterior drift.
   /// 0 = never re-anchor.
   std::size_t reanchor_period = 64;
 };
@@ -144,15 +133,12 @@ struct IncrementalOptions {
 /// Solver configuration.
 struct SolverOptions {
   double tolerance = 1e-6;       ///< max node update [V] at which to stop
-  std::size_t max_sweeps = 20000;  ///< hard iteration cap per level
+  std::size_t max_sweeps = 20000;  ///< plain-SOR sweep cap (also bounds the V-cycle's
+                                   ///< terminal SOR tail)
   double omega = 0.0;            ///< SOR factor; 0 = auto (optimal for plain SOR,
                                  ///< 1.15 for V-cycle smoothing sweeps)
-  bool multilevel = true;        ///< use the grid hierarchy when the grid allows
-  CycleType cycle = CycleType::vcycle;  ///< hierarchy strategy when multilevel
-  std::size_t pre_smooth = 2;    ///< V-cycle smoothing sweeps before restriction
-  std::size_t post_smooth = 2;   ///< V-cycle smoothing sweeps after correction
+  bool multilevel = true;        ///< V-cycle when the grid coarsens; plain SOR otherwise
   std::size_t max_cycles = 60;   ///< V-cycle cap
-  std::size_t fmg_level_cycles = 1;  ///< FMG: V-cycles per level on the way up
   /// V-cycle convergence target on the residual norm max|Σnb/6 − φ −
   /// h²f/6| (the `laplacian_residual` units); 0 = use `tolerance`.
   double cycle_tolerance = 0.0;
@@ -175,7 +161,7 @@ struct SolveStats {
   /// count relative to the finest grid. The honest cross-strategy cost
   /// metric (see docs/perf.md).
   double fine_equiv_sweeps = 0.0;
-  std::size_t cycles = 0;        ///< V-cycles executed (0 for SOR/cascade)
+  std::size_t cycles = 0;        ///< V-cycles executed (0 for plain SOR)
   double final_update = 0.0;     ///< last max-update norm [V]
   double final_residual = 0.0;   ///< last residual norm [V] (V-cycle path)
   bool converged = false;
@@ -220,8 +206,8 @@ struct SolveAccounting {
 /// Reusable multigrid hierarchy: coarse-level error grids, restricted
 /// Dirichlet masks, Galerkin (RAP) coarse-operator stencils and residual
 /// scratch, allocated once and shared across solves on the same grid shape
-/// (e.g. the per-electrode basis solves of a BasisCache). `prepare` is cheap
-/// when shape and mask are unchanged.
+/// (e.g. the two quadrature solves of a phasor problem, or a calibration
+/// sweep). `prepare` is cheap when shape and mask are unchanged.
 class MultigridWorkspace {
  public:
   struct Level {

@@ -39,18 +39,9 @@
 #include <memory>
 #include <type_traits>
 
-// 64-bit only: the AVX-512 row uses _mm_cvtsi64_si128, which does not
-// exist in 32-bit mode.
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define BIOCHIP_STENCIL_X86 1
-// GCC 12 reports spurious -Wmaybe-uninitialized from the AVX-512 intrinsic
-// expansions (the _mm512_undefined_* idiom); scope the suppression to the
-// intrinsic header so real warnings in this file stay visible.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wuninitialized"
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #include <immintrin.h>
-#pragma GCC diagnostic pop
 #endif
 
 namespace biochip::field::stencil {
@@ -84,21 +75,16 @@ int calibrate_simd_level(int best_supported);  // defined after the kernels
 /// Test hook: force the scalar row loop even when SIMD is available.
 inline void force_scalar(bool on) { detail::scalar_override().store(on); }
 
-/// Vector ISA selected at runtime: 0 = scalar, 1 = AVX2, 2 = AVX-512.
-/// Every level computes bit-identical results, so the dispatcher is free to
-/// pick by *measured speed* rather than by ISA flags: on first use it times
-/// a short in-cache sweep per supported level and locks in the fastest
-/// (virtualized hosts routinely advertise AVX-512 yet execute 512-bit ops
-/// with no throughput advantage). `BIOCHIP_SIMD_LEVEL=<0|1|2>` skips the
-/// calibration and caps the level (benchmarking / testing the fallbacks).
+/// Vector ISA selected at runtime: 0 = scalar, 1 = AVX2. Both levels
+/// compute bit-identical results, so the dispatcher is free to pick by
+/// *measured speed* rather than by ISA flags: on first use it times a short
+/// in-cache sweep of the scalar and the AVX2 path and locks in the faster.
+/// `BIOCHIP_SIMD_LEVEL=<0|1>` skips the calibration and caps the level;
+/// values above the best supported level clamp to it.
 inline int simd_level() {
 #if BIOCHIP_STENCIL_X86
   static const int level = [] {
-    int best = 0;
-    if (__builtin_cpu_supports("avx2")) best = 1;
-    if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq") &&
-        __builtin_cpu_supports("avx512vl") && __builtin_cpu_supports("avx512bw"))
-      best = 2;
+    const int best = __builtin_cpu_supports("avx2") ? 1 : 0;
     if (const char* cap = std::getenv("BIOCHIP_SIMD_LEVEL")) {
       char* end = nullptr;
       const long c = std::strtol(cap, &end, 10);
@@ -176,8 +162,8 @@ __attribute__((target("avx2"))) inline std::size_t smooth_row_avx2(
       nb = _mm256_add_pd(nb, _mm256_loadu_pd(rkp + i));
     }
     if constexpr (HasRhs) {
-      // Register barriers block FMA contraction: this row kernel also gets
-      // inlined into the AVX-512 plane clone, whose target enables FMA.
+      // Register barriers block FMA contraction in builds that enable FMA
+      // for the whole translation unit (-mfma, -march=native).
       __m256d load = _mm256_mul_pd(h2_v, _mm256_loadu_pd(rr + i));
       asm("" : "+x"(load));
       nb = _mm256_sub_pd(nb, load);
@@ -211,86 +197,6 @@ __attribute__((target("avx2"))) inline std::size_t smooth_row_avx2(
 /// is defined on both colors). Writes out[i] = rhs - (Σnb - 6φ)/h² when
 /// `out` is non-null and accumulates the update-units diagnostic norm
 /// |(Σnb - h²·rhs)/6 - φ|.
-/// AVX-512 variant of the row smoother: 8 contiguous lanes per block (4
-/// active), native k-register masked stores (which, unlike vmaskmovpd,
-/// forward cleanly). Same IEEE operations in the same order as the scalar
-/// and AVX2 paths — all three are bit-identical.
-template <bool HasRhs, bool HasFixed, bool TrackMax, bool SharedZ>
-__attribute__((target("avx512f,avx512dq,avx512vl,avx512bw"))) inline std::size_t
-smooth_row_avx512(double* r, const std::uint8_t* f, const double* rjm,
-                  const double* rjp, const double* rkm, const double* rkp,
-                  const double* rr, double h2, double omega, std::size_t i,
-                  std::size_t ilast, double& max_update) {
-  const __m512d inv_six = _mm512_set1_pd(1.0 / 6.0);
-  const __m512d omega_v = _mm512_set1_pd(omega);
-  const __m512d h2_v = _mm512_set1_pd(h2);
-  const __m512d absmask =
-      _mm512_castsi512_pd(_mm512_set1_epi64(0x7FFFFFFFFFFFFFFFll));
-  __m512d maxv = _mm512_setzero_pd();
-  for (; i + 8 <= ilast; i += 8) {
-    const __m512d center = _mm512_loadu_pd(r + i);
-    __m512d nb = _mm512_add_pd(_mm512_loadu_pd(r + i - 1), _mm512_loadu_pd(r + i + 1));
-    nb = _mm512_add_pd(nb, _mm512_loadu_pd(rjm + i));
-    nb = _mm512_add_pd(nb, _mm512_loadu_pd(rjp + i));
-    if constexpr (SharedZ) {
-      // Active lanes only from the z-neighbor rows (see smooth_row_avx2).
-      nb = _mm512_add_pd(nb, _mm512_maskz_loadu_pd(0x55, rkm + i));
-      nb = _mm512_add_pd(nb, _mm512_maskz_loadu_pd(0x55, rkp + i));
-    } else {
-      nb = _mm512_add_pd(nb, _mm512_loadu_pd(rkm + i));
-      nb = _mm512_add_pd(nb, _mm512_loadu_pd(rkp + i));
-    }
-    if constexpr (HasRhs) {
-      // The empty asm pins each product in a register so the compiler
-      // cannot contract it with the following add/sub into an FMA: the
-      // avx512f target implies FMA, and one fused rounding would break the
-      // bit-identity with the scalar and AVX2 paths.
-      __m512d load = _mm512_mul_pd(h2_v, _mm512_loadu_pd(rr + i));
-      asm("" : "+v"(load));
-      nb = _mm512_sub_pd(nb, load);
-    }
-    __m512d q = _mm512_mul_pd(nb, inv_six);
-    asm("" : "+v"(q));
-    __m512d delta = _mm512_mul_pd(omega_v, _mm512_sub_pd(q, center));
-    asm("" : "+v"(delta));
-    const __m512d next = _mm512_add_pd(center, delta);
-    std::uint64_t bytes = 0;
-    if constexpr (HasFixed) __builtin_memcpy(&bytes, f + i, sizeof bytes);
-    if (!HasFixed || (bytes & 0x00FF00FF00FF00FFull) == 0) {
-      // No Dirichlet node among the active lanes: commit the 4 same-color
-      // lanes with plain 64-bit stores. Masked vector stores cannot
-      // store-to-load forward, and the next block's row loads land in the
-      // same cache lines, so a masked store here serializes the whole loop.
-      if constexpr (TrackMax) {
-        const __m512d diff = _mm512_and_pd(absmask, _mm512_sub_pd(next, center));
-        maxv = _mm512_mask_max_pd(maxv, 0x55, maxv, diff);
-      }
-      const __m256d lo = _mm512_castpd512_pd256(next);
-      const __m256d hi = _mm512_extractf64x4_pd(next, 1);
-      _mm_storel_pd(r + i, _mm256_castpd256_pd128(lo));
-      _mm_storel_pd(r + i + 2, _mm256_extractf128_pd(lo, 1));
-      _mm_storel_pd(r + i + 4, _mm256_castpd256_pd128(hi));
-      _mm_storel_pd(r + i + 6, _mm256_extractf128_pd(hi, 1));
-      continue;
-    }
-    const __mmask8 free =
-        _mm512_cmpeq_epi64_mask(_mm512_cvtepu8_epi64(_mm_cvtsi64_si128(
-                                    static_cast<long long>(bytes))),
-                                _mm512_setzero_si512());
-    const __mmask8 active = free & 0x55;  // blocks start on the active parity
-    if constexpr (TrackMax) {
-      const __m512d diff = _mm512_and_pd(absmask, _mm512_sub_pd(next, center));
-      maxv = _mm512_mask_max_pd(maxv, active, maxv, diff);
-    }
-    _mm512_mask_storeu_pd(r + i, active, next);
-  }
-  if constexpr (TrackMax)
-    max_update = std::max(
-        max_update, hmax(_mm256_max_pd(_mm512_castpd512_pd256(maxv),
-                                       _mm512_extractf64x4_pd(maxv, 1))));
-  return i;
-}
-
 template <bool HasRhs, bool HasOut>
 __attribute__((target("avx2"))) inline std::size_t residual_row_avx2(
     const double* r, const std::uint8_t* f, const double* rjm, const double* rjp,
@@ -331,9 +237,9 @@ __attribute__((target("avx2"))) inline std::size_t residual_row_avx2(
 #endif  // BIOCHIP_STENCIL_X86
 
 // Pins a scalar product in a register so the compiler cannot contract it
-// with the following add/sub into an FMA — the per-ISA plane clones below
-// compile their scalar edge/tail code under FMA-capable targets, and one
-// fused rounding would break the cross-ISA bit-identity.
+// with the following add/sub into an FMA in builds that enable FMA for the
+// whole translation unit (-mfma, -march=native): one fused rounding would
+// break the scalar ≡ AVX2 bit-identity.
 #if BIOCHIP_STENCIL_X86
 #define BIOCHIP_NO_CONTRACT(v) asm("" : "+x"(v))
 #else
@@ -344,7 +250,7 @@ __attribute__((target("avx2"))) inline std::size_t residual_row_avx2(
 // clone lives inside its row kernel's target region: the row kernel inlines
 // into the j-loop and its constant broadcasts hoist out of it (the call per
 // row and 6 broadcasts per row otherwise cost ~20% of a sweep).
-// `BIOCHIP_SMOOTH_VEC_TAIL` is the ISA-specific interior-row call chain.
+// The macro argument is the vector clone's interior-row call.
 #define BIOCHIP_SMOOTH_PLANE_BODY(...)                                          \
   const std::size_t nx = g.nx, ny = g.ny, nz = g.nz;                            \
   const std::size_t km = (k == 0) ? 1 : k - 1;                                  \
@@ -409,30 +315,13 @@ __attribute__((target("avx2"))) double smooth_plane_x2(double* d,
       if (nx >= 32) i = smooth_row_avx2<HasRhs, HasFixed, TrackMax, SharedZ>(
           r, f, rjm, rjp, rkm, rkp, rr, h2, omega, i, ilast, max_update);)
 }
-
-template <bool HasRhs, bool HasFixed, bool TrackMax, bool SharedZ>
-__attribute__((target("avx512f,avx512dq,avx512vl,avx512bw"))) double smooth_plane_x5(
-    double* d, const std::uint8_t* fixed, const double* rhs, double h2, Dims g,
-    double omega, int color, std::size_t k) {
-  BIOCHIP_SMOOTH_PLANE_BODY(
-      if (nx >= 32) {
-        i = smooth_row_avx512<HasRhs, HasFixed, TrackMax, SharedZ>(
-            r, f, rjm, rjp, rkm, rkp, rr, h2, omega, i, ilast, max_update);
-        i = smooth_row_avx2<HasRhs, HasFixed, TrackMax, SharedZ>(
-            r, f, rjm, rjp, rkm, rkp, rr, h2, omega, i, ilast, max_update);
-      })
-}
 #endif
 
 template <bool HasRhs, bool HasFixed, bool TrackMax, bool SharedZ>
 double smooth_plane_impl(double* d, const std::uint8_t* fixed, const double* rhs,
                          double h2, Dims g, double omega, int color, std::size_t k) {
 #if BIOCHIP_STENCIL_X86
-  const int vec = simd_level();
-  if (vec == 2)
-    return smooth_plane_x5<HasRhs, HasFixed, TrackMax, SharedZ>(d, fixed, rhs, h2, g,
-                                                                omega, color, k);
-  if (vec == 1)
+  if (simd_level() > 0)
     return smooth_plane_x2<HasRhs, HasFixed, TrackMax, SharedZ>(d, fixed, rhs, h2, g,
                                                                 omega, color, k);
 #endif
@@ -489,9 +378,10 @@ double residual_plane_impl(const double* d, const std::uint8_t* fixed, const dou
   return max_resid;
 }
 
-// Times one smoothing pass per supported ISA level over an in-cache slab
-// and returns the fastest level. All levels are bit-identical, so this only
-// chooses speed; results are unaffected.
+// Times one smoothing pass of each level up to `best_supported` (0 =
+// scalar, 1 = AVX2) over an in-cache slab and returns the faster level.
+// Both are bit-identical, so this only chooses speed; results are
+// unaffected.
 inline int calibrate_simd_level(int best_supported) {
   constexpr Dims g{64, 32, 6};
   const std::size_t n = g.size();
@@ -503,11 +393,6 @@ inline int calibrate_simd_level(int best_supported) {
     for (int color = 0; color < 2; ++color)
       for (std::size_t k = 0; k < g.nz; ++k) {
 #if BIOCHIP_STENCIL_X86
-        if (level == 2) {
-          smooth_plane_x5<false, false, true, false>(buf.get(), fixed.get(), nullptr,
-                                                     1.0, g, 1.15, color, k);
-          continue;
-        }
         if (level == 1) {
           smooth_plane_x2<false, false, true, false>(buf.get(), fixed.get(), nullptr,
                                                      1.0, g, 1.15, color, k);

@@ -1,6 +1,6 @@
 // Tests for the quasi-electrostatic field solver: analytic reference cases,
-// multilevel acceleration, boundary construction, phasor solutions,
-// superposition cache, and cage calibration.
+// multilevel acceleration, boundary construction, phasor solutions and cage
+// calibration.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 #include "common/error.hpp"
 #include "common/units.hpp"
 #include "field/analytic.hpp"
-#include "field/basis_cache.hpp"
 #include "field/boundary.hpp"
 #include "field/phasor.hpp"
 #include "field/solver.hpp"
@@ -65,7 +64,7 @@ TEST(Solver, MultilevelMatchesPlainSor) {
   EXPECT_TRUE(sb.converged);
   for (std::size_t n = 0; n < a.size(); ++n)
     EXPECT_NEAR(a.data()[n], b.data()[n], 1e-5);
-  // The cascade should not be slower on the fine grid.
+  // The V-cycle should not need more fine sweeps than plain SOR.
   EXPECT_LE(sb.sweeps, sa.sweeps);
 }
 
@@ -104,8 +103,8 @@ TEST(Solver, ParallelSweepsMatchSerialReference) {
 }
 
 TEST(Solver, AutoThreadsAndMultilevelAgreeWithSerial) {
-  // The auto-threaded (threads = 0) multilevel cascade must reproduce the
-  // serial cascade and the analytic plate solution.
+  // The auto-threaded (threads = 0) multilevel solve must reproduce the
+  // serial one and the analytic plate solution.
   Grid3 serial(17, 17, 17, 1e-6), parallel(17, 17, 17, 1e-6);
   const DirichletBc bc = plate_bc(serial, 0.0, 1.0);
   SolverOptions opts;
@@ -210,14 +209,12 @@ struct SinePoisson {
 TEST(Multigrid, ContractionFactorRoughlyGridIndependent) {
   // Per-cycle residual contraction, measured between cycles 2 and 4 so the
   // initial transient is excluded. O(N) multigrid means the factor must not
-  // degrade as the grid is refined — the defining property the nested
-  // cascade lacks.
+  // degrade as the grid is refined — the defining property plain SOR lacks.
   const auto contraction = [](std::size_t n) {
     SinePoisson prob(n);
     const auto residual_after = [&](std::size_t cycles) {
       Grid3 phi(n, n, n, prob.f.spacing());
       SolverOptions o;
-      o.cycle = CycleType::vcycle;
       o.cycle_tolerance = 1e-300;  // never satisfied: run exactly max_cycles
       o.max_cycles = cycles;
       o.max_sweeps = 0;  // no SOR fallback work after the cycles
@@ -232,57 +229,82 @@ TEST(Multigrid, ContractionFactorRoughlyGridIndependent) {
   EXPECT_NEAR(rho65, rho33, 0.10);
 }
 
-TEST(Multigrid, VcycleCascadeFmgAndSorAgreeOnCageBc) {
-  Grid3 a(33, 33, 33, 1e-6), b(33, 33, 33, 1e-6), c(33, 33, 33, 1e-6),
-      d(33, 33, 33, 1e-6);
+TEST(Multigrid, VcycleAndSorAgreeOnCageBc) {
+  Grid3 a(33, 33, 33, 1e-6), b(33, 33, 33, 1e-6);
   const DirichletBc bc = cage_bc(a, 3.3);
   SolverOptions plain;
   plain.multilevel = false;
   plain.tolerance = 1e-8;
-  SolverOptions cascade;
-  cascade.cycle = CycleType::cascade;
-  cascade.tolerance = 1e-8;
   SolverOptions vcycle;
-  vcycle.cycle = CycleType::vcycle;
   vcycle.tolerance = 1e-8;
-  SolverOptions fmg;
-  fmg.cycle = CycleType::fmg;
-  fmg.tolerance = 1e-8;
   EXPECT_TRUE(solve_laplace(a, bc, plain).converged);
-  EXPECT_TRUE(solve_laplace(b, bc, cascade).converged);
-  EXPECT_TRUE(solve_laplace(c, bc, vcycle).converged);
-  EXPECT_TRUE(solve_laplace(d, bc, fmg).converged);
-  for (std::size_t n = 0; n < a.size(); ++n) {
+  EXPECT_TRUE(solve_laplace(b, bc, vcycle).converged);
+  for (std::size_t n = 0; n < a.size(); ++n)
     EXPECT_NEAR(a.data()[n], b.data()[n], 1e-5) << "node " << n;
-    EXPECT_NEAR(a.data()[n], c.data()[n], 1e-5) << "node " << n;
-    EXPECT_NEAR(a.data()[n], d.data()[n], 1e-5) << "node " << n;
-  }
 }
 
 TEST(Multigrid, PoissonRecoversAnalyticSolution) {
-  // Both multilevel Poisson paths — the V-cycle and FMG (which restricts
-  // the load down the chain for its nested-iteration start) — must recover
-  // the analytic solution to the discretization floor.
+  // The multilevel Poisson path must recover the analytic solution to the
+  // discretization floor.
   const std::size_t n = 33;
   SinePoisson prob(n);
   const double h = prob.f.spacing();
-  for (const CycleType ct : {CycleType::vcycle, CycleType::fmg}) {
-    Grid3 phi(n, n, n, h);
-    SolverOptions o;
-    o.cycle = ct;
-    o.tolerance = 1e-9;
-    const SolveStats s = solve_poisson(phi, prob.f, prob.bc, o);
+  Grid3 phi(n, n, n, h);
+  SolverOptions o;
+  o.tolerance = 1e-9;
+  const SolveStats s = solve_poisson(phi, prob.f, prob.bc, o);
+  EXPECT_TRUE(s.converged);
+  EXPECT_LE(s.cycles, 15u);
+  double err = 0.0;
+  for (std::size_t k = 0; k < n; ++k)
+    for (std::size_t j = 0; j < n; ++j)
+      for (std::size_t i = 0; i < n; ++i)
+        err = std::max(err, std::fabs(phi.at(i, j, k) - SinePoisson::exact(i, j, k, h)));
+  // Second-order discretization: the error floor is O(h²).
+  EXPECT_LT(err, 2.0 * h * h);
+  EXPECT_GT(err, 0.0);
+}
+
+TEST(Multigrid, TerminalSorTailFinishesCappedCycles) {
+  // When max_cycles runs out before cycle_tolerance is met, the V-cycle
+  // hands its iterate to plain SOR, which must finish the solve: the stats
+  // show fine sweeps beyond the cycles' V(2,2) budget, and the result
+  // matches a plain-SOR solve at the same tolerance. Because the tail
+  // continues from the cycle's iterate instead of restarting, the whole
+  // solve takes fewer fine sweeps than plain SOR from zero. One Laplace arm
+  // (cage BC) and one Poisson arm.
+  const std::size_t n = 33;
+  SolverOptions capped;
+  capped.max_cycles = 1;
+  capped.cycle_tolerance = 1e-300;  // never satisfied by the cycles
+  capped.tolerance = 1e-8;
+  SolverOptions plain;
+  plain.multilevel = false;
+  plain.tolerance = 1e-8;
+  const auto check = [&](const Grid3& a, const Grid3& b, const SolveStats& s,
+                         const SolveStats& reference) {
     EXPECT_TRUE(s.converged);
-    EXPECT_LE(s.cycles, 15u);
-    double err = 0.0;
-    for (std::size_t k = 0; k < n; ++k)
-      for (std::size_t j = 0; j < n; ++j)
-        for (std::size_t i = 0; i < n; ++i)
-          err = std::max(err,
-                         std::fabs(phi.at(i, j, k) - SinePoisson::exact(i, j, k, h)));
-    // Second-order discretization: the error floor is O(h²).
-    EXPECT_LT(err, 2.0 * h * h);
-    EXPECT_GT(err, 0.0);
+    EXPECT_EQ(s.cycles, 1u);
+    EXPECT_GT(s.sweeps, 4 * s.cycles);
+    EXPECT_LT(s.sweeps, reference.sweeps);
+    for (std::size_t m = 0; m < a.size(); ++m)
+      ASSERT_NEAR(a.data()[m], b.data()[m], 1e-5) << "node " << m;
+  };
+  {
+    Grid3 a(n, n, n, 1e-6), b(n, n, n, 1e-6);
+    const DirichletBc bc = cage_bc(a, 3.3);
+    const SolveStats s = solve_laplace(a, bc, capped);
+    const SolveStats reference = solve_laplace(b, bc, plain);
+    ASSERT_TRUE(reference.converged);
+    check(a, b, s, reference);
+  }
+  {
+    SinePoisson prob(n);
+    Grid3 a(n, n, n, prob.f.spacing()), b(n, n, n, prob.f.spacing());
+    const SolveStats s = solve_poisson(a, prob.f, prob.bc, capped);
+    const SolveStats reference = solve_poisson(b, prob.f, prob.bc, plain);
+    ASSERT_TRUE(reference.converged);
+    check(a, b, s, reference);
   }
 }
 
@@ -299,9 +321,9 @@ TEST(Multigrid, PoissonZeroRhsMatchesLaplaceBitwise) {
 }
 
 TEST(Multigrid, SimdAndScalarPathsBitIdentical) {
-  // The AVX2/AVX-512 row kernels use the same IEEE operations in the same
-  // order as the scalar loop (no FMA contraction), so the full V-cycle must
-  // reproduce the scalar solve bit for bit on every dispatch path.
+  // The AVX2 row kernels use the same IEEE operations in the same order as
+  // the scalar loop (no FMA contraction), so the full V-cycle must reproduce
+  // the scalar solve bit for bit.
   Grid3 simd(33, 33, 33, 1e-6), scalar(33, 33, 33, 1e-6);
   DirichletBc bc = cage_bc(simd, 3.3);
   bc.value[simd.index(16, 16, 0)] = 1.1;  // break symmetry
@@ -350,7 +372,6 @@ TEST(Multigrid, ThinGapContractionGridIndependentWithoutFallback) {
     const auto residual_after = [&](std::size_t cycles) {
       Grid3 phi(n, n, n, 1e-6);
       SolverOptions o;
-      o.cycle = CycleType::vcycle;
       o.cycle_tolerance = 1e-300;  // never satisfied: run exactly max_cycles
       o.max_cycles = cycles;
       o.max_sweeps = 0;  // no fallback budget
@@ -364,71 +385,31 @@ TEST(Multigrid, ThinGapContractionGridIndependentWithoutFallback) {
   EXPECT_LT(rho65, 0.15);
   EXPECT_NEAR(rho65, rho33, 0.05);
   // Full solve: converges within the cycle budget, and every fine smoothing
-  // sweep is a cycle sweep (pre+post per cycle) — no fallback tail ran.
+  // sweep is a cycle sweep (V(2,2): four per cycle) — no fallback tail ran.
   Grid3 phi(33, 33, 33, 1e-6);
   const DirichletBc bc = cage_thin_gap_bc(phi, 3.3, 1);
   SolverOptions o;
-  o.cycle = CycleType::vcycle;
   o.tolerance = 1e-8;
   const SolveStats s = solve_laplace(phi, bc, o);
   EXPECT_TRUE(s.converged);
   EXPECT_LE(s.cycles, 10u);
-  EXPECT_EQ(s.sweeps, s.cycles * (o.pre_smooth + o.post_smooth));
+  EXPECT_EQ(s.sweeps, 4 * s.cycles);
 }
 
-TEST(Multigrid, FourStrategiesAgreeOnThinGapBc) {
-  // Three-way agreement extended to FMG, on the hostile thin-gap geometry.
+TEST(Multigrid, VcycleAndSorAgreeOnThinGapBc) {
+  // The agreement test on the hostile thin-gap geometry.
   const std::size_t n = 33;
-  Grid3 a(n, n, n, 1e-6), b(n, n, n, 1e-6), c(n, n, n, 1e-6), d(n, n, n, 1e-6);
+  Grid3 a(n, n, n, 1e-6), b(n, n, n, 1e-6);
   const DirichletBc bc = cage_thin_gap_bc(a, 3.3, 1);
   SolverOptions plain;
   plain.multilevel = false;
   plain.tolerance = 1e-8;
-  SolverOptions cascade;
-  cascade.cycle = CycleType::cascade;
-  cascade.tolerance = 1e-8;
   SolverOptions vcycle;
-  vcycle.cycle = CycleType::vcycle;
   vcycle.tolerance = 1e-8;
-  SolverOptions fmg;
-  fmg.cycle = CycleType::fmg;
-  fmg.tolerance = 1e-8;
   EXPECT_TRUE(solve_laplace(a, bc, plain).converged);
-  EXPECT_TRUE(solve_laplace(b, bc, cascade).converged);
-  EXPECT_TRUE(solve_laplace(c, bc, vcycle).converged);
-  EXPECT_TRUE(solve_laplace(d, bc, fmg).converged);
-  for (std::size_t m = 0; m < a.size(); ++m) {
+  EXPECT_TRUE(solve_laplace(b, bc, vcycle).converged);
+  for (std::size_t m = 0; m < a.size(); ++m)
     EXPECT_NEAR(a.data()[m], b.data()[m], 1e-5) << "node " << m;
-    EXPECT_NEAR(a.data()[m], c.data()[m], 1e-5) << "node " << m;
-    EXPECT_NEAR(a.data()[m], d.data()[m], 1e-5) << "node " << m;
-  }
-}
-
-TEST(Multigrid, FmgBeatsCascadeAndVcycleOnFineEquivalentWork) {
-  // The FMG acceptance property: at the residual the cascade achieves, the
-  // nested-iteration start plus per-level V-cycles costs less than both the
-  // cascade and the plain V-cycle, on the thin-gap geometry.
-  const std::size_t n = 33;
-  Grid3 a(n, n, n, 1e-6), b(n, n, n, 1e-6), c(n, n, n, 1e-6);
-  const DirichletBc bc = cage_thin_gap_bc(a, 3.3, 1);
-  SolverOptions cascade;
-  cascade.cycle = CycleType::cascade;
-  const SolveStats sa = solve_laplace(a, bc, cascade);
-  ASSERT_TRUE(sa.converged);
-  const double match = laplacian_residual(a, bc);
-  SolverOptions vcycle;
-  vcycle.cycle = CycleType::vcycle;
-  vcycle.cycle_tolerance = match;
-  const SolveStats sb = solve_laplace(b, bc, vcycle);
-  ASSERT_TRUE(sb.converged);
-  SolverOptions fmg;
-  fmg.cycle = CycleType::fmg;
-  fmg.cycle_tolerance = match;
-  const SolveStats sc = solve_laplace(c, bc, fmg);
-  ASSERT_TRUE(sc.converged);
-  EXPECT_LE(laplacian_residual(c, bc), match);
-  EXPECT_LT(sc.fine_equiv_sweeps, sb.fine_equiv_sweeps);
-  EXPECT_LT(sc.fine_equiv_sweeps, sa.fine_equiv_sweeps);
 }
 
 TEST(Multigrid, VarCoefficientKernelsBitIdenticalAcrossPaths) {
@@ -439,21 +420,18 @@ TEST(Multigrid, VarCoefficientKernelsBitIdenticalAcrossPaths) {
   Grid3 simd(n, n, n, 1e-6), scalar(n, n, n, 1e-6), threaded(n, n, n, 1e-6);
   DirichletBc bc = cage_thin_gap_bc(simd, 3.3, 1);
   bc.value[simd.index(16, 16, 0)] = 1.1;  // break symmetry
-  for (const CycleType ct : {CycleType::vcycle, CycleType::fmg}) {
-    SolverOptions o;
-    o.cycle = ct;
-    o.tolerance = 1e-8;
-    stencil::force_scalar(false);
-    solve_laplace(simd, bc, o);
-    stencil::force_scalar(true);
-    solve_laplace(scalar, bc, o);
-    stencil::force_scalar(false);
-    o.threads = 4;
-    solve_laplace(threaded, bc, o);
-    for (std::size_t m = 0; m < simd.size(); ++m) {
-      ASSERT_EQ(simd.data()[m], scalar.data()[m]) << "node " << m;
-      ASSERT_EQ(simd.data()[m], threaded.data()[m]) << "node " << m;
-    }
+  SolverOptions o;
+  o.tolerance = 1e-8;
+  stencil::force_scalar(false);
+  solve_laplace(simd, bc, o);
+  stencil::force_scalar(true);
+  solve_laplace(scalar, bc, o);
+  stencil::force_scalar(false);
+  o.threads = 4;
+  solve_laplace(threaded, bc, o);
+  for (std::size_t m = 0; m < simd.size(); ++m) {
+    ASSERT_EQ(simd.data()[m], scalar.data()[m]) << "node " << m;
+    ASSERT_EQ(simd.data()[m], threaded.data()[m]) << "node " << m;
   }
 }
 
@@ -530,23 +508,22 @@ TEST(Solver, AnisotropicAutoOmegaDoesNotRegress) {
   EXPECT_LE(sa.sweeps, sl.sweeps);
 }
 
-TEST(Multigrid, VcycleBeatsCascadeOnFineEquivalentWork) {
+TEST(Multigrid, VcycleBeatsSorOnFineEquivalentWork) {
   // The headline property: at matched achieved residual on the cage BC, the
-  // V-cycle spends a small fraction of the cascade's fine-grid-equivalent
+  // V-cycle spends a small fraction of plain SOR's fine-grid-equivalent
   // sweeps (the bench records the exact ratio; here we assert a safe 2x).
   Grid3 a(33, 33, 33, 1e-6), b(33, 33, 33, 1e-6);
   const DirichletBc bc = cage_bc(a, 3.3);
-  SolverOptions cascade;
-  cascade.cycle = CycleType::cascade;
-  const SolveStats sc = solve_laplace(a, bc, cascade);
-  ASSERT_TRUE(sc.converged);
+  SolverOptions plain;
+  plain.multilevel = false;
+  const SolveStats sp = solve_laplace(a, bc, plain);
+  ASSERT_TRUE(sp.converged);
   SolverOptions vcycle;
-  vcycle.cycle = CycleType::vcycle;
-  vcycle.cycle_tolerance = laplacian_residual(a, bc);  // match the cascade
+  vcycle.cycle_tolerance = laplacian_residual(a, bc);  // match plain SOR
   const SolveStats sv = solve_laplace(b, bc, vcycle);
   ASSERT_TRUE(sv.converged);
   EXPECT_LE(laplacian_residual(b, bc), laplacian_residual(a, bc));
-  EXPECT_LT(sv.fine_equiv_sweeps * 2.0, sc.fine_equiv_sweeps);
+  EXPECT_LT(sv.fine_equiv_sweeps * 2.0, sp.fine_equiv_sweeps);
 }
 
 // -------------------------------------------------------------- boundary ----
@@ -632,57 +609,6 @@ TEST(Phasor, Erms2OfUniformFieldMatchesAnalytic) {
 TEST(Phasor, MismatchedQuadratureGridsThrow) {
   Grid3 a(4, 4, 4, 1.0), b(5, 5, 5, 1.0);
   EXPECT_THROW(PhasorSolution(a, b), PreconditionError);
-}
-
-// ----------------------------------------------------------- basis cache ----
-
-class BasisCacheTest : public ::testing::Test {
- protected:
-  static constexpr double kPitch = 20.0e-6;
-  ChamberDomain domain_{3 * kPitch, 3 * kPitch, 2 * kPitch, kPitch / 4.0};
-  std::vector<Rect> footprints_ = [] {
-    std::vector<Rect> f;
-    for (int r = 0; r < 3; ++r)
-      for (int c = 0; c < 3; ++c) {
-        const double x0 = c * kPitch + 0.1 * kPitch;
-        const double y0 = r * kPitch + 0.1 * kPitch;
-        f.push_back({{x0, y0}, {x0 + 0.8 * kPitch, y0 + 0.8 * kPitch}});
-      }
-    return f;
-  }();
-};
-
-TEST_F(BasisCacheTest, ComposeMatchesDirectSolve) {
-  BasisCache cache(domain_, footprints_, /*lid_present=*/true);
-  EXPECT_EQ(cache.solves_performed(), 10u);  // 9 electrodes + lid
-  std::vector<std::complex<double>> drive(9, {-3.3, 0.0});
-  drive[4] = {3.3, 0.0};  // center cage
-  const PhasorSolution composed = cache.compose(drive, {3.3, 0.0});
-  const PhasorSolution direct = cache.solve_direct(drive, {3.3, 0.0});
-  double worst = 0.0;
-  for (std::size_t n = 0; n < composed.phi_re().size(); ++n)
-    worst = std::max(worst,
-                     std::fabs(composed.phi_re().data()[n] - direct.phi_re().data()[n]));
-  EXPECT_LT(worst, 5e-4 * 3.3);  // superposition exact up to solver tolerance
-}
-
-TEST_F(BasisCacheTest, LinearityInDriveAmplitude) {
-  BasisCache cache(domain_, footprints_, true);
-  std::vector<std::complex<double>> unit(9, {0.0, 0.0});
-  unit[4] = {1.0, 0.0};
-  std::vector<std::complex<double>> threex(9, {0.0, 0.0});
-  threex[4] = {3.0, 0.0};
-  const PhasorSolution a = cache.compose(unit, {0.0, 0.0});
-  const PhasorSolution b = cache.compose(threex, {0.0, 0.0});
-  // E_rms² scales as amplitude².
-  const Vec3 p{1.5 * kPitch, 1.5 * kPitch, kPitch};
-  EXPECT_NEAR(b.erms2_at(p), 9.0 * a.erms2_at(p), 9.0 * a.erms2_at(p) * 1e-6 + 1e-12);
-}
-
-TEST_F(BasisCacheTest, WrongDriveSizeThrows) {
-  BasisCache cache(domain_, footprints_, false);
-  std::vector<std::complex<double>> drive(4, {1.0, 0.0});
-  EXPECT_THROW(cache.compose(drive), PreconditionError);
 }
 
 // -------------------------------------------------------------- analytic ----
