@@ -1,13 +1,19 @@
 // Closed-loop control engine throughput: supervisory ticks/s of the full
 // sense → track → replan → actuate loop vs array size and live-cage count,
 // plus the open-loop baseline for the control overhead, plus the
-// multi-chamber orchestrator's ticks/s vs chamber count. Per-tick cost is
-// frame synthesis + detection (O(pixels)) on top of the per-body physics
-// (O(cages × substeps)); the counters record achieved ticks/s so the BENCH
-// JSON carries the control loop's throughput trajectory.
+// multi-chamber orchestrator's ticks/s vs chamber count, plus the sense
+// phase alone against the dense sequence it replaced. Per-tick cost is the
+// sparse sense (one pass over the frame's noise stream plus the threshold
+// crossings) on top of the per-body physics; the counters record achieved
+// ticks/s so the BENCH JSON carries the control loop's throughput
+// trajectory. Every rate counter is a wall-clock rate (`UseRealTime`): the
+// episode rows fan out over the global pool, so main-thread CPU time would
+// overstate them.
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -127,7 +133,8 @@ BENCHMARK(bm_control_episode)
     ->Args({32, 10, 0})
     ->Args({48, 10, 1})
     ->Args({48, 15, 1})
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // Multi-chamber orchestration: a chain of N 24x24 chambers, each with two
 // local deliveries, plus one cross-chamber transfer per port. range(0) =
@@ -234,7 +241,8 @@ BENCHMARK(bm_orchestrator_chambers)
     ->Arg(2)
     ->Arg(3)
     ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // Telemetry-on twin of bm_orchestrator_chambers: full counting-plane folds
 // plus phase-span tracing, in memory (no exporter IO). Compare against the
@@ -246,7 +254,10 @@ void bm_orchestrator_chambers_obs(benchmark::State& state) {
                          /*with_obs=*/true);
 }
 
-BENCHMARK(bm_orchestrator_chambers_obs)->Arg(3)->Unit(benchmark::kMillisecond);
+BENCHMARK(bm_orchestrator_chambers_obs)
+    ->Arg(3)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // Tracked-field twin of bm_orchestrator_chambers: every chamber keeps a
 // whole-chamber potential grid current inside the actuation loop (2
@@ -268,7 +279,8 @@ void bm_orchestrator_chambers_tracked(benchmark::State& state) {
 BENCHMARK(bm_orchestrator_chambers_tracked)
     ->Args({3, 1})
     ->Args({3, 8})
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // Fault-lifecycle overhead: the same chamber chain under a hostile sampled
 // fault schedule with rescue and the per-chamber HealthMonitor enabled —
@@ -293,7 +305,8 @@ void bm_orchestrator_faulted(benchmark::State& state) {
 BENCHMARK(bm_orchestrator_faulted)
     ->Arg(1)
     ->Arg(3)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // Open-system streaming service curve: a 2-chamber chip with one inlet per
 // chamber under continuous Poisson arrivals and admission control
@@ -392,7 +405,8 @@ BENCHMARK(bm_streaming)
     ->Arg(36)   // ~0.5x the sustained service rate
     ->Arg(71)   // ~1.0x — the knee of the latency curve
     ->Arg(142)  // ~2.0x — scripted overload: typed shedding holds the line
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // Telemetry-on twin of bm_streaming at the latency-curve knee: counting
 // folds every tick plus ~10 phase spans per tick into the trace ring, no
@@ -405,7 +419,8 @@ void bm_streaming_obs(benchmark::State& state) {
 
 BENCHMARK(bm_streaming_obs)
     ->Arg(71)  // ~1.0x — the knee of the latency curve
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // Tracked-field twin of bm_streaming at the knee: the service loop carries a
 // live whole-chamber potential per chamber. range(1) is the re-anchor
@@ -419,7 +434,82 @@ void bm_streaming_tracked(benchmark::State& state) {
 BENCHMARK(bm_streaming_tracked)
     ->Args({71, 1})
     ->Args({71, 8})
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+// The sense phase alone, as the closed loop runs it: `averaged_crossings` →
+// `apply_frame_faults` (1% defects, masked) → `cluster_flagged`, 16 frames at
+// a 4σ threshold over lymphocytes levitated at 21 µm over pixel centers, as
+// caged cells sit (12 on the paper's 320² array, one on 16²). After the timed loop the dense sequence it replaced
+// (`averaged_frame` → `apply_pixel_faults` → `detect_threshold`) runs on the
+// same inputs and frame streams: `dense_us` is its wall time per frame,
+// `identical` is 1 when every frame's detections match bit for bit, and
+// `flagged_per_frame` counts the pixels the clusterer reads. range(0) =
+// array side.
+void bm_sense(benchmark::State& state) {
+  const int side = static_cast<int>(state.range(0));
+  chip::DeviceConfig cfg = chip::paper_config_on_node(chip::paper_node());
+  cfg.cols = side;
+  cfg.rows = side;
+  const chip::BiochipDevice dev(cfg);
+  const chip::ElectrodeArray& array = dev.array();
+  const physics::Medium medium = physics::dep_buffer();
+  const sensor::FrameSynthesizer imager(array, pixel_for(dev), medium.temperature, 7);
+  Rng defect_rng(515);
+  const chip::DefectMap defects = chip::sample_defects(array, 0.01, defect_rng);
+  const std::vector<sensor::PixelFault> pixel_faults = sensor::pixel_faults(defects);
+  sensor::FrameFaults faults;
+  faults.pixels = pixel_faults;
+  std::vector<sensor::FrameTarget> targets;
+  Rng place(1);
+  for (int k = 0; k < std::max(1, side * side / 8192); ++k) {
+    const Vec2 at = array.center({static_cast<int>(place.uniform_int(2, side - 3)),
+                                  static_cast<int>(place.uniform_int(2, side - 3))});
+    targets.push_back({{at.x, at.y, 21e-6}, cell::viable_lymphocyte().radius});
+  }
+  constexpr std::size_t kFrames = 16;
+  const double threshold = 4.0 * imager.cds_noise_sigma() / 4.0;  // 4σ of 16 frames
+  const auto sparse_sense = [&](Rng rng, std::size_t& flagged) {
+    const std::vector<sensor::FlaggedPixel> pixels = sensor::apply_frame_faults(
+        imager.averaged_crossings(targets, rng, kFrames, threshold), array, faults, threshold);
+    flagged += pixels.size();
+    return sensor::cluster_flagged(pixels, array);
+  };
+
+  const Rng streams(90210);
+  std::uint64_t frame = 0;
+  std::size_t flagged = 0;
+  for (auto _ : state) {
+    auto dets = sparse_sense(streams.fork(frame++), flagged);
+    benchmark::DoNotOptimize(dets.data());
+  }
+
+  const std::uint64_t checked = std::min<std::uint64_t>(frame, 64);
+  bool identical = true;
+  double dense_s = 0.0;
+  for (std::uint64_t f = 0; f < checked; ++f) {
+    const auto t0 = std::chrono::steady_clock::now();
+    Rng rng = streams.fork(f);
+    Grid2 dense_frame = imager.averaged_frame(targets, rng, kFrames);
+    sensor::apply_pixel_faults(dense_frame, defects, 0.0);
+    const auto dense = sensor::detect_threshold(dense_frame, array, threshold);
+    dense_s += std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    std::size_t unused = 0;
+    const auto sparse = sparse_sense(streams.fork(f), unused);
+    identical = identical && dense.size() == sparse.size();
+    for (std::size_t n = 0; identical && n < dense.size(); ++n)
+      identical = std::memcmp(&dense[n].position, &sparse[n].position, sizeof(Vec2)) == 0 &&
+                  std::memcmp(&dense[n].score, &sparse[n].score, sizeof(double)) == 0 &&
+                  dense[n].pixel_count == sparse[n].pixel_count;
+  }
+  state.counters["identical"] = identical ? 1.0 : 0.0;
+  state.counters["flagged_per_frame"] =
+      static_cast<double>(flagged) / static_cast<double>(std::max<std::uint64_t>(frame, 1));
+  state.counters["dense_us"] =
+      1e6 * dense_s / static_cast<double>(std::max<std::uint64_t>(checked, 1));
+}
+
+BENCHMARK(bm_sense)->Arg(16)->Arg(320)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
 }  // namespace
 

@@ -8,7 +8,9 @@
 /// is fully specified here (no standard-library distribution variability).
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 namespace biochip {
 
@@ -36,6 +38,25 @@ class Rng {
   double normal();
   /// Normal with the given mean and standard deviation.
   double normal(double mean, double sigma);
+
+  /// One normal of a `walk_normals` pass: its position in the sequence of
+  /// `normal()` calls the walk stands in for, and its value.
+  struct IndexedNormal {
+    std::size_t index = 0;
+    double value = 0.0;
+  };
+  /// Walk the normals that `count` successive `normal()` calls would return
+  /// without computing most of them. Every uniform is drawn, but a
+  /// Box-Muller pair is transformed only when its radius can reach
+  /// `radius`, when it holds an index in `listed` (ascending), or when its
+  /// second normal is left cached. Appends, in ascending index, the normals
+  /// of the transformed pairs and a normal cached on entry (index 0), each
+  /// bit-identical to what `normal()` returns there. So every normal with
+  /// |value| >= `radius` and every listed index is reported. Leaves the
+  /// generator exactly as `count` calls to `normal()` would: the same state
+  /// and the same cached half-pair.
+  void walk_normals(std::size_t count, double radius, const std::vector<std::size_t>& listed,
+                    std::vector<IndexedNormal>& out);
   /// Log-normal such that the *resulting* distribution has the given
   /// arithmetic mean and coefficient of variation (sigma/mean).
   double lognormal_mean_cv(double mean, double cv);

@@ -21,6 +21,10 @@ ClosedLoopEngine::ClosedLoopEngine(chip::CageController& cages,
       site_period_(site_period), config_(std::move(config)) {
   BIOCHIP_REQUIRE(site_period > 0.0, "site period must be positive");
   BIOCHIP_REQUIRE(config_.frames_per_tick >= 1, "need at least one frame per tick");
+  BIOCHIP_REQUIRE(std::isfinite(config_.threshold_sigma) && config_.threshold_sigma > 0.0,
+                  "threshold_sigma must be positive and finite");
+  BIOCHIP_REQUIRE(std::isfinite(config_.stuck_cage_thresholds),
+                  "stuck_cage_thresholds must be finite");
   BIOCHIP_REQUIRE(defects.cols() == cages.array().cols() &&
                       defects.rows() == cages.array().rows(),
                   "defect map shape does not match the array");
@@ -129,6 +133,7 @@ EpisodeRuntime::EpisodeRuntime(ClosedLoopEngine& owner, std::vector<CageGoal> go
                 ? (config.max_ticks > 0 ? config.max_ticks : 4 * makespan + 120)
                 : makespan;
 
+  pixel_faults_ = sensor::pixel_faults(defects_);
   cds_base_sigma_ = owner_.imager_.cds_noise_sigma();
   threshold_ = config.threshold_sigma * cds_base_sigma_ /
                std::sqrt(static_cast<double>(config.frames_per_tick));
@@ -254,6 +259,8 @@ void EpisodeRuntime::apply_electrode_fault(int t, GridCoord site,
     default:
       throw PreconditionError("not an electrode fault kind");
   }
+  if (kind != chip::FaultKind::kElectrodeSilentDead)
+    pixel_faults_ = sensor::pixel_faults(defects_);
   refresh_blocked();
   report_.events.push_back({t, EventKind::kFaultInjected, -1, site});
 }
@@ -501,7 +508,10 @@ void EpisodeRuntime::tick(int t) {
   // ---- sense: one averaged CDS frame of the true scene, with the defect
   // map's pixel faults overlaid, thresholded into detections. Detections
   // over defective pixels are rejected up front (stuck-cage phantoms) —
-  // the chip's self-test map is legitimate controller knowledge.
+  // the chip's self-test map is legitimate controller knowledge. Only the
+  // pixels at or below the threshold are ever materialized: the frame's
+  // crossings (`averaged_crossings`), then each overlay written over them
+  // in the order it would write a dense frame, the later writer winning.
   std::vector<sensor::FrameTarget> targets;
   targets.reserve(bodies_.size());
   for (std::size_t n = 0; n < bodies_.size(); ++n)
@@ -521,19 +531,19 @@ void EpisodeRuntime::tick(int t) {
   threshold_ = config.threshold_sigma * cds_base_sigma_ /
                std::sqrt(static_cast<double>(frames));
   Rng sense = sense_base_.fork(static_cast<std::uint64_t>(t));
-  Grid2 frame = owner_.imager_.averaged_frame(targets, sense, frames);
-  // Bad-pixel masking: the controller zeroes known-bad pixels before
-  // thresholding (its self-test map is legitimate calibration knowledge).
-  // The mask writes exactly the pixel set the raw fault overlay would, so
-  // with masking on the overlay is applied directly as zeros in one pass
-  // — otherwise every stuck-cage pixel reads as a permanently parked
-  // phantom, and dropping whole detections instead would blind the
-  // tracker to real cells whose clusters merge with a defective pixel (a
-  // cell next to a defect keeps its healthy pixels; only its centroid
-  // biases slightly).
-  sensor::apply_pixel_faults(
-      frame, defects_,
-      config.bad_pixel_masking ? 0.0 : -config.stuck_cage_thresholds * threshold_);
+  // Pixel faults (`sensor::apply_pixel_faults`): dead and stuck-background
+  // pixels read 0, stuck-cage pixels a parked-phantom ΔC. Bad-pixel
+  // masking: the controller zeroes known-bad pixels before thresholding
+  // (its self-test map is legitimate calibration knowledge), which writes
+  // 0 over exactly the pixel set the raw overlay writes — otherwise every
+  // stuck-cage pixel reads as a permanently parked phantom, and dropping
+  // whole detections instead would blind the tracker to real cells whose
+  // clusters merge with a defective pixel (a cell next to a defect keeps
+  // its healthy pixels; only its centroid biases slightly).
+  sensor::FrameFaults faults;
+  faults.pixels = pixel_faults_;
+  faults.stuck_cage_dc =
+      config.bad_pixel_masking ? 0.0 : -config.stuck_cage_thresholds * threshold_;
   // Transient sensor faults (injected, ground truth — the controller has no
   // mask for them): row dropouts read zero, bursts read phantom particles.
   // Expired overlays are pruned so a soak's memory stays bounded.
@@ -543,19 +553,14 @@ void EpisodeRuntime::tick(int t) {
   bursts_.erase(std::remove_if(bursts_.begin(), bursts_.end(),
                                [&](const SensorBurst& b) { return t >= b.until; }),
                 bursts_.end());
-  for (const SensorDropout& d : dropouts_)
-    for (std::size_t i = 0; i < frame.nx(); ++i)
-      frame.at(i, static_cast<std::size_t>(d.row)) = 0.0;
-  for (const SensorBurst& b : bursts_)
-    for (int dr = 0; dr < b.tile; ++dr)
-      for (int dc = 0; dc < b.tile; ++dc) {
-        const GridCoord s{b.origin.col + dc, b.origin.row + dr};
-        if (!array.contains(s)) continue;
-        frame.at(static_cast<std::size_t>(s.col), static_cast<std::size_t>(s.row)) =
-            -config.stuck_cage_thresholds * threshold_;
-      }
-  const std::vector<sensor::Detection> detections =
-      sensor::detect_threshold(frame, array, threshold_);
+  for (const SensorDropout& d : dropouts_) faults.zero_rows.push_back(d.row);
+  for (const SensorBurst& b : bursts_) faults.phantom_tiles.push_back({b.origin, b.tile});
+  faults.phantom_dc = -config.stuck_cage_thresholds * threshold_;
+  const std::vector<sensor::Detection> detections = sensor::cluster_flagged(
+      sensor::apply_frame_faults(
+          owner_.imager_.averaged_crossings(targets, sense, frames, threshold_), array,
+          faults, threshold_),
+      array);
 
   // ---- track: associate detections to per-cage trap centers.
   phase.begin("track");

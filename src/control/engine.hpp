@@ -10,8 +10,10 @@
 ///  2. integrates every particle for one site period — traps parked on
 ///     defective sites exert no force (`chip::site_usable`), and per-episode
 ///     fault injection may kick a trapped cell out of its basin;
-///  3. synthesizes a CDS frame of the true scene (`sensor::FrameSynthesizer`
-///     + `sensor::apply_pixel_faults`), detects, and feeds the occupancy
+///  3. images the true scene: the averaged CDS frame's threshold crossings
+///     (`sensor::FrameSynthesizer::averaged_crossings`) with the pixel-fault,
+///     dropout and burst overlays written over them, clustered into
+///     detections (`sensor::cluster_flagged`) that feed the occupancy
 ///     tracker;
 ///  4. lets the supervisor react: pause the tow of a cage that lost its
 ///     cell, spawn a recapture maneuver toward the stray detection, re-route
@@ -368,6 +370,10 @@ class EpisodeRuntime {
   /// *announced* runtime fault. Drives routing, admission, pixel masking and
   /// the supervisor's credibility checks.
   chip::DefectMap defects_;
+  /// The belief map's faulty pixels in raster order: the sense phase
+  /// overlays this list instead of scanning every pixel state. Rebuilt
+  /// whenever `defects_` changes.
+  std::vector<sensor::PixelFault> pixel_faults_;
   /// Ground truth: belief plus silent faults. Drives the physics only.
   chip::DefectMap truth_defects_;
   std::vector<std::uint8_t> blocked_;        ///< belief mask (incl. quarantines)

@@ -61,10 +61,11 @@ std::vector<sensor::Detection> LabOnChipPlatform::detect_cells(std::size_t n_fra
   targets.reserve(bodies_.size());
   for (const physics::ParticleBody& b : bodies_)
     targets.push_back({b.position, b.radius});
-  const Grid2 frame = imager_.averaged_frame(targets, rng_, n_frames);
   const double sigma =
       imager_.cds_noise_sigma() / std::sqrt(static_cast<double>(n_frames));
-  return sensor::detect_threshold(frame, device_.array(), threshold_sigma * sigma);
+  return sensor::cluster_flagged(
+      imager_.averaged_crossings(targets, rng_, n_frames, threshold_sigma * sigma),
+      device_.array());
 }
 
 double LabOnChipPlatform::acquisition_time(std::size_t n_frames) const {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "common/error.hpp"
@@ -10,7 +11,6 @@ namespace biochip::sensor {
 
 namespace {
 
-// 8-connected flood fill collecting cluster pixels (values already flagged).
 struct Cluster {
   double weight_sum = 0.0;
   Vec2 weighted_pos{};
@@ -18,63 +18,148 @@ struct Cluster {
   int count = 0;
 };
 
-std::vector<Detection> cluster_map(const Grid2& map, const chip::ElectrodeArray& array,
-                                   double threshold, bool negative_signal) {
-  const std::size_t nx = map.nx(), ny = map.ny();
-  std::vector<std::uint8_t> visited(nx * ny, 0);
-  auto flagged = [&](std::size_t i, std::size_t j) {
-    const double v = map.at(i, j);
-    return negative_signal ? (v <= -threshold) : (v >= threshold);
+// Where an entry's neighbors sit in a flagged list: its row, and the list
+// positions of the first entries at or after its upper-left and its
+// lower-left neighbor pixel, i.e. how many entries precede those pixels.
+struct Links {
+  std::size_t row = 0;
+  std::size_t above = 0;
+  std::size_t below = 0;
+};
+
+// 8-connected flood fill over a flagged list, seeded in raster order;
+// neighbors are pushed in (row, col) order, so the visit order and every
+// cluster sum are those of a flood fill over the dense map.
+std::vector<Detection> flood_fill(const std::vector<FlaggedPixel>& flagged,
+                                  const std::vector<Links>& links,
+                                  const chip::ElectrodeArray& array) {
+  const std::size_t cols = static_cast<std::size_t>(array.cols());
+  const std::size_t rows = static_cast<std::size_t>(array.rows());
+  const std::size_t n = flagged.size();
+  std::vector<std::uint8_t> visited(n, 0);
+  std::vector<std::size_t> stack;
+  const auto push = [&](std::size_t p) {
+    if (visited[p]) return;
+    visited[p] = 1;
+    stack.push_back(p);
   };
   std::vector<Detection> out;
-  std::vector<std::pair<std::size_t, std::size_t>> stack;
-  for (std::size_t j0 = 0; j0 < ny; ++j0)
-    for (std::size_t i0 = 0; i0 < nx; ++i0) {
-      if (visited[j0 * nx + i0] || !flagged(i0, j0)) continue;
-      Cluster cl;
-      stack.clear();
-      stack.emplace_back(i0, j0);
-      visited[j0 * nx + i0] = 1;
-      while (!stack.empty()) {
-        const auto [i, j] = stack.back();
-        stack.pop_back();
-        const double mag = std::fabs(map.at(i, j));
-        const Vec2 ctr = array.center({static_cast<int>(i), static_cast<int>(j)});
-        cl.weight_sum += mag;
-        cl.weighted_pos += ctr * mag;
-        cl.peak = std::max(cl.peak, mag);
-        ++cl.count;
-        for (int dj = -1; dj <= 1; ++dj)
-          for (int di = -1; di <= 1; ++di) {
-            if (di == 0 && dj == 0) continue;
-            const std::ptrdiff_t ni = static_cast<std::ptrdiff_t>(i) + di;
-            const std::ptrdiff_t nj = static_cast<std::ptrdiff_t>(j) + dj;
-            if (ni < 0 || nj < 0 || ni >= static_cast<std::ptrdiff_t>(nx) ||
-                nj >= static_cast<std::ptrdiff_t>(ny))
-              continue;
-            const std::size_t ui = static_cast<std::size_t>(ni);
-            const std::size_t uj = static_cast<std::size_t>(nj);
-            if (visited[uj * nx + ui] || !flagged(ui, uj)) continue;
-            visited[uj * nx + ui] = 1;
-            stack.emplace_back(ui, uj);
-          }
-      }
-      Detection d;
-      d.position = cl.weighted_pos / cl.weight_sum;
-      d.score = cl.peak;
-      d.pixel_count = cl.count;
-      out.push_back(d);
+  for (std::size_t k0 = 0; k0 < n; ++k0) {
+    if (visited[k0]) continue;
+    Cluster cl;
+    push(k0);
+    while (!stack.empty()) {
+      const std::size_t k = stack.back();
+      stack.pop_back();
+      const std::size_t index = flagged[k].index;
+      const std::size_t row = links[k].row, col = index - row * cols;
+      const double mag = std::fabs(flagged[k].value);
+      const Vec2 ctr = array.center({static_cast<int>(col), static_cast<int>(row)});
+      cl.weight_sum += mag;
+      cl.weighted_pos += ctr * mag;
+      cl.peak = std::max(cl.peak, mag);
+      ++cl.count;
+      const std::size_t right = col + 1 < cols ? col + 1 : col;
+      if (row > 0)
+        for (std::size_t p = links[k].above;
+             p < n && flagged[p].index <= (row - 1) * cols + right; ++p)
+          push(p);
+      if (col > 0 && k > 0 && flagged[k - 1].index + 1 == index) push(k - 1);
+      if (col + 1 < cols && k + 1 < n && flagged[k + 1].index == index + 1) push(k + 1);
+      if (row + 1 < rows)
+        for (std::size_t p = links[k].below;
+             p < n && flagged[p].index <= (row + 1) * cols + right; ++p)
+          push(p);
     }
+    Detection d;
+    d.position = cl.weighted_pos / cl.weight_sum;
+    d.score = cl.peak;
+    d.pixel_count = cl.count;
+    out.push_back(d);
+  }
   return out;
 }
 
+// A dense map's flagged pixels, as a list in raster order, and their links.
+struct Scan {
+  std::vector<FlaggedPixel> flagged;
+  std::vector<Links> links;
+};
+
+// Dense map → the pixels at or below −threshold (`negative_signal`) or at or
+// above +threshold. The scan counts the entries before every pixel as it
+// goes, which are the links, so it needs no search; it is branch-free
+// because a noisy map's flags are unpredictable.
+Scan scan_map(const Grid2& map, const chip::ElectrodeArray& array, double threshold,
+              bool negative_signal) {
+  const auto flag = [&](double v) { return negative_signal ? v <= -threshold : v >= threshold; };
+  const std::size_t cols = static_cast<std::size_t>(array.cols());
+  const std::size_t rows = static_cast<std::size_t>(array.rows());
+  BIOCHIP_REQUIRE(map.nx() == cols && map.ny() == rows, "map and array shapes differ");
+  const std::vector<double>& data = map.data();
+  std::size_t count = 0;
+  for (const double v : data) count += flag(v) ? 1 : 0;
+  Scan scan{std::vector<FlaggedPixel>(count + 1), std::vector<Links>(count + 1)};
+  std::vector<FlaggedPixel>& flagged = scan.flagged;
+  std::vector<Links>& links = scan.links;
+  // Entries before each pixel of the previous and of the current row.
+  std::vector<std::size_t> before_prev(cols), before_cur(cols);
+  std::size_t m = 0, prev_begin = 0;
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::size_t begin = m;
+    for (std::size_t c = 0, index = r * cols; c < cols; ++c, ++index) {
+      before_cur[c] = m;
+      flagged[m] = {index, data[index]};
+      m += flag(data[index]) ? 1 : 0;
+    }
+    for (std::size_t k = begin; k < m; ++k) {
+      const std::size_t c = flagged[k].index - r * cols;
+      links[k] = {r, r > 0 ? before_prev[c > 0 ? c - 1 : 0] : 0, m};
+    }
+    for (std::size_t k = prev_begin; k < begin; ++k) {
+      const std::size_t c = flagged[k].index - (r - 1) * cols;
+      links[k].below = before_cur[c > 0 ? c - 1 : 0];
+    }
+    std::swap(before_prev, before_cur);
+    prev_begin = begin;
+  }
+  flagged.resize(count);
+  links.resize(count);
+  return scan;
+}
+
 }  // namespace
+
+std::vector<Detection> cluster_flagged(const std::vector<FlaggedPixel>& flagged,
+                                       const chip::ElectrodeArray& array) {
+  const std::size_t cols = static_cast<std::size_t>(array.cols());
+  const std::size_t rows = static_cast<std::size_t>(array.rows());
+  const std::size_t n = flagged.size();
+  // The links by search: the entries before a pixel grow with its raster
+  // index, so forward cursors find them all in one pass.
+  std::vector<Links> links(n);
+  for (std::size_t k = 0, row = 0, pa = 0, pb = 0; k < n; ++k) {
+    const std::size_t index = flagged[k].index;
+    BIOCHIP_REQUIRE(index < cols * rows && (k == 0 || flagged[k - 1].index < index),
+                    "flagged pixels must be in ascending raster order inside the array");
+    while (index >= (row + 1) * cols) ++row;
+    const std::size_t col = index - row * cols;
+    const std::size_t left = col > 0 ? col - 1 : 0;
+    const std::size_t above_lo = row > 0 ? (row - 1) * cols + left : 0;
+    const std::size_t below_lo = (row + 1) * cols + left;
+    while (pa < n && flagged[pa].index < above_lo) ++pa;
+    while (pb < n && flagged[pb].index < below_lo) ++pb;
+    links[k] = {row, pa, pb};
+  }
+  return flood_fill(flagged, links, array);
+}
 
 std::vector<Detection> detect_threshold(const Grid2& frame,
                                         const chip::ElectrodeArray& array,
                                         double threshold) {
   BIOCHIP_REQUIRE(threshold > 0.0, "threshold must be positive");
-  return cluster_map(frame, array, threshold, /*negative_signal=*/true);
+  const Scan scan = scan_map(frame, array, threshold, /*negative_signal=*/true);
+  return flood_fill(scan.flagged, scan.links, array);
 }
 
 std::vector<double> matched_kernel(const CapacitivePixel& pixel,
@@ -127,11 +212,15 @@ std::vector<Detection> detect_matched(const Grid2& frame, const chip::ElectrodeA
   BIOCHIP_REQUIRE(threshold > 0.0, "threshold must be positive");
   constexpr int kHalf = 1;
   const std::vector<double> kernel = matched_kernel(pixel, array, particle_radius, z, kHalf);
-  Grid2 corr = correlate(frame, kernel, kHalf);
-  // Kernel entries are negative (ΔC), so particle sites correlate to
-  // negative peaks; flip for positive-peak clustering.
-  for (double& v : corr.data()) v = -v;
-  return cluster_map(corr, array, threshold, /*negative_signal=*/false);
+  Scan scan;
+  {
+    Grid2 corr = correlate(frame, kernel, kHalf);
+    // Kernel entries are negative (ΔC), so particle sites correlate to
+    // negative peaks; flip for positive-peak clustering.
+    for (double& v : corr.data()) v = -v;
+    scan = scan_map(corr, array, threshold, /*negative_signal=*/false);
+  }  // the correlation map is released before the flood fill allocates
+  return flood_fill(scan.flagged, scan.links, array);
 }
 
 std::vector<int> associate_detections(const std::vector<Vec2>& expected,

@@ -7,9 +7,12 @@
 ///    report |ΔC|-weighted centroids;
 ///  * matched filter: correlate with the expected particle footprint first
 ///    (optimal for white noise), then threshold the correlation map.
+/// Both scan their map into a list of flagged pixels and run on it the one
+/// flood fill that `cluster_flagged` runs on the closed loop's sparse list.
 /// Scoring helpers compare detections against ground truth and sweep ROC
 /// curves for claim C4.
 
+#include <cstddef>
 #include <vector>
 
 #include "chip/electrode_array.hpp"
@@ -25,8 +28,21 @@ struct Detection {
   int pixel_count = 0; ///< cluster size
 };
 
+/// One flagged pixel: its raster index (row · cols + col) and its value.
+struct FlaggedPixel {
+  std::size_t index = 0;
+  double value = 0.0;
+};
+
+/// Cluster flagged pixels 8-connected, seeding clusters in raster order, and
+/// report |value|-weighted centroids, peak |value| and pixel counts.
+/// `flagged` must be in ascending raster order over `array`'s shape, without
+/// repeats. Cost O(flagged pixels), whatever the array size.
+std::vector<Detection> cluster_flagged(const std::vector<FlaggedPixel>& flagged,
+                                       const chip::ElectrodeArray& array);
+
 /// Threshold detector. `threshold` is a positive ΔC magnitude [F]; pixels
-/// with value <= -threshold participate.
+/// with value <= -threshold participate. The frame has the array's shape.
 std::vector<Detection> detect_threshold(const Grid2& frame,
                                         const chip::ElectrodeArray& array,
                                         double threshold);

@@ -1,10 +1,61 @@
 #include "sensor/frame.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
 
 namespace biochip::sensor {
+
+namespace {
+
+// Each particle contributes to the pixels within a 2-pitch lateral window:
+// calls add(raster index, ΔC contribution) target by target, each window in
+// raster order. `ideal_frame` and `averaged_crossings` both sum through it.
+template <class Add>
+void walk_windows(const chip::ElectrodeArray& array, const CapacitivePixel& pixel,
+                  const std::vector<FrameTarget>& targets, Add add) {
+  const double window = 2.0 * array.pitch();
+  for (const FrameTarget& t : targets) {
+    BIOCHIP_REQUIRE(t.radius > 0.0, "target radius must be positive");
+    const GridCoord lo = array.nearest({t.position.x - window, t.position.y - window});
+    const GridCoord hi = array.nearest({t.position.x + window, t.position.y + window});
+    for (int r = lo.row; r <= hi.row; ++r)
+      for (int c = lo.col; c <= hi.col; ++c) {
+        const Vec2 ctr = array.center({c, r});
+        const double lateral = (ctr - Vec2{t.position.x, t.position.y}).norm();
+        add(array.index({c, r}), pixel.delta_c(t.radius, t.position.z, lateral));
+      }
+  }
+}
+
+// The one expression for an averaged pixel: ideal ΔC plus σ-scaled noise
+// (the `v += rng.normal(0.0, sigma)` of the dense frame).
+double averaged_pixel(double ideal, double sigma, double z) { return ideal + (0.0 + sigma * z); }
+
+// A background pair is transformed when its radius reaches k·(1 − margin),
+// k = threshold/σ. The margin covers the rounding of exp, log, sqrt, cos,
+// sin and σ·z (a few 1e-16 relative) with room to spare.
+constexpr double kRadiusMargin = 1e-9;
+
+// Sparse form of writing `writes` over a frame and then thresholding: both
+// lists are in raster order, a write wins over the flagged entry at its
+// pixel, and only entries at or below −threshold are kept.
+std::vector<FlaggedPixel> overwrite(const std::vector<FlaggedPixel>& flagged,
+                                    const std::vector<FlaggedPixel>& writes, double threshold) {
+  std::vector<FlaggedPixel> out;
+  out.reserve(flagged.size());
+  auto f = flagged.begin();
+  for (const FlaggedPixel& w : writes) {
+    for (; f != flagged.end() && f->index < w.index; ++f) out.push_back(*f);
+    if (f != flagged.end() && f->index == w.index) ++f;
+    if (w.value <= -threshold) out.push_back(w);
+  }
+  out.insert(out.end(), f, flagged.end());
+  return out;
+}
+
+}  // namespace
 
 FrameSynthesizer::FrameSynthesizer(chip::ElectrodeArray array, CapacitivePixel pixel,
                                    double temperature, std::uint64_t seed)
@@ -19,20 +70,8 @@ FrameSynthesizer::FrameSynthesizer(chip::ElectrodeArray array, CapacitivePixel p
 Grid2 FrameSynthesizer::ideal_frame(const std::vector<FrameTarget>& targets) const {
   Grid2 frame(static_cast<std::size_t>(array_.cols()),
               static_cast<std::size_t>(array_.rows()), array_.pitch());
-  // Each particle contributes to pixels within a 2-pitch lateral window.
-  const double window = 2.0 * array_.pitch();
-  for (const FrameTarget& t : targets) {
-    BIOCHIP_REQUIRE(t.radius > 0.0, "target radius must be positive");
-    const GridCoord lo = array_.nearest({t.position.x - window, t.position.y - window});
-    const GridCoord hi = array_.nearest({t.position.x + window, t.position.y + window});
-    for (int r = lo.row; r <= hi.row; ++r)
-      for (int c = lo.col; c <= hi.col; ++c) {
-        const Vec2 ctr = array_.center({c, r});
-        const double lateral = (ctr - Vec2{t.position.x, t.position.y}).norm();
-        frame.at(static_cast<std::size_t>(c), static_cast<std::size_t>(r)) +=
-            pixel_.delta_c(t.radius, t.position.z, lateral);
-      }
-  }
+  walk_windows(array_, pixel_, targets,
+               [&](std::size_t index, double dc) { frame.data()[index] += dc; });
   return frame;
 }
 
@@ -57,8 +96,46 @@ Grid2 FrameSynthesizer::averaged_frame(const std::vector<FrameTarget>& targets, 
   Grid2 acc = ideal_frame(targets);
   // Equivalent to averaging n CDS frames: noise σ scales by 1/√n.
   const double sigma = cds_noise_sigma() / std::sqrt(static_cast<double>(n_frames));
-  for (double& v : acc.data()) v += rng.normal(0.0, sigma);
+  for (double& v : acc.data()) v = averaged_pixel(v, sigma, rng.normal());
   return acc;
+}
+
+std::vector<FlaggedPixel> FrameSynthesizer::averaged_crossings(
+    const std::vector<FrameTarget>& targets, Rng& rng, std::size_t n_frames,
+    double threshold) const {
+  BIOCHIP_REQUIRE(n_frames >= 1, "need at least one frame");
+  BIOCHIP_REQUIRE(threshold > 0.0, "threshold must be positive");
+  // Ideal ΔC of the window pixels, summed per pixel in target order as
+  // `ideal_frame` sums it (the stable sort keeps that order).
+  std::vector<FlaggedPixel> parts;
+  walk_windows(array_, pixel_, targets,
+               [&](std::size_t index, double dc) { parts.push_back({index, dc}); });
+  std::stable_sort(parts.begin(), parts.end(),
+                   [](const FlaggedPixel& a, const FlaggedPixel& b) { return a.index < b.index; });
+  std::vector<FlaggedPixel> ideal;
+  std::vector<std::size_t> windows;
+  for (const FlaggedPixel& p : parts) {
+    if (ideal.empty() || ideal.back().index != p.index) {
+      ideal.push_back({p.index, 0.0});
+      windows.push_back(p.index);
+    }
+    ideal.back().value += p.value;
+  }
+
+  // Every other pixel reads σ·z alone, so it can reach −threshold only if
+  // |z| >= k = threshold/σ, and |z| never exceeds its pair's radius.
+  const double sigma = cds_noise_sigma() / std::sqrt(static_cast<double>(n_frames));
+  std::vector<Rng::IndexedNormal> normals;
+  rng.walk_normals(array_.electrode_count(), threshold / sigma * (1.0 - kRadiusMargin),
+                   windows, normals);
+  std::vector<FlaggedPixel> out;
+  auto w = ideal.begin();
+  for (const Rng::IndexedNormal& z : normals) {
+    const bool in_window = w != ideal.end() && w->index == z.index;
+    const double v = averaged_pixel(in_window ? (w++)->value : 0.0, sigma, z.value);
+    if (v <= -threshold) out.push_back({z.index, v});
+  }
+  return out;
 }
 
 double FrameSynthesizer::cds_noise_sigma() const {
@@ -77,6 +154,52 @@ void apply_pixel_faults(Grid2& frame, const chip::DefectMap& defects,
       frame.at(static_cast<std::size_t>(c), static_cast<std::size_t>(r)) =
           s == chip::PixelState::kStuckCage ? stuck_cage_dc : 0.0;
     }
+}
+
+std::vector<PixelFault> pixel_faults(const chip::DefectMap& defects) {
+  std::vector<PixelFault> out;
+  for (int r = 0; r < defects.rows(); ++r)
+    for (int c = 0; c < defects.cols(); ++c) {
+      const chip::PixelState s = defects.state({c, r});
+      if (s == chip::PixelState::kOk) continue;
+      out.push_back({static_cast<std::size_t>(r) * static_cast<std::size_t>(defects.cols()) +
+                         static_cast<std::size_t>(c),
+                     s});
+    }
+  return out;
+}
+
+std::vector<FlaggedPixel> apply_frame_faults(const std::vector<FlaggedPixel>& crossings,
+                                             const chip::ElectrodeArray& array,
+                                             const FrameFaults& faults, double threshold) {
+  std::vector<FlaggedPixel> writes;
+  writes.reserve(faults.pixels.size());
+  for (const PixelFault& f : faults.pixels)
+    writes.push_back(
+        {f.index, f.state == chip::PixelState::kStuckCage ? faults.stuck_cage_dc : 0.0});
+  std::vector<FlaggedPixel> flagged = overwrite(crossings, writes, threshold);
+  // A dropout row reads 0, which never flags: its entries just go.
+  const std::size_t cols = static_cast<std::size_t>(array.cols());
+  std::erase_if(flagged, [&](const FlaggedPixel& p) {
+    return std::find(faults.zero_rows.begin(), faults.zero_rows.end(),
+                     static_cast<int>(p.index / cols)) != faults.zero_rows.end();
+  });
+  writes.clear();
+  for (const PhantomTile& t : faults.phantom_tiles)
+    for (int dr = 0; dr < t.side; ++dr)
+      for (int dc = 0; dc < t.side; ++dc) {
+        const GridCoord s{t.origin.col + dc, t.origin.row + dr};
+        if (array.contains(s)) writes.push_back({array.index(s), faults.phantom_dc});
+      }
+  // Every tile writes the same value, so overlapping tiles collapse to one write.
+  std::sort(writes.begin(), writes.end(),
+            [](const FlaggedPixel& a, const FlaggedPixel& b) { return a.index < b.index; });
+  writes.erase(std::unique(writes.begin(), writes.end(),
+                           [](const FlaggedPixel& a, const FlaggedPixel& b) {
+                             return a.index == b.index;
+                           }),
+               writes.end());
+  return overwrite(flagged, writes, threshold);
 }
 
 OpticalFrameSynthesizer::OpticalFrameSynthesizer(chip::ElectrodeArray array,

@@ -7,6 +7,7 @@
 /// per-pixel fixed-pattern offsets so raw vs. CDS readout can be compared.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "chip/defects.hpp"
@@ -14,6 +15,7 @@
 #include "common/grid.hpp"
 #include "common/rng.hpp"
 #include "sensor/capacitive.hpp"
+#include "sensor/detect.hpp"
 #include "sensor/optical.hpp"
 
 namespace biochip::sensor {
@@ -46,6 +48,16 @@ class FrameSynthesizer {
   /// Mean of n CDS frames (the claim-C4 averaging path).
   Grid2 averaged_frame(const std::vector<FrameTarget>& targets, Rng& rng,
                        std::size_t n_frames) const;
+  /// The pixels of `averaged_frame(targets, rng, n_frames)` whose value is
+  /// <= -threshold, in raster order, each bit-identical to that frame entry;
+  /// `rng` ends as `averaged_frame` would leave it. Ideal ΔC is computed
+  /// only in the targets' windows, and a background pixel's noise only when
+  /// its Box-Muller pair's radius can reach threshold/σ (`Rng::walk_normals`):
+  /// the cost is one pass over the stream plus O(targets × window + crossings).
+  /// `threshold` > 0 [F].
+  std::vector<FlaggedPixel> averaged_crossings(const std::vector<FrameTarget>& targets,
+                                               Rng& rng, std::size_t n_frames,
+                                               double threshold) const;
 
   /// Per-frame random-noise σ of a CDS read [F].
   double cds_noise_sigma() const;
@@ -66,6 +78,41 @@ class FrameSynthesizer {
 /// array shape.
 void apply_pixel_faults(Grid2& frame, const chip::DefectMap& defects,
                         double stuck_cage_dc);
+
+/// A faulty pixel of a defect map: raster index and (non-OK) state.
+struct PixelFault {
+  std::size_t index = 0;
+  chip::PixelState state = chip::PixelState::kOk;
+};
+/// The faulty pixels of `defects`, in raster order.
+std::vector<PixelFault> pixel_faults(const chip::DefectMap& defects);
+
+/// A square of pixels that reads a phantom particle (a sensor burst).
+struct PhantomTile {
+  GridCoord origin;  ///< lowest (col, row) corner
+  int side = 0;      ///< pixels per side; the part outside the array is dropped
+};
+
+/// The sensor faults one sense writes over its averaged frame before
+/// thresholding, in write order; the later writer wins at a pixel.
+struct FrameFaults {
+  /// Pixel faults in raster order, written as `apply_pixel_faults` writes
+  /// them: stuck-cage pixels read `stuck_cage_dc`, the others 0.
+  std::span<const PixelFault> pixels;
+  double stuck_cage_dc = 0.0;
+  std::vector<int> zero_rows;  ///< row dropouts: the whole row reads 0
+  std::vector<PhantomTile> phantom_tiles;  ///< bursts: each pixel reads `phantom_dc`
+  double phantom_dc = 0.0;
+};
+
+/// Sparse twin of writing `faults` over an averaged frame and flagging the
+/// pixels at or below −threshold: takes the frame's crossings
+/// (`FrameSynthesizer::averaged_crossings`) and returns, in raster order,
+/// the pixels and values `detect_threshold` would flag on the faulted frame.
+/// Cost O(crossings + faulty pixels + dropout rows × crossings + tile pixels).
+std::vector<FlaggedPixel> apply_frame_faults(const std::vector<FlaggedPixel>& crossings,
+                                             const chip::ElectrodeArray& array,
+                                             const FrameFaults& faults, double threshold);
 
 /// Optical counterpart: frames of photocurrent *change* ΔI per pixel
 /// (negative under a shadowing particle, so the same detectors apply).

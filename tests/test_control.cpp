@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <vector>
 
 #include "cell/library.hpp"
 #include "chip/device.hpp"
+#include "common/error.hpp"
 #include "control/engine.hpp"
 #include "control/events.hpp"
 #include "control/tracker.hpp"
@@ -328,6 +330,32 @@ TEST_F(ClosedLoopTest, DefectFuzzAccountsForEveryCell) {
                               }))
           << "seed " << seed << " cage " << id;
   }
+}
+
+// A sensing config that cannot threshold fails at construction, before any
+// tick actuates or integrates, not at the first sense.
+TEST_F(ClosedLoopTest, RejectsBadSensingConfigUpFront) {
+  auto world = make_world();
+  const auto build = [&](const ControlConfig& config) {
+    ClosedLoopEngine engine(world->cages, world->engine, world->imager, world->defects, 0.4,
+                            config);
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {0.0, -1.0, nan, inf}) {
+    ControlConfig config;
+    config.threshold_sigma = bad;
+    EXPECT_THROW(build(config), PreconditionError) << "threshold_sigma " << bad;
+  }
+  for (const double bad : {nan, inf, -inf}) {
+    ControlConfig config;
+    config.stuck_cage_thresholds = bad;
+    EXPECT_THROW(build(config), PreconditionError) << "stuck_cage_thresholds " << bad;
+  }
+  ControlConfig fine;
+  fine.threshold_sigma = 0.5;
+  fine.stuck_cage_thresholds = 0.5;
+  EXPECT_NO_THROW(build(fine));
 }
 
 }  // namespace

@@ -1,9 +1,17 @@
 // Tests for the sensor library: capacitive/optical pixel models, scan
-// timing, frame synthesis (offsets, CDS, averaging), and detection.
+// timing, frame synthesis (offsets, CDS, averaging), detection, and the
+// sparse sense against the dense sequence it replaced.
+//
+// BIOCHIP_LONGFUZZ=<n> multiplies the sparse-sense sweep's case count (the
+// `longfuzz` ctest label runs with n=10).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
+#include <memory>
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
@@ -368,6 +376,279 @@ TEST(Detect, ThresholdValidation) {
   chip::ElectrodeArray array(4, 4, 20.0e-6);
   EXPECT_THROW(detect_threshold(frame, array, 0.0), PreconditionError);
   EXPECT_THROW(match_detections({}, {}, 0.0), PreconditionError);
+}
+
+// ---------------------------------------------------------- sparse sense ----
+//
+// The closed loop senses sparsely: `averaged_crossings` → `apply_frame_faults`
+// → `cluster_flagged`. The oracle is the dense sequence it replaced, kept
+// here with the dense flood fill that `detect_threshold` used to run:
+// `averaged_frame` → `apply_pixel_faults` → dropout rows → burst tiles →
+// threshold + flood fill. Detections must agree bit for bit, and the
+// generator must end in the same state.
+
+std::size_t longfuzz_factor() {
+  const char* env = std::getenv("BIOCHIP_LONGFUZZ");
+  if (env == nullptr) return 1;
+  const long v = std::strtol(env, nullptr, 10);
+  return v > 1 ? static_cast<std::size_t>(v) : 1;
+}
+
+// The dense 8-connected flood fill over a whole map, seeded in raster order,
+// of the pixels `flag` accepts.
+template <class Flag>
+std::vector<Detection> dense_flood_fill(const Grid2& map, const chip::ElectrodeArray& array,
+                                        Flag flag) {
+  const std::size_t nx = map.nx(), ny = map.ny();
+  std::vector<std::uint8_t> visited(nx * ny, 0);
+  std::vector<Detection> out;
+  std::vector<std::pair<std::size_t, std::size_t>> stack;
+  for (std::size_t j0 = 0; j0 < ny; ++j0)
+    for (std::size_t i0 = 0; i0 < nx; ++i0) {
+      if (visited[j0 * nx + i0] || !flag(map.at(i0, j0))) continue;
+      double weight_sum = 0.0, peak = 0.0;
+      Vec2 weighted_pos{};
+      int count = 0;
+      stack.assign(1, {i0, j0});
+      visited[j0 * nx + i0] = 1;
+      while (!stack.empty()) {
+        const auto [i, j] = stack.back();
+        stack.pop_back();
+        const double mag = std::fabs(map.at(i, j));
+        weight_sum += mag;
+        weighted_pos += array.center({static_cast<int>(i), static_cast<int>(j)}) * mag;
+        peak = std::max(peak, mag);
+        ++count;
+        for (int dj = -1; dj <= 1; ++dj)
+          for (int di = -1; di <= 1; ++di) {
+            const std::ptrdiff_t ni = static_cast<std::ptrdiff_t>(i) + di;
+            const std::ptrdiff_t nj = static_cast<std::ptrdiff_t>(j) + dj;
+            if ((di == 0 && dj == 0) || ni < 0 || nj < 0 ||
+                ni >= static_cast<std::ptrdiff_t>(nx) || nj >= static_cast<std::ptrdiff_t>(ny))
+              continue;
+            const auto ui = static_cast<std::size_t>(ni), uj = static_cast<std::size_t>(nj);
+            if (visited[uj * nx + ui] || !flag(map.at(ui, uj))) continue;
+            visited[uj * nx + ui] = 1;
+            stack.emplace_back(ui, uj);
+          }
+      }
+      out.push_back({weighted_pos / weight_sum, peak, count});
+    }
+  return out;
+}
+
+bool same_bits(const std::vector<Detection>& a, const std::vector<Detection>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t n = 0; n < a.size(); ++n)
+    if (std::memcmp(&a[n].position, &b[n].position, sizeof(Vec2)) != 0 ||
+        std::memcmp(&a[n].score, &b[n].score, sizeof(double)) != 0 ||
+        a[n].pixel_count != b[n].pixel_count)
+      return false;
+  return true;
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; }
+
+// The next draws of two generators agree: the cached half-pair first, then
+// fresh pairs, then raw words.
+bool same_stream(Rng& a, Rng& b) {
+  for (int n = 0; n < 3; ++n)
+    if (!same_bits(a.normal(), b.normal())) return false;
+  return a() == b() && a() == b();
+}
+
+TEST(SparseSense, WalkReportsWhatNormalCallsReturn) {
+  Rng cases(4711);
+  const std::size_t n_cases = 400 * longfuzz_factor();
+  for (std::size_t c = 0; c < n_cases; ++c) {
+    const auto count = static_cast<std::size_t>(cases.uniform_int(0, 400));
+    const double radius = cases.uniform(0.0, 3.5);
+    std::vector<std::size_t> listed;
+    for (std::size_t i = 0; i < count; ++i)
+      if (cases.bernoulli(0.05)) listed.push_back(i);
+    Rng dense(cases());
+    if (cases.bernoulli(0.5)) dense.normal();  // leave a half-pair cached
+    Rng sparse = dense;
+    std::vector<double> z(count);
+    for (double& v : z) v = dense.normal();
+    std::vector<Rng::IndexedNormal> out;
+    sparse.walk_normals(count, radius, listed, out);
+
+    std::vector<std::uint8_t> seen(count, 0);
+    for (std::size_t k = 0; k < out.size(); ++k) {
+      ASSERT_LT(out[k].index, count) << "case " << c;
+      ASSERT_TRUE(k == 0 || out[k - 1].index < out[k].index) << "case " << c;
+      ASSERT_TRUE(same_bits(out[k].value, z[out[k].index])) << "case " << c;
+      seen[out[k].index] = 1;
+    }
+    for (const std::size_t i : listed) EXPECT_TRUE(seen[i]) << "case " << c << " index " << i;
+    for (std::size_t i = 0; i < count; ++i) {
+      if (std::fabs(z[i]) >= radius) {
+        EXPECT_TRUE(seen[i]) << "case " << c << " index " << i;
+      }
+    }
+    EXPECT_TRUE(same_stream(dense, sparse)) << "case " << c;
+  }
+}
+
+// One sense's inputs, drawn from a seeded config space.
+struct SenseCase {
+  std::vector<FrameTarget> targets;
+  std::size_t n_frames = 1;
+  double threshold = 0.0;
+  std::unique_ptr<chip::DefectMap> defects;
+  double stuck_cage_dc = 0.0;
+  std::vector<int> zero_rows;
+  std::vector<PhantomTile> tiles;
+  double phantom_dc = 0.0;
+};
+
+SenseCase draw_case(const FrameSynthesizer& synth, Rng& rng) {
+  const chip::ElectrodeArray& array = synth.array();
+  const double pitch = array.pitch();
+  SenseCase c;
+  // Targets anywhere from one pitch outside the array to one inside the
+  // far edge; a third sit within two pitches of the previous one, so their
+  // windows overlap.
+  const auto n_targets = static_cast<int>(rng.uniform_int(0, 20));
+  for (int k = 0; k < n_targets; ++k) {
+    Vec3 at{rng.uniform(-pitch, (array.cols() + 1) * pitch),
+            rng.uniform(-pitch, (array.rows() + 1) * pitch), rng.uniform(3e-6, 25e-6)};
+    if (k > 0 && rng.bernoulli(0.33)) {
+      at.x = c.targets.back().position.x + rng.uniform(-2.0, 2.0) * pitch;
+      at.y = c.targets.back().position.y + rng.uniform(-2.0, 2.0) * pitch;
+    }
+    c.targets.push_back({at, rng.uniform(2e-6, 8e-6)});
+  }
+  c.n_frames = static_cast<std::size_t>(rng.uniform_int(1, 64));
+  const double sigma = synth.cds_noise_sigma() / std::sqrt(static_cast<double>(c.n_frames));
+  c.threshold = rng.uniform(0.5, 6.0) * sigma;
+  // The controller's stuck-cage and burst readings: masking on writes 0
+  // over every faulty pixel; off, stuck-cage pixels read a multiple of the
+  // threshold that may or may not cross it.
+  const double multiple = rng.bernoulli(0.5) ? rng.uniform(0.3, 1.0) : rng.uniform(1.0, 6.0);
+  const bool masking = rng.bernoulli(0.5);
+  c.stuck_cage_dc = masking ? 0.0 : -multiple * c.threshold;
+  c.phantom_dc = -multiple * c.threshold;
+  c.defects = std::make_unique<chip::DefectMap>(
+      chip::sample_defects(array, rng.uniform(0.0, 0.05), rng));
+  // Dropouts and bursts, half of them on a target's pixels so that they
+  // overlap crossings, defects and each other.
+  const auto near_target = [&]() -> GridCoord {
+    if (c.targets.empty() || rng.bernoulli(0.5))
+      return {static_cast<int>(rng.uniform_int(0, array.cols() - 1)),
+              static_cast<int>(rng.uniform_int(0, array.rows() - 1))};
+    const Vec3 p = c.targets[static_cast<std::size_t>(
+                                 rng.uniform_int(0, static_cast<std::int64_t>(c.targets.size()) - 1))]
+                       .position;
+    return array.nearest({p.x, p.y});
+  };
+  for (auto n = rng.uniform_int(0, 3); n > 0; --n) c.zero_rows.push_back(near_target().row);
+  for (auto n = rng.uniform_int(0, 3); n > 0; --n) {
+    const GridCoord at = near_target();
+    const auto side = static_cast<int>(rng.uniform_int(1, 6));
+    c.tiles.push_back({{at.col - side / 2, at.row - side / 2}, side});
+  }
+  return c;
+}
+
+std::vector<Detection> dense_sense(const FrameSynthesizer& synth, const SenseCase& c, Rng& rng) {
+  const chip::ElectrodeArray& array = synth.array();
+  Grid2 frame = synth.averaged_frame(c.targets, rng, c.n_frames);
+  apply_pixel_faults(frame, *c.defects, c.stuck_cage_dc);
+  for (const int row : c.zero_rows)
+    for (std::size_t i = 0; i < frame.nx(); ++i) frame.at(i, static_cast<std::size_t>(row)) = 0.0;
+  for (const PhantomTile& t : c.tiles)
+    for (int dr = 0; dr < t.side; ++dr)
+      for (int dc = 0; dc < t.side; ++dc) {
+        const GridCoord s{t.origin.col + dc, t.origin.row + dr};
+        if (array.contains(s))
+          frame.at(static_cast<std::size_t>(s.col), static_cast<std::size_t>(s.row)) =
+              c.phantom_dc;
+      }
+  const std::vector<Detection> oracle =
+      dense_flood_fill(frame, array, [&](double v) { return v <= -c.threshold; });
+  // The dense detector now scans into the list clusterer: same detections.
+  EXPECT_TRUE(same_bits(detect_threshold(frame, array, c.threshold), oracle));
+  return oracle;
+}
+
+std::vector<Detection> sparse_sense(const FrameSynthesizer& synth, const SenseCase& c,
+                                    Rng& rng) {
+  const std::vector<PixelFault> pixels = pixel_faults(*c.defects);
+  FrameFaults faults;
+  faults.pixels = pixels;
+  faults.stuck_cage_dc = c.stuck_cage_dc;
+  faults.zero_rows = c.zero_rows;
+  faults.phantom_tiles = c.tiles;
+  faults.phantom_dc = c.phantom_dc;
+  return cluster_flagged(
+      apply_frame_faults(synth.averaged_crossings(c.targets, rng, c.n_frames, c.threshold),
+                         synth.array(), faults, c.threshold),
+      synth.array());
+}
+
+TEST(SparseSense, MatchesDenseSequenceBitForBit) {
+  // Odd pixel counts (15x17, 319²) leave the frame's last pair half-used.
+  const std::vector<std::pair<int, int>> shapes = {{15, 17}, {16, 16}, {24, 24}, {319, 319},
+                                                   {320, 320}};
+  std::vector<std::unique_ptr<FrameSynthesizer>> synths;
+  for (const auto& [cols, rows] : shapes)
+    synths.push_back(std::make_unique<FrameSynthesizer>(
+        chip::ElectrodeArray(cols, rows, 20.0e-6), paper_pixel(), 298.15, 99));
+  Rng cases(2026);
+  const std::size_t n_cases = 160 * longfuzz_factor();
+  std::size_t flagged_cases = 0;
+  for (std::size_t n = 0; n < n_cases; ++n) {
+    // Big arrays cost the dense oracle ~4 ms a frame: one case in four.
+    const std::size_t shape = cases.bernoulli(0.25)
+                                  ? static_cast<std::size_t>(cases.uniform_int(3, 4))
+                                  : static_cast<std::size_t>(cases.uniform_int(0, 2));
+    const FrameSynthesizer& synth = *synths[shape];
+    const SenseCase c = draw_case(synth, cases);
+    Rng dense(cases());
+    if (cases.bernoulli(0.5)) dense.normal();  // a half-pair cached on entry
+    Rng sparse = dense;
+    const std::vector<Detection> expected = dense_sense(synth, c, dense);
+    const std::vector<Detection> got = sparse_sense(synth, c, sparse);
+    ASSERT_TRUE(same_bits(got, expected))
+        << "case " << n << ": " << shapes[shape].first << "x" << shapes[shape].second
+        << ", " << c.targets.size() << " targets, " << got.size() << " vs "
+        << expected.size() << " detections";
+    ASSERT_TRUE(same_stream(dense, sparse)) << "case " << n;
+    if (!expected.empty()) ++flagged_cases;
+  }
+  EXPECT_GT(flagged_cases, n_cases / 2);  // the sweep is not vacuous
+}
+
+TEST(SparseSense, MatchedFilterClustersLikeTheDenseFloodFill) {
+  const chip::ElectrodeArray array(24, 24, 20.0e-6);
+  const FrameSynthesizer synth(array, paper_pixel(), 298.15, 5);
+  Rng rng(31);
+  const std::vector<double> kernel = matched_kernel(paper_pixel(), array, 5e-6, 6e-6, 1);
+  for (int rep = 0; rep < 20; ++rep) {
+    const std::vector<FrameTarget> targets{
+        {{rng.uniform(0.0, 480e-6), rng.uniform(0.0, 480e-6), 6e-6}, 5e-6}};
+    const Grid2 frame = synth.averaged_frame(targets, rng, 4);
+    const double th = rng.uniform(0.5, 3.0) * synth.cds_noise_sigma() / 2.0;
+    Grid2 corr = correlate(frame, kernel, 1);
+    for (double& v : corr.data()) v = -v;
+    EXPECT_TRUE(same_bits(detect_matched(frame, array, paper_pixel(), 5e-6, 6e-6, th),
+                          dense_flood_fill(corr, array, [&](double v) { return v >= th; })))
+        << "rep " << rep;
+  }
+}
+
+TEST(SparseSense, ClusterFlaggedRejectsUnorderedLists) {
+  const chip::ElectrodeArray array(4, 4, 20.0e-6);
+  EXPECT_THROW(cluster_flagged({{3, -1.0}, {2, -1.0}}, array), PreconditionError);
+  EXPECT_THROW(cluster_flagged({{2, -1.0}, {2, -1.0}}, array), PreconditionError);
+  EXPECT_THROW(cluster_flagged({{16, -1.0}}, array), PreconditionError);
+  EXPECT_TRUE(cluster_flagged({}, array).empty());
+  const FrameSynthesizer synth(array, paper_pixel(), 298.15, 1);
+  Rng rng(1);
+  EXPECT_THROW(synth.averaged_crossings({}, rng, 1, 0.0), PreconditionError);
+  EXPECT_THROW(synth.averaged_crossings({}, rng, 0, 1e-18), PreconditionError);
 }
 
 }  // namespace
