@@ -323,23 +323,6 @@ void bm_var_smooth(benchmark::State& state) {
   state.counters["rows"] = static_cast<double>(dims.ny * dims.nz);
 }
 
-// Plane-parallel checked-free sweep: range(0) = grid nodes per side,
-// range(1) = pool lanes. On a single-core host lanes > 1 only measure pool
-// overhead; on multi-core hosts the sweep scales with the lane count.
-void bm_sor_threads(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto threads = static_cast<std::size_t>(state.range(1));
-  for (auto _ : state) {
-    Grid3 g(n, n, n, 1e-6);
-    const DirichletBc bc = plate_bc(g, 0.0, 3.3);
-    SolverOptions opts;
-    opts.multilevel = false;
-    opts.threads = threads;
-    SolveStats s = solve_laplace(g, bc, opts);
-    benchmark::DoNotOptimize(s.sweeps);
-  }
-}
-
 BENCHMARK(bm_sor)->Arg(17)->Arg(33)->Arg(65)->Unit(benchmark::kMillisecond);
 BENCHMARK(bm_multilevel)->Arg(17)->Arg(33)->Arg(65)->Unit(benchmark::kMillisecond);
 BENCHMARK(bm_vcycle_warm)->Arg(33)->Arg(65)->Unit(benchmark::kMillisecond);
@@ -351,11 +334,6 @@ BENCHMARK(bm_var_smooth)
     ->Args({129, 0})
     ->Args({129, 1})
     ->Unit(benchmark::kMicrosecond);
-BENCHMARK(bm_sor_threads)
-    ->Args({65, 1})
-    ->Args({65, 2})
-    ->Args({65, 4})
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

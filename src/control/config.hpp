@@ -142,8 +142,8 @@ struct ControlConfig {
   /// windows around electrodes whose drive changed, re-anchoring with a full
   /// solve (the V-cycle unless `field_tracking.multilevel` is off) on the
   /// `field_tracking.incremental.reanchor_period` cadence.
-  /// Deterministic: the drive depends only on simulation state, and the
-  /// windowed solver is bitwise identical serial vs pooled.
+  /// Deterministic: the drive depends only on simulation state, and each
+  /// chamber's field solves run serially on the thread that ticks it.
   std::size_t field_tracking_nodes_per_pitch = 0;
   /// Drive written to a live (ground-truth-functional) cage-site electrode.
   double field_tracking_drive = 1.0;

@@ -21,8 +21,8 @@
 ///
 /// Determinism: updates are a pure function of the drive sequence — changed
 /// electrodes are detected by exact comparison, window clusters merge and
-/// relax in ascending electrode order, and the windowed kernel is bitwise
-/// identical serial vs pooled for every `SolverOptions::threads`.
+/// relax in ascending electrode order, and every solve runs serially on the
+/// calling thread.
 
 #include <cstddef>
 #include <vector>

@@ -3,127 +3,41 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <memory>
-#include <mutex>
 
 #include "common/error.hpp"
 #include "common/units.hpp"
-#include "core/threadpool.hpp"
 #include "field/stencil_kernel.hpp"
 
 namespace biochip::field {
 
 namespace {
 
-// Grow-only pool for explicit `threads = N` requests; `threads = 0` uses the
-// process-global hardware-sized pool instead. Returned as shared_ptr so a
-// solve keeps its pool alive even if a concurrent solve grows the cache and
-// swaps the shared instance out from under it.
-std::shared_ptr<core::ThreadPool> solver_pool(std::size_t threads) {
-  static std::mutex m;
-  static std::shared_ptr<core::ThreadPool> pool;
-  std::lock_guard lk(m);
-  if (!pool || pool->size() < threads) pool = std::make_shared<core::ThreadPool>(threads);
-  return pool;
-}
-
-core::ThreadPool* resolve_pool(const SolverOptions& opts,
-                               std::shared_ptr<core::ThreadPool>& owned) {
-  if (opts.threads == 0) return &core::ThreadPool::global();
-  if (opts.threads > 1) {
-    owned = solver_pool(opts.threads);
-    return owned.get();
-  }
-  return nullptr;
-}
-
-// Fans plane indices [0, nz) over the pool (serial when pool is null) and
-// max-reduces the per-plane results through caller-owned scratch, so the
-// iteration loops stay allocation-free.
-struct PlaneRunner {
-  core::ThreadPool* pool = nullptr;
-  std::size_t max_parts = 0;
-  std::vector<double>* scratch = nullptr;
-
-  // fn(k, shared_z): shared_z is true when another lane owns plane k-1 or
-  // k+1 in this job, i.e. on the first and last plane of every chunk but
-  // the outer faces (stencil::smooth_plane's `shared_z`).
-  template <typename Fn>
-  double run_max_z(std::size_t nz, const Fn& fn) const {
-    if (pool == nullptr || nz < 2) {
-      double worst = 0.0;
-      for (std::size_t k = 0; k < nz; ++k) worst = std::max(worst, fn(k, false));
-      return worst;
-    }
-    std::vector<double>& out = *scratch;
-    pool->parallel_for(
-        0, nz,
-        [&](std::size_t kb, std::size_t ke) {
-          for (std::size_t k = kb; k < ke; ++k)
-            out[k] = fn(k, (k == kb && kb > 0) || (k + 1 == ke && ke < nz));
-        },
-        max_parts);
-    return *std::max_element(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(nz));
-  }
-
-  template <typename Fn>
-  double run_max(std::size_t nz, const Fn& fn) const {
-    return run_max_z(nz, [&](std::size_t k, bool) { return fn(k); });
-  }
-
-  template <typename Fn>
-  void run(std::size_t nz, const Fn& fn) const {
-    if (pool == nullptr || nz < 2) {
-      for (std::size_t k = 0; k < nz; ++k) fn(k);
-      return;
-    }
-    pool->parallel_for(
-        0, nz,
-        [&](std::size_t kb, std::size_t ke) {
-          for (std::size_t k = kb; k < ke; ++k) fn(k);
-        },
-        max_parts);
-  }
-};
-
 void apply_dirichlet(Grid3& phi, const DirichletBc& bc) {
   for (std::size_t n = 0; n < phi.size(); ++n)
     if (bc.fixed[n]) phi.data()[n] = bc.value[n];
 }
 
-// One red-black sweep of the 7-point operator. Serial sweeps fuse the two
-// colors into one plane-pipelined pass: color 1 of plane k-1 relaxes
-// immediately after color 0 of plane k, while the three-plane window is
-// still cache-resident. Every read each relax makes sees exactly the value
-// it would in the two-pass ordering (color 0 of plane k runs before color 1
-// of planes >= k-1; color 1 of plane k runs after color 0 of planes <= k+1),
-// so the result is bitwise identical to the half-sweep pair — at half the
-// DRAM traffic, which is what bounds large grids. Pooled sweeps fan each
-// color out over planes (same-color nodes of different planes are
-// independent, so that order gives the same bits too). Returns the max node
-// update, or 0 when `track` is false (the relaxed values never depend on it).
-double sweep_const(const PlaneRunner& planes, double* d, const std::uint8_t* fixed,
-                   const std::uint8_t* plane_fixed, const double* rhs, double h2,
+// One red-black sweep of the 7-point operator, fusing the two colors into
+// one plane-pipelined pass: color 1 of plane k-1 relaxes immediately after
+// color 0 of plane k, while the three-plane window is still cache-resident.
+// Every read each relax makes sees exactly the value it would in the
+// two-pass ordering (color 0 of plane k runs before color 1 of planes >=
+// k-1; color 1 of plane k runs after color 0 of planes <= k+1), so the
+// result is bitwise identical to the half-sweep pair — at half the DRAM
+// traffic, which is what bounds large grids. Returns the max node update,
+// or 0 when `track` is false (the relaxed values never depend on it).
+double sweep_const(double* d, const std::uint8_t* fixed, const std::uint8_t* plane_fixed,
                    stencil::Dims dims, double omega, bool track) {
-  const auto relax = [&](int color, std::size_t k, bool shared_z) {
-    return stencil::smooth_plane(d, fixed, rhs, h2, dims, omega, color, k,
-                                 plane_fixed[k] != 0, track, shared_z);
+  const auto relax = [&](int color, std::size_t k) {
+    return stencil::smooth_plane(d, fixed, dims, omega, color, k, plane_fixed[k] != 0,
+                                 track);
   };
-  if (planes.pool == nullptr) {
-    double worst = relax(0, 0, false);
-    for (std::size_t k = 1; k < dims.nz; ++k) {
-      worst = std::max(worst, relax(0, k, false));
-      worst = std::max(worst, relax(1, k - 1, false));
-    }
-    return std::max(worst, relax(1, dims.nz - 1, false));
+  double worst = relax(0, 0);
+  for (std::size_t k = 1; k < dims.nz; ++k) {
+    worst = std::max(worst, relax(0, k));
+    worst = std::max(worst, relax(1, k - 1));
   }
-  double update = 0.0;
-  for (int color = 0; color < 2; ++color) {
-    const double u = planes.run_max_z(
-        dims.nz, [&](std::size_t k, bool shared_z) { return relax(color, k, shared_z); });
-    update = std::max(update, u);
-  }
-  return update;
+  return std::max(worst, relax(1, dims.nz - 1));
 }
 
 // Per-plane Dirichlet classification: flags[k] != 0 when plane k holds any
@@ -143,43 +57,32 @@ std::vector<std::uint8_t> classify_planes(const std::uint8_t* fixed, stencil::Di
   return flags;
 }
 
-// Residual norm in laplacian_residual units, honouring a Poisson RHS.
-double residual_norm(const Grid3& phi, const DirichletBc& bc, const double* rhs) {
-  const stencil::Dims dims{phi.nx(), phi.ny(), phi.nz()};
-  const double h2 = phi.spacing() * phi.spacing();
+// Residual norm in laplacian_residual units over a raw strided grid.
+double residual_norm(const double* d, const std::uint8_t* fixed, double h2,
+                     stencil::Dims dims) {
   double worst = 0.0;
   for (std::size_t k = 0; k < dims.nz; ++k)
-    worst = std::max(worst, stencil::residual_plane(phi.data().data(), bc.fixed.data(),
-                                                    rhs, nullptr, h2, dims, k));
+    worst = std::max(worst, stencil::residual_plane(d, fixed, nullptr, h2, dims, k));
   return worst;
 }
 
-// Red-black SOR on ∇²φ = rhs (rhs null = Laplace).
-SolveStats sor_solve(Grid3& phi, const DirichletBc& bc, const double* rhs,
-                     const SolverOptions& opts) {
+// Red-black SOR on the Laplace equation.
+SolveStats sor_solve(Grid3& phi, const DirichletBc& bc, const SolverOptions& opts) {
   // Auto-omega honours the actual per-axis dimensions: on anisotropic
   // chamber grids (129×129×9) the longest-side model formula over-relaxes
   // the short axis and slows convergence.
   const double omega =
       opts.omega > 0.0 ? opts.omega : optimal_omega(phi.nx(), phi.ny(), phi.nz());
   apply_dirichlet(phi, bc);
-  std::shared_ptr<core::ThreadPool> owned;
-  core::ThreadPool* pool = resolve_pool(opts, owned);
-  std::vector<double> plane_scratch(pool != nullptr ? phi.nz() : 0, 0.0);
-  const PlaneRunner planes{pool, opts.threads, &plane_scratch};
   const stencil::Dims dims{phi.nx(), phi.ny(), phi.nz()};
-  const double h2 = phi.spacing() * phi.spacing();
   double* d = phi.data().data();
   const std::vector<std::uint8_t> plane_fixed = classify_planes(bc.fixed.data(), dims);
   const auto sweep = [&](bool track) {
-    return sweep_const(planes, d, bc.fixed.data(), plane_fixed.data(), rhs, h2, dims,
-                       omega, track);
+    return sweep_const(d, bc.fixed.data(), plane_fixed.data(), dims, omega, track);
   };
 
   // Convergence is tested after every second sweep (or the last one the cap
-  // allows), on the serial and the threaded path alike, so sweep counts and
-  // results stay bitwise equal across thread counts; the first sweep of a
-  // pair skips the update norm nobody reads.
+  // allows); the first sweep of a pair skips the update norm nobody reads.
   SolveStats stats;
   while (stats.sweeps < opts.max_sweeps) {
     if (stats.sweeps + 2 <= opts.max_sweeps) {
@@ -220,8 +123,7 @@ constexpr std::size_t kSmoothSweeps = 2;
 struct LevelView {
   double* phi = nullptr;
   const std::uint8_t* fixed = nullptr;
-  const double* rhs = nullptr;   // null on the fine Laplace level
-  double* rhs_store = nullptr;   // restriction target (workspace levels only)
+  double* rhs = nullptr;         // restricted residual; null on the fine Laplace level
   double* res = nullptr;         // residual scratch (unused at the coarsest level)
   const std::uint8_t* plane_fixed = nullptr;  // per-plane any-Dirichlet flags
   const double* coef = nullptr;      // Galerkin 27-point stencil (coarse levels)
@@ -237,9 +139,8 @@ struct LevelView {
 
 class VcycleDriver {
  public:
-  VcycleDriver(std::vector<LevelView> views, PlaneRunner planes,
-               const SolverOptions& opts, SolveStats& stats)
-      : views_(std::move(views)), planes_(planes), stats_(stats),
+  VcycleDriver(std::vector<LevelView> views, const SolverOptions& opts, SolveStats& stats)
+      : views_(std::move(views)), stats_(stats),
         // Smoothing wants mild over-relaxation, not the near-2 plain-SOR
         // optimum (which barely damps high frequencies): 1.15 measured best
         // on the cage-electrode workload across 33³..65³.
@@ -252,9 +153,7 @@ class VcycleDriver {
   double fine_residual_norm() {
     const LevelView& v = views_.front();
     stats_.fine_equiv_sweeps += v.ratio;
-    return planes_.run_max(v.dims.nz, [&](std::size_t k) {
-      return stencil::residual_plane(v.phi, v.fixed, v.rhs, nullptr, v.h2, v.dims, k);
-    });
+    return residual_norm(v.phi, v.fixed, v.h2, v.dims);
   }
 
  private:
@@ -262,8 +161,7 @@ class VcycleDriver {
   double smooth_const(const LevelView& v, std::size_t sweeps, double omega) {
     double update = 0.0;
     for (std::size_t s = 0; s < sweeps; ++s)
-      update = sweep_const(planes_, v.phi, v.fixed, v.plane_fixed, v.rhs, v.h2, v.dims,
-                           omega, s + 1 == sweeps);
+      update = sweep_const(v.phi, v.fixed, v.plane_fixed, v.dims, omega, s + 1 == sweeps);
     stats_.total_sweeps += sweeps;
     stats_.sweeps += sweeps;
     stats_.fine_equiv_sweeps += static_cast<double>(sweeps) * v.ratio;
@@ -271,29 +169,29 @@ class VcycleDriver {
   }
 
   // Variable-coefficient (Galerkin) smoothing for coarse levels. The
-  // 27-point stencil couples same-color nodes of adjacent planes, so each
-  // half-sweep is split into (plane parity) subsweeps — equal-parity planes
-  // are uncoupled, keeping the plane fan-out bitwise identical to serial.
+  // 27-point stencil couples same-color nodes of adjacent planes, so the
+  // plane order changes the result: each half-sweep relaxes the even planes,
+  // then the odd ones. That order is pinned — the calibrated `HarmonicCage`
+  // constants were computed in it.
   double smooth_var(const LevelView& v, std::size_t sweeps, double omega) {
     double update = 0.0;
     for (std::size_t s = 0; s < sweeps; ++s) {
       update = 0.0;
       for (int color = 0; color < 2; ++color)
-        for (std::size_t parity = 0; parity < 2; ++parity) {
-          const double u = planes_.run_max(v.dims.nz, [&](std::size_t k) {
-            if (k % 2 != parity) return 0.0;
+        for (std::size_t parity = 0; parity < 2; ++parity)
+          for (std::size_t k = parity; k < v.dims.nz; k += 2) {
             // Uniform coarse rows take the broadcast-coefficient fast path
             // (bit-identical; see smooth_plane_var_bcast).
-            if (v.row_uniform != nullptr)
-              return stencil::smooth_plane_var_bcast(v.phi, v.fixed, v.coef,
-                                                     v.row_uniform, v.ustencil, v.uinv,
-                                                     v.inv_diag, v.rhs, v.dims, omega,
-                                                     color, k);
-            return stencil::smooth_plane_var(v.phi, v.fixed, v.coef, v.inv_diag, v.rhs,
-                                             v.dims, omega, color, k);
-          });
-          update = std::max(update, u);
-        }
+            const double u =
+                v.row_uniform != nullptr
+                    ? stencil::smooth_plane_var_bcast(v.phi, v.fixed, v.coef,
+                                                      v.row_uniform, v.ustencil, v.uinv,
+                                                      v.inv_diag, v.rhs, v.dims, omega,
+                                                      color, k)
+                    : stencil::smooth_plane_var(v.phi, v.fixed, v.coef, v.inv_diag, v.rhs,
+                                                v.dims, omega, color, k);
+            update = std::max(update, u);
+          }
     }
     stats_.total_sweeps += sweeps;
     stats_.fine_equiv_sweeps += static_cast<double>(sweeps) * v.ratio * kVarSweepCost;
@@ -331,61 +229,48 @@ class VcycleDriver {
     // nodes. A_{l+1} is the Galerkin product R·A_l·P, so features thinner
     // than the coarse spacing stay represented in its coefficients and the
     // correction needs no damping safeguards.
-    if (v.coef != nullptr) {
-      planes_.run(v.dims.nz, [&](std::size_t k) {
+    for (std::size_t k = 0; k < v.dims.nz; ++k) {
+      if (v.coef != nullptr)
         stencil::residual_plane_var(v.phi, v.fixed, v.coef, v.rhs, v.res, v.dims, k);
-      });
-      stats_.fine_equiv_sweeps += v.ratio * kVarSweepCost;
-    } else {
-      planes_.run(v.dims.nz, [&](std::size_t k) {
-        stencil::residual_plane(v.phi, v.fixed, v.rhs, v.res, v.h2, v.dims, k);
-      });
-      stats_.fine_equiv_sweeps += v.ratio;
+      else
+        stencil::residual_plane(v.phi, v.fixed, v.res, v.h2, v.dims, k);
     }
-    planes_.run(c.dims.nz, [&](std::size_t kc) {
-      stencil::restrict_plane(v.res, v.dims, c.rhs_store, c.fixed, c.dims, kc);
-    });
+    stats_.fine_equiv_sweeps += v.coef != nullptr ? v.ratio * kVarSweepCost : v.ratio;
+    for (std::size_t kc = 0; kc < c.dims.nz; ++kc)
+      stencil::restrict_plane(v.res, v.dims, c.rhs, c.fixed, c.dims, kc);
     std::fill_n(c.phi, c.dims.size(), 0.0);
     stats_.fine_equiv_sweeps += c.ratio;
     cycle_at(l + 1);
     // Plain multigrid correction: phi += P·e.
-    planes_.run(v.dims.nz, [&](std::size_t kf) {
+    for (std::size_t kf = 0; kf < v.dims.nz; ++kf)
       stencil::prolong_correct_plane(c.phi, c.dims, v.phi, v.fixed, v.dims, kf);
-    });
     stats_.fine_equiv_sweeps += v.ratio;
     return smooth(v, kSmoothSweeps, omega_);
   }
 
   std::vector<LevelView> views_;
-  PlaneRunner planes_;
   SolveStats& stats_;
   double omega_;
 };
 
-SolveStats vcycle_solve(Grid3& phi, const DirichletBc& bc, const double* fine_rhs,
-                        const SolverOptions& opts, MultigridWorkspace* workspace) {
+SolveStats vcycle_solve(Grid3& phi, const DirichletBc& bc, const SolverOptions& opts,
+                        MultigridWorkspace* workspace) {
   MultigridWorkspace local;
   MultigridWorkspace& ws = workspace != nullptr ? *workspace : local;
   ws.prepare(phi, bc);
   if (ws.levels().empty())  // hierarchy degenerate (no Dirichlet node at all)
-    return sor_solve(phi, bc, fine_rhs, opts);
-
-  std::shared_ptr<core::ThreadPool> owned;
-  core::ThreadPool* pool = resolve_pool(opts, owned);
-  const PlaneRunner planes{pool, opts.threads, &ws.plane_scratch()};
+    return sor_solve(phi, bc, opts);
 
   std::vector<LevelView> views;
   views.reserve(ws.levels().size() + 1);
   const double fine_nodes = static_cast<double>(phi.size());
-  views.push_back({phi.data().data(), bc.fixed.data(), fine_rhs, nullptr,
-                   ws.fine_residual().data(), ws.fine_plane_fixed().data(), nullptr,
-                   nullptr,
+  views.push_back({phi.data().data(), bc.fixed.data(), nullptr, ws.fine_residual().data(),
+                   ws.fine_plane_fixed().data(), nullptr, nullptr,
                    {phi.nx(), phi.ny(), phi.nz()},
                    phi.spacing() * phi.spacing(), 1.0});
   for (MultigridWorkspace::Level& lev : ws.levels()) {
-    LevelView lv{lev.e.data().data(), lev.fixed.data(), lev.rhs.data(),
-                 lev.rhs.data(), lev.res.data(), lev.plane_fixed.data(),
-                 lev.stencil.data(), lev.inv_diag.data(),
+    LevelView lv{lev.e.data().data(), lev.fixed.data(), lev.rhs.data(), lev.res.data(),
+                 lev.plane_fixed.data(), lev.stencil.data(), lev.inv_diag.data(),
                  {lev.e.nx(), lev.e.ny(), lev.e.nz()},
                  lev.e.spacing() * lev.e.spacing(),
                  static_cast<double>(lev.e.size()) / fine_nodes};
@@ -398,7 +283,7 @@ SolveStats vcycle_solve(Grid3& phi, const DirichletBc& bc, const double* fine_rh
   }
 
   SolveStats stats;
-  VcycleDriver driver(std::move(views), planes, opts, stats);
+  VcycleDriver driver(std::move(views), opts, stats);
   const double target = opts.cycle_tolerance > 0.0 ? opts.cycle_tolerance : opts.tolerance;
   // With Galerkin (RAP) coarse operators the coarse-grid correction is
   // variationally consistent with the fine operator on every geometry —
@@ -418,32 +303,14 @@ SolveStats vcycle_solve(Grid3& phi, const DirichletBc& bc, const double* fine_rh
   // iterate. Skipped when the caller left no sweep budget (max_sweeps = 0),
   // so the stats then report the cycles alone.
   if (!stats.converged && opts.max_sweeps > 0) {
-    const SolveStats tail = sor_solve(phi, bc, fine_rhs, opts);
+    const SolveStats tail = sor_solve(phi, bc, opts);
     stats.sweeps += tail.sweeps;
     stats.total_sweeps += tail.total_sweeps;
     stats.fine_equiv_sweeps += tail.fine_equiv_sweeps;
     stats.final_update = tail.final_update;
     stats.converged = tail.converged;
-    stats.final_residual = residual_norm(phi, bc, fine_rhs);
+    stats.final_residual = laplacian_residual(phi, bc);
   }
-  return stats;
-}
-
-// Shared body of solve_laplace / solve_poisson (rhs null = Laplace): the
-// V-cycle when multilevel is on and the grid coarsens, plain SOR otherwise.
-SolveStats solve(Grid3& phi, const DirichletBc& bc, const double* rhs,
-                 const SolverOptions& opts, MultigridWorkspace* workspace) {
-  BIOCHIP_REQUIRE(bc.fixed.size() == phi.size() && bc.value.size() == phi.size(),
-                  "Dirichlet BC size does not match grid");
-  BIOCHIP_REQUIRE(phi.nx() >= 2 && phi.ny() >= 2 && phi.nz() >= 2,
-                  "solver needs at least 2 nodes per axis");
-  apply_dirichlet(phi, bc);
-  const SolveStats stats = opts.multilevel && can_coarsen(phi)
-                               ? vcycle_solve(phi, bc, rhs, opts, workspace)
-                               : sor_solve(phi, bc, rhs, opts);
-  // Every solve folds into the workspace's accounting, so its cumulative
-  // counters stay an exact sum of the returned SolveStats.
-  if (workspace != nullptr) workspace->accounting().account(stats);
   return stats;
 }
 
@@ -669,7 +536,6 @@ void MultigridWorkspace::prepare(const Grid3& fine, const DirichletBc& bc) {
     fnz_ = fine.nz();
     fspacing_ = fine.spacing();
     fine_residual_.assign(fine.size(), 0.0);
-    plane_scratch_.assign(fine.nz(), 0.0);
   }
 
   // A fine mask with no Dirichlet node at all makes the error equation
@@ -854,17 +720,25 @@ double optimal_omega(std::size_t nx, std::size_t ny, std::size_t nz) {
 
 SolveStats solve_laplace(Grid3& phi, const DirichletBc& bc, const SolverOptions& opts,
                          MultigridWorkspace* workspace) {
-  return solve(phi, bc, nullptr, opts, workspace);
-}
-
-SolveStats solve_poisson(Grid3& phi, const Grid3& f, const DirichletBc& bc,
-                         const SolverOptions& opts, MultigridWorkspace* workspace) {
-  BIOCHIP_REQUIRE(f.same_shape(phi), "Poisson RHS shape does not match grid");
-  return solve(phi, bc, f.data().data(), opts, workspace);
+  BIOCHIP_REQUIRE(bc.fixed.size() == phi.size() && bc.value.size() == phi.size(),
+                  "Dirichlet BC size does not match grid");
+  BIOCHIP_REQUIRE(phi.nx() >= 2 && phi.ny() >= 2 && phi.nz() >= 2,
+                  "solver needs at least 2 nodes per axis");
+  apply_dirichlet(phi, bc);
+  // The V-cycle when multilevel is on and the grid coarsens, plain SOR
+  // otherwise.
+  const SolveStats stats = opts.multilevel && can_coarsen(phi)
+                               ? vcycle_solve(phi, bc, opts, workspace)
+                               : sor_solve(phi, bc, opts);
+  // Every solve folds into the workspace's accounting, so its cumulative
+  // counters stay an exact sum of the returned SolveStats.
+  if (workspace != nullptr) workspace->accounting().account(stats);
+  return stats;
 }
 
 double laplacian_residual(const Grid3& phi, const DirichletBc& bc) {
-  return residual_norm(phi, bc, nullptr);
+  return residual_norm(phi.data().data(), bc.fixed.data(), phi.spacing() * phi.spacing(),
+                       {phi.nx(), phi.ny(), phi.nz()});
 }
 
 // ------------------------------------------------------ dirty-region passes ----
@@ -906,35 +780,23 @@ SolveStats MultigridWorkspace::solve_window(Grid3& phi, const DirichletBc& bc,
   }
 
   const stencil::Dims dims{nx, ny, phi.nz()};
-  const double h2 = phi.spacing() * phi.spacing();
-  const std::size_t bnx = b.i1 - b.i0 + 1;
-  const std::size_t bny = b.j1 - b.j0 + 1;
-  const std::size_t bnz = b.k1 - b.k0 + 1;
   // Auto-omega sized for the *window*, not the grid: the frozen box boundary
   // makes the correction a Dirichlet problem of the box's own dimensions.
-  const double omega = opts.omega > 0.0 ? opts.omega : optimal_omega(bnx, bny, bnz);
-  std::shared_ptr<core::ThreadPool> owned;
-  core::ThreadPool* pool = resolve_pool(opts, owned);
-  if (pool != nullptr && plane_scratch_.size() < bnz) plane_scratch_.resize(bnz);
-  const PlaneRunner planes{pool, opts.threads, &plane_scratch_};
+  const double omega = opts.omega > 0.0
+                           ? opts.omega
+                           : optimal_omega(b.i1 - b.i0 + 1, b.j1 - b.j0 + 1, b.k1 - b.k0 + 1);
   const std::uint8_t* fixed = bc.fixed.data();
 
-  // Box-restricted red-black SOR. Same-color nodes of different planes are
-  // independent under the 7-point stencil, so the per-color plane fan-out is
-  // race-free and bitwise identical to the serial loop for every thread
-  // count; convergence is tested every sweep on both paths (the windowed
-  // kernel has no fused serial pair, so the schedules already match).
+  // Box-restricted red-black SOR, one color at a time over the box's
+  // planes; convergence is tested every sweep.
   const double tol = opts.incremental.tolerance;
   const std::size_t cap = std::max<std::size_t>(std::size_t{1}, opts.incremental.max_sweeps);
   while (stats.sweeps < cap) {
     double update = 0.0;
-    for (int color = 0; color < 2; ++color) {
-      const double u = planes.run_max(bnz, [&](std::size_t kk) {
-        return stencil::smooth_plane_box(d, fixed, nullptr, h2, dims, omega, color,
-                                         b.k0 + kk, b.i0, b.i1, b.j0, b.j1);
-      });
-      update = std::max(update, u);
-    }
+    for (int color = 0; color < 2; ++color)
+      for (std::size_t k = b.k0; k <= b.k1; ++k)
+        update = std::max(update, stencil::smooth_plane_box(d, fixed, dims, omega, color, k,
+                                                            b.i0, b.i1, b.j0, b.j1));
     ++stats.sweeps;
     stats.final_update = update;
     if (update < tol) {
@@ -956,13 +818,10 @@ double MultigridWorkspace::window_residual(const Grid3& phi, const DirichletBc& 
   const GridBox b = box.clamped(phi.nx(), phi.ny(), phi.nz());
   if (b.empty()) return 0.0;
   const stencil::Dims dims{phi.nx(), phi.ny(), phi.nz()};
-  const double h2 = phi.spacing() * phi.spacing();
   double worst = 0.0;
   for (std::size_t k = b.k0; k <= b.k1; ++k)
-    worst = std::max(worst,
-                     stencil::residual_plane_box(phi.data().data(), bc.fixed.data(),
-                                                 nullptr, h2, dims, k, b.i0, b.i1,
-                                                 b.j0, b.j1));
+    worst = std::max(worst, stencil::residual_plane_box(phi.data().data(), bc.fixed.data(),
+                                                        dims, k, b.i0, b.i1, b.j0, b.j1));
   return worst;
 }
 

@@ -1,8 +1,8 @@
 #pragma once
 /// \file solver.hpp
-/// \brief Finite-difference Laplace/Poisson solver on a regular 3D grid.
+/// \brief Finite-difference Laplace solver on a regular 3D grid.
 ///
-/// Discretizes ∇²φ = f with a 7-point stencil. Boundary handling:
+/// Discretizes ∇²φ = 0 with a 7-point stencil. Boundary handling:
 ///  * nodes flagged in the Dirichlet mask hold their prescribed value
 ///    (electrode metal, lid plane);
 ///  * all other boundary faces are homogeneous Neumann (mirror symmetry),
@@ -25,9 +25,9 @@
 ///
 /// Every operator (smoothing, residual, restriction, prolongation) runs on
 /// the shared plane-wise stencil kernel (`field/stencil_kernel.hpp`):
-/// checked-free strided layout, AVX2-vectorized stride-1 row loops with a
-/// bit-identical scalar fallback, and z-plane fan-out over the worker pool
-/// that is bitwise-identical to serial execution for every thread count.
+/// checked-free strided layout and AVX2-vectorized stride-1 row loops with a
+/// bit-identical scalar fallback. Solves run serially on the calling thread;
+/// callers that want parallelism run independent solves side by side.
 
 #include <algorithm>
 #include <array>
@@ -139,14 +139,9 @@ struct SolverOptions {
                                  ///< 1.15 for V-cycle smoothing sweeps)
   bool multilevel = true;        ///< V-cycle when the grid coarsens; plain SOR otherwise
   std::size_t max_cycles = 60;   ///< V-cycle cap
-  /// V-cycle convergence target on the residual norm max|Σnb/6 − φ −
-  /// h²f/6| (the `laplacian_residual` units); 0 = use `tolerance`.
+  /// V-cycle convergence target on the residual norm max|Σnb/6 − φ| (the
+  /// `laplacian_residual` units); 0 = use `tolerance`.
   double cycle_tolerance = 0.0;
-  /// Sweep parallelism: 1 = serial (default), N > 1 = fan z-planes over N
-  /// pool lanes, 0 = one lane per hardware thread. Every operator is
-  /// plane-decomposed so the result is bitwise identical to the serial
-  /// solve for every thread count.
-  std::size_t threads = 1;
   /// Dirty-region policy consumed by `MultigridWorkspace::solve_window` and
   /// the incremental trackers built on it.
   IncrementalOptions incremental;
@@ -167,11 +162,11 @@ struct SolveStats {
   bool converged = false;
 };
 
-/// Cumulative solver work across every `solve_laplace` / `solve_poisson`
-/// call that used one `MultigridWorkspace` — the counting-plane telemetry
-/// source (`obs::fold_solver`). Sums of the per-call `SolveStats` by
-/// construction, so registry metrics reconcile exactly with the counters
-/// the benches accumulate themselves (tests/test_obs.cpp pins this).
+/// Cumulative solver work across every `solve_laplace` call that used one
+/// `MultigridWorkspace` — the counting-plane telemetry source
+/// (`obs::fold_solver`). Sums of the per-call `SolveStats` by construction,
+/// so registry metrics reconcile exactly with the counters the benches
+/// accumulate themselves (tests/test_obs.cpp pins this).
 struct SolveAccounting {
   std::uint64_t solves = 0;  ///< full-grid solves (the oracle / re-anchor path)
   std::uint64_t cycles = 0;
@@ -238,10 +233,9 @@ class MultigridWorkspace {
   std::vector<Level>& levels() { return levels_; }
   std::vector<double>& fine_residual() { return fine_residual_; }
   std::vector<std::uint8_t>& fine_plane_fixed() { return fine_plane_fixed_; }
-  std::vector<double>& plane_scratch() { return plane_scratch_; }
 
   /// Cumulative work of every solve routed through this workspace
-  /// (solve_laplace / solve_poisson accumulate it on return).
+  /// (solve_laplace accumulates it on return).
   const SolveAccounting& accounting() const { return accounting_; }
   SolveAccounting& accounting() { return accounting_; }
 
@@ -255,9 +249,7 @@ class MultigridWorkspace {
   // which the periodic full-solve re-anchor discards. Pure fine-grid
   // red-black SOR through the box-clamped scalar kernels of
   // `field/stencil_kernel.hpp`; no hierarchy required, so `prepare` need not
-  // have run. Deterministic and bitwise-identical serial vs pooled for every
-  // `opts.threads` (per-color plane fan-out of an odd/even-independent
-  // stencil, plane-ordered max reduction).
+  // have run.
 
   /// Relax the free nodes of `box` (clamped against the grid) toward the
   /// Laplace solution, keeping everything outside the box frozen. Dirichlet
@@ -269,7 +261,7 @@ class MultigridWorkspace {
   SolveStats solve_window(Grid3& phi, const DirichletBc& bc, const GridBox& box,
                           const SolverOptions& opts = {});
 
-  /// Max |(Σnb − h²·rhs)/6 − φ| over the free nodes of `box` (clamped) — the
+  /// Max |Σnb/6 − φ| over the free nodes of `box` (clamped) — the
   /// same update-units diagnostic norm as `laplacian_residual`, restricted
   /// to the window. Read-only; 0 for an empty or fully-fixed box.
   double window_residual(const Grid3& phi, const DirichletBc& bc,
@@ -279,7 +271,6 @@ class MultigridWorkspace {
   std::vector<Level> levels_;
   std::vector<double> fine_residual_;
   std::vector<std::uint8_t> fine_plane_fixed_;
-  std::vector<double> plane_scratch_;  ///< per-plane reduction slots (max nz)
   std::size_t fnx_ = 0, fny_ = 0, fnz_ = 0;
   double fspacing_ = 0.0;
   std::vector<std::uint8_t> mask_copy_;  ///< fingerprint of the last fine mask
@@ -293,12 +284,6 @@ class MultigridWorkspace {
 /// the same grid shape.
 /// Throws PreconditionError if `bc` sizes don't match the grid.
 SolveStats solve_laplace(Grid3& phi, const DirichletBc& bc, const SolverOptions& opts = {},
-                         MultigridWorkspace* workspace = nullptr);
-
-/// Solve the Poisson problem ∇²φ = f (f per node, physical units 1/m² × V).
-/// Same boundary handling and options as solve_laplace.
-SolveStats solve_poisson(Grid3& phi, const Grid3& f, const DirichletBc& bc,
-                         const SolverOptions& opts = {},
                          MultigridWorkspace* workspace = nullptr);
 
 /// Compute the residual ‖∇²φ‖_inf over free nodes (diagnostic; h²-scaled).

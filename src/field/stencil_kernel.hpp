@@ -5,12 +5,10 @@
 /// restriction and trilinear prolongation-with-correction.
 ///
 /// All kernels operate on one z-plane of a checked-free strided layout
-/// (node (i,j,k) at i + j*nx + k*nx*ny) so callers can fan planes out over
-/// the worker pool: the smoother writes only nodes of one red-black color
-/// (its reads land on the opposite color), the residual/restriction/
-/// prolongation kernels write only their own plane and read other grids.
-/// Every kernel therefore produces bitwise-identical results for any plane
-/// partitioning.
+/// (node (i,j,k) at i + j*nx + k*nx*ny): the smoother writes only nodes of
+/// one red-black color (its reads land on the opposite color), the
+/// residual/restriction/prolongation kernels write only their own plane and
+/// read other grids. The solver calls them plane by plane on one thread.
 ///
 /// Boundary handling is the single source of truth for the whole solver:
 /// out-of-range neighbors mirror across the face (homogeneous Neumann,
@@ -130,20 +128,15 @@ __attribute__((target("avx2"))) inline __m256i free_mask(const std::uint8_t* f,
 /// case) commit with two 64-bit scalar stores; blocks containing Dirichlet
 /// nodes take a masked store (vmaskmovpd stalls store-to-load forwarding,
 /// so it is kept off the hot path). The opposite-color and Dirichlet lanes
-/// are never written. The inactive lanes of the z-neighbor rows are the
-/// color that a concurrent sweep of plane k±1 writes, so `SharedZ` (another
-/// lane owns a neighbor plane) loads those two rows on the active lanes
-/// only; vmaskmovpd costs an extra uop per load, so planes whose neighbors
-/// the same lane relaxes keep plain loads. Bit-identical to the scalar
-/// relax: same operation order, no FMA (see file header).
-template <bool HasRhs, bool HasFixed, bool TrackMax, bool SharedZ>
+/// are never written. Bit-identical to the scalar relax: same operation
+/// order, no FMA (see file header).
+template <bool HasFixed, bool TrackMax>
 __attribute__((target("avx2"))) inline std::size_t smooth_row_avx2(
     double* r, const std::uint8_t* f, const double* rjm, const double* rjp,
-    const double* rkm, const double* rkp, const double* rr, double h2, double omega,
-    std::size_t i, std::size_t ilast, double& max_update) {
+    const double* rkm, const double* rkp, double omega, std::size_t i, std::size_t ilast,
+    double& max_update) {
   const __m256d inv_six = _mm256_set1_pd(1.0 / 6.0);
   const __m256d omega_v = _mm256_set1_pd(omega);
-  const __m256d h2_v = _mm256_set1_pd(h2);
   const __m256d absmask = _mm256_castsi256_pd(_mm256_set1_epi64x(0x7FFFFFFFFFFFFFFFll));
   // Blocks start on the active parity, so the active lanes are always 0, 2.
   const __m256i colormask = _mm256_setr_epi64x(-1, 0, -1, 0);
@@ -154,20 +147,10 @@ __attribute__((target("avx2"))) inline std::size_t smooth_row_avx2(
     __m256d nb = _mm256_add_pd(_mm256_loadu_pd(r + i - 1), _mm256_loadu_pd(r + i + 1));
     nb = _mm256_add_pd(nb, _mm256_loadu_pd(rjm + i));
     nb = _mm256_add_pd(nb, _mm256_loadu_pd(rjp + i));
-    if constexpr (SharedZ) {
-      nb = _mm256_add_pd(nb, _mm256_maskload_pd(rkm + i, colormask));
-      nb = _mm256_add_pd(nb, _mm256_maskload_pd(rkp + i, colormask));
-    } else {
-      nb = _mm256_add_pd(nb, _mm256_loadu_pd(rkm + i));
-      nb = _mm256_add_pd(nb, _mm256_loadu_pd(rkp + i));
-    }
-    if constexpr (HasRhs) {
-      // Register barriers block FMA contraction in builds that enable FMA
-      // for the whole translation unit (-mfma, -march=native).
-      __m256d load = _mm256_mul_pd(h2_v, _mm256_loadu_pd(rr + i));
-      asm("" : "+x"(load));
-      nb = _mm256_sub_pd(nb, load);
-    }
+    nb = _mm256_add_pd(nb, _mm256_loadu_pd(rkm + i));
+    nb = _mm256_add_pd(nb, _mm256_loadu_pd(rkp + i));
+    // Register barriers block FMA contraction in builds that enable FMA for
+    // the whole translation unit (-mfma, -march=native).
     __m256d q = _mm256_mul_pd(nb, inv_six);
     asm("" : "+x"(q));
     __m256d delta = _mm256_mul_pd(omega_v, _mm256_sub_pd(q, center));
@@ -194,14 +177,13 @@ __attribute__((target("avx2"))) inline std::size_t smooth_row_avx2(
 }
 
 /// Vectorized interior of one residual row over contiguous i (the residual
-/// is defined on both colors). Writes out[i] = rhs - (Σnb - 6φ)/h² when
-/// `out` is non-null and accumulates the update-units diagnostic norm
-/// |(Σnb - h²·rhs)/6 - φ|.
-template <bool HasRhs, bool HasOut>
+/// is defined on both colors). Writes out[i] = 0 - (Σnb - 6φ)/h² when
+/// `HasOut` and accumulates the update-units diagnostic norm |Σnb/6 - φ|.
+template <bool HasOut>
 __attribute__((target("avx2"))) inline std::size_t residual_row_avx2(
     const double* r, const std::uint8_t* f, const double* rjm, const double* rjp,
-    const double* rkm, const double* rkp, const double* rr, double* out, double h2,
-    std::size_t i, std::size_t iend, double& max_resid) {
+    const double* rkm, const double* rkp, double* out, double h2, std::size_t i,
+    std::size_t iend, double& max_resid) {
   const __m256d six = _mm256_set1_pd(6.0);
   const __m256d inv_six = _mm256_set1_pd(1.0 / 6.0);
   const __m256d h2_v = _mm256_set1_pd(h2);
@@ -215,18 +197,18 @@ __attribute__((target("avx2"))) inline std::size_t residual_row_avx2(
     nb = _mm256_add_pd(nb, _mm256_loadu_pd(rjp + i));
     nb = _mm256_add_pd(nb, _mm256_loadu_pd(rkm + i));
     nb = _mm256_add_pd(nb, _mm256_loadu_pd(rkp + i));
-    const __m256d load = HasRhs ? _mm256_loadu_pd(rr + i) : zero;
     const __m256d keep = _mm256_castsi256_pd(free_mask(f, i));  // -1 where free
     // Diagnostic norm in update units, fixed lanes excluded.
-    const __m256d q =
-        _mm256_mul_pd(_mm256_sub_pd(nb, _mm256_mul_pd(h2_v, load)), inv_six);
+    const __m256d q = _mm256_mul_pd(nb, inv_six);
     const __m256d dev = _mm256_and_pd(absmask, _mm256_sub_pd(q, center));
     maxv = _mm256_max_pd(maxv, _mm256_and_pd(keep, dev));
     if constexpr (HasOut) {
-      // Physical residual rhs - (Σnb - 6φ)/h², zero at fixed nodes.
+      // Physical residual 0 - (Σnb - 6φ)/h², zero at fixed nodes. The
+      // subtraction from +0.0 (not a negation) keeps the sign of a zero
+      // residual positive.
       const __m256d ap =
           _mm256_div_pd(_mm256_sub_pd(nb, _mm256_mul_pd(six, center)), h2_v);
-      const __m256d res = _mm256_sub_pd(load, ap);
+      const __m256d res = _mm256_sub_pd(zero, ap);
       _mm256_storeu_pd(out + i, _mm256_and_pd(keep, res));
     }
   }
@@ -262,19 +244,13 @@ __attribute__((target("avx2"))) inline std::size_t residual_row_avx2(
     const std::size_t row = (k * ny + j) * nx;                                  \
     double* r = d + row;                                                        \
     const std::uint8_t* f = fixed + row;                                        \
-    const double* rr = HasRhs ? rhs + row : nullptr;                            \
     const double* rjm = d + (k * ny + jm) * nx;                                 \
     const double* rjp = d + (k * ny + jp) * nx;                                 \
     const double* rkm = d + (km * ny + j) * nx;                                 \
     const double* rkp = d + (kp * ny + j) * nx;                                 \
     const auto relax = [&](std::size_t i, std::size_t im, std::size_t ip) {     \
       if (HasFixed && f[i]) return;                                             \
-      double nb = r[im] + r[ip] + rjm[i] + rjp[i] + rkm[i] + rkp[i];            \
-      if constexpr (HasRhs) {                                                   \
-        double load = h2 * rr[i];                                               \
-        BIOCHIP_NO_CONTRACT(load);                                              \
-        nb -= load;                                                             \
-      }                                                                         \
+      const double nb = r[im] + r[ip] + rjm[i] + rjp[i] + rkm[i] + rkp[i];      \
       const double old = r[i];                                                  \
       double q = nb * (1.0 / 6.0);                                              \
       BIOCHIP_NO_CONTRACT(q);                                                   \
@@ -298,40 +274,36 @@ __attribute__((target("avx2"))) inline std::size_t residual_row_avx2(
   }                                                                             \
   return max_update;
 
-template <bool HasRhs, bool HasFixed, bool TrackMax>
-double smooth_plane_generic(double* d, const std::uint8_t* fixed, const double* rhs,
-                            double h2, Dims g, double omega, int color, std::size_t k) {
+template <bool HasFixed, bool TrackMax>
+double smooth_plane_generic(double* d, const std::uint8_t* fixed, Dims g, double omega,
+                            int color, std::size_t k) {
   BIOCHIP_SMOOTH_PLANE_BODY()
 }
 
 #if BIOCHIP_STENCIL_X86
-template <bool HasRhs, bool HasFixed, bool TrackMax, bool SharedZ>
-__attribute__((target("avx2"))) double smooth_plane_x2(double* d,
-                                                       const std::uint8_t* fixed,
-                                                       const double* rhs, double h2,
+template <bool HasFixed, bool TrackMax>
+__attribute__((target("avx2"))) double smooth_plane_x2(double* d, const std::uint8_t* fixed,
                                                        Dims g, double omega, int color,
                                                        std::size_t k) {
   BIOCHIP_SMOOTH_PLANE_BODY(
-      if (nx >= 32) i = smooth_row_avx2<HasRhs, HasFixed, TrackMax, SharedZ>(
-          r, f, rjm, rjp, rkm, rkp, rr, h2, omega, i, ilast, max_update);)
+      if (nx >= 32) i = smooth_row_avx2<HasFixed, TrackMax>(r, f, rjm, rjp, rkm, rkp, omega,
+                                                             i, ilast, max_update);)
 }
 #endif
 
-template <bool HasRhs, bool HasFixed, bool TrackMax, bool SharedZ>
-double smooth_plane_impl(double* d, const std::uint8_t* fixed, const double* rhs,
-                         double h2, Dims g, double omega, int color, std::size_t k) {
+template <bool HasFixed, bool TrackMax>
+double smooth_plane_impl(double* d, const std::uint8_t* fixed, Dims g, double omega,
+                         int color, std::size_t k) {
 #if BIOCHIP_STENCIL_X86
   if (simd_level() > 0)
-    return smooth_plane_x2<HasRhs, HasFixed, TrackMax, SharedZ>(d, fixed, rhs, h2, g,
-                                                                omega, color, k);
+    return smooth_plane_x2<HasFixed, TrackMax>(d, fixed, g, omega, color, k);
 #endif
-  return smooth_plane_generic<HasRhs, HasFixed, TrackMax>(d, fixed, rhs, h2, g, omega,
-                                                          color, k);
+  return smooth_plane_generic<HasFixed, TrackMax>(d, fixed, g, omega, color, k);
 }
 
-template <bool HasRhs, bool HasOut>
-double residual_plane_impl(const double* d, const std::uint8_t* fixed, const double* rhs,
-                           double* out, double h2, Dims g, std::size_t k) {
+template <bool HasOut>
+double residual_plane_impl(const double* d, const std::uint8_t* fixed, double* out,
+                           double h2, Dims g, std::size_t k) {
   const std::size_t nx = g.nx, ny = g.ny, nz = g.nz;
   const std::size_t km = (k == 0) ? 1 : k - 1;
   const std::size_t kp = (k + 1 == nz) ? nz - 2 : k + 1;
@@ -345,7 +317,6 @@ double residual_plane_impl(const double* d, const std::uint8_t* fixed, const dou
     const std::size_t row = (k * ny + j) * nx;
     const double* r = d + row;
     const std::uint8_t* f = fixed + row;
-    const double* rr = HasRhs ? rhs + row : nullptr;
     double* ro = HasOut ? out + row : nullptr;
     const double* rjm = d + (k * ny + jm) * nx;
     const double* rjp = d + (k * ny + jp) * nx;
@@ -358,10 +329,8 @@ double residual_plane_impl(const double* d, const std::uint8_t* fixed, const dou
         return;
       }
       const double nb = r[im] + r[ip] + rjm[i] + rjp[i] + rkm[i] + rkp[i];
-      const double load = HasRhs ? rr[i] : 0.0;
-      max_resid =
-          std::max(max_resid, std::fabs((nb - h2 * load) * (1.0 / 6.0) - r[i]));
-      if constexpr (HasOut) ro[i] = load - (nb - 6.0 * r[i]) / h2;
+      max_resid = std::max(max_resid, std::fabs(nb * (1.0 / 6.0) - r[i]));
+      if constexpr (HasOut) ro[i] = 0.0 - (nb - 6.0 * r[i]) / h2;
     };
 
     node(0, 1, 1);
@@ -369,8 +338,7 @@ double residual_plane_impl(const double* d, const std::uint8_t* fixed, const dou
     const std::size_t ilast = nx - 1;
 #if BIOCHIP_STENCIL_X86
     if (vec)
-      i = residual_row_avx2<HasRhs, HasOut>(r, f, rjm, rjp, rkm, rkp, rr, ro, h2, i,
-                                            ilast, max_resid);
+      i = residual_row_avx2<HasOut>(r, f, rjm, rjp, rkm, rkp, ro, h2, i, ilast, max_resid);
 #endif
     for (; i < ilast; ++i) node(i, i - 1, i + 1);
     if (ilast > 0) node(ilast, ilast - 1, ilast - 1);
@@ -394,13 +362,11 @@ inline int calibrate_simd_level(int best_supported) {
       for (std::size_t k = 0; k < g.nz; ++k) {
 #if BIOCHIP_STENCIL_X86
         if (level == 1) {
-          smooth_plane_x2<false, false, true, false>(buf.get(), fixed.get(), nullptr,
-                                                     1.0, g, 1.15, color, k);
+          smooth_plane_x2<false, true>(buf.get(), fixed.get(), g, 1.15, color, k);
           continue;
         }
 #endif
-        smooth_plane_generic<false, false, true>(buf.get(), fixed.get(), nullptr, 1.0, g,
-                                                 1.15, color, k);
+        smooth_plane_generic<false, true>(buf.get(), fixed.get(), g, 1.15, color, k);
       }
   };
   int fastest = 0;
@@ -429,56 +395,38 @@ inline int calibrate_simd_level(int best_supported) {
 
 }  // namespace detail
 
-/// Relax every node of red-black `color` ((i+j+k)%2) in plane k toward
-/// (Σnb - h²·rhs)/6 (rhs may be null for the Laplace case); returns the max
-/// absolute node update in the plane. Mirror branches are hoisted out of the
-/// row loop exactly as in the reference kernel.
+/// Relax every node of red-black `color` ((i+j+k)%2) in plane k toward the
+/// Laplace update Σnb/6; returns the max absolute node update in the plane.
+/// Mirror branches are hoisted out of the row loop exactly as in the
+/// reference kernel.
 /// `plane_has_fixed = false` asserts no node of the plane is Dirichlet (the
 /// caller classified planes once per solve), which removes every mask load
 /// and branch from the hot loop. `track_update = false` skips the
 /// max-update reduction (for sweeps whose norm nobody reads); it never
-/// changes the relaxed values. `shared_z = true` declares that another lane
-/// may relax plane k-1 or k+1 at the same time (the first and last plane of
-/// a pooled chunk); the vector rows then read only the nodes that such a
-/// sweep leaves alone. It never changes the relaxed values either.
-inline double smooth_plane(double* d, const std::uint8_t* fixed, const double* rhs,
-                           double h2, Dims g, double omega, int color, std::size_t k,
-                           bool plane_has_fixed = true, bool track_update = true,
-                           bool shared_z = false) {
-  const auto call = [&](auto hr, auto hf, auto tm, auto sz) {
-    return detail::smooth_plane_impl<hr.value, hf.value, tm.value, sz.value>(
-        d, fixed, rhs, h2, g, omega, color, k);
+/// changes the relaxed values.
+inline double smooth_plane(double* d, const std::uint8_t* fixed, Dims g, double omega,
+                           int color, std::size_t k, bool plane_has_fixed = true,
+                           bool track_update = true) {
+  const auto call = [&](auto hf, auto tm) {
+    return detail::smooth_plane_impl<hf.value, tm.value>(d, fixed, g, omega, color, k);
   };
   using T = std::true_type;
   using F = std::false_type;
-  const auto with_sz = [&](auto hr, auto hf, auto tm) {
-    return shared_z ? call(hr, hf, tm, T{}) : call(hr, hf, tm, F{});
+  const auto with_tm = [&](auto hf) {
+    return track_update ? call(hf, T{}) : call(hf, F{});
   };
-  const auto with_tm = [&](auto hr, auto hf) {
-    return track_update ? with_sz(hr, hf, T{}) : with_sz(hr, hf, F{});
-  };
-  const auto with_hf = [&](auto hr) {
-    return plane_has_fixed ? with_tm(hr, T{}) : with_tm(hr, F{});
-  };
-  return rhs != nullptr ? with_hf(T{}) : with_hf(F{});
+  return plane_has_fixed ? with_tm(T{}) : with_tm(F{});
 }
 
-/// Evaluate the residual over plane k. Returns the plane max of
-/// |(Σnb - h²·rhs)/6 - φ| over free nodes (the update-units diagnostic norm,
-/// identical to the historical `laplacian_residual` definition). When `out`
-/// is non-null, writes the physical-units residual rhs - ∇²φ (zero at fixed
-/// nodes) for restriction to the next-coarser level.
-inline double residual_plane(const double* d, const std::uint8_t* fixed,
-                             const double* rhs, double* out, double h2, Dims g,
-                             std::size_t k) {
-  if (rhs != nullptr)
-    return out != nullptr
-               ? detail::residual_plane_impl<true, true>(d, fixed, rhs, out, h2, g, k)
-               : detail::residual_plane_impl<true, false>(d, fixed, rhs, nullptr, h2, g, k);
-  return out != nullptr
-             ? detail::residual_plane_impl<false, true>(d, fixed, nullptr, out, h2, g, k)
-             : detail::residual_plane_impl<false, false>(d, fixed, nullptr, nullptr, h2, g,
-                                                         k);
+/// Evaluate the Laplace residual over plane k. Returns the plane max of
+/// |Σnb/6 - φ| over free nodes (the update-units diagnostic norm of
+/// `laplacian_residual`). When `out` is non-null, writes the physical-units
+/// residual -∇²φ (zero at fixed nodes) for restriction to the next-coarser
+/// level.
+inline double residual_plane(const double* d, const std::uint8_t* fixed, double* out,
+                             double h2, Dims g, std::size_t k) {
+  return out != nullptr ? detail::residual_plane_impl<true>(d, fixed, out, h2, g, k)
+                        : detail::residual_plane_impl<false>(d, fixed, nullptr, h2, g, k);
 }
 
 /// Full-weighting restriction of the fine-grid residual into coarse plane kc
@@ -571,10 +519,10 @@ inline void prolong_correct_plane(const double* coarse, Dims c, double* fine,
 // free nodes and 0.0 at Dirichlet nodes.
 //
 // NOTE on coloring: a 27-point stencil couples same-color nodes of adjacent
-// planes (diagonal offsets), so unlike the 7-point kernels a red-black
-// half-sweep is NOT plane-parallel safe on its own. Callers must sequence
-// (color, plane-parity) subsweeps — planes of equal parity are >= 2 apart
-// and therefore uncoupled — which keeps fan-out bitwise identical to serial.
+// planes (diagonal offsets), so the plane order within a red-black
+// half-sweep changes the result. The solver sweeps (color, plane-parity)
+// subsweeps — even planes, then odd planes, per color — and that order is
+// pinned: the calibrated cage constants were computed in it.
 
 /// Per-axis offsets of stencil slot m (see layout note above).
 inline constexpr int var_off_i(int m) { return m % 3 - 1; }
@@ -975,9 +923,9 @@ __attribute__((target("avx2"))) inline void residual_plane_var_x2(
 
 /// Relax every free node of red-black `color` in plane k of a 27-point
 /// variable-coefficient (Galerkin) operator toward (rhs - Σ_offdiag)·inv_diag;
-/// returns the plane max |update|. Callers must sequence (color, plane
-/// parity) subsweeps for plane-parallel determinism (see note above). The
-/// AVX2 path is bit-identical to the scalar loop (same order, no FMA).
+/// returns the plane max |update|. The solver visits planes in (color,
+/// plane-parity) order (see note above). The AVX2 path is bit-identical to
+/// the scalar loop (same order, no FMA).
 template <bool TrackMax = true>
 inline double smooth_plane_var(double* d, const std::uint8_t* fixed, const double* coef,
                                const double* inv_diag, const double* rhs, Dims g,
@@ -998,8 +946,7 @@ inline double smooth_plane_var(double* d, const std::uint8_t* fixed, const doubl
 /// scalar `uinv` = 1/uc[13], cutting the 27-stream coefficient traffic that
 /// dominates a var sweep on uniform coarse planes. Bit-identical to
 /// smooth_plane_var on every plane (the flagged nodes' stored coefficients
-/// are exact copies of `uc`); callers keep the same (color, plane-parity)
-/// sequencing contract.
+/// are exact copies of `uc`).
 template <bool TrackMax = true>
 inline double smooth_plane_var_bcast(double* d, const std::uint8_t* fixed,
                                      const double* coef,
@@ -1018,7 +965,7 @@ inline double smooth_plane_var_bcast(double* d, const std::uint8_t* fixed,
 
 /// Residual of the 27-point variable-coefficient operator over plane k:
 /// out = rhs - A·e (exact 0.0 at Dirichlet nodes), for restriction to the
-/// next-coarser level. Reads other planes only; safe to fan over planes.
+/// next-coarser level. Writes plane k of `out` only.
 inline void residual_plane_var(const double* d, const std::uint8_t* fixed,
                                const double* coef, const double* rhs, double* out,
                                Dims g, std::size_t k) {
@@ -1043,10 +990,9 @@ inline void residual_plane_var(const double* d, const std::uint8_t* fixed,
 /// dozen nodes per side — below the vector kernels' profitable range — and a
 /// scalar-only path is identical across SIMD levels with no dispatch.
 /// Returns the max absolute node update inside the box-plane.
-inline double smooth_plane_box(double* d, const std::uint8_t* fixed, const double* rhs,
-                               double h2, Dims g, double omega, int color, std::size_t k,
-                               std::size_t bi0, std::size_t bi1, std::size_t bj0,
-                               std::size_t bj1) {
+inline double smooth_plane_box(double* d, const std::uint8_t* fixed, Dims g, double omega,
+                               int color, std::size_t k, std::size_t bi0, std::size_t bi1,
+                               std::size_t bj0, std::size_t bj1) {
   const std::size_t nx = g.nx, ny = g.ny, nz = g.nz;
   const std::size_t km = (k == 0) ? 1 : k - 1;
   const std::size_t kp = (k + 1 == nz) ? nz - 2 : k + 1;
@@ -1058,19 +1004,13 @@ inline double smooth_plane_box(double* d, const std::uint8_t* fixed, const doubl
     const std::size_t row = (k * ny + j) * nx;
     double* r = d + row;
     const std::uint8_t* f = fixed + row;
-    const double* rr = (rhs != nullptr) ? rhs + row : nullptr;
     const double* rjm = d + (k * ny + jm) * nx;
     const double* rjp = d + (k * ny + jp) * nx;
     const double* rkm = d + (km * ny + j) * nx;
     const double* rkp = d + (kp * ny + j) * nx;
     const auto relax = [&](std::size_t i, std::size_t im, std::size_t ip) {
       if (f[i]) return;
-      double nb = r[im] + r[ip] + rjm[i] + rjp[i] + rkm[i] + rkp[i];
-      if (rr != nullptr) {
-        double load = h2 * rr[i];
-        BIOCHIP_NO_CONTRACT(load);
-        nb -= load;
-      }
+      const double nb = r[im] + r[ip] + rjm[i] + rjp[i] + rkm[i] + rkp[i];
       const double old = r[i];
       double q = nb * (1.0 / 6.0);
       BIOCHIP_NO_CONTRACT(q);
@@ -1095,13 +1035,12 @@ inline double smooth_plane_box(double* d, const std::uint8_t* fixed, const doubl
 }
 
 /// residual_plane restricted to the same inclusive box: returns the max of
-/// |(Σnb - h²·rhs)/6 - φ| over the box-plane's free nodes (the update-units
-/// diagnostic norm, identical to the full-plane definition). Scalar for the
-/// same reasons as smooth_plane_box; read-only, safe to fan over planes.
-inline double residual_plane_box(const double* d, const std::uint8_t* fixed,
-                                 const double* rhs, double h2, Dims g, std::size_t k,
-                                 std::size_t bi0, std::size_t bi1, std::size_t bj0,
-                                 std::size_t bj1) {
+/// |Σnb/6 - φ| over the box-plane's free nodes (the update-units diagnostic
+/// norm, identical to the full-plane definition). Scalar for the same
+/// reasons as smooth_plane_box; read-only.
+inline double residual_plane_box(const double* d, const std::uint8_t* fixed, Dims g,
+                                 std::size_t k, std::size_t bi0, std::size_t bi1,
+                                 std::size_t bj0, std::size_t bj1) {
   const std::size_t nx = g.nx, ny = g.ny, nz = g.nz;
   const std::size_t km = (k == 0) ? 1 : k - 1;
   const std::size_t kp = (k + 1 == nz) ? nz - 2 : k + 1;
@@ -1113,7 +1052,6 @@ inline double residual_plane_box(const double* d, const std::uint8_t* fixed,
     const std::size_t row = (k * ny + j) * nx;
     const double* r = d + row;
     const std::uint8_t* f = fixed + row;
-    const double* rr = (rhs != nullptr) ? rhs + row : nullptr;
     const double* rjm = d + (k * ny + jm) * nx;
     const double* rjp = d + (k * ny + jp) * nx;
     const double* rkm = d + (km * ny + j) * nx;
@@ -1121,9 +1059,7 @@ inline double residual_plane_box(const double* d, const std::uint8_t* fixed,
     const auto node = [&](std::size_t i, std::size_t im, std::size_t ip) {
       if (f[i]) return;
       const double nb = r[im] + r[ip] + rjm[i] + rjp[i] + rkm[i] + rkp[i];
-      const double load = (rr != nullptr) ? rr[i] : 0.0;
-      max_resid =
-          std::max(max_resid, std::fabs((nb - h2 * load) * (1.0 / 6.0) - r[i]));
+      max_resid = std::max(max_resid, std::fabs(nb * (1.0 / 6.0) - r[i]));
     };
     for (std::size_t i = bi0; i <= bi1; ++i) {
       if (i == 0)

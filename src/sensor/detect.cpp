@@ -190,19 +190,29 @@ Grid2 correlate(const Grid2& frame, const std::vector<double>& kernel, int half_
   Grid2 out(frame.nx(), frame.ny(), frame.spacing());
   const std::ptrdiff_t nx = static_cast<std::ptrdiff_t>(frame.nx());
   const std::ptrdiff_t ny = static_cast<std::ptrdiff_t>(frame.ny());
-  for (std::ptrdiff_t j = 0; j < ny; ++j)
-    for (std::ptrdiff_t i = 0; i < nx; ++i) {
-      double acc = 0.0;
-      for (int dj = -half_extent; dj <= half_extent; ++dj)
-        for (int di = -half_extent; di <= half_extent; ++di) {
-          const std::ptrdiff_t si = i + di, sj = j + dj;
-          if (si < 0 || sj < 0 || si >= nx || sj >= ny) continue;
-          acc += frame.at(static_cast<std::size_t>(si), static_cast<std::size_t>(sj)) *
-                 kernel[static_cast<std::size_t>((dj + half_extent) * n +
-                                                 (di + half_extent))];
+  const std::ptrdiff_t h = half_extent;
+  const double* in = frame.data().data();
+  // Borders are zero-padded, so a pixel sums only its in-frame taps, in
+  // row-major order, onto the output's +0.0. Each window is clamped to the
+  // frame once per row and per border column; the interior columns of a row
+  // share their window, so their taps accumulate across the row tap by tap.
+  const std::ptrdiff_t i0 = std::min(h, nx), i1 = std::max(i0, nx - h);
+  for (std::ptrdiff_t j = 0; j < ny; ++j) {
+    const std::ptrdiff_t dj0 = std::max(-h, -j), dj1 = std::min(h, ny - 1 - j);
+    double* acc = out.data().data() + j * nx;
+    const auto add_taps = [&](std::ptrdiff_t ib, std::ptrdiff_t ie, std::ptrdiff_t di0,
+                              std::ptrdiff_t di1) {
+      for (std::ptrdiff_t dj = dj0; dj <= dj1; ++dj)
+        for (std::ptrdiff_t di = di0; di <= di1; ++di) {
+          const double k = kernel[static_cast<std::size_t>((dj + h) * n + di + h)];
+          const std::ptrdiff_t src = (j + dj) * nx + di;
+          for (std::ptrdiff_t i = ib; i < ie; ++i) acc[i] += in[src + i] * k;
         }
-      out.at(static_cast<std::size_t>(i), static_cast<std::size_t>(j)) = acc;
-    }
+    };
+    add_taps(i0, i1, -h, h);
+    for (std::ptrdiff_t i = 0; i < i0; ++i) add_taps(i, i + 1, -i, std::min(h, nx - 1 - i));
+    for (std::ptrdiff_t i = i1; i < nx; ++i) add_taps(i, i + 1, std::max(-h, -i), nx - 1 - i);
+  }
   return out;
 }
 

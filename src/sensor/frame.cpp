@@ -59,12 +59,16 @@ std::vector<FlaggedPixel> overwrite(const std::vector<FlaggedPixel>& flagged,
 
 FrameSynthesizer::FrameSynthesizer(chip::ElectrodeArray array, CapacitivePixel pixel,
                                    double temperature, std::uint64_t seed)
-    : array_(array), pixel_(pixel), temperature_(temperature),
-      offsets_(static_cast<std::size_t>(array.cols()), static_cast<std::size_t>(array.rows()),
-               array.pitch()) {
+    : array_(array), pixel_(pixel), temperature_(temperature), seed_(seed) {
   BIOCHIP_REQUIRE(temperature > 0.0, "temperature must be positive");
-  Rng rng(seed);
-  for (double& v : offsets_.data()) v = rng.normal(0.0, pixel_.offset_sigma_farads);
+}
+
+Grid2 FrameSynthesizer::offsets() const {
+  Grid2 map(static_cast<std::size_t>(array_.cols()), static_cast<std::size_t>(array_.rows()),
+            array_.pitch());
+  Rng rng(seed_);
+  for (double& v : map.data()) v = rng.normal(0.0, pixel_.offset_sigma_farads);
+  return map;
 }
 
 Grid2 FrameSynthesizer::ideal_frame(const std::vector<FrameTarget>& targets) const {
@@ -78,8 +82,9 @@ Grid2 FrameSynthesizer::ideal_frame(const std::vector<FrameTarget>& targets) con
 Grid2 FrameSynthesizer::raw_frame(const std::vector<FrameTarget>& targets, Rng& rng) const {
   Grid2 frame = ideal_frame(targets);
   const double sigma = pixel_.frame_noise_sigma(temperature_);
-  for (std::size_t n = 0; n < frame.size(); ++n)
-    frame.data()[n] += offsets_.data()[n] + rng.normal(0.0, sigma);
+  Rng offset(seed_);  // the stream `offsets()` draws, pixel by pixel
+  for (double& v : frame.data())
+    v += offset.normal(0.0, pixel_.offset_sigma_farads) + rng.normal(0.0, sigma);
   return frame;
 }
 

@@ -4,7 +4,8 @@
 ///
 /// A frame is a Grid2 of ΔC values (capacitance change vs. dry baseline),
 /// one node per pixel, spacing = electrode pitch. The synthesizer owns the
-/// per-pixel fixed-pattern offsets so raw vs. CDS readout can be compared.
+/// seed of the per-pixel fixed-pattern offsets so raw vs. CDS readout can
+/// be compared.
 
 #include <cstdint>
 #include <span>
@@ -35,12 +36,15 @@ class FrameSynthesizer {
 
   const chip::ElectrodeArray& array() const { return array_; }
   const CapacitivePixel& pixel() const { return pixel_; }
-  /// The chip's fixed-pattern offset map [F].
-  const Grid2& offsets() const { return offsets_; }
+  /// The chip's fixed-pattern offset map [F], drawn from the seed on each
+  /// call (only raw reads carry offsets, so none is stored).
+  Grid2 offsets() const;
 
   /// Noiseless ΔC image of the scene.
   Grid2 ideal_frame(const std::vector<FrameTarget>& targets) const;
-  /// Single raw read: ideal + fixed-pattern offsets + random noise.
+  /// Single raw read: ideal + fixed-pattern offsets + random noise. The
+  /// offsets are drawn beside the noise, pixel by pixel, in the same order
+  /// and with the same values as `offsets()`.
   Grid2 raw_frame(const std::vector<FrameTarget>& targets, Rng& rng) const;
   /// Correlated-double-sampled read: offsets cancel, random noise ×√2
   /// (two samples are differenced).
@@ -66,7 +70,7 @@ class FrameSynthesizer {
   chip::ElectrodeArray array_;
   CapacitivePixel pixel_;
   double temperature_;
-  Grid2 offsets_;
+  std::uint64_t seed_;  ///< seed of the fixed-pattern offset stream
 };
 
 /// Overlay manufacturing pixel faults on a synthesized ΔC frame (the sensor

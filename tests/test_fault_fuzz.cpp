@@ -637,19 +637,18 @@ TEST_F(FaultFuzzTest, PooledBitwiseIdenticalUnderFaultFuzz) {
   }
 }
 
-// The tracked whole-chamber field stays bitwise identical between the
-// serial and the pooled windowed solver under a hostile fault schedule:
-// electrode faults (announced AND silent — both kill the trap, so both drop
-// the site's drive and dirty its window; the silent one touches ground truth
-// only), sensor overlays, random escapes, rescue and the health watchdog all
-// armed. The per-tick grids, not just the final state, must match for every
-// solver thread count.
-TEST_F(FaultFuzzTest, TrackedFieldBitwiseIdenticalSerialVsPooledUnderFaultFuzz) {
+// The tracked whole-chamber field is a pure function of the episode under a
+// hostile fault schedule: electrode faults (announced AND silent — both kill
+// the trap, so both drop the site's drive and dirty its window; the silent
+// one touches ground truth only), sensor overlays, random escapes, rescue
+// and the health watchdog all armed. Two runs of the same scenario must
+// match tick by tick, grids and solver schedule alike.
+TEST_F(FaultFuzzTest, TrackedFieldBitwiseRepeatableUnderFaultFuzz) {
   struct Run {
     std::vector<std::vector<double>> grids;  ///< tracked potential per tick
     field::SolveAccounting accounting;
   };
-  const auto run_once = [&](std::size_t solver_threads) {
+  const auto run_once = [&] {
     auto w = make_world();
     w->add_cell({3, 8});
     w->add_cell({12, 4});
@@ -664,7 +663,6 @@ TEST_F(FaultFuzzTest, TrackedFieldBitwiseIdenticalSerialVsPooledUnderFaultFuzz) 
     config.field_tracking.tolerance = 1e-7;
     config.field_tracking.incremental.tolerance = 1e-7;
     config.field_tracking.incremental.reanchor_period = 8;
-    config.field_tracking.threads = solver_threads;
     ClosedLoopEngine engine(w->cages, w->engine, w->imager, w->defects, 0.4, config);
     EpisodeRuntime rt(engine, w->goals, w->bodies, w->cage_bodies, Rng(424242),
                       nullptr);
@@ -688,26 +686,23 @@ TEST_F(FaultFuzzTest, TrackedFieldBitwiseIdenticalSerialVsPooledUnderFaultFuzz) 
     return run;
   };
 
-  const Run serial = run_once(1);
-  for (const std::size_t threads : {std::size_t{4}, std::size_t{0}}) {
-    const Run pooled = run_once(threads);
-    ASSERT_EQ(serial.grids.size(), pooled.grids.size()) << "threads " << threads;
-    for (std::size_t t = 0; t < serial.grids.size(); ++t) {
-      ASSERT_EQ(serial.grids[t].size(), pooled.grids[t].size());
-      for (std::size_t n = 0; n < serial.grids[t].size(); ++n)
-        ASSERT_EQ(serial.grids[t][n], pooled.grids[t][n])
-            << "threads " << threads << " tick " << t + 1 << " node " << n;
-    }
-    // Same work, not just the same answer: the schedule of full vs windowed
-    // solves is part of the determinism contract.
-    EXPECT_EQ(serial.accounting.solves, pooled.accounting.solves);
-    EXPECT_EQ(serial.accounting.window_solves, pooled.accounting.window_solves);
-    EXPECT_EQ(serial.accounting.total_sweeps, pooled.accounting.total_sweeps);
+  const Run first = run_once();
+  const Run again = run_once();
+  ASSERT_EQ(first.grids.size(), again.grids.size());
+  for (std::size_t t = 0; t < first.grids.size(); ++t) {
+    ASSERT_EQ(first.grids[t].size(), again.grids[t].size());
+    for (std::size_t n = 0; n < first.grids[t].size(); ++n)
+      ASSERT_EQ(first.grids[t][n], again.grids[t][n]) << "tick " << t + 1 << " node " << n;
   }
+  // Same work, not just the same answer: the schedule of full vs windowed
+  // solves is part of the determinism contract.
+  EXPECT_EQ(first.accounting.solves, again.accounting.solves);
+  EXPECT_EQ(first.accounting.window_solves, again.accounting.window_solves);
+  EXPECT_EQ(first.accounting.total_sweeps, again.accounting.total_sweeps);
   // The incremental path actually engaged: windowed solves dominate, full
   // re-anchors stay on the configured cadence.
-  EXPECT_GT(serial.accounting.window_solves, serial.accounting.solves);
-  EXPECT_GE(serial.accounting.solves, 1u);
+  EXPECT_GT(first.accounting.window_solves, first.accounting.solves);
+  EXPECT_GE(first.accounting.solves, 1u);
 }
 
 }  // namespace

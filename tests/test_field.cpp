@@ -77,52 +77,6 @@ TEST(Solver, ResidualDropsBelowTolerance) {
   EXPECT_LT(laplacian_residual(phi, bc), 1e-6);
 }
 
-TEST(Solver, ParallelSweepsMatchSerialReference) {
-  // Red-black coloring makes same-color nodes independent, so the
-  // plane-parallel checked-free sweep must converge to the same residual as
-  // the serial reference on an analytic boundary-value problem — and in
-  // fact reproduce the serial iterates exactly, for any thread count.
-  // Non-cubic grid + an asymmetric pin exercise the edge/mirror paths.
-  Grid3 serial(33, 17, 25, 1e-6), parallel(33, 17, 25, 1e-6);
-  DirichletBc bc = plate_bc(serial, -1.5, 3.3);
-  bc.value[serial.index(5, 11, 0)] = 2.0;
-  SolverOptions opts;
-  opts.multilevel = false;
-  opts.tolerance = 1e-9;
-  opts.threads = 1;
-  const SolveStats ss = solve_laplace(serial, bc, opts);
-  opts.threads = 4;
-  const SolveStats sp = solve_laplace(parallel, bc, opts);
-  EXPECT_TRUE(ss.converged);
-  EXPECT_TRUE(sp.converged);
-  EXPECT_EQ(ss.sweeps, sp.sweeps);
-  EXPECT_LT(laplacian_residual(parallel, bc), 1e-7);
-  EXPECT_EQ(laplacian_residual(parallel, bc), laplacian_residual(serial, bc));
-  for (std::size_t n = 0; n < serial.size(); ++n)
-    ASSERT_EQ(serial.data()[n], parallel.data()[n]) << "node " << n;
-}
-
-TEST(Solver, AutoThreadsAndMultilevelAgreeWithSerial) {
-  // The auto-threaded (threads = 0) multilevel solve must reproduce the
-  // serial one and the analytic plate solution.
-  Grid3 serial(17, 17, 17, 1e-6), parallel(17, 17, 17, 1e-6);
-  const DirichletBc bc = plate_bc(serial, 0.0, 1.0);
-  SolverOptions opts;
-  opts.tolerance = 1e-9;
-  opts.threads = 1;
-  solve_laplace(serial, bc, opts);
-  opts.threads = 0;  // one lane per hardware thread
-  solve_laplace(parallel, bc, opts);
-  const double gap = 16.0 * parallel.spacing();
-  for (std::size_t k = 0; k < parallel.nz(); ++k)
-    EXPECT_NEAR(parallel.at(8, 8, k),
-                parallel_plate_potential(0.0, 1.0, gap,
-                                         static_cast<double>(k) * parallel.spacing()),
-                1e-5);
-  for (std::size_t n = 0; n < serial.size(); ++n)
-    ASSERT_EQ(serial.data()[n], parallel.data()[n]) << "node " << n;
-}
-
 TEST(Solver, MismatchedBcSizeThrows) {
   Grid3 phi(5, 5, 5, 1e-6);
   DirichletBc bc;  // wrong (empty) sizes
@@ -183,26 +137,28 @@ TEST(Solver, FieldDecaysAboveStripeArray) {
 // exercise the identical boundary condition.
 DirichletBc cage_bc(const Grid3& g, double v) { return cage_reference_bc(g, v); }
 
-// All-face homogeneous Dirichlet box with f = -3π² Π sin(πx_i): the exact
-// solution is Π sin(πx_i).
-struct SinePoisson {
-  Grid3 f;
+// Unit box with Dirichlet values on every face from the harmonic quadratic
+// u = x² + y² − 2z². The 7-point stencil differences a quadratic exactly
+// (Δ_h x² = 2), so u is also the exact solution of the discrete problem:
+// any gap between a converged solve and u is solver error, not
+// discretization error.
+struct HarmonicBox {
+  Grid3 grid;
   DirichletBc bc;
-  explicit SinePoisson(std::size_t n) : f(n, n, n, 1.0 / static_cast<double>(n - 1)) {
-    bc = DirichletBc::all_free(f);
-    const double h = f.spacing();
+  explicit HarmonicBox(std::size_t n) : grid(n, n, n, 1.0 / static_cast<double>(n - 1)) {
+    bc = DirichletBc::all_free(grid);
     for (std::size_t k = 0; k < n; ++k)
       for (std::size_t j = 0; j < n; ++j)
-        for (std::size_t i = 0; i < n; ++i) {
-          if (i == 0 || j == 0 || k == 0 || i == n - 1 || j == n - 1 || k == n - 1)
-            bc.fixed[f.index(i, j, k)] = 1;
-          f.at(i, j, k) = -3.0 * constants::pi * constants::pi * exact(i, j, k, h);
-        }
+        for (std::size_t i = 0; i < n; ++i)
+          if (i == 0 || j == 0 || k == 0 || i == n - 1 || j == n - 1 || k == n - 1) {
+            bc.fixed[grid.index(i, j, k)] = 1;
+            bc.value[grid.index(i, j, k)] = exact(i, j, k, grid.spacing());
+          }
   }
   static double exact(std::size_t i, std::size_t j, std::size_t k, double h) {
-    return std::sin(constants::pi * static_cast<double>(i) * h) *
-           std::sin(constants::pi * static_cast<double>(j) * h) *
-           std::sin(constants::pi * static_cast<double>(k) * h);
+    const double x = static_cast<double>(i) * h, y = static_cast<double>(j) * h,
+                 z = static_cast<double>(k) * h;
+    return x * x + y * y - 2.0 * z * z;
   }
 };
 
@@ -211,14 +167,14 @@ TEST(Multigrid, ContractionFactorRoughlyGridIndependent) {
   // initial transient is excluded. O(N) multigrid means the factor must not
   // degrade as the grid is refined — the defining property plain SOR lacks.
   const auto contraction = [](std::size_t n) {
-    SinePoisson prob(n);
+    const HarmonicBox prob(n);
     const auto residual_after = [&](std::size_t cycles) {
-      Grid3 phi(n, n, n, prob.f.spacing());
+      Grid3 phi(n, n, n, prob.grid.spacing());
       SolverOptions o;
       o.cycle_tolerance = 1e-300;  // never satisfied: run exactly max_cycles
       o.max_cycles = cycles;
       o.max_sweeps = 0;  // no SOR fallback work after the cycles
-      return solve_poisson(phi, prob.f, prob.bc, o).final_residual;
+      return solve_laplace(phi, prob.bc, o).final_residual;
     };
     return std::sqrt(residual_after(4) / residual_after(2));
   };
@@ -243,26 +199,25 @@ TEST(Multigrid, VcycleAndSorAgreeOnCageBc) {
     EXPECT_NEAR(a.data()[n], b.data()[n], 1e-5) << "node " << n;
 }
 
-TEST(Multigrid, PoissonRecoversAnalyticSolution) {
-  // The multilevel Poisson path must recover the analytic solution to the
-  // discretization floor.
+TEST(Multigrid, VcycleRecoversExactDiscreteSolution) {
+  // The harmonic box's discrete solution is known exactly, so the V-cycle
+  // must recover it to the order of its convergence target.
   const std::size_t n = 33;
-  SinePoisson prob(n);
-  const double h = prob.f.spacing();
+  const HarmonicBox prob(n);
+  const double h = prob.grid.spacing();
   Grid3 phi(n, n, n, h);
   SolverOptions o;
   o.tolerance = 1e-9;
-  const SolveStats s = solve_poisson(phi, prob.f, prob.bc, o);
+  const SolveStats s = solve_laplace(phi, prob.bc, o);
   EXPECT_TRUE(s.converged);
   EXPECT_LE(s.cycles, 15u);
   double err = 0.0;
   for (std::size_t k = 0; k < n; ++k)
     for (std::size_t j = 0; j < n; ++j)
       for (std::size_t i = 0; i < n; ++i)
-        err = std::max(err, std::fabs(phi.at(i, j, k) - SinePoisson::exact(i, j, k, h)));
-  // Second-order discretization: the error floor is O(h²).
-  EXPECT_LT(err, 2.0 * h * h);
-  EXPECT_GT(err, 0.0);
+        err = std::max(err, std::fabs(phi.at(i, j, k) - HarmonicBox::exact(i, j, k, h)));
+  // Measured 8.8e-10 at this tolerance; the bound leaves 10x headroom.
+  EXPECT_LT(err, 10.0 * o.tolerance);
 }
 
 TEST(Multigrid, TerminalSorTailFinishesCappedCycles) {
@@ -271,8 +226,8 @@ TEST(Multigrid, TerminalSorTailFinishesCappedCycles) {
   // show fine sweeps beyond the cycles' V(2,2) budget, and the result
   // matches a plain-SOR solve at the same tolerance. Because the tail
   // continues from the cycle's iterate instead of restarting, the whole
-  // solve takes fewer fine sweeps than plain SOR from zero. One Laplace arm
-  // (cage BC) and one Poisson arm.
+  // solve takes fewer fine sweeps than plain SOR from zero. One arm on the
+  // cage BC and one on the harmonic box.
   const std::size_t n = 33;
   SolverOptions capped;
   capped.max_cycles = 1;
@@ -299,25 +254,13 @@ TEST(Multigrid, TerminalSorTailFinishesCappedCycles) {
     check(a, b, s, reference);
   }
   {
-    SinePoisson prob(n);
-    Grid3 a(n, n, n, prob.f.spacing()), b(n, n, n, prob.f.spacing());
-    const SolveStats s = solve_poisson(a, prob.f, prob.bc, capped);
-    const SolveStats reference = solve_poisson(b, prob.f, prob.bc, plain);
+    const HarmonicBox prob(n);
+    Grid3 a(n, n, n, prob.grid.spacing()), b(n, n, n, prob.grid.spacing());
+    const SolveStats s = solve_laplace(a, prob.bc, capped);
+    const SolveStats reference = solve_laplace(b, prob.bc, plain);
     ASSERT_TRUE(reference.converged);
     check(a, b, s, reference);
   }
-}
-
-TEST(Multigrid, PoissonZeroRhsMatchesLaplaceBitwise) {
-  const std::size_t n = 17;
-  Grid3 a(n, n, n, 1e-6), b(n, n, n, 1e-6);
-  Grid3 zero(n, n, n, 1e-6);
-  DirichletBc bc = cage_bc(a, 2.2);
-  const SolveStats sl = solve_laplace(a, bc);
-  const SolveStats sp = solve_poisson(b, zero, bc);
-  EXPECT_EQ(sl.cycles, sp.cycles);
-  for (std::size_t m = 0; m < a.size(); ++m)
-    ASSERT_EQ(a.data()[m], b.data()[m]) << "node " << m;
 }
 
 TEST(Multigrid, SimdAndScalarPathsBitIdentical) {
@@ -414,10 +357,10 @@ TEST(Multigrid, VcycleAndSorAgreeOnThinGapBc) {
 
 TEST(Multigrid, VarCoefficientKernelsBitIdenticalAcrossPaths) {
   // The thin-gap hierarchy smooths every coarse level with the 27-point
-  // variable-coefficient kernels; SIMD vs scalar and serial vs threaded
-  // must stay bit-identical there exactly as on the constant kernels.
+  // variable-coefficient kernels; SIMD vs scalar must stay bit-identical
+  // there exactly as on the constant kernels.
   const std::size_t n = 33;
-  Grid3 simd(n, n, n, 1e-6), scalar(n, n, n, 1e-6), threaded(n, n, n, 1e-6);
+  Grid3 simd(n, n, n, 1e-6), scalar(n, n, n, 1e-6);
   DirichletBc bc = cage_thin_gap_bc(simd, 3.3, 1);
   bc.value[simd.index(16, 16, 0)] = 1.1;  // break symmetry
   SolverOptions o;
@@ -427,12 +370,8 @@ TEST(Multigrid, VarCoefficientKernelsBitIdenticalAcrossPaths) {
   stencil::force_scalar(true);
   solve_laplace(scalar, bc, o);
   stencil::force_scalar(false);
-  o.threads = 4;
-  solve_laplace(threaded, bc, o);
-  for (std::size_t m = 0; m < simd.size(); ++m) {
+  for (std::size_t m = 0; m < simd.size(); ++m)
     ASSERT_EQ(simd.data()[m], scalar.data()[m]) << "node " << m;
-    ASSERT_EQ(simd.data()[m], threaded.data()[m]) << "node " << m;
-  }
 }
 
 TEST(Multigrid, BroadcastSmootherBitIdenticalToVarOnUniformRows) {

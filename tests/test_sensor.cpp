@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
@@ -200,11 +201,32 @@ TEST_F(FrameTest, IdealFrameSignalAtParticlePixel) {
 }
 
 TEST_F(FrameTest, OffsetsAreDeterministicPerSeed) {
-  FrameSynthesizer again(array_, paper_pixel(), 298.15, 77);
-  for (std::size_t n = 0; n < synth_.offsets().size(); ++n)
-    EXPECT_DOUBLE_EQ(synth_.offsets().data()[n], again.offsets().data()[n]);
+  const Grid2 offsets = synth_.offsets();
+  const Grid2 again = FrameSynthesizer(array_, paper_pixel(), 298.15, 77).offsets();
+  for (std::size_t n = 0; n < offsets.size(); ++n)
+    EXPECT_DOUBLE_EQ(offsets.data()[n], again.data()[n]);
   FrameSynthesizer other(array_, paper_pixel(), 298.15, 78);
-  EXPECT_NE(synth_.offsets().data()[0], other.offsets().data()[0]);
+  EXPECT_NE(offsets.data()[0], other.offsets().data()[0]);
+}
+
+TEST_F(FrameTest, RawFrameIsIdealPlusOffsetsPlusNoiseBitwise) {
+  // A raw read adds each pixel's fixed-pattern offset and one noise draw of
+  // the caller's stream, so it is reproducible from its parts bit for bit,
+  // and it leaves the caller's stream where the per-pixel draws end.
+  Rng rng(9);
+  Rng noise = rng;
+  const Grid2 raw = synth_.raw_frame(one_cell_, rng);
+  const Grid2 ideal = synth_.ideal_frame(one_cell_);
+  const Grid2 offsets = synth_.offsets();
+  const double sigma = paper_pixel().frame_noise_sigma(298.15);
+  for (std::size_t n = 0; n < raw.size(); ++n) {
+    double expected = ideal.data()[n];
+    expected += offsets.data()[n] + noise.normal(0.0, sigma);
+    ASSERT_EQ(std::memcmp(&raw.data()[n], &expected, sizeof(double)), 0) << "pixel " << n;
+  }
+  const double a = rng.normal(), b = noise.normal();
+  EXPECT_EQ(std::memcmp(&a, &b, sizeof(double)), 0);
+  EXPECT_EQ(rng(), noise());
 }
 
 TEST_F(FrameTest, CdsRemovesFixedPatternOffsets) {
@@ -331,6 +353,46 @@ TEST(Detect, KernelIsUnitEnergy) {
   double energy = 0.0;
   for (double v : kernel) energy += v * v;
   EXPECT_NEAR(energy, 1.0, 1e-9);
+}
+
+TEST(Detect, CorrelateMatchesTapByTapOracle) {
+  // The tap-by-tap zero-padded correlation that `correlate` replaced: every
+  // tap goes through the bounds-checked accessor with its own border test.
+  const auto oracle = [](const Grid2& frame, const std::vector<double>& kernel, int h) {
+    const int n = 2 * h + 1;
+    Grid2 out(frame.nx(), frame.ny(), frame.spacing());
+    const auto nx = static_cast<std::ptrdiff_t>(frame.nx());
+    const auto ny = static_cast<std::ptrdiff_t>(frame.ny());
+    for (std::ptrdiff_t j = 0; j < ny; ++j)
+      for (std::ptrdiff_t i = 0; i < nx; ++i) {
+        double acc = 0.0;
+        for (int dj = -h; dj <= h; ++dj)
+          for (int di = -h; di <= h; ++di) {
+            const std::ptrdiff_t si = i + di, sj = j + dj;
+            if (si < 0 || sj < 0 || si >= nx || sj >= ny) continue;
+            acc += frame.at(static_cast<std::size_t>(si), static_cast<std::size_t>(sj)) *
+                   kernel[static_cast<std::size_t>((dj + h) * n + (di + h))];
+          }
+        out.at(static_cast<std::size_t>(i), static_cast<std::size_t>(j)) = acc;
+      }
+    return out;
+  };
+  Rng rng(2024);
+  // A non-square frame (every border and corner), and one narrower than the
+  // h = 2 kernel, where both borders clip the same window.
+  for (const auto& [nx, ny] : {std::pair<std::size_t, std::size_t>{13, 8}, {2, 3}})
+    for (const int h : {1, 2}) {
+      Grid2 frame(nx, ny, 20.0e-6);
+      for (double& v : frame.data()) v = rng.normal(0.0, 1e-16);
+      std::vector<double> kernel(static_cast<std::size_t>((2 * h + 1) * (2 * h + 1)));
+      for (double& v : kernel) v = rng.uniform(-1.0, 1.0);
+      const Grid2 got = correlate(frame, kernel, h);
+      const Grid2 want = oracle(frame, kernel, h);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t m = 0; m < got.size(); ++m)
+        ASSERT_EQ(std::memcmp(&got.data()[m], &want.data()[m], sizeof(double)), 0)
+            << nx << "x" << ny << " h=" << h << " pixel " << m;
+    }
 }
 
 TEST(Frame, PixelFaultsOverlayByKind) {

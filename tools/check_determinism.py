@@ -30,6 +30,10 @@ Rules (docs/static-analysis.md has the rationale table):
                        (src/control/, src/core/): per-worker streams must
                        come from Rng::fork stream spaces keyed on stable ids,
                        never from locally invented seeds.
+  pool-below-core      core/threadpool.hpp includes or ThreadPool names
+                       outside src/core/, src/control/ and src/obs/: nothing
+                       below core owns threads (docs/architecture.md), so
+                       the layers under it stay serial and never reach up.
 
 Escape hatch: a `// det-ok: <reason>` comment on the flagged line or the line
 above suppresses the finding. The reason is mandatory and should state the
@@ -66,6 +70,7 @@ UNORDERED_VAR = re.compile(
 )
 RAW_THREAD = re.compile(r"std::(?:jthread\b|async\b|thread\b(?!::))")
 RNG_CONSTRUCT = re.compile(r"(?<![\w.:])Rng\s+\w+\s*[({]|(?<![\w.:])Rng\s*[({]")
+POOL_USE = re.compile(r'#\s*include\s*"core/threadpool\.hpp"|\bThreadPool\b')
 
 # Files allowed to own these primitives: the pool owns std::thread, the Rng
 # implementation owns raw construction, the timing plane owns the clock.
@@ -74,6 +79,9 @@ RNG_OWNERS = ("common/rng.hpp", "common/rng.cpp")
 CLOCK_OWNER_DIR = "obs/"
 # Pooled code paths where an Rng must come from a fork stream space.
 POOLED_DIRS = ("control/", "core/")
+# The layers allowed to hold the worker pool: core owns it, control fans
+# bodies, episodes and chambers out over it, obs folds its counters.
+POOL_DIRS = ("core/", "control/", "obs/")
 # Event emitters / accounting surfaces get the strict unordered rule.
 EVENT_MARKERS = re.compile(r"\bControlEvent\b|\bemit_event\b|\baccounting\b")
 
@@ -98,6 +106,7 @@ def lint_file(path: Path, rel: str) -> list[tuple[str, int, str, str]]:
         "control/"
     )
     pooled = any(rel.startswith(d) for d in POOLED_DIRS)
+    may_pool = any(rel.startswith(d) for d in POOL_DIRS)
 
     unordered_vars: set[str] = set()
     for i, raw in enumerate(lines):
@@ -135,6 +144,9 @@ def lint_file(path: Path, rel: str) -> list[tuple[str, int, str, str]]:
                     findings.append(
                         ("unordered-iteration", i + 1, rel, raw.strip())
                     )
+
+        if not may_pool and POOL_USE.search(line) and not is_suppressed(lines, i):
+            findings.append(("pool-below-core", i + 1, rel, raw.strip()))
 
         if pooled and rel not in RNG_OWNERS and RNG_CONSTRUCT.search(line):
             # Type/alias declarations are not constructions.
