@@ -217,9 +217,12 @@ void bm_vcycle_warm(benchmark::State& state) {
 //   1  = full solve every tick (the baseline the speedup is measured against)
 //   16 = production cadence (windowed corrections, periodic full re-anchor)
 //   0  = pure windowed corrections, never re-anchored
-// Counters carry the accuracy column for run_benches.sh: max-|dphi| of the
-// final tracked state against a freshly solved full-grid oracle, plus the
-// mean window volume fraction (the per-tick work ratio).
+// Counters carry the accuracy column for run_benches.sh, read from a replay
+// after the timed loop (a fresh tracker walking the same loop for
+// kReplayTicks ticks), so they do not depend on how many iterations the
+// timed loop ran: max-|dphi| of the replay's final tracked state against a
+// freshly solved full-grid oracle, plus the replay's mean window volume
+// fraction (the per-tick work ratio).
 void bm_incremental(benchmark::State& state) {
   const auto period = static_cast<std::size_t>(state.range(0));
   const double pitch = 20.0_um;
@@ -235,36 +238,48 @@ void bm_incremental(benchmark::State& state) {
     }
   SolverOptions opts;
   opts.incremental.reanchor_period = period;
-  IncrementalPotential tracker(domain, footprints, /*lid_present=*/false, pitch,
-                               opts);
 
-  // Prime with one trapped cage at the tile centre, then walk it around a
-  // closed 4-hop loop (E, N, W, S) so every tick changes two drives.
-  std::vector<double> drive(cols * rows, 0.0);
-  std::size_t cage = (rows / 2) * cols + cols / 2;
-  drive[cage] = 1.0;
-  tracker.update(drive);
+  // A tracker primed with one trapped cage at the tile centre; each tick
+  // walks the cage one hop around a closed 4-hop loop (E, N, W, S), so every
+  // tick changes two drives.
+  struct Walk {
+    IncrementalPotential tracker;
+    std::vector<double> drive;
+    std::size_t cage;
+    int dir = 0;
+  };
+  const auto start = [&] {
+    Walk w{IncrementalPotential(domain, footprints, /*lid_present=*/false, pitch, opts),
+           std::vector<double>(cols * rows, 0.0), (rows / 2) * cols + cols / 2};
+    w.drive[w.cage] = 1.0;
+    w.tracker.update(w.drive);
+    return w;
+  };
   const std::ptrdiff_t hop[4] = {+1, static_cast<std::ptrdiff_t>(cols), -1,
                                  -static_cast<std::ptrdiff_t>(cols)};
-  int dir = 0;
-  double fraction = 0.0, ticks = 0.0;
-  for (auto _ : state) {
-    drive[cage] = 0.0;
-    cage = static_cast<std::size_t>(static_cast<std::ptrdiff_t>(cage) + hop[dir]);
-    dir = (dir + 1) & 3;
-    drive[cage] = 1.0;
-    const IncrementalPotential::UpdateReport rep = tracker.update(drive);
-    fraction += rep.window_fraction;
-    ticks += 1.0;
-    benchmark::DoNotOptimize(rep.stats.sweeps);
-  }
-  const Grid3 oracle = tracker.oracle();
+  const auto tick = [&](Walk& w) {
+    w.drive[w.cage] = 0.0;
+    w.cage = static_cast<std::size_t>(static_cast<std::ptrdiff_t>(w.cage) + hop[w.dir]);
+    w.dir = (w.dir + 1) & 3;
+    w.drive[w.cage] = 1.0;
+    return w.tracker.update(w.drive);
+  };
+
+  Walk timed = start();
+  for (auto _ : state) benchmark::DoNotOptimize(tick(timed).stats.sweeps);
+
+  // 40 ticks: ten laps, ending 8 ticks past the /16 policy's second re-anchor.
+  constexpr int kReplayTicks = 40;
+  Walk replay = start();
+  double fraction = 0.0;
+  for (int t = 0; t < kReplayTicks; ++t) fraction += tick(replay).window_fraction;
+  const Grid3 oracle = replay.tracker.oracle();
   double worst = 0.0;
   for (std::size_t m = 0; m < oracle.size(); ++m)
-    worst = std::max(worst, std::fabs(tracker.potential().data()[m] -
+    worst = std::max(worst, std::fabs(replay.tracker.potential().data()[m] -
                                       oracle.data()[m]));
   state.counters["oracle_max_err"] = worst;
-  state.counters["window_fraction"] = ticks > 0.0 ? fraction / ticks : 0.0;
+  state.counters["window_fraction"] = fraction / kReplayTicks;
 }
 
 // Thin-gap (1-node) calibration-patch BC: the geometry whose coarse masks

@@ -18,19 +18,8 @@ std::uint64_t splitmix64(std::uint64_t& x) {
 }
 constexpr std::uint64_t rotl(std::uint64_t v, int k) { return (v << k) | (v >> (64 - k)); }
 
-// Box-Muller on one pair of uniforms, u1 moved into (0, 1] to avoid log(0).
-// `normal()` and `walk_normals()` both transform through here, so their
-// normals agree bit for bit.
-struct NormalPair {
-  double first = 0.0;   ///< returned by the call that draws the pair
-  double second = 0.0;  ///< cached for the next call
-};
-double open_unit(double u1) { return u1 <= 0.0 ? 0x1.0p-53 : u1; }
-NormalPair box_muller(double u1, double u2) {
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  const double theta = 2.0 * constants::pi * u2;
-  return {r * std::cos(theta), r * std::sin(theta)};
-}
+// A uniform moved into (0, 1] to avoid log(0).
+double open_unit(double u) { return u <= 0.0 ? 0x1.0p-53 : u; }
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
@@ -75,46 +64,12 @@ double Rng::normal() {
     has_cached_normal_ = false;
     return cached_normal_;
   }
-  const double u1 = open_unit(uniform());
-  const double u2 = uniform();
-  const NormalPair pair = box_muller(u1, u2);
-  cached_normal_ = pair.second;
+  // Box-Muller.
+  const double r = std::sqrt(-2.0 * std::log(open_unit(uniform())));
+  const double theta = 2.0 * constants::pi * uniform();
+  cached_normal_ = r * std::sin(theta);
   has_cached_normal_ = true;
-  return pair.first;
-}
-
-void Rng::walk_normals(std::size_t count, double radius, const std::vector<std::size_t>& listed,
-                       std::vector<IndexedNormal>& out) {
-  // Walk a local copy, which the compiler can keep in registers across the
-  // rare transforms, and store it back at the end.
-  Rng g = *this;
-  std::size_t i = 0;
-  if (count > 0 && g.has_cached_normal_) {
-    g.has_cached_normal_ = false;
-    out.push_back({0, g.cached_normal_});
-    i = 1;
-  }
-  // r = sqrt(-2 ln u1) >= radius exactly when u1 <= exp(-radius²/2).
-  const double reach_u1 = std::exp(-0.5 * radius * radius);
-  auto next_listed = listed.begin();
-  const auto listed_end = listed.end();
-  for (; i < count; i += 2) {
-    const double u1 = open_unit(g.uniform());
-    const double u2 = g.uniform();
-    while (next_listed != listed_end && *next_listed < i) ++next_listed;
-    const bool holds_listed = next_listed != listed_end && *next_listed <= i + 1;
-    const bool half_pair = i + 1 == count;
-    if (u1 > reach_u1 && !holds_listed && !half_pair) continue;
-    const NormalPair pair = box_muller(u1, u2);
-    out.push_back({i, pair.first});
-    if (half_pair) {
-      g.cached_normal_ = pair.second;
-      g.has_cached_normal_ = true;
-    } else {
-      out.push_back({i + 1, pair.second});
-    }
-  }
-  *this = g;
+  return r * std::cos(theta);
 }
 
 double Rng::normal(double mean, double sigma) { return mean + sigma * normal(); }
@@ -154,6 +109,29 @@ std::uint64_t Rng::poisson(double mean) {
   // Normal approximation with continuity correction; adequate for model use.
   const double v = normal(mean, std::sqrt(mean));
   return v <= 0.0 ? 0 : static_cast<std::uint64_t>(v + 0.5);
+}
+
+std::uint64_t Rng::geometric(double p) {
+  BIOCHIP_REQUIRE(p > 0.0 && p <= 1.0, "geometric probability must be in (0, 1]");
+  // P(G >= n) = P(U <= (1 − p)^n) = (1 − p)^n.
+  const double g = std::floor(std::log(open_unit(uniform())) / std::log1p(-p));
+  return g < 0x1.0p64 ? static_cast<std::uint64_t>(g) : ~std::uint64_t{0};
+}
+
+double Rng::normal_tail(double k) {
+  BIOCHIP_REQUIRE(std::isfinite(k) && k > 0.0, "normal tail bound must be positive and finite");
+  if (k < 1.0) {
+    // Acceptance Φ(−k) > 0.158.
+    for (;;) {
+      const double z = normal();
+      if (z >= k) return z;
+    }
+  }
+  // Acceptance above 0.65 at k = 1, rising to 1 as k grows.
+  for (;;) {
+    const double x = std::sqrt(k * k - 2.0 * std::log(open_unit(uniform())));
+    if (uniform() * x <= k) return x;
+  }
 }
 
 Rng Rng::split() { return Rng((*this)() ^ 0xD2B74407B1CE6E93ull); }

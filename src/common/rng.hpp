@@ -8,9 +8,7 @@
 /// is fully specified here (no standard-library distribution variability).
 
 #include <array>
-#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace biochip {
 
@@ -39,24 +37,6 @@ class Rng {
   /// Normal with the given mean and standard deviation.
   double normal(double mean, double sigma);
 
-  /// One normal of a `walk_normals` pass: its position in the sequence of
-  /// `normal()` calls the walk stands in for, and its value.
-  struct IndexedNormal {
-    std::size_t index = 0;
-    double value = 0.0;
-  };
-  /// Walk the normals that `count` successive `normal()` calls would return
-  /// without computing most of them. Every uniform is drawn, but a
-  /// Box-Muller pair is transformed only when its radius can reach
-  /// `radius`, when it holds an index in `listed` (ascending), or when its
-  /// second normal is left cached. Appends, in ascending index, the normals
-  /// of the transformed pairs and a normal cached on entry (index 0), each
-  /// bit-identical to what `normal()` returns there. So every normal with
-  /// |value| >= `radius` and every listed index is reported. Leaves the
-  /// generator exactly as `count` calls to `normal()` would: the same state
-  /// and the same cached half-pair.
-  void walk_normals(std::size_t count, double radius, const std::vector<std::size_t>& listed,
-                    std::vector<IndexedNormal>& out);
   /// Log-normal such that the *resulting* distribution has the given
   /// arithmetic mean and coefficient of variation (sigma/mean).
   double lognormal_mean_cv(double mean, double cv);
@@ -67,6 +47,15 @@ class Rng {
   /// Poisson-distributed count with the given mean (Knuth for small, normal
   /// approximation for large means).
   std::uint64_t poisson(double mean);
+  /// Failures before the first success in Bernoulli(p) trials, drawn as
+  /// ⌊ln U / ln(1 − p)⌋ from one uniform; saturates at the largest
+  /// `std::uint64_t`. Requires 0 < p <= 1.
+  std::uint64_t geometric(double p);
+  /// Standard normal conditioned on z >= k (the upper tail). For k >= 1,
+  /// Marsaglia's tail method (Technometrics 1964): x = √(k² − 2 ln U₁),
+  /// accepted if U₂·x <= k; below 1, plain normals until one reaches k.
+  /// Requires k > 0 and finite.
+  double normal_tail(double k);
 
   /// Derive an independent child stream (for per-agent/per-trial streams).
   /// Advances this generator; successive calls give distinct children.

@@ -510,8 +510,9 @@ void EpisodeRuntime::tick(int t) {
   // over defective pixels are rejected up front (stuck-cage phantoms) —
   // the chip's self-test map is legitimate controller knowledge. Only the
   // pixels at or below the threshold are ever materialized: the frame's
-  // crossings (`averaged_crossings`), then each overlay written over them
-  // in the order it would write a dense frame, the later writer winning.
+  // crossings, drawn from its law (`averaged_crossings`), then each overlay
+  // written over them in the order it would write a dense frame, the later
+  // writer winning.
   std::vector<sensor::FrameTarget> targets;
   targets.reserve(bodies_.size());
   for (std::size_t n = 0; n < bodies_.size(); ++n)
@@ -556,11 +557,13 @@ void EpisodeRuntime::tick(int t) {
   for (const SensorDropout& d : dropouts_) faults.zero_rows.push_back(d.row);
   for (const SensorBurst& b : bursts_) faults.phantom_tiles.push_back({b.origin, b.tile});
   faults.phantom_dc = -config.stuck_cage_thresholds * threshold_;
+  std::size_t background = 0;
   const std::vector<sensor::Detection> detections = sensor::cluster_flagged(
       sensor::apply_frame_faults(
-          owner_.imager_.averaged_crossings(targets, sense, frames, threshold_), array,
-          faults, threshold_),
+          owner_.imager_.averaged_crossings(targets, sense, frames, threshold_, &background),
+          array, faults, threshold_),
       array);
+  report_.background_crossings += background;
 
   // ---- track: associate detections to per-cage trap centers.
   phase.begin("track");

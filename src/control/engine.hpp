@@ -10,11 +10,11 @@
 ///  2. integrates every particle for one site period — traps parked on
 ///     defective sites exert no force (`chip::site_usable`), and per-episode
 ///     fault injection may kick a trapped cell out of its basin;
-///  3. images the true scene: the averaged CDS frame's threshold crossings
-///     (`sensor::FrameSynthesizer::averaged_crossings`) with the pixel-fault,
-///     dropout and burst overlays written over them, clustered into
-///     detections (`sensor::cluster_flagged`) that feed the occupancy
-///     tracker;
+///  3. images the true scene: the averaged CDS frame's threshold crossings,
+///     drawn from the frame's law (`sensor::FrameSynthesizer::averaged_crossings`),
+///     with the pixel-fault, dropout and burst overlays written over them,
+///     clustered into detections (`sensor::cluster_flagged`) that feed the
+///     occupancy tracker;
 ///  4. lets the supervisor react: pause the tow of a cage that lost its
 ///     cell, spawn a recapture maneuver toward the stray detection, re-route
 ///     online around defective or congested sites via the replanner.
@@ -70,6 +70,10 @@ struct EpisodeReport {
   /// drawn exactly inside one trap's basin, or stepped substep by substep.
   std::size_t exact_advances = 0;
   std::size_t em_advances = 0;
+  /// Sensed pixels at or below the threshold outside every cell's window
+  /// (`FrameSynthesizer::averaged_crossings`), before the fault overlays:
+  /// the noise-only false-positive source.
+  std::size_t background_crossings = 0;
   std::vector<ControlEvent> events;  ///< full audit trail, chronological
   /// Ground-truth delivery accounting over the goal cages: a cage is
   /// delivered iff it sits at its destination with its cell inside the
@@ -219,6 +223,8 @@ class EpisodeRuntime {
   /// Period advances so far by path (obs gauge folds; see EpisodeReport).
   std::size_t exact_advances() const { return report_.exact_advances; }
   std::size_t em_advances() const { return report_.em_advances; }
+  /// Background crossings sensed so far (obs gauge folds; see EpisodeReport).
+  std::size_t background_crossings() const { return report_.background_crossings; }
 
   /// Attach the timing plane: `tick()` then records actuate / physics /
   /// sense / track / plan phase spans into `trace` on lane `lane`

@@ -219,6 +219,7 @@ OrchestratorReport Orchestrator::run(std::vector<ChamberSetup>& chambers,
       reg->gauge("chamber.replans", static_cast<int>(c));
       reg->gauge("chamber.exact_advances", static_cast<int>(c));
       reg->gauge("chamber.em_advances", static_cast<int>(c));
+      reg->gauge("chamber.background_crossings", static_cast<int>(c));
     }
     reg->counter("transfer.requests");
     reg->counter("transfer.admissions");
@@ -248,6 +249,8 @@ OrchestratorReport Orchestrator::run(std::vector<ChamberSetup>& chambers,
                static_cast<std::int64_t>(fleet[c].exact_advances()));
       reg->set(reg->gauge("chamber.em_advances", static_cast<int>(c)),
                static_cast<std::int64_t>(fleet[c].em_advances()));
+      reg->set(reg->gauge("chamber.background_crossings", static_cast<int>(c)),
+               static_cast<std::int64_t>(fleet[c].background_crossings()));
     }
     fold_pool(*reg, pool != nullptr ? pool->stats().since(pool_base)
                                     : core::PoolStats{});

@@ -197,6 +197,7 @@ StreamingReport StreamingService::run(std::vector<ChamberSetup>& chambers,
       reg->gauge("service.replans", static_cast<int>(c));
       reg->gauge("service.exact_advances", static_cast<int>(c));
       reg->gauge("service.em_advances", static_cast<int>(c));
+      reg->gauge("service.background_crossings", static_cast<int>(c));
       fold_health(*reg, static_cast<int>(c), fleet[c].health_state());
       for (std::size_t k = 0; k < kEventKindCount; ++k)
         event_metric(*reg, static_cast<int>(c), static_cast<EventKind>(k));
@@ -375,6 +376,8 @@ StreamingReport StreamingService::run(std::vector<ChamberSetup>& chambers,
                  static_cast<std::int64_t>(fleet[c].exact_advances()));
         reg->set(reg->gauge("service.em_advances", static_cast<int>(c)),
                  static_cast<std::int64_t>(fleet[c].em_advances()));
+        reg->set(reg->gauge("service.background_crossings", static_cast<int>(c)),
+                 static_cast<std::int64_t>(fleet[c].background_crossings()));
         fold_health(*reg, static_cast<int>(c), fleet[c].health_state());
         frames += fleet[c].frames_sensed();
       }
@@ -410,6 +413,7 @@ StreamingReport StreamingService::run(std::vector<ChamberSetup>& chambers,
     report.frames_sensed += fleet[c].frames_sensed();
     report.exact_advances += fleet[c].exact_advances();
     report.em_advances += fleet[c].em_advances();
+    report.background_crossings += fleet[c].background_crossings();
     report.health.push_back(fleet[c].health_state());
     report.in_flight_end += in_flight[c].size();
   }

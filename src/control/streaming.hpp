@@ -116,6 +116,7 @@ struct StreamingReport {
   /// Period advances across all chambers, by path (see EpisodeReport).
   std::size_t exact_advances = 0;
   std::size_t em_advances = 0;
+  std::size_t background_crossings = 0;  ///< across all chambers (see EpisodeReport)
   /// `event_counts[c][k]` = events of `EventKind` k chamber c emitted.
   std::vector<std::vector<std::uint64_t>> event_counts;
   std::uint64_t injected_faults = 0;

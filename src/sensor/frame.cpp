@@ -33,11 +33,6 @@ void walk_windows(const chip::ElectrodeArray& array, const CapacitivePixel& pixe
 // (the `v += rng.normal(0.0, sigma)` of the dense frame).
 double averaged_pixel(double ideal, double sigma, double z) { return ideal + (0.0 + sigma * z); }
 
-// A background pair is transformed when its radius reaches k·(1 − margin),
-// k = threshold/σ. The margin covers the rounding of exp, log, sqrt, cos,
-// sin and σ·z (a few 1e-16 relative) with room to spare.
-constexpr double kRadiusMargin = 1e-9;
-
 // Sparse form of writing `writes` over a frame and then thresholding: both
 // lists are in raster order, a write wins over the flagged entry at its
 // pixel, and only entries at or below −threshold are kept.
@@ -106,8 +101,8 @@ Grid2 FrameSynthesizer::averaged_frame(const std::vector<FrameTarget>& targets, 
 }
 
 std::vector<FlaggedPixel> FrameSynthesizer::averaged_crossings(
-    const std::vector<FrameTarget>& targets, Rng& rng, std::size_t n_frames,
-    double threshold) const {
+    const std::vector<FrameTarget>& targets, Rng& rng, std::size_t n_frames, double threshold,
+    std::size_t* background_crossings) const {
   BIOCHIP_REQUIRE(n_frames >= 1, "need at least one frame");
   BIOCHIP_REQUIRE(threshold > 0.0, "threshold must be positive");
   // Ideal ΔC of the window pixels, summed per pixel in target order as
@@ -118,28 +113,44 @@ std::vector<FlaggedPixel> FrameSynthesizer::averaged_crossings(
   std::stable_sort(parts.begin(), parts.end(),
                    [](const FlaggedPixel& a, const FlaggedPixel& b) { return a.index < b.index; });
   std::vector<FlaggedPixel> ideal;
-  std::vector<std::size_t> windows;
   for (const FlaggedPixel& p : parts) {
-    if (ideal.empty() || ideal.back().index != p.index) {
-      ideal.push_back({p.index, 0.0});
-      windows.push_back(p.index);
-    }
+    if (ideal.empty() || ideal.back().index != p.index) ideal.push_back({p.index, 0.0});
     ideal.back().value += p.value;
   }
 
-  // Every other pixel reads σ·z alone, so it can reach −threshold only if
-  // |z| >= k = threshold/σ, and |z| never exceeds its pair's radius.
+  // Window pixels: one normal each, in raster order.
   const double sigma = cds_noise_sigma() / std::sqrt(static_cast<double>(n_frames));
-  std::vector<Rng::IndexedNormal> normals;
-  rng.walk_normals(array_.electrode_count(), threshold / sigma * (1.0 - kRadiusMargin),
-                   windows, normals);
-  std::vector<FlaggedPixel> out;
-  auto w = ideal.begin();
-  for (const Rng::IndexedNormal& z : normals) {
-    const bool in_window = w != ideal.end() && w->index == z.index;
-    const double v = averaged_pixel(in_window ? (w++)->value : 0.0, sigma, z.value);
-    if (v <= -threshold) out.push_back({z.index, v});
+  std::vector<FlaggedPixel> window_hits;
+  for (const FlaggedPixel& w : ideal) {
+    const double v = averaged_pixel(w.value, sigma, rng.normal());
+    if (v <= -threshold) window_hits.push_back({w.index, v});
   }
+
+  // Every other pixel reads σ·z alone, so its crossings are an i.i.d.
+  // Bernoulli(p) subset, p = Φ(−k), k = threshold/σ: geometric skips over
+  // all pixels, a hit on a window pixel dropped (its trial is independent
+  // of the others), each kept hit's z drawn from the tail below −k.
+  const double k = threshold / sigma;
+  const double p = 0.5 * std::erfc(k / std::sqrt(2.0));
+  const std::size_t n = array_.electrode_count();
+  std::vector<FlaggedPixel> out;
+  std::size_t background = 0;
+  auto window = ideal.begin();
+  auto hit = window_hits.begin();
+  for (std::size_t i = 0; p > 0.0; ++i) {
+    const std::uint64_t skip = rng.geometric(p);
+    if (skip >= n - i) break;
+    i += skip;
+    while (window != ideal.end() && window->index < i) ++window;
+    if (window != ideal.end() && window->index == i) continue;
+    const double v = averaged_pixel(0.0, sigma, -rng.normal_tail(k));
+    if (v > -threshold) continue;
+    for (; hit != window_hits.end() && hit->index < i; ++hit) out.push_back(*hit);
+    out.push_back({i, v});
+    ++background;
+  }
+  out.insert(out.end(), hit, window_hits.end());
+  if (background_crossings != nullptr) *background_crossings = background;
   return out;
 }
 

@@ -52,16 +52,19 @@ class FrameSynthesizer {
   /// Mean of n CDS frames (the claim-C4 averaging path).
   Grid2 averaged_frame(const std::vector<FrameTarget>& targets, Rng& rng,
                        std::size_t n_frames) const;
-  /// The pixels of `averaged_frame(targets, rng, n_frames)` whose value is
-  /// <= -threshold, in raster order, each bit-identical to that frame entry;
-  /// `rng` ends as `averaged_frame` would leave it. Ideal ΔC is computed
-  /// only in the targets' windows, and a background pixel's noise only when
-  /// its Box-Muller pair's radius can reach threshold/σ (`Rng::walk_normals`):
-  /// the cost is one pass over the stream plus O(targets × window + crossings).
+  /// The pixels of an averaged frame (`averaged_frame`'s law) whose value is
+  /// <= -threshold, in raster order. Drawn from the frame's law, not its
+  /// stream: the targets' window pixels read ideal ΔC + σ·z, one `normal()`
+  /// each; every other pixel reads σ·z alone, so its crossings are drawn as
+  /// geometric skips with p = Φ(−threshold/σ) and their values from the
+  /// normal tail (`Rng::geometric`, `Rng::normal_tail`). Cost
+  /// O(targets × window + crossings). `background_crossings`, when given,
+  /// receives how many of the returned pixels lie outside every window.
   /// `threshold` > 0 [F].
   std::vector<FlaggedPixel> averaged_crossings(const std::vector<FrameTarget>& targets,
                                                Rng& rng, std::size_t n_frames,
-                                               double threshold) const;
+                                               double threshold,
+                                               std::size_t* background_crossings = nullptr) const;
 
   /// Per-frame random-noise σ of a CDS read [F].
   double cds_noise_sigma() const;

@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/geometry.hpp"
@@ -251,6 +255,67 @@ TEST(Rng, PoissonMeanAndVarianceMatch) {
   EXPECT_NEAR(small.mean(), 3.0, 0.05);
   EXPECT_NEAR(small.variance(), 3.0, 0.15);
   EXPECT_NEAR(large.mean(), 80.0, 0.35);
+}
+
+// The law primitives of the sparse sense, under the rules of the exact
+// period advance's harness: mean within 5 SE, |ln var ratio| within
+// 5·√(4/(N−1)), and a one-sample KS statistic D below its α = 1e-4
+// critical value.
+TEST(Rng, GeometricMeanAndVarianceMatch) {
+  const std::size_t n = 40000;
+  const double dn = static_cast<double>(n);
+  std::uint64_t seed = 53;
+  for (const double p : {0.5, 0.01, 3.2e-5}) {
+    SCOPED_TRACE("p = " + std::to_string(p));
+    Rng rng(seed++);
+    RunningStats s;
+    for (std::size_t i = 0; i < n; ++i) s.add(static_cast<double>(rng.geometric(p)));
+    const double mean = (1.0 - p) / p;
+    const double var = (1.0 - p) / (p * p);
+    EXPECT_LE(std::fabs(s.mean() - mean), 5.0 * std::sqrt(var / dn));
+    EXPECT_LE(std::fabs(std::log(s.variance() / var)), 5.0 * std::sqrt(4.0 / (dn - 1.0)));
+  }
+}
+
+TEST(Rng, GeometricEdges) {
+  Rng rng(59);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.geometric(1.0), 0u);
+  // A gap beyond 2^64 saturates.
+  EXPECT_EQ(rng.geometric(1e-300), ~std::uint64_t{0});
+  for (const double p : {0.0, -0.1, 1.5, std::nan("")})
+    EXPECT_THROW(rng.geometric(p), PreconditionError) << p;
+}
+
+TEST(Rng, NormalTailMatchesConditionalLaw) {
+  const std::size_t n = 40000;
+  const double critical =
+      std::sqrt(-std::log(1e-4 / 2.0) / 2.0) / std::sqrt(static_cast<double>(n));
+  std::uint64_t seed = 61;
+  // 0.25 takes the rejection branch, the others Marsaglia's.
+  for (const double k : {0.25, 1.0, 4.0, 6.0}) {
+    SCOPED_TRACE("k = " + std::to_string(k));
+    Rng rng(seed++);
+    // P(Z <= x | Z >= k) = 1 − erfc(x/√2) / erfc(k/√2).
+    const double tail = std::erfc(k / std::sqrt(2.0));
+    std::vector<double> cdf(n);
+    for (double& u : cdf) {
+      const double x = rng.normal_tail(k);
+      ASSERT_GE(x, k);
+      u = 1.0 - std::erfc(x / std::sqrt(2.0)) / tail;
+    }
+    std::sort(cdf.begin(), cdf.end());
+    double d = 0.0;
+    for (std::size_t i = 0; i < n; ++i)
+      d = std::max({d, static_cast<double>(i + 1) / static_cast<double>(n) - cdf[i],
+                    cdf[i] - static_cast<double>(i) / static_cast<double>(n)});
+    EXPECT_LT(d, critical);
+  }
+}
+
+TEST(Rng, NormalTailRejectsBadBounds) {
+  Rng rng(67);
+  for (const double k : {0.0, -1.0, std::nan(""), HUGE_VAL})
+    EXPECT_THROW(rng.normal_tail(k), PreconditionError) << k;
 }
 
 TEST(Rng, SplitStreamsAreIndependent) {

@@ -350,7 +350,9 @@ TEST_F(ObsStreamingTest, CountingSnapshotBitwiseIdenticalSerialVsPooled) {
   // compared snapshot: the path choice and its count are serial ≡ pooled.
   EXPECT_GT(serial_report.exact_advances, 0u);
   EXPECT_GT(serial_report.em_advances, 0u);
-  for (const char* name : {"service.exact_advances", "service.em_advances"})
+  EXPECT_GT(serial_report.background_crossings, 0u);
+  for (const char* name :
+       {"service.exact_advances", "service.em_advances", "service.background_crossings"})
     for (int c = 0; c < 2; ++c) {
       const auto same = [&](const Metric& m) { return m.name == name && m.index == c; };
       EXPECT_EQ(std::count_if(serial_snap.metrics.begin(), serial_snap.metrics.end(), same), 1)
@@ -425,6 +427,11 @@ TEST_F(ObsStreamingTest, RegistryReconcilesWithStreamingReport) {
   EXPECT_EQ(static_cast<std::size_t>(exact), report.exact_advances);
   EXPECT_EQ(static_cast<std::size_t>(em), report.em_advances);
   EXPECT_GT(report.exact_advances, report.em_advances);
+
+  // Background crossings: the per-chamber gauges sum to the report's total.
+  std::int64_t background = 0;
+  for (int c = 0; c < 2; ++c) background += reg.find("service.background_crossings", c)->ivalue;
+  EXPECT_EQ(static_cast<std::size_t>(background), report.background_crossings);
 }
 
 // A disabled observer must not perturb the run: report identical to a run

@@ -1,8 +1,8 @@
 // Tests for the sensor library: capacitive/optical pixel models, scan
 // timing, frame synthesis (offsets, CDS, averaging), detection, and the
-// sparse sense against the dense sequence it replaced.
+// law-drawn sparse sense against the dense sequence.
 //
-// BIOCHIP_LONGFUZZ=<n> multiplies the sparse-sense sweep's case count (the
+// BIOCHIP_LONGFUZZ=<n> multiplies the sparse-sense harness's case count (the
 // `longfuzz` ctest label runs with n=10).
 
 #include <gtest/gtest.h>
@@ -443,11 +443,10 @@ TEST(Detect, ThresholdValidation) {
 // ---------------------------------------------------------- sparse sense ----
 //
 // The closed loop senses sparsely: `averaged_crossings` → `apply_frame_faults`
-// → `cluster_flagged`. The oracle is the dense sequence it replaced, kept
-// here with the dense flood fill that `detect_threshold` used to run:
-// `averaged_frame` → `apply_pixel_faults` → dropout rows → burst tiles →
-// threshold + flood fill. Detections must agree bit for bit, and the
-// generator must end in the same state.
+// → `cluster_flagged`. `averaged_crossings` draws from the frame's law, not
+// its stream, so its oracle is the dense sequence in law: `averaged_frame` →
+// `apply_pixel_faults` → dropout rows → burst tiles → threshold + flood fill
+// (the dense flood fill `detect_threshold` used to run, kept here).
 
 std::size_t longfuzz_factor() {
   const char* env = std::getenv("BIOCHIP_LONGFUZZ");
@@ -519,38 +518,11 @@ bool same_stream(Rng& a, Rng& b) {
   return a() == b() && a() == b();
 }
 
-TEST(SparseSense, WalkReportsWhatNormalCallsReturn) {
-  Rng cases(4711);
-  const std::size_t n_cases = 400 * longfuzz_factor();
-  for (std::size_t c = 0; c < n_cases; ++c) {
-    const auto count = static_cast<std::size_t>(cases.uniform_int(0, 400));
-    const double radius = cases.uniform(0.0, 3.5);
-    std::vector<std::size_t> listed;
-    for (std::size_t i = 0; i < count; ++i)
-      if (cases.bernoulli(0.05)) listed.push_back(i);
-    Rng dense(cases());
-    if (cases.bernoulli(0.5)) dense.normal();  // leave a half-pair cached
-    Rng sparse = dense;
-    std::vector<double> z(count);
-    for (double& v : z) v = dense.normal();
-    std::vector<Rng::IndexedNormal> out;
-    sparse.walk_normals(count, radius, listed, out);
-
-    std::vector<std::uint8_t> seen(count, 0);
-    for (std::size_t k = 0; k < out.size(); ++k) {
-      ASSERT_LT(out[k].index, count) << "case " << c;
-      ASSERT_TRUE(k == 0 || out[k - 1].index < out[k].index) << "case " << c;
-      ASSERT_TRUE(same_bits(out[k].value, z[out[k].index])) << "case " << c;
-      seen[out[k].index] = 1;
-    }
-    for (const std::size_t i : listed) EXPECT_TRUE(seen[i]) << "case " << c << " index " << i;
-    for (std::size_t i = 0; i < count; ++i) {
-      if (std::fabs(z[i]) >= radius) {
-        EXPECT_TRUE(seen[i]) << "case " << c << " index " << i;
-      }
-    }
-    EXPECT_TRUE(same_stream(dense, sparse)) << "case " << c;
-  }
+bool same_bits(const std::vector<FlaggedPixel>& a, const std::vector<FlaggedPixel>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t n = 0; n < a.size(); ++n)
+    if (a[n].index != b[n].index || !same_bits(a[n].value, b[n].value)) return false;
+  return true;
 }
 
 // One sense's inputs, drawn from a seeded config space.
@@ -614,9 +586,9 @@ SenseCase draw_case(const FrameSynthesizer& synth, Rng& rng) {
   return c;
 }
 
-std::vector<Detection> dense_sense(const FrameSynthesizer& synth, const SenseCase& c, Rng& rng) {
-  const chip::ElectrodeArray& array = synth.array();
-  Grid2 frame = synth.averaged_frame(c.targets, rng, c.n_frames);
+// The dense overlay of `c`'s faults, written over `frame` in the closed
+// loop's order: pixel faults, dropout rows, burst tiles.
+void overlay_faults(Grid2& frame, const chip::ElectrodeArray& array, const SenseCase& c) {
   apply_pixel_faults(frame, *c.defects, c.stuck_cage_dc);
   for (const int row : c.zero_rows)
     for (std::size_t i = 0; i < frame.nx(); ++i) frame.at(i, static_cast<std::size_t>(row)) = 0.0;
@@ -628,15 +600,26 @@ std::vector<Detection> dense_sense(const FrameSynthesizer& synth, const SenseCas
           frame.at(static_cast<std::size_t>(s.col), static_cast<std::size_t>(s.row)) =
               c.phantom_dc;
       }
+}
+
+// Threshold + flood fill of a faulted frame; the dense detector, which scans
+// into the list clusterer, must give the same detections.
+std::vector<Detection> dense_detect(const Grid2& frame, const chip::ElectrodeArray& array,
+                                    double threshold) {
   const std::vector<Detection> oracle =
-      dense_flood_fill(frame, array, [&](double v) { return v <= -c.threshold; });
-  // The dense detector now scans into the list clusterer: same detections.
-  EXPECT_TRUE(same_bits(detect_threshold(frame, array, c.threshold), oracle));
+      dense_flood_fill(frame, array, [&](double v) { return v <= -threshold; });
+  EXPECT_TRUE(same_bits(detect_threshold(frame, array, threshold), oracle));
   return oracle;
 }
 
-std::vector<Detection> sparse_sense(const FrameSynthesizer& synth, const SenseCase& c,
-                                    Rng& rng) {
+std::vector<Detection> dense_sense(const FrameSynthesizer& synth, const SenseCase& c, Rng& rng) {
+  Grid2 frame = synth.averaged_frame(c.targets, rng, c.n_frames);
+  overlay_faults(frame, synth.array(), c);
+  return dense_detect(frame, synth.array(), c.threshold);
+}
+
+std::vector<Detection> sparse_detect(const FrameSynthesizer& synth, const SenseCase& c,
+                                     const std::vector<FlaggedPixel>& crossings) {
   const std::vector<PixelFault> pixels = pixel_faults(*c.defects);
   FrameFaults faults;
   faults.pixels = pixels;
@@ -644,14 +627,99 @@ std::vector<Detection> sparse_sense(const FrameSynthesizer& synth, const SenseCa
   faults.zero_rows = c.zero_rows;
   faults.phantom_tiles = c.tiles;
   faults.phantom_dc = c.phantom_dc;
-  return cluster_flagged(
-      apply_frame_faults(synth.averaged_crossings(c.targets, rng, c.n_frames, c.threshold),
-                         synth.array(), faults, c.threshold),
-      synth.array());
+  return cluster_flagged(apply_frame_faults(crossings, synth.array(), faults, c.threshold),
+                         synth.array());
 }
 
-TEST(SparseSense, MatchesDenseSequenceBitForBit) {
-  // Odd pixel counts (15x17, 319²) leave the frame's last pair half-used.
+// The pixels of the targets' 2-pitch windows, which carry ideal ΔC; every
+// other pixel is background and reads noise alone.
+std::vector<std::uint8_t> window_mask(const chip::ElectrodeArray& array,
+                                      const std::vector<FrameTarget>& targets) {
+  std::vector<std::uint8_t> mask(array.electrode_count(), 0);
+  const double reach = 2.0 * array.pitch();
+  for (const FrameTarget& t : targets) {
+    const GridCoord lo = array.nearest({t.position.x - reach, t.position.y - reach});
+    const GridCoord hi = array.nearest({t.position.x + reach, t.position.y + reach});
+    for (int r = lo.row; r <= hi.row; ++r)
+      for (int col = lo.col; col <= hi.col; ++col) mask[array.index({col, r})] = 1;
+  }
+  return mask;
+}
+
+// One-sample Kolmogorov-Smirnov statistic D of samples that are Uniform(0, 1)
+// under the null.
+double ks_uniform(std::vector<double> u) {
+  std::sort(u.begin(), u.end());
+  const auto n = static_cast<double>(u.size());
+  double d = 0.0;
+  for (std::size_t i = 0; i < u.size(); ++i)
+    d = std::max({d, static_cast<double>(i + 1) / n - u[i], u[i] - static_cast<double>(i) / n});
+  return d;
+}
+
+// The α = 1e-4 critical value of the one-sample KS statistic at n samples.
+double ks_critical(std::size_t n) {
+  return std::sqrt(-std::log(1e-4 / 2.0) / 2.0) / std::sqrt(static_cast<double>(n));
+}
+
+// |Δmean| <= 5 SE between two arms. Arms of fewer than `min_count` samples
+// pass: the normal approximation behind 5 SE needs a sample to rest on.
+bool means_agree(const RunningStats& a, const RunningStats& b, std::size_t min_count) {
+  if (a.count() < min_count || b.count() < min_count) return true;
+  const double se = std::sqrt(a.variance() / static_cast<double>(a.count()) +
+                              b.variance() / static_cast<double>(b.count()));
+  return std::fabs(a.mean() - b.mean()) <= 5.0 * se;
+}
+
+// One target's observables in one arm: whether a detection lies within two
+// pitches of it, and the nearest such detection's centroid error and size.
+// The error is read in steps of 1e-6 pitch: a one-pixel cluster's centroid,
+// (center · |v|) / |v|, rounds differently for different values by a few
+// ulps, which a 5 SE rule on a constant would otherwise flag.
+struct TargetArm {
+  RunningStats detected;
+  RunningStats error;
+  RunningStats pixels;
+
+  void observe(const FrameTarget& t, const std::vector<Detection>& dets, double pitch) {
+    const double reach = 2.0 * pitch;
+    const Detection* best = nullptr;
+    double best_d = reach;
+    for (const Detection& d : dets) {
+      const double dist = (d.position - Vec2{t.position.x, t.position.y}).norm();
+      if (dist <= best_d) {
+        best = &d;
+        best_d = dist;
+      }
+    }
+    detected.add(best != nullptr ? 1.0 : 0.0);
+    if (best == nullptr) return;
+    error.add(std::round(best_d / (1e-6 * pitch)));
+    pixels.add(static_cast<double>(best->pixel_count));
+  }
+};
+
+// The statistical harness over `draw_case`'s config space (15x17 to 320²
+// arrays, k = threshold/σ in [0.5, 6], overlapping windows, targets resting
+// near the floor, pixel faults, dropouts and bursts). Each case draws many
+// law frames, each on its own stream, and checks four rules:
+//  - background (pixels beyond every window): the per-frame crossing count
+//    against Binomial(N_bg, p), p = Φ(−k), by mean (5 SE) and variance
+//    (|ln ratio| within 5·√(4/(M−1))); the crossing values by one-sample KS
+//    against the exact tail below −k; their positions uniform over the
+//    background (KS on the raster rank); the reported background count;
+//  - per target (small arrays, where the dense oracle is cheap): detection
+//    rate, centroid error and `pixel_count` of law frames vs dense frames,
+//    each |Δmean| <= 5 SE;
+//  - structure, every frame: raster indices strictly ascending and inside
+//    the array, every value <= −threshold, and the same stream giving the
+//    same list and leaving the same generator;
+//  - bit for bit after the draw, once per case: the crossings scattered into
+//    an otherwise-zero frame, overlaid densely and thresholded, detect what
+//    `apply_frame_faults` + `cluster_flagged` detect on the list.
+// Every rule counts its failures, so a broken sampler reports each rule it
+// breaks.
+TEST(SparseSense, MatchesDenseSequenceInLaw) {
   const std::vector<std::pair<int, int>> shapes = {{15, 17}, {16, 16}, {24, 24}, {319, 319},
                                                    {320, 320}};
   std::vector<std::unique_ptr<FrameSynthesizer>> synths;
@@ -659,27 +727,157 @@ TEST(SparseSense, MatchesDenseSequenceBitForBit) {
     synths.push_back(std::make_unique<FrameSynthesizer>(
         chip::ElectrodeArray(cols, rows, 20.0e-6), paper_pixel(), 298.15, 99));
   Rng cases(2026);
-  const std::size_t n_cases = 160 * longfuzz_factor();
-  std::size_t flagged_cases = 0;
+  Rng jitter(2027);  // continuous ranks for the position KS
+  const std::size_t n_cases = 120 * longfuzz_factor();
+  // Frames per case: the dense oracle costs ~4 ms a frame on the big arrays,
+  // so they draw law frames only (the per-target rule runs on the small ones).
+  constexpr std::size_t kSmallFrames = 300;
+  constexpr std::size_t kBigFrames = 12;
+  // Values and positions kept per case: whole frames until this many, since
+  // a frame's crossings come in raster order.
+  constexpr std::size_t kKsPerCase = 200;
+  // Detected frames per arm below which a target's error and size go unchecked.
+  constexpr std::size_t kMinDetected = 100;
+
+  std::size_t structure_fails = 0, count_report_fails = 0, bit_fails = 0;
+  std::size_t mean_fails = 0, target_fails = 0, target_checks = 0, flagged_cases = 0;
+  double pooled_observed = 0.0, pooled_expected = 0.0, pooled_var = 0.0;
+  double residual_sq = 0.0;  // standardized count residuals of the well-filled cases
+  std::size_t residual_frames = 0;
+  std::vector<double> value_u, position_u;
   for (std::size_t n = 0; n < n_cases; ++n) {
-    // Big arrays cost the dense oracle ~4 ms a frame: one case in four.
     const std::size_t shape = cases.bernoulli(0.25)
                                   ? static_cast<std::size_t>(cases.uniform_int(3, 4))
                                   : static_cast<std::size_t>(cases.uniform_int(0, 2));
+    const bool big = shape >= 3;
     const FrameSynthesizer& synth = *synths[shape];
+    const chip::ElectrodeArray& array = synth.array();
     const SenseCase c = draw_case(synth, cases);
-    Rng dense(cases());
-    if (cases.bernoulli(0.5)) dense.normal();  // a half-pair cached on entry
-    Rng sparse = dense;
-    const std::vector<Detection> expected = dense_sense(synth, c, dense);
-    const std::vector<Detection> got = sparse_sense(synth, c, sparse);
-    ASSERT_TRUE(same_bits(got, expected))
-        << "case " << n << ": " << shapes[shape].first << "x" << shapes[shape].second
-        << ", " << c.targets.size() << " targets, " << got.size() << " vs "
-        << expected.size() << " detections";
-    ASSERT_TRUE(same_stream(dense, sparse)) << "case " << n;
-    if (!expected.empty()) ++flagged_cases;
+    const Rng law_streams(cases());
+    const Rng dense_streams(cases());
+    const std::size_t frames = big ? kBigFrames : kSmallFrames;
+    SCOPED_TRACE("case " + std::to_string(n) + ": " + std::to_string(shapes[shape].first) +
+                 "x" + std::to_string(shapes[shape].second) + ", " +
+                 std::to_string(c.targets.size()) + " targets");
+
+    const std::vector<std::uint8_t> mask = window_mask(array, c.targets);
+    std::vector<std::size_t> rank(mask.size(), 0);  // background pixels before each index
+    std::size_t n_bg = 0;
+    for (std::size_t i = 0; i < mask.size(); ++i) {
+      rank[i] = n_bg;
+      if (mask[i] == 0) ++n_bg;
+    }
+    const double sigma = synth.cds_noise_sigma() / std::sqrt(static_cast<double>(c.n_frames));
+    const double k = c.threshold / sigma;
+    const double tail = std::erfc(k / std::sqrt(2.0));  // 2·Φ(−k)
+    const double p = 0.5 * tail;
+    const double mu = static_cast<double>(n_bg) * p;
+    const double var = mu * (1.0 - p);
+
+    std::vector<TargetArm> law_arm(c.targets.size()), dense_arm(c.targets.size());
+    std::size_t case_count = 0, kept = 0;
+    bool flagged = false;
+    for (std::size_t f = 0; f < frames; ++f) {
+      Rng law = law_streams.fork(f);
+      Rng twin = law;
+      std::size_t reported = 0, twin_reported = 0;
+      const std::vector<FlaggedPixel> crossings =
+          synth.averaged_crossings(c.targets, law, c.n_frames, c.threshold, &reported);
+      const std::vector<FlaggedPixel> again =
+          synth.averaged_crossings(c.targets, twin, c.n_frames, c.threshold, &twin_reported);
+
+      // Structure.
+      bool ok = same_bits(crossings, again) && reported == twin_reported &&
+                same_stream(law, twin);
+      for (std::size_t m = 0; m < crossings.size(); ++m)
+        ok = ok && crossings[m].index < mask.size() &&
+             (m == 0 || crossings[m - 1].index < crossings[m].index) &&
+             crossings[m].value <= -c.threshold;
+      if (!ok) ++structure_fails;
+      if (!ok) continue;
+
+      // Background.
+      const bool keep = kept < kKsPerCase;
+      std::size_t count = 0;
+      for (const FlaggedPixel& x : crossings) {
+        if (mask[x.index] != 0) continue;
+        ++count;
+        if (!keep) continue;
+        // P(Z <= z | Z <= −k), Uniform(0, 1) under the law.
+        value_u.push_back(std::erfc(-x.value / sigma / std::sqrt(2.0)) / tail);
+        position_u.push_back((static_cast<double>(rank[x.index]) + jitter.uniform()) /
+                             static_cast<double>(n_bg));
+        ++kept;
+      }
+      if (count != reported) ++count_report_fails;
+      case_count += count;
+      if (mu >= 25.0) {
+        residual_sq += (static_cast<double>(count) - mu) * (static_cast<double>(count) - mu) / var;
+        ++residual_frames;
+      }
+
+      const std::vector<Detection> law_dets = sparse_detect(synth, c, crossings);
+      flagged = flagged || !law_dets.empty();
+      // Bit for bit after the draw.
+      if (f == 0) {
+        Grid2 frame(static_cast<std::size_t>(array.cols()), static_cast<std::size_t>(array.rows()),
+                    array.pitch());
+        for (const FlaggedPixel& x : crossings) frame.data()[x.index] = x.value;
+        overlay_faults(frame, array, c);
+        if (!same_bits(law_dets, dense_detect(frame, array, c.threshold))) ++bit_fails;
+      }
+
+      // Per target.
+      if (big) continue;
+      Rng dense = dense_streams.fork(f);
+      const std::vector<Detection> dense_dets = dense_sense(synth, c, dense);
+      for (std::size_t t = 0; t < c.targets.size(); ++t) {
+        law_arm[t].observe(c.targets[t], law_dets, array.pitch());
+        dense_arm[t].observe(c.targets[t], dense_dets, array.pitch());
+      }
+    }
+    if (flagged) ++flagged_cases;
+
+    const double expected = static_cast<double>(frames) * mu;
+    if (expected >= 25.0) {
+      if (std::fabs(static_cast<double>(case_count) - expected) >
+          5.0 * std::sqrt(static_cast<double>(frames) * var))
+        ++mean_fails;
+    } else {
+      pooled_observed += static_cast<double>(case_count);
+      pooled_expected += expected;
+      pooled_var += static_cast<double>(frames) * var;
+    }
+    for (std::size_t t = 0; t < c.targets.size(); ++t) {
+      target_checks += 3;
+      const bool agree = means_agree(law_arm[t].detected, dense_arm[t].detected, 2) &&
+                         means_agree(law_arm[t].error, dense_arm[t].error, kMinDetected) &&
+                         means_agree(law_arm[t].pixels, dense_arm[t].pixels, kMinDetected);
+      if (!agree) ++target_fails;
+      EXPECT_TRUE(agree) << "target " << t << ": detected " << law_arm[t].detected.mean()
+                         << " vs " << dense_arm[t].detected.mean() << ", error "
+                         << law_arm[t].error.mean() << " vs " << dense_arm[t].error.mean()
+                         << ", pixels " << law_arm[t].pixels.mean() << " vs "
+                         << dense_arm[t].pixels.mean();
+    }
   }
+
+  EXPECT_EQ(structure_fails, 0u) << "rule: structure";
+  EXPECT_EQ(count_report_fails, 0u) << "rule: background (reported count)";
+  EXPECT_EQ(bit_fails, 0u) << "rule: bit for bit after the draw";
+  EXPECT_EQ(mean_fails, 0u) << "rule: background (count mean, per case)";
+  EXPECT_LE(std::fabs(pooled_observed - pooled_expected), 5.0 * std::sqrt(pooled_var))
+      << "rule: background (count mean, sparse cases pooled): " << pooled_observed << " vs "
+      << pooled_expected;
+  ASSERT_GT(residual_frames, 100u);
+  EXPECT_LE(std::fabs(std::log(residual_sq / static_cast<double>(residual_frames))),
+            5.0 * std::sqrt(4.0 / (static_cast<double>(residual_frames) - 1.0)))
+      << "rule: background (count variance)";
+  ASSERT_GT(value_u.size(), 1000u);
+  EXPECT_LT(ks_uniform(value_u), ks_critical(value_u.size())) << "rule: background (values)";
+  EXPECT_LT(ks_uniform(position_u), ks_critical(position_u.size()))
+      << "rule: background (positions)";
+  EXPECT_EQ(target_fails, 0u) << "rule: per target, of " << target_checks << " checks";
   EXPECT_GT(flagged_cases, n_cases / 2);  // the sweep is not vacuous
 }
 
@@ -711,6 +909,12 @@ TEST(SparseSense, ClusterFlaggedRejectsUnorderedLists) {
   Rng rng(1);
   EXPECT_THROW(synth.averaged_crossings({}, rng, 1, 0.0), PreconditionError);
   EXPECT_THROW(synth.averaged_crossings({}, rng, 0, 1e-18), PreconditionError);
+  // A tail probability that underflows to 0 draws no background crossing.
+  const double far = 40.0 * synth.cds_noise_sigma();
+  ASSERT_EQ(0.5 * std::erfc(40.0 / std::sqrt(2.0)), 0.0);
+  std::size_t background = 1;
+  EXPECT_TRUE(synth.averaged_crossings({}, rng, 1, far, &background).empty());
+  EXPECT_EQ(background, 0u);
 }
 
 }  // namespace

@@ -200,7 +200,7 @@ TEST_F(StreamingTest, SerialVsPooledBitwiseIdentical) {
 
 // Idle-chamber elision changes how much work runs, not what happens: the
 // report matches the non-elided run in everything but frames spent sensing
-// empty chambers.
+// empty chambers and the background crossings those frames read.
 TEST_F(StreamingTest, IdleChamberElisionPreservesTheReport) {
   const auto run_once = [&](bool elide) {
     fluidic::ChamberNetwork network = net(2, {0});  // chamber 1 is always idle
@@ -220,9 +220,11 @@ TEST_F(StreamingTest, IdleChamberElisionPreservesTheReport) {
   EXPECT_EQ(eager.elided_chamber_ticks, 0u);
   EXPECT_GE(elided.elided_chamber_ticks, 200u);  // chamber 1 every tick + gaps
   EXPECT_LT(elided.frames_sensed, eager.frames_sensed);
+  EXPECT_LE(elided.background_crossings, eager.background_crossings);
   // Everything observable is identical.
   elided.elided_chamber_ticks = eager.elided_chamber_ticks = 0;
   elided.frames_sensed = eager.frames_sensed = 0;
+  elided.background_crossings = eager.background_crossings = 0;
   EXPECT_TRUE(eager == elided);
 }
 
