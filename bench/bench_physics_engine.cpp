@@ -4,7 +4,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
 #include <iostream>
+#include <vector>
 
 #include "cell/library.hpp"
 #include "chip/device.hpp"
@@ -12,6 +15,7 @@
 #include "common/units.hpp"
 #include "core/simulation.hpp"
 #include "physics/dep.hpp"
+#include "physics/levitation.hpp"
 #include "physics/medium.hpp"
 
 using namespace biochip;
@@ -159,38 +163,99 @@ void bm_grad_cage_scaling(benchmark::State& state) {
                           static_cast<std::int64_t>(kBodies));
 }
 
-// One site period (400 steps at dt = 1 ms) of a lymphocyte in a parked cage
-// (arg 0: the body starts at the trap and stays caged) or just after its
-// cage hopped (arg 1: every period starts one pitch behind the trap).
-// bm_period_advance passes the field model, so the integrator may draw the
-// period exactly; bm_period_advance_em passes a plain gradient callable,
-// which always steps. `exact_share` = advances that took the exact path.
+// Two-sample Kolmogorov-Smirnov statistic D.
+double ks_statistic(std::vector<double> a, std::vector<double> b) {
+  std::sort(a.begin(), a.end());
+  std::sort(b.begin(), b.end());
+  std::size_t i = 0;
+  std::size_t j = 0;
+  double d = 0.0;
+  while (i < a.size() && j < b.size()) {
+    const double x = std::min(a[i], b[j]);
+    while (i < a.size() && a[i] <= x) ++i;
+    while (j < b.size() && b[j] <= x) ++j;
+    d = std::max(d, std::fabs(static_cast<double>(i) / static_cast<double>(a.size()) -
+                              static_cast<double>(j) / static_cast<double>(b.size())));
+  }
+  return d;
+}
+
+// One site period (400 steps at dt = 1 ms) of a lymphocyte. Arg 0: in a
+// parked cage (the body starts at the trap and stays caged). Arg 1: just
+// after its cage hopped (every period starts one pitch behind the trap).
+// Arg 2: free (every period starts at the levitation height, three pitches
+// from the only trap). bm_period_advance passes the field model, so the
+// integrator may take the basin or the free path; bm_period_advance_em
+// passes a plain gradient callable, which always steps. `basin_share`,
+// `free_share`, `stepped_share`: advances per path in the timed loop.
+// bm_period_advance's accuracy columns come from a fixed replay after the
+// timed loop, so they do not depend on its iteration count: kReplay periods
+// from the arg's start per arm, each on its own stream; `ks_d_z` is the
+// two-sample KS D of the end heights, model arm against plain arm, and
+// `ks_critical` its α = 1e-4 critical value.
 template <bool kThroughModel>
 void period_advance(benchmark::State& state) {
   Rig rig;
   const GridCoord site{10, 10};
   core::CageFieldModel& model = rig.engine.field_model();
   model.set_sites({site});
-  physics::ParticleBody body = rig.cell_at(site, cell::viable_lymphocyte());
-  const bool towed = state.range(0) == 1;
-  const Vec3 start = body.position - Vec3{towed ? rig.device.array().pitch() : 0.0, 0.0, 0.0};
+  const cell::ParticleSpec spec = cell::viable_lymphocyte();
+  physics::ParticleBody body = rig.cell_at(site, spec);
+  const double pitch = rig.device.array().pitch();
+  Vec3 start = body.position;
+  if (state.range(0) == 1) start.x -= pitch;
+  if (state.range(0) == 2) {
+    start.x += 3.0 * pitch;
+    start.z = physics::levitation_equilibrium(rig.cage, body.dep_prefactor, rig.medium,
+                                              spec.radius, spec.density)
+                  .height;
+  }
+  const bool restart = state.range(0) != 0;
   body.position = start;
   const physics::OverdampedIntegrator& integ = rig.engine.integrator();
   constexpr std::size_t kPeriod = 400;
+  const auto plain = [&](Vec3 p) { return model.grad_erms2(p); };
   Rng rng(5);
-  std::int64_t exact = 0;
+  std::int64_t paths[3] = {};
   for (auto _ : state) {
-    if (towed) body.position = start;
-    bool drawn = false;
+    if (restart) body.position = start;
+    physics::AdvancePath path = physics::AdvancePath::kStepped;
     if constexpr (kThroughModel)
-      drawn = integ.advance(body, model, rng, kPeriod);
+      path = integ.advance(body, model, rng, kPeriod);
     else
-      drawn = integ.advance(body, [&](Vec3 p) { return model.grad_erms2(p); }, rng, kPeriod);
-    exact += drawn ? 1 : 0;
+      path = integ.advance(body, plain, rng, kPeriod);
+    ++paths[static_cast<int>(path)];
     benchmark::DoNotOptimize(body.position);
   }
-  state.counters["exact_share"] =
-      static_cast<double>(exact) / static_cast<double>(state.iterations());
+  const auto share = [&](physics::AdvancePath path) {
+    return static_cast<double>(paths[static_cast<int>(path)]) /
+           static_cast<double>(state.iterations());
+  };
+  state.counters["basin_share"] = share(physics::AdvancePath::kBasin);
+  state.counters["free_share"] = share(physics::AdvancePath::kFree);
+  state.counters["stepped_share"] = share(physics::AdvancePath::kStepped);
+  if constexpr (kThroughModel) {
+    constexpr std::size_t kReplay = 2000;
+    const Rng model_base(11);
+    const Rng plain_base(12);
+    std::vector<double> z_model;
+    std::vector<double> z_plain;
+    for (std::size_t i = 0; i < kReplay; ++i) {
+      physics::ParticleBody a = body;
+      physics::ParticleBody b = body;
+      a.position = start;
+      b.position = start;
+      Rng ra = model_base.fork(i);
+      Rng rb = plain_base.fork(i);
+      integ.advance(a, model, ra, kPeriod);
+      integ.advance(b, plain, rb, kPeriod);
+      z_model.push_back(a.position.z);
+      z_plain.push_back(b.position.z);
+    }
+    state.counters["ks_d_z"] = ks_statistic(z_model, z_plain);
+    state.counters["ks_critical"] = std::sqrt(-std::log(1e-4 / 2.0) / 2.0) *
+                                    std::sqrt(2.0 / static_cast<double>(kReplay));
+  }
 }
 
 void bm_period_advance(benchmark::State& state) { period_advance<true>(state); }
@@ -220,8 +285,8 @@ BENCHMARK(bm_grad_cage_scaling)
     ->Arg(256)
     ->Arg(1024)
     ->Unit(benchmark::kMicrosecond);
-BENCHMARK(bm_period_advance)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
-BENCHMARK(bm_period_advance_em)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+BENCHMARK(bm_period_advance)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
+BENCHMARK(bm_period_advance_em)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
 BENCHMARK(bm_tow_simulation)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -356,8 +356,7 @@ void EpisodeRuntime::integrate_range(int t, std::size_t nb, std::size_t ne) {
     Rng stream = owner_.config_.recycle_slots
                      ? phys_base_.fork(body_streams_[n]).fork(static_cast<std::uint64_t>(t))
                      : phys_base_.fork(static_cast<std::uint64_t>(t) * bodies_.size() + n);
-    advanced_exact_[n] =
-        owner_.engine_.integrator().advance(bodies_[n], field, stream, substeps_) ? 1 : 0;
+    advance_path_[n] = owner_.engine_.integrator().advance(bodies_[n], field, stream, substeps_);
   }
 }
 
@@ -446,7 +445,7 @@ void EpisodeRuntime::tick(int t) {
   // ---- physics: every body relaxes for one site period against the traps
   // selected above.
   owner_.engine_.field_model().set_sites(std::move(sites));
-  advanced_exact_.resize(bodies_.size());
+  advance_path_.resize(bodies_.size());
   if (pool_ != nullptr) {
     pool_->parallel_for(0, bodies_.size(), [&](std::size_t nb, std::size_t ne) {
       integrate_range(t, nb, ne);
@@ -456,9 +455,14 @@ void EpisodeRuntime::tick(int t) {
   }
   // Path counts are summed here, after the fan-out, so they stay serial ≡
   // pooled like everything else on the counting plane.
-  for (std::size_t n = 0; n < bodies_.size(); ++n)
-    if (body_active_[n] != 0)
-      ++(advanced_exact_[n] != 0 ? report_.exact_advances : report_.em_advances);
+  for (std::size_t n = 0; n < bodies_.size(); ++n) {
+    if (body_active_[n] == 0) continue;
+    switch (advance_path_[n]) {
+      case physics::AdvancePath::kBasin: ++report_.exact_advances; break;
+      case physics::AdvancePath::kFree: ++report_.free_advances; break;
+      case physics::AdvancePath::kStepped: ++report_.em_advances; break;
+    }
+  }
   report_.elapsed += owner_.site_period_;
 
   // ---- fault injection: kick a trapped cell out of its basin. Directed

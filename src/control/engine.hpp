@@ -67,8 +67,10 @@ struct EpisodeReport {
   std::size_t replans = 0;  ///< successful online re-routes
   std::size_t frames_sensed = 0;  ///< CDS frames averaged across all ticks
   /// Period advances of live bodies, by path (`OverdampedIntegrator::advance`):
-  /// drawn exactly inside one trap's basin, or stepped substep by substep.
+  /// drawn exactly inside one trap's basin, free of every trap (height
+  /// stepped, x and y drawn once), or stepped substep by substep.
   std::size_t exact_advances = 0;
+  std::size_t free_advances = 0;
   std::size_t em_advances = 0;
   /// Sensed pixels at or below the threshold outside every cell's window
   /// (`FrameSynthesizer::averaged_crossings`), before the fault overlays:
@@ -222,6 +224,7 @@ class EpisodeRuntime {
   }
   /// Period advances so far by path (obs gauge folds; see EpisodeReport).
   std::size_t exact_advances() const { return report_.exact_advances; }
+  std::size_t free_advances() const { return report_.free_advances; }
   std::size_t em_advances() const { return report_.em_advances; }
   /// Background crossings sensed so far (obs gauge folds; see EpisodeReport).
   std::size_t background_crossings() const { return report_.background_crossings; }
@@ -362,9 +365,9 @@ class EpisodeRuntime {
   /// the physics stream is keyed by `body_streams_` instead — a persistent
   /// per-admission counter that never repeats across reuse.
   std::vector<std::uint8_t> body_active_;
-  /// Aligned with `bodies_`: 1 when this tick's advance took the exact
-  /// path. Written per body inside the fan-out, counted after it.
-  std::vector<std::uint8_t> advanced_exact_;
+  /// Aligned with `bodies_`: the path this tick's advance took. Written per
+  /// body inside the fan-out, counted after it.
+  std::vector<physics::AdvancePath> advance_path_;
   std::vector<std::uint64_t> body_streams_;  ///< per-slot physics stream id
   std::uint64_t next_body_stream_ = 0;       ///< monotone admission counter
   std::vector<std::size_t> free_body_slots_;  ///< released slots (recycling on)

@@ -218,6 +218,7 @@ OrchestratorReport Orchestrator::run(std::vector<ChamberSetup>& chambers,
       fold_health(*reg, static_cast<int>(c), fleet[c].health_state());
       reg->gauge("chamber.replans", static_cast<int>(c));
       reg->gauge("chamber.exact_advances", static_cast<int>(c));
+      reg->gauge("chamber.free_advances", static_cast<int>(c));
       reg->gauge("chamber.em_advances", static_cast<int>(c));
       reg->gauge("chamber.background_crossings", static_cast<int>(c));
     }
@@ -247,6 +248,8 @@ OrchestratorReport Orchestrator::run(std::vector<ChamberSetup>& chambers,
                static_cast<std::int64_t>(fleet[c].replans()));
       reg->set(reg->gauge("chamber.exact_advances", static_cast<int>(c)),
                static_cast<std::int64_t>(fleet[c].exact_advances()));
+      reg->set(reg->gauge("chamber.free_advances", static_cast<int>(c)),
+               static_cast<std::int64_t>(fleet[c].free_advances()));
       reg->set(reg->gauge("chamber.em_advances", static_cast<int>(c)),
                static_cast<std::int64_t>(fleet[c].em_advances()));
       reg->set(reg->gauge("chamber.background_crossings", static_cast<int>(c)),

@@ -196,6 +196,7 @@ StreamingReport StreamingService::run(std::vector<ChamberSetup>& chambers,
       reg->gauge("service.in_flight", static_cast<int>(c));
       reg->gauge("service.replans", static_cast<int>(c));
       reg->gauge("service.exact_advances", static_cast<int>(c));
+      reg->gauge("service.free_advances", static_cast<int>(c));
       reg->gauge("service.em_advances", static_cast<int>(c));
       reg->gauge("service.background_crossings", static_cast<int>(c));
       fold_health(*reg, static_cast<int>(c), fleet[c].health_state());
@@ -374,6 +375,8 @@ StreamingReport StreamingService::run(std::vector<ChamberSetup>& chambers,
                  static_cast<std::int64_t>(fleet[c].replans()));
         reg->set(reg->gauge("service.exact_advances", static_cast<int>(c)),
                  static_cast<std::int64_t>(fleet[c].exact_advances()));
+        reg->set(reg->gauge("service.free_advances", static_cast<int>(c)),
+                 static_cast<std::int64_t>(fleet[c].free_advances()));
         reg->set(reg->gauge("service.em_advances", static_cast<int>(c)),
                  static_cast<std::int64_t>(fleet[c].em_advances()));
         reg->set(reg->gauge("service.background_crossings", static_cast<int>(c)),
@@ -412,6 +415,7 @@ StreamingReport StreamingService::run(std::vector<ChamberSetup>& chambers,
     if (reg != nullptr) fold_events(*reg, static_cast<int>(c), drained);
     report.frames_sensed += fleet[c].frames_sensed();
     report.exact_advances += fleet[c].exact_advances();
+    report.free_advances += fleet[c].free_advances();
     report.em_advances += fleet[c].em_advances();
     report.background_crossings += fleet[c].background_crossings();
     report.health.push_back(fleet[c].health_state());

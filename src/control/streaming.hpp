@@ -115,6 +115,7 @@ struct StreamingReport {
   std::size_t frames_sensed = 0;        ///< CDS frames across all chambers
   /// Period advances across all chambers, by path (see EpisodeReport).
   std::size_t exact_advances = 0;
+  std::size_t free_advances = 0;
   std::size_t em_advances = 0;
   std::size_t background_crossings = 0;  ///< across all chambers (see EpisodeReport)
   /// `event_counts[c][k]` = events of `EventKind` k chamber c emitted.

@@ -151,11 +151,15 @@ template <typename Visit>
 void CageFieldModel::for_each_site_near(const Aabb& box, Visit&& visit) const {
   // Candidate sites: those whose center (site + 0.5)·pitch lies within the
   // capture radius of the box on each axis — for a point query, a
-  // constant-size box independent of the active cage count.
-  const double lo_c = (box.min.x - capture_radius_) / pitch_ - 0.5;
-  const double hi_c = (box.max.x + capture_radius_) / pitch_ - 0.5;
-  const double lo_r = (box.min.y - capture_radius_) / pitch_ - 0.5;
-  const double hi_r = (box.max.y + capture_radius_) / pitch_ - 0.5;
+  // constant-size box independent of the active cage count. The range is
+  // widened by a rounding slack, so a site whose center lies at exactly the
+  // capture radius (which grad_erms2 counts as in range) is never dropped by
+  // the rounded division; the callers test every candidate exactly.
+  constexpr double kSlack = 1e-9;  // site units
+  const double lo_c = (box.min.x - capture_radius_) / pitch_ - 0.5 - kSlack;
+  const double hi_c = (box.max.x + capture_radius_) / pitch_ - 0.5 + kSlack;
+  const double lo_r = (box.min.y - capture_radius_) / pitch_ - 0.5 - kSlack;
+  const double hi_r = (box.max.y + capture_radius_) / pitch_ - 0.5 + kSlack;
   // Queries so far out (or radii so large) that site indices leave the int
   // range cannot use the rounding trick; the scan handles them correctly.
   const double coord_limit = 2147483000.0;
@@ -263,6 +267,21 @@ std::optional<field::HarmonicCage> CageFieldModel::harmonic_basin(const Aabb& bo
   });
   if (!sole) return std::nullopt;
   return unit_.moved_to(t);
+}
+
+bool CageFieldModel::drive_free(const Aabb& box) const {
+  // The point of the box nearest a trap center is the center clamped into
+  // the box; every other point's distance is at least as large in floating
+  // point too (rounded subtraction, squaring and summing are monotone), so
+  // one strict test per trap covers the whole box.
+  const double cap2 = capture_radius_ * capture_radius_;
+  bool free = true;
+  for_each_site_near(box, [&](GridCoord site) {
+    if (!free) return;
+    const Vec3 center = trap_center(site);
+    free = (box.clamp(center) - center).norm2() > cap2;
+  });
+  return free;
 }
 
 ManipulationEngine::ManipulationEngine(const chip::BiochipDevice& device,

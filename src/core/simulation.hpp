@@ -80,6 +80,15 @@ class CageFieldModel {
   /// per rival trap.
   std::optional<field::HarmonicCage> harmonic_basin(const Aabb& box) const;
 
+  /// Free-box certificate for the integrator's free period advance (the
+  /// other half of `physics::HarmonicBasinField`): true only when every
+  /// active trap center lies strictly farther than the capture radius from
+  /// every point of `box`, so grad_erms2 (and its linear oracle) return
+  /// exactly zero everywhere in it. Strict, because grad_erms2 counts a trap
+  /// at exactly the capture radius as in range. True with no active trap.
+  /// Probes the same candidate sites as `harmonic_basin`.
+  bool drive_free(const Aabb& box) const;
+
  private:
   /// O(1) membership probe of the active-site hash set.
   bool site_active(GridCoord site) const;

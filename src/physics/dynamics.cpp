@@ -84,6 +84,50 @@ std::optional<OverdampedIntegrator::BasinLaw> OverdampedIntegrator::basin_law(
   return law;
 }
 
+std::optional<Aabb> OverdampedIntegrator::free_column(const ParticleBody& p,
+                                                      std::size_t steps) const {
+  // The Faxén factor is >= 1, so no substep's lateral kick is wider than
+  // the Stokes one.
+  const double s_max =
+      opts_.brownian ? std::sqrt(2.0 * constants::kB * medium_.temperature * opts_.dt /
+                                 stokes_drag_coefficient(medium_, p.radius))
+                     : 0.0;
+  const double reach = kReachSigmas * std::sqrt(static_cast<double>(steps)) * s_max;
+  const Aabb& b = opts_.bounds;
+  const double r = p.radius;
+  const Vec3 x0 = p.position;
+  // Strictly inside the side walls shrunk by the radius: confine never
+  // clamps x or y.
+  if (!(x0.x - reach > b.min.x + r && x0.x + reach < b.max.x - r &&
+        x0.y - reach > b.min.y + r && x0.y + reach < b.max.y - r))
+    return std::nullopt;
+  return Aabb{{x0.x - reach, x0.y - reach, b.min.z}, {x0.x + reach, x0.y + reach, b.max.z}};
+}
+
+double OverdampedIntegrator::step_height(ParticleBody& p, Rng& rng, std::size_t steps) const {
+  // `step` at zero drive, z only: force.z is the buoyant weight, and the
+  // kick and clamp use the same expressions, so given the same z normals
+  // this chain is bit-identical to the stepped z.
+  const double dt = opts_.dt;
+  const double weight = opts_.gravity ? buoyant_weight(medium_, p.radius, p.density) : 0.0;
+  const double lo = opts_.bounds.min.z + p.radius;
+  const double hi = opts_.bounds.max.z - p.radius;
+  double z = p.position.z;
+  double var = 0.0;
+  for (std::size_t k = 0; k < steps; ++k) {
+    const double gamma = drag(p.radius, z);
+    double dz = weight * (dt / gamma);
+    if (opts_.brownian) {
+      const double s2 = 2.0 * constants::kB * medium_.temperature * dt / gamma;
+      dz += std::sqrt(s2) * rng.normal();
+      var += s2;
+    }
+    z = clamp(z + dz, lo, hi);
+  }
+  p.position.z = z;
+  return var;
+}
+
 void OverdampedIntegrator::confine(ParticleBody& p) const {
   // A rigid sphere cannot penetrate the chip surface, lid, or side walls:
   // clamp the center to the bounds shrunk by the radius (hard-contact model).

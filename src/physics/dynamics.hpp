@@ -6,13 +6,17 @@
 /// microseconds, so dynamics are overdamped: velocity = force / drag. The
 /// integrator is Euler-Maruyama with an optional Brownian term whose
 /// amplitude is consistent with the (wall-corrected) drag via
-/// fluctuation-dissipation. Inside one harmonic trap's basin the chain is a
-/// linear Gaussian recursion, so a period advance can draw its end point from
-/// the chain's own N-step law instead of stepping (see `advance`).
+/// fluctuation-dissipation. A period advance takes one of three paths (see
+/// `advance`): inside one harmonic trap's basin the chain is a linear
+/// Gaussian recursion, so the *basin* path draws its end point from the
+/// chain's own N-step law; out of every trap's reach the *free* path steps
+/// only the height and draws x and y once from their conditional Gaussian
+/// law; every other body is *stepped* substep by substep.
 
 #include <algorithm>
 #include <concepts>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <type_traits>
 
@@ -41,13 +45,23 @@ concept FieldGradient = requires(F f, Vec3 p) {
   { f(p) } -> std::convertible_to<Vec3>;
 };
 
-/// A field gradient that can also certify a harmonic basin:
+/// A field gradient that can also certify where its drive is simple:
 /// `harmonic_basin(box)` returns the one trap whose quadratic drive *is* the
 /// field's gradient at every point of `box`, or nullopt when no single trap
-/// governs the whole box (no trap in range, a competing or tied trap).
+/// governs the whole box (no trap in range, a competing or tied trap);
+/// `drive_free(box)` is true only when the gradient is exactly zero at every
+/// point of `box` (no trap in range anywhere in it).
 template <typename F>
 concept HarmonicBasinField = FieldGradient<F> && requires(const F& f, const Aabb& box) {
   { f.harmonic_basin(box) } -> std::same_as<std::optional<field::HarmonicCage>>;
+  { f.drive_free(box) } -> std::same_as<bool>;
+};
+
+/// Which path one period advance took (`OverdampedIntegrator::advance`).
+enum class AdvancePath : std::uint8_t {
+  kStepped,  ///< substep by substep, three normals per substep
+  kBasin,    ///< end point drawn from one trap's N-step law, three normals
+  kFree,     ///< height stepped with one normal per substep, then x and y drawn
 };
 
 /// Integrator configuration.
@@ -91,31 +105,47 @@ class OverdampedIntegrator {
   /// caller owns the fan-out and keys one stream per body, so trajectories
   /// do not depend on how a pool chunks the bodies.
   ///
-  /// The field's type picks the path at compile time. A plain gradient
+  /// The field's type picks the paths at compile time. A plain gradient
   /// callable always steps. A `HarmonicBasinField` (core::CageFieldModel)
-  /// takes the exact path when everything the body can reach in the period
-  /// lies inside one trap's basin, clear of the walls, with the drag frozen
-  /// at the start height: the end point is drawn from the step chain's own
-  /// N-step Gaussian law with three normals (x, y, z) from `rng`. Any other
-  /// body steps, bit for bit as a plain callable would. `steps == 0` draws
-  /// nothing. Returns true when the exact path advanced the body.
+  /// tries two exact paths first, in this order:
+  ///  - *basin*: everything the body can reach in the period lies inside one
+  ///    trap's basin, clear of the walls, with the drag frozen at the start
+  ///    height: the end point is drawn from the step chain's own N-step
+  ///    Gaussian law with three normals (x, y, z);
+  ///  - *free*: no trap can reach the body's lateral reach box over the
+  ///    whole chamber height, and the side walls are out of reach: z is
+  ///    stepped with `step`'s z arithmetic at zero drive (one normal per
+  ///    substep, same drag, floor and lid clamp), then x and y are drawn with
+  ///    one normal each from N(x0, Σ s_k²), s_k² the variance substep k's
+  ///    lateral kick would have had. Given the z path the stepped x and y are
+  ///    sums of independent Gaussian kicks, so this is their exact law.
+  /// Any other body steps, bit for bit as a plain callable would.
+  /// `steps == 0` draws nothing and reports `kStepped`.
   template <FieldGradient GradFn>
-  bool advance(ParticleBody& p, GradFn&& grad_erms2, Rng& rng, std::size_t steps) const {
+  AdvancePath advance(ParticleBody& p, GradFn&& grad_erms2, Rng& rng,
+                      std::size_t steps) const {
     if constexpr (HarmonicBasinField<std::remove_cvref_t<GradFn>>) {
-      if (steps > 0 && advance_exact(p, grad_erms2, rng, steps)) return true;
+      if (steps > 0) {
+        if (advance_exact(p, grad_erms2, rng, steps)) return AdvancePath::kBasin;
+        if (advance_free(p, grad_erms2, rng, steps)) return AdvancePath::kFree;
+      }
     }
     for (std::size_t s = 0; s < steps; ++s) step(p, grad_erms2, rng);
-    return false;
+    return AdvancePath::kStepped;
   }
 
-  /// Reach margin of the exact path, in stationary standard deviations per
-  /// axis. Each step's marginal lies between the start and the equilibrium
-  /// with at most the stationary spread, so the union bound over 400 steps
-  /// and three axes puts the chance that the step chain leaves the widened
-  /// box in one period at about 1.5e-12.
+  /// Reach margin of the exact paths, in standard deviations. Basin path:
+  /// per axis, stationary deviations — each step's marginal lies between the
+  /// start and the equilibrium with at most the stationary spread, so the
+  /// union bound over 400 steps and three axes puts the chance that the step
+  /// chain leaves the widened box in one period at about 1.5e-12. Free path:
+  /// laterally, R = kReachSigmas·√N·s_max, with s_max the Stokes (widest)
+  /// per-substep kick; each lateral partial sum is a Gaussian martingale
+  /// with end variance at most N·s_max², so by the reflection principle the
+  /// chance that x or y leaves ±R within the period is below 5e-15.
   static constexpr double kReachSigmas = 8.0;
   /// Largest relative change of the Faxén drag factor over the reach box's
-  /// z range for which the exact path freezes the drag at the start height.
+  /// z range for which the basin path freezes the drag at the start height.
   /// At the levitation height (z ≈ 21 µm, R = 5 µm) the factor varies
   /// 1.8e-3 across ±8 σ_z and 2.3e-4 across ±1 σ_z; a 1e-3 tolerance
   /// rejects every caged advance.
@@ -148,6 +178,29 @@ class OverdampedIntegrator {
   /// touches the walls, or drag varying beyond `kDragTolerance`.
   std::optional<BasinLaw> basin_law(const ParticleBody& p, const field::HarmonicCage& trap,
                                     std::size_t steps) const;
+
+  /// The column a free body can reach laterally in `steps` substeps — its
+  /// start ± R in x and y over the whole chamber height — or nullopt when
+  /// that reach touches a side wall (bounds shrunk by the radius).
+  std::optional<Aabb> free_column(const ParticleBody& p, std::size_t steps) const;
+  /// Step only p's height through `steps` substeps at zero drive, with the
+  /// z arithmetic of `step` (one normal each); returns Σ s_k², the summed
+  /// variance of the lateral kicks those substeps would have drawn.
+  double step_height(ParticleBody& p, Rng& rng, std::size_t steps) const;
+
+  template <HarmonicBasinField Field>
+  bool advance_free(ParticleBody& p, const Field& field, Rng& rng, std::size_t steps) const {
+    const std::optional<Aabb> column = free_column(p, steps);
+    if (!column || !field.drive_free(*column)) return false;
+    const double var = step_height(p, rng, steps);
+    if (opts_.brownian) {
+      const double sd = std::sqrt(var);
+      p.position.x += sd * rng.normal();
+      p.position.y += sd * rng.normal();
+    }
+    confine(p);
+    return true;
+  }
 
   template <HarmonicBasinField Field>
   bool advance_exact(ParticleBody& p, const Field& basins, Rng& rng, std::size_t steps) const {

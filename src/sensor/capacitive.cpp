@@ -21,11 +21,16 @@ double CapacitivePixel::sensing_depth() const {
 }
 
 double CapacitivePixel::delta_c(double particle_radius, double z, double lateral) const {
+  return target_signal(particle_radius, z).at(lateral);
+}
+
+CapacitivePixel::TargetSignal CapacitivePixel::target_signal(double particle_radius,
+                                                             double z) const {
   BIOCHIP_REQUIRE(particle_radius > 0.0, "particle radius must be positive");
   const double lambda = sensing_depth();
   // Fraction of the fringing sensing volume (area × λ) displaced by the
   // sphere, attenuated exponentially with the gap below the sphere and
-  // with a Gaussian lateral falloff over the electrode half-width.
+  // with a Gaussian lateral falloff over the electrode half-width (`at`).
   const double v_sphere =
       (4.0 / 3.0) * constants::pi * particle_radius * particle_radius * particle_radius;
   const double v_sense = electrode_area * lambda;
@@ -33,10 +38,14 @@ double CapacitivePixel::delta_c(double particle_radius, double z, double lateral
   if (fill > 1.0) fill = 1.0;
   const double gap = std::max(z - particle_radius, 0.0);
   const double vertical = std::exp(-gap / lambda);
-  const double half_width = 0.5 * std::sqrt(electrode_area);
-  const double lat = std::exp(-0.5 * (lateral / half_width) * (lateral / half_width));
   const double contrast = (medium_eps_r - particle_eps_r) / medium_eps_r;
-  return -baseline_capacitance() * contrast * fill * vertical * lat;
+  return {-baseline_capacitance() * contrast * fill * vertical,
+          0.5 * std::sqrt(electrode_area)};
+}
+
+double CapacitivePixel::TargetSignal::at(double lateral) const {
+  const double lat = std::exp(-0.5 * (lateral / half_width) * (lateral / half_width));
+  return amplitude * lat;
 }
 
 double CapacitivePixel::frame_noise_sigma(double temperature) const {

@@ -42,8 +42,21 @@ struct CapacitivePixel {
 
   /// Capacitance change for a sphere of radius r whose center sits at height
   /// z above the chip surface and lateral offset `lateral` from the pixel
-  /// center [F]. Negative (cell displaces high-ε liquid).
+  /// center [F]. Negative (cell displaces high-ε liquid). Equals
+  /// `target_signal(r, z).at(lateral)`.
   double delta_c(double particle_radius, double z, double lateral) const;
+
+  /// `delta_c` split for a walk over many pixels near one particle: the
+  /// amplitude depends only on the particle (radius, height), the falloff
+  /// only on the lateral offset.
+  struct TargetSignal {
+    double amplitude = 0.0;   ///< −C₀·contrast·fill·vertical [F]
+    double half_width = 0.0;  ///< electrode half-width, the falloff scale [m]
+    /// ΔC at lateral offset `lateral` [F]: amplitude × Gaussian falloff.
+    double at(double lateral) const;
+  };
+  /// The per-particle part of `delta_c`, computed once.
+  TargetSignal target_signal(double particle_radius, double z) const;
 
   /// Per-frame random noise σ (kT/C sampling + amplifier floor), ΔC-referred
   /// [F rms] at temperature T [K].

@@ -18,13 +18,14 @@ void walk_windows(const chip::ElectrodeArray& array, const CapacitivePixel& pixe
   const double window = 2.0 * array.pitch();
   for (const FrameTarget& t : targets) {
     BIOCHIP_REQUIRE(t.radius > 0.0, "target radius must be positive");
+    const CapacitivePixel::TargetSignal signal = pixel.target_signal(t.radius, t.position.z);
     const GridCoord lo = array.nearest({t.position.x - window, t.position.y - window});
     const GridCoord hi = array.nearest({t.position.x + window, t.position.y + window});
     for (int r = lo.row; r <= hi.row; ++r)
       for (int c = lo.col; c <= hi.col; ++c) {
         const Vec2 ctr = array.center({c, r});
         const double lateral = (ctr - Vec2{t.position.x, t.position.y}).norm();
-        add(array.index({c, r}), pixel.delta_c(t.radius, t.position.z, lateral));
+        add(array.index({c, r}), signal.at(lateral));
       }
   }
 }
@@ -188,12 +189,24 @@ std::vector<PixelFault> pixel_faults(const chip::DefectMap& defects) {
 std::vector<FlaggedPixel> apply_frame_faults(const std::vector<FlaggedPixel>& crossings,
                                              const chip::ElectrodeArray& array,
                                              const FrameFaults& faults, double threshold) {
+  // A pixel fault changes the output only where a crossing sits on it (the
+  // write replaces the crossing) or where its written value itself flags,
+  // so the crossings are looked up in the sorted fault span and the faults
+  // are walked only when a written value can flag.
+  std::vector<FlaggedPixel> kept;
+  kept.reserve(crossings.size());
+  auto fault = faults.pixels.begin();
+  for (const FlaggedPixel& p : crossings) {
+    fault = std::lower_bound(fault, faults.pixels.end(), p.index,
+                             [](const PixelFault& f, std::size_t i) { return f.index < i; });
+    if (fault == faults.pixels.end() || fault->index != p.index) kept.push_back(p);
+  }
   std::vector<FlaggedPixel> writes;
-  writes.reserve(faults.pixels.size());
-  for (const PixelFault& f : faults.pixels)
-    writes.push_back(
-        {f.index, f.state == chip::PixelState::kStuckCage ? faults.stuck_cage_dc : 0.0});
-  std::vector<FlaggedPixel> flagged = overwrite(crossings, writes, threshold);
+  if (std::min(faults.stuck_cage_dc, 0.0) <= -threshold)
+    for (const PixelFault& f : faults.pixels)
+      writes.push_back(
+          {f.index, f.state == chip::PixelState::kStuckCage ? faults.stuck_cage_dc : 0.0});
+  std::vector<FlaggedPixel> flagged = overwrite(kept, writes, threshold);
   // A dropout row reads 0, which never flags: its entries just go.
   const std::size_t cols = static_cast<std::size_t>(array.cols());
   std::erase_if(flagged, [&](const FlaggedPixel& p) {

@@ -116,7 +116,9 @@ struct FrameFaults {
 /// pixels at or below −threshold: takes the frame's crossings
 /// (`FrameSynthesizer::averaged_crossings`) and returns, in raster order,
 /// the pixels and values `detect_threshold` would flag on the faulted frame.
-/// Cost O(crossings + faulty pixels + dropout rows × crossings + tile pixels).
+/// Cost O(crossings × log faulty pixels + dropout rows × crossings + tile
+/// pixels), plus O(faulty pixels) only when a fault's written value itself
+/// flags (`stuck_cage_dc` <= −threshold).
 std::vector<FlaggedPixel> apply_frame_faults(const std::vector<FlaggedPixel>& crossings,
                                              const chip::ElectrodeArray& array,
                                              const FrameFaults& faults, double threshold);

@@ -345,6 +345,99 @@ TEST(CageFieldModel, HarmonicBasinFuzzIsSound) {
   EXPECT_GT(rejected, 200);
 }
 
+// Every point of a 5×5×5 grid over `box`, faces included, reads exactly zero
+// drive on both gradient paths.
+void expect_drive_free_sound(const CageFieldModel& model, const Aabb& box) {
+  const Vec3 e = box.extent();
+  for (int i = 0; i <= 4; ++i)
+    for (int j = 0; j <= 4; ++j)
+      for (int k = 0; k <= 4; ++k) {
+        const Vec3 q{std::min(box.max.x, box.min.x + e.x * i / 4.0),
+                     std::min(box.max.y, box.min.y + e.y * j / 4.0),
+                     std::min(box.max.z, box.min.z + e.z * k / 4.0)};
+        ASSERT_EQ(model.grad_erms2_linear(q), Vec3{}) << q;
+        ASSERT_EQ(model.grad_erms2(q), Vec3{}) << q;
+      }
+}
+
+TEST(CageFieldModel, DriveFreeCertifiesOnlyBoxesOutOfReach) {
+  // tie_model geometry: trap {0, 0} at (1, 1, 0), capture radius 3, all
+  // exact in floating point.
+  CageFieldModel model = tie_model();
+  EXPECT_TRUE(model.drive_free({{-5, -5, -5}, {5, 5, 5}}));  // no traps
+
+  model.set_sites({{0, 0}});
+  const Vec3 t = model.trap_center({0, 0});
+  // A face at exactly the capture radius, on each side: grad_erms2 counts
+  // the trap there as in range, so the box is not free.
+  const double cap = model.capture_radius();
+  const Aabb at_cap[] = {{{t.x + cap, -5, -5}, {9, 5, 5}},
+                         {{-9, -5, -5}, {t.x - cap, 5, 5}},
+                         {{-5, t.y + cap, -5}, {5, 9, 5}},
+                         {{-5, -9, -5}, {5, t.y - cap, 5}},
+                         {{-5, -5, t.z + cap}, {5, 5, 9}}};
+  for (const Aabb& box : at_cap) {
+    EXPECT_FALSE(model.drive_free(box)) << box.min << " " << box.max;
+    const Vec3 face = box.clamp(t);
+    EXPECT_NE(model.grad_erms2(face), Vec3{}) << face;
+  }
+  // One ulp farther: free.
+  const Aabb beyond{{std::nextafter(t.x + cap, 10.0), -5, -5}, {9, 5, 5}};
+  EXPECT_TRUE(model.drive_free(beyond));
+  expect_drive_free_sound(model, beyond);
+  // Both face planes within the capture radius, the corner beyond it: the
+  // test is on the nearest point, not per axis.
+  const Aabb corner{{t.x + 2.2, t.y + 2.2, -5}, {9, 9, 5}};
+  EXPECT_TRUE(model.drive_free(corner));
+  expect_drive_free_sound(model, corner);
+  EXPECT_FALSE(model.drive_free({{t.x + 2.1, t.y + 2.1, -5}, {9, 9, 5}}));
+  // A column over the trap is never free; a box above its reach is.
+  EXPECT_FALSE(model.drive_free({{0, 0, 2.5}, {2, 2, 9}}));
+  EXPECT_TRUE(model.drive_free({{0, 0, 3.5}, {2, 2, 9}}));
+}
+
+TEST(CageFieldModel, DriveFreeFuzzIsSound) {
+  // Random site sets (with duplicates, and with a far background that
+  // switches the candidate probe from the linear scan to the hash) and
+  // random columns near them, some over the whole chamber height: every
+  // certified box must read zero drive on both gradient paths on a 5×5×5
+  // grid, and both answers must occur often.
+  CageFieldModel model(test_cage(), 20e-6, 30e-6);
+  Rng rng(616);
+  int certified = 0;
+  int rejected = 0;
+  for (int trial = 0; trial < 1500; ++trial) {
+    std::vector<GridCoord> sites;
+    const auto n = rng.uniform_int(1, 5);
+    for (std::int64_t i = 0; i < n; ++i)
+      sites.push_back({static_cast<int>(rng.uniform_int(0, 7)),
+                       static_cast<int>(rng.uniform_int(0, 7))});
+    if (rng.bernoulli(0.2)) sites.push_back(sites.front());
+    if (rng.bernoulli(0.5))
+      for (int i = 0; i < 40; ++i) sites.push_back({i, 60});
+    model.set_sites(sites);
+    const Vec3 c = model.trap_center(sites[static_cast<std::size_t>(
+                       rng.uniform_int(0, n - 1))]) +
+                   Vec3{rng.uniform(-70e-6, 70e-6), rng.uniform(-70e-6, 70e-6),
+                        rng.uniform(-30e-6, 30e-6)};
+    const Vec3 half{rng.uniform(0.0, 10e-6), rng.uniform(0.0, 10e-6), rng.uniform(0.0, 20e-6)};
+    Aabb box{c - half, c + half};
+    if (rng.bernoulli(0.5)) {
+      box.min.z = 0.0;
+      box.max.z = 100e-6;
+    }
+    if (!model.drive_free(box)) {
+      ++rejected;
+      continue;
+    }
+    ++certified;
+    expect_drive_free_sound(model, box);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(certified, 200);
+  EXPECT_GT(rejected, 200);
+}
+
 // ---------------------------------------------------- manipulation engine ----
 
 class EngineTest : public ::testing::Test {

@@ -346,13 +346,14 @@ TEST_F(ObsStreamingTest, CountingSnapshotBitwiseIdenticalSerialVsPooled) {
   EXPECT_GT(serial_report.admission.offered, 10u);
   EXPECT_GT(serial_report.delivered, 0u);
   EXPECT_EQ(serial_report.injected_faults, 3u);
-  // Both period-advance paths ran, and their per-chamber gauges are in the
-  // compared snapshot: the path choice and its count are serial ≡ pooled.
+  // All three period-advance paths ran, and their per-chamber gauges are in
+  // the compared snapshot: the path choice and its count are serial ≡ pooled.
   EXPECT_GT(serial_report.exact_advances, 0u);
+  EXPECT_GT(serial_report.free_advances, 0u);
   EXPECT_GT(serial_report.em_advances, 0u);
   EXPECT_GT(serial_report.background_crossings, 0u);
-  for (const char* name :
-       {"service.exact_advances", "service.em_advances", "service.background_crossings"})
+  for (const char* name : {"service.exact_advances", "service.free_advances",
+                           "service.em_advances", "service.background_crossings"})
     for (int c = 0; c < 2; ++c) {
       const auto same = [&](const Metric& m) { return m.name == name && m.index == c; };
       EXPECT_EQ(std::count_if(serial_snap.metrics.begin(), serial_snap.metrics.end(), same), 1)
@@ -419,14 +420,19 @@ TEST_F(ObsStreamingTest, RegistryReconcilesWithStreamingReport) {
   // Period-advance paths: the per-chamber gauges sum to the report's totals,
   // and every live body's advance took exactly one path.
   std::int64_t exact = 0;
+  std::int64_t free = 0;
   std::int64_t em = 0;
   for (int c = 0; c < 2; ++c) {
     exact += reg.find("service.exact_advances", c)->ivalue;
+    free += reg.find("service.free_advances", c)->ivalue;
     em += reg.find("service.em_advances", c)->ivalue;
   }
   EXPECT_EQ(static_cast<std::size_t>(exact), report.exact_advances);
+  EXPECT_EQ(static_cast<std::size_t>(free), report.free_advances);
   EXPECT_EQ(static_cast<std::size_t>(em), report.em_advances);
   EXPECT_GT(report.exact_advances, report.em_advances);
+  EXPECT_GT(report.free_advances, 0u);
+  EXPECT_GT(report.em_advances, 0u);
 
   // Background crossings: the per-chamber gauges sum to the report's total.
   std::int64_t background = 0;

@@ -1,9 +1,9 @@
 // Tests for the physics substrate: media, dielectric spectra, DEP forces,
 // hydrodynamics, Brownian motion, electro-thermal screens, overdamped
-// dynamics (including the exact period advance inside a cage), and
-// levitation equilibria.
+// dynamics (including the exact period advances inside a cage and out of
+// every trap's reach), and levitation equilibria.
 //
-// BIOCHIP_LONGFUZZ=<n> multiplies the exact-advance harness's draw count
+// BIOCHIP_LONGFUZZ=<n> multiplies the period-advance harnesses' draw counts
 // (the `longfuzz` ctest label runs with n=10).
 
 #include <gtest/gtest.h>
@@ -408,10 +408,11 @@ TEST_F(DynamicsTest, InvalidOptionsThrow) {
 // ------------------------------------------------- exact period advance ----
 //
 // advance() through a basin-certifying field (core::CageFieldModel) draws a
-// caged body's end point from the step chain's N-step law; through a plain
-// gradient callable it steps. The step chain is the oracle: the harness
-// compares the two arms' end-point distributions, and every fallback must be
-// bit-identical to stepping.
+// caged body's end point from the step chain's N-step law, and advances a
+// body out of every trap's reach by stepping its height and drawing x and y
+// once; through a plain gradient callable it steps. The step chain is the
+// oracle: the harnesses compare the two arms' end-point distributions, and
+// every fallback must be bit-identical to stepping.
 
 std::size_t longfuzz_factor() {
   const char* env = std::getenv("BIOCHIP_LONGFUZZ");
@@ -458,8 +459,16 @@ class ExactAdvanceTest : public ::testing::Test {
             spec.dep_prefactor(rig_.medium, rig_.device.config().drive_frequency), 0};
   }
   Vec3 trap(GridCoord site) const { return model_.trap_center(site); }
+  // The free path's lateral reach R = kReachSigmas·√N·s_max over one period.
+  double free_reach(const cell::ParticleSpec& spec) const {
+    const double s_max = std::sqrt(2.0 * constants::kB * rig_.medium.temperature *
+                                   options().dt /
+                                   stokes_drag_coefficient(rig_.medium, spec.radius));
+    return OverdampedIntegrator::kReachSigmas * std::sqrt(static_cast<double>(kPeriod)) *
+           s_max;
+  }
 
-  // `advance` through the model must fall back (return false) and end
+  // `advance` through the model must fall back (report kStepped) and end
   // bit-identical to stepping the plain callable on the same stream.
   void expect_bitwise_em(const OverdampedIntegrator& integ, const ParticleBody& start,
                          std::uint64_t seed) const {
@@ -467,7 +476,7 @@ class ExactAdvanceTest : public ::testing::Test {
     ParticleBody b = start;
     Rng ra(seed);
     Rng rb(seed);
-    EXPECT_FALSE(integ.advance(a, model_, ra, kPeriod));
+    EXPECT_EQ(integ.advance(a, model_, ra, kPeriod), AdvancePath::kStepped);
     integ.advance(b, [&](Vec3 p) { return model_.grad_erms2(p); }, rb, kPeriod);
     EXPECT_EQ(a.position, b.position);
     EXPECT_EQ(ra.normal(), rb.normal());
@@ -482,7 +491,8 @@ class ExactAdvanceTest : public ::testing::Test {
 // End points of `n` independent period advances from `start`, per axis.
 struct Arm {
   std::vector<double> axis[3];
-  std::size_t exact = 0;  ///< advances that took the exact path
+  std::size_t paths[3] = {};  ///< advances per `AdvancePath`
+  std::size_t took(AdvancePath path) const { return paths[static_cast<int>(path)]; }
 };
 
 template <typename Field>
@@ -493,7 +503,7 @@ Arm draw_arm(const OverdampedIntegrator& integ, Field&& field, const ParticleBod
   for (std::size_t i = 0; i < n; ++i) {
     ParticleBody b = start;
     Rng stream = base.fork(i);
-    if (integ.advance(b, field, stream, steps)) ++arm.exact;
+    ++arm.paths[static_cast<int>(integ.advance(b, field, stream, steps))];
     arm.axis[0].push_back(b.position.x);
     arm.axis[1].push_back(b.position.y);
     arm.axis[2].push_back(b.position.z);
@@ -519,17 +529,65 @@ double ks_statistic(std::vector<double> a, std::vector<double> b) {
   return d;
 }
 
-// The statistical gate: per axis, the exact arm and the step-chain arm agree
-// in mean (5 SE), in variance (|ln ratio| within 5 SE of ln s²), and in
+// Sample kurtosis E[(x − mean)⁴] / var² (3 for a Gaussian).
+double kurtosis(const std::vector<double>& v, const RunningStats& s) {
+  double m4 = 0.0;
+  for (const double x : v) m4 += std::pow(x - s.mean(), 4);
+  return m4 / static_cast<double>(v.size()) / (s.variance() * s.variance());
+}
+
+// The statistical gate, per axis: the model arm and the step-chain arm
+// agree in mean (5 SE), in variance (|ln ratio| within 5 SE) and in
 // distribution (two-sample KS below its α = 1e-4 critical value, 0.0498 at
-// 4,000 draws per arm). Cases: a lymphocyte and a 5 µm bead, each at the
+// 4,000 draws per arm). The SE of ln s² is √((κ − 1)/(N − 1)) for kurtosis
+// κ, so for Gaussian axes the variance bound is 5√(4/(N − 1)); an axis that
+// piles draws on the floor or the lid has κ up to about 13 and gets the
+// wider bound its own sample kurtosis gives. Each failure names its rule.
+void expect_same_law(const Arm& model, const Arm& em) {
+  const auto dn = static_cast<double>(model.axis[0].size());
+  const double ks_critical = std::sqrt(-std::log(1e-4 / 2.0) / 2.0) * std::sqrt(2.0 / dn);
+  for (int axis = 0; axis < 3; ++axis) {
+    SCOPED_TRACE("axis " + std::to_string(axis));
+    RunningStats sm;
+    RunningStats se;
+    for (const double v : model.axis[axis]) sm.add(v);
+    for (const double v : em.axis[axis]) se.add(v);
+    const double sem = std::sqrt(sm.variance() / dn + se.variance() / dn);
+    EXPECT_LE(std::fabs(sm.mean() - se.mean()), 5.0 * sem) << "rule: mean";
+    const double lnvar_bound =
+        5.0 * std::sqrt((kurtosis(model.axis[axis], sm) + kurtosis(em.axis[axis], se) - 2.0) /
+                        (dn - 1.0));
+    EXPECT_LE(std::fabs(std::log(sm.variance() / se.variance())), lnvar_bound)
+        << "rule: variance";
+    EXPECT_LT(ks_statistic(model.axis[axis], em.axis[axis]), ks_critical) << "rule: KS";
+  }
+}
+
+// The pair rule: the stepped end point's axes are uncorrelated (given the
+// z path, x and y are independent and symmetric about their start), so each
+// pair's sample correlation lies within 5/√N of zero.
+void expect_uncorrelated(const Arm& arm) {
+  const auto dn = static_cast<double>(arm.axis[0].size());
+  for (const auto& [a, b] : {std::pair{0, 1}, std::pair{0, 2}, std::pair{1, 2}}) {
+    SCOPED_TRACE("axes " + std::to_string(a) + "," + std::to_string(b));
+    RunningStats sa;
+    RunningStats sb;
+    for (const double v : arm.axis[a]) sa.add(v);
+    for (const double v : arm.axis[b]) sb.add(v);
+    double cov = 0.0;
+    for (std::size_t i = 0; i < arm.axis[a].size(); ++i)
+      cov += (arm.axis[a][i] - sa.mean()) * (arm.axis[b][i] - sb.mean());
+    cov /= dn - 1.0;
+    EXPECT_LE(std::fabs(cov / std::sqrt(sa.variance() * sb.variance())), 5.0 / std::sqrt(dn))
+        << "rule: correlation";
+  }
+}
+
+// The basin path's gate. Cases: a lymphocyte and a 5 µm bead, each at the
 // trap, one pitch behind it (the cage just hopped) and (1.2, 0.6) pitch off
-// axis. Every model-arm draw must take the exact path.
+// axis. Every model-arm draw must take the basin path.
 TEST_F(ExactAdvanceTest, PeriodLawMatchesStepChain) {
   const std::size_t n = 4000 * longfuzz_factor();
-  const double dn = static_cast<double>(n);
-  const double ks_critical = std::sqrt(-std::log(1e-4 / 2.0) / 2.0) * std::sqrt(2.0 / dn);
-  const double lnvar_bound = 5.0 * std::sqrt(4.0 / (dn - 1.0));
   const GridCoord site{16, 16};
   model_.set_sites({site});
   const double p = pitch();
@@ -545,19 +603,9 @@ TEST_F(ExactAdvanceTest, PeriodLawMatchesStepChain) {
       const Arm exact = draw_arm(integ_, model_, b, Rng(seed++), n, kPeriod);
       const Arm em = draw_arm(integ_, [&](Vec3 q) { return model_.grad_erms2(q); }, b,
                               Rng(seed++), n, kPeriod);
-      EXPECT_EQ(exact.exact, n);
-      EXPECT_EQ(em.exact, 0u);
-      for (int axis = 0; axis < 3; ++axis) {
-        SCOPED_TRACE("axis " + std::to_string(axis));
-        RunningStats se;
-        RunningStats so;
-        for (const double v : exact.axis[axis]) se.add(v);
-        for (const double v : em.axis[axis]) so.add(v);
-        const double sem = std::sqrt(se.variance() / dn + so.variance() / dn);
-        EXPECT_LE(std::fabs(se.mean() - so.mean()), 5.0 * sem);
-        EXPECT_LE(std::fabs(std::log(se.variance() / so.variance())), lnvar_bound);
-        EXPECT_LT(ks_statistic(exact.axis[axis], em.axis[axis]), ks_critical);
-      }
+      EXPECT_EQ(exact.took(AdvancePath::kBasin), n);
+      EXPECT_EQ(em.took(AdvancePath::kStepped), n);
+      expect_same_law(exact, em);
     }
 }
 
@@ -567,7 +615,7 @@ TEST_F(ExactAdvanceTest, ExactPathDrawsThreeNormals) {
   ParticleBody b = body(cell::viable_lymphocyte(), trap(site));
   Rng ra(7);
   Rng rb(7);
-  ASSERT_TRUE(integ_.advance(b, model_, ra, kPeriod));
+  ASSERT_EQ(integ_.advance(b, model_, ra, kPeriod), AdvancePath::kBasin);
   for (int i = 0; i < 3; ++i) rb.normal();
   EXPECT_EQ(ra.normal(), rb.normal());
   EXPECT_EQ(ra(), rb());
@@ -581,7 +629,7 @@ TEST_F(ExactAdvanceTest, ZeroStepsLeaveBodyAndStreamUntouched) {
   ParticleBody b = start;
   Rng ra(8);
   Rng rb(8);
-  EXPECT_FALSE(integ_.advance(b, model_, ra, 0));
+  EXPECT_EQ(integ_.advance(b, model_, ra, 0), AdvancePath::kStepped);
   EXPECT_EQ(b.position, start.position);
   EXPECT_EQ(ra.normal(), rb.normal());
   EXPECT_EQ(ra(), rb());
@@ -596,8 +644,6 @@ TEST_F(ExactAdvanceTest, FallbacksAreBitwiseStepChain) {
   expect_bitwise_em(integ_, body(spec, trap(site)), 11);
 
   model_.set_sites({site});
-  // Outside every capture radius (two pitches from the only trap).
-  expect_bitwise_em(integ_, body(spec, trap(site) + Vec3{2.0 * pitch(), 0.0, 0.0}), 12);
   // Resting on the floor under the trap.
   Vec3 floor = trap(site);
   floor.z = rig_.device.chamber_bounds().min.z + spec.radius;
@@ -611,6 +657,135 @@ TEST_F(ExactAdvanceTest, FallbacksAreBitwiseStepChain) {
   // dt = 6 ms makes the z step factor a = 1 - dt k_z / γ negative.
   expect_bitwise_em(OverdampedIntegrator(rig_.medium, options(6e-3)), body(spec, trap(site)),
                     15);
+
+  // Out of the trap's capture radius, but its lateral reach column comes
+  // within 1 nm of it: not free.
+  const double reach = free_reach(spec);
+  expect_bitwise_em(
+      integ_, body(spec, trap(site) + Vec3{model_.capture_radius() + reach - 1e-9, 0.0, 0.0}),
+      16);
+  // No trap at all, but the lateral reach overlaps the side wall by half of
+  // itself: x or y could clamp, so not free.
+  model_.set_sites({});
+  Vec3 near_wall = trap(site);
+  near_wall.x = rig_.device.chamber_bounds().min.x + spec.radius + 0.5 * reach;
+  expect_bitwise_em(integ_, body(spec, near_wall), 17);
+}
+
+// ---------------------------------------------------- free period advance ----
+//
+// A body no trap can reach within the period: `advance` through the model
+// steps its height only and draws x and y from their conditional law.
+
+class FreeAdvanceTest : public ExactAdvanceTest {
+ protected:
+  static constexpr GridCoord kSite{16, 16};
+
+  FreeAdvanceTest() { model_.set_sites({kSite}); }
+
+  // Three pitches from the only trap, at height z.
+  ParticleBody free_body(const cell::ParticleSpec& spec, double z) const {
+    Vec3 at = trap(kSite) + Vec3{3.0 * pitch(), 0.0, 0.0};
+    at.z = z;
+    return body(spec, at);
+  }
+  // The height at which `spec` levitates in a cage.
+  double levitation_height(const cell::ParticleSpec& spec) const {
+    const ParticleBody b = body(spec, {});
+    return levitation_equilibrium(rig_.cage, b.dep_prefactor, rig_.medium, spec.radius,
+                                  spec.density)
+        .height;
+  }
+};
+
+// The free path's gate (`expect_same_law` per axis, `expect_uncorrelated`
+// per axis pair on the model arm), 4,000 draws per arm. Cases: a lymphocyte
+// and a 5 µm bead three pitches from the only trap, starting at their
+// levitation height, at 12 µm, at 8 µm (a lymphocyte sinks about 0.8 µm in
+// the period, clear of the floor), 0.2 µm above their resting height (about
+// a fifth of the draws end on the floor) and resting on the floor; and a
+// body lighter than the medium under a lid 2 µm above it (about a fifth of
+// the draws end on the lid). Every model-arm draw must take the free path.
+TEST_F(FreeAdvanceTest, PeriodLawMatchesStepChain) {
+  const std::size_t n = 4000 * longfuzz_factor();
+  const double floor = rig_.device.chamber_bounds().min.z;
+  std::uint64_t seed = 101;
+  const auto check = [&](const OverdampedIntegrator& integ, const ParticleBody& b) {
+    const Arm model = draw_arm(integ, model_, b, Rng(seed++), n, kPeriod);
+    const Arm em = draw_arm(integ, [&](Vec3 q) { return model_.grad_erms2(q); }, b,
+                            Rng(seed++), n, kPeriod);
+    EXPECT_EQ(model.took(AdvancePath::kFree), n) << "rule: path";
+    EXPECT_EQ(em.took(AdvancePath::kStepped), n);
+    expect_same_law(model, em);
+    expect_uncorrelated(model);
+  };
+  for (const cell::ParticleSpec& spec : {cell::viable_lymphocyte(), cell::polystyrene_bead(5e-6)}) {
+    const double rest = floor + spec.radius;
+    const struct {
+      const char* name;
+      double z;
+    } starts[] = {{"levitated", levitation_height(spec)},
+                  {"12 um", 12e-6},
+                  {"8 um", 8e-6},
+                  {"near floor", rest + 0.2e-6},
+                  {"on floor", rest}};
+    for (const auto& start : starts) {
+      SCOPED_TRACE(spec.name + " " + start.name);
+      check(integ_, free_body(spec, start.z));
+    }
+  }
+  SCOPED_TRACE("buoyant under a lid");
+  cell::ParticleSpec light = cell::viable_lymphocyte();
+  light.density = 920.0;
+  const ParticleBody b = free_body(light, 12e-6);
+  DynamicsOptions lid = options();
+  lid.bounds.max.z = b.position.z + light.radius + 2e-6;
+  check(OverdampedIntegrator(rig_.medium, lid), b);
+}
+
+TEST_F(FreeAdvanceTest, DrawsStepsPlusTwoNormals) {
+  ParticleBody b = free_body(cell::viable_lymphocyte(), 12e-6);
+  Rng ra(21);
+  Rng rb(21);
+  ASSERT_EQ(integ_.advance(b, model_, ra, kPeriod), AdvancePath::kFree);
+  for (std::size_t i = 0; i < kPeriod + 2; ++i) rb.normal();
+  EXPECT_EQ(ra.normal(), rb.normal());
+  EXPECT_EQ(ra(), rb());
+}
+
+TEST_F(FreeAdvanceTest, ZeroStepsDrawNothing) {
+  const ParticleBody start = free_body(cell::viable_lymphocyte(), 12e-6);
+  ParticleBody b = start;
+  Rng ra(22);
+  Rng rb(22);
+  EXPECT_EQ(integ_.advance(b, model_, ra, 0), AdvancePath::kStepped);
+  EXPECT_EQ(b.position, start.position);
+  EXPECT_EQ(ra.normal(), rb.normal());
+  EXPECT_EQ(ra(), rb());
+}
+
+// Without thermal kicks the free path draws nothing and its height chain is
+// `step`'s z arithmetic: it equals stepping bit for bit, at every start
+// height and with or without gravity.
+TEST_F(FreeAdvanceTest, WithoutBrownianEqualsSteppingBitwise) {
+  const cell::ParticleSpec spec = cell::viable_lymphocyte();
+  for (const bool gravity : {true, false}) {
+    DynamicsOptions opts = options();
+    opts.brownian = false;
+    opts.gravity = gravity;
+    const OverdampedIntegrator integ(rig_.medium, opts);
+    for (const double z : {levitation_height(spec), 12e-6, 8e-6, spec.radius + 0.2e-6}) {
+      SCOPED_TRACE("gravity " + std::to_string(gravity) + " z " + std::to_string(z));
+      ParticleBody a = free_body(spec, z);
+      ParticleBody b = a;
+      Rng ra(23);
+      Rng rb(23);
+      EXPECT_EQ(integ.advance(a, model_, ra, kPeriod), AdvancePath::kFree);
+      integ.advance(b, [&](Vec3 p) { return model_.grad_erms2(p); }, rb, kPeriod);
+      EXPECT_EQ(a.position, b.position);
+      EXPECT_EQ(ra(), Rng(23)());
+    }
+  }
 }
 
 // ------------------------------------------------------------ levitation ----

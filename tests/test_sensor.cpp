@@ -70,6 +70,31 @@ TEST(Capacitive, DeltaCDecaysWithHeightAndLateralOffset) {
   EXPECT_GT(near, aside);
 }
 
+// The window walk computes each target's amplitude once and multiplies it by
+// each pixel's lateral falloff. Over random radii, heights (on the floor up
+// to the lid) and lateral offsets that product must be the very double the
+// one-call formula gives, in its product order: −C₀·contrast·fill·vertical,
+// then ·falloff.
+TEST(Capacitive, TargetSignalTimesFalloffIsDeltaCBitwise) {
+  const CapacitivePixel px = paper_pixel();
+  Rng rng(77);
+  for (int i = 0; i < 2000; ++i) {
+    const double r = rng.uniform(0.5e-6, 12e-6);
+    const double z = rng.uniform(r, 100e-6);
+    const double lateral = rng.uniform(0.0, 60e-6);
+    const double lambda = px.sensing_depth();
+    double fill = (4.0 / 3.0) * constants::pi * r * r * r / (px.electrode_area * lambda);
+    if (fill > 1.0) fill = 1.0;
+    const double vertical = std::exp(-std::max(z - r, 0.0) / lambda);
+    const double half_width = 0.5 * std::sqrt(px.electrode_area);
+    const double lat = std::exp(-0.5 * (lateral / half_width) * (lateral / half_width));
+    const double contrast = (px.medium_eps_r - px.particle_eps_r) / px.medium_eps_r;
+    const double reference = -px.baseline_capacitance() * contrast * fill * vertical * lat;
+    ASSERT_EQ(px.target_signal(r, z).at(lateral), reference) << r << " " << z << " " << lateral;
+    ASSERT_EQ(px.delta_c(r, z, lateral), reference);
+  }
+}
+
 TEST(Capacitive, NoiseSigmaHasAmplifierFloor) {
   CapacitivePixel px = paper_pixel();
   const double sigma = px.frame_noise_sigma(298.15);
