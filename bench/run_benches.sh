@@ -7,6 +7,13 @@
 # Output: BENCH_field_solver.json, BENCH_physics_engine.json,
 #         BENCH_control.json at the repo root.
 #
+# Each row is run 5 times; the JSON keeps every repetition beside
+# google-benchmark's mean, median, stddev and CV rows. The pooled rows swing
+# by several times between back-to-back runs on a shared host, so one run
+# says little; tools/bench_diff.py OLD NEW compares two recordings' medians
+# against their spread and their deterministic counters exactly. A later
+# --benchmark_repetitions=N among the extra flags overrides the 5.
+#
 # Accuracy column: the solver records are not timing-only — bm_vcycle_warm
 # and bm_incremental carry an `oracle_max_err` counter (max-|dphi| of the
 # benched solution against a freshly solved full-grid oracle) so the perf
@@ -41,6 +48,7 @@ for bench in bench_field_solver bench_physics_engine bench_control; do
     --benchmark_out="$out" \
     --benchmark_out_format=json \
     --benchmark_min_time="$MIN_TIME" \
+    --benchmark_repetitions=5 \
     --benchmark_context=library_build_type="$build_type" \
     "$@"
   echo "wrote $out (library_build_type=$build_type)"

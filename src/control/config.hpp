@@ -56,14 +56,6 @@ struct ControlConfig {
   /// degraded boost always wins over the slow-down.
   std::size_t steady_frames_divisor = 1;
 
-  /// Recycle `EpisodeRuntime` body slots (and physics stream ids) on
-  /// `release_cage`, so open-ended streaming runs keep the body array
-  /// bounded by the peak in-flight count. Physics streams are then keyed by
-  /// a persistent per-admission counter instead of the slot index — still
-  /// collision-free and worker-count invariant, but a different stream
-  /// layout, so episode runs keep the legacy keying by default.
-  bool recycle_slots = false;
-
   /// Controller-side bad-pixel masking (standard calibration practice): the
   /// self-test defect map is controller knowledge, so known-bad pixels are
   /// zeroed before thresholding. Disabling it exposes the raw sensor faults

@@ -38,7 +38,6 @@ EpisodeRuntime::EpisodeRuntime(ClosedLoopEngine& owner, std::vector<CageGoal> go
                                Rng stream_base, core::ThreadPool* pool)
     : owner_(owner), pool_(pool), goals_(std::move(goals)), bodies_(bodies),
       cage_bodies_(std::move(cage_bodies)),
-      fault_slots_(cage_bodies_.size()),
       body_active_(bodies.size(), std::uint8_t{1}),
       body_streams_(bodies.size()),
       next_body_stream_(bodies.size()),
@@ -49,7 +48,6 @@ EpisodeRuntime::EpisodeRuntime(ClosedLoopEngine& owner, std::vector<CageGoal> go
   const chip::ElectrodeArray& array = owner_.cages_.array();
   capture_ = owner_.engine_.field_model().capture_radius();
   const int min_sep = owner_.cages_.min_separation();
-  for (std::uint64_t& slot : fault_slots_) slot = next_fault_slot_++;
   for (std::size_t n = 0; n < body_streams_.size(); ++n)
     body_streams_[n] = static_cast<std::uint64_t>(n);
 
@@ -349,13 +347,7 @@ void EpisodeRuntime::integrate_range(int t, std::size_t nb, std::size_t ne) {
   const core::CageFieldModel& field = owner_.engine_.field_model();
   for (std::size_t n = nb; n < ne; ++n) {
     if (body_active_[n] == 0) continue;  // the cell left this chamber
-    // Legacy keying indexes by (tick, slot) — valid because slots are never
-    // reused. Recycling mode keys by the slot's persistent admission counter
-    // (`body_streams_`), which never repeats across slot reuse, so streams
-    // stay collision-free under open-ended admission churn.
-    Rng stream = owner_.config_.recycle_slots
-                     ? phys_base_.fork(body_streams_[n]).fork(static_cast<std::uint64_t>(t))
-                     : phys_base_.fork(static_cast<std::uint64_t>(t) * bodies_.size() + n);
+    Rng stream = phys_base_.fork(body_streams_[n]).fork(static_cast<std::uint64_t>(t));
     advance_path_[n] = owner_.engine_.integrator().advance(bodies_[n], field, stream, substeps_);
   }
 }
@@ -467,9 +459,9 @@ void EpisodeRuntime::tick(int t) {
 
   // ---- fault injection: kick a trapped cell out of its basin. Directed
   // escapes first (fully scripted heading, no stream draw), then the
-  // stream-keyed forced/random ones. Streams are keyed (stable slot, tick):
-  // hand-offs shrink/grow `cage_bodies_`, so a size-based index would
-  // collide with earlier ticks' streams.
+  // stream-keyed forced/random ones. Like the physics, escape draws are keyed
+  // (body admission id, tick): neither the cage's position in `cage_bodies_`
+  // nor the reuse of its body slot can change which stream a cell reads.
   for (const ControlConfig::DirectedEscape& de : config.directed_escapes) {
     if (de.tick != t) continue;
     std::size_t bidx = 0;
@@ -484,9 +476,9 @@ void EpisodeRuntime::tick(int t) {
     body.position = inset.clamp(body.position);
     report_.events.push_back({t, EventKind::kEscapeInjected, de.cage_id, site});
   }
-  for (std::size_t n = 0; n < cage_bodies_.size(); ++n) {
-    const auto [cage_id, bidx] = cage_bodies_[n];
-    Rng fault = fault_base_.fork(fault_slots_[n]).fork(static_cast<std::uint64_t>(t));
+  for (const auto& [cage_id, bidx] : cage_bodies_) {
+    Rng fault = fault_base_.fork(body_streams_[static_cast<std::size_t>(bidx)])
+                    .fork(static_cast<std::uint64_t>(t));
     const bool forced =
         std::find(config.forced_escapes.begin(), config.forced_escapes.end(),
                   std::pair<int, int>{t, cage_id}) != config.forced_escapes.end();
@@ -668,7 +660,7 @@ std::optional<int> EpisodeRuntime::admit_cage(GridCoord at, GridCoord goal, int 
   supervisor_->add_cage(id, goal);
   goals_.push_back({id, goal});
   std::size_t slot = bodies_.size();
-  if (owner_.config_.recycle_slots && !free_body_slots_.empty()) {
+  if (!free_body_slots_.empty()) {
     slot = free_body_slots_.back();
     free_body_slots_.pop_back();
     bodies_[slot] = cell;
@@ -680,7 +672,6 @@ std::optional<int> EpisodeRuntime::admit_cage(GridCoord at, GridCoord goal, int 
     body_streams_.push_back(next_body_stream_++);
   }
   cage_bodies_.emplace_back(id, static_cast<int>(slot));
-  fault_slots_.push_back(next_fault_slot_++);
   last_admit_tick_ = t;
   report_.events.push_back({t, EventKind::kTransferAdmitted, id, at});
   return id;
@@ -697,11 +688,10 @@ physics::ParticleBody EpisodeRuntime::release_cage(int cage_id) {
   BIOCHIP_REQUIRE(body_index_of(cage_id, bidx), "released cage has no tracked body");
   const physics::ParticleBody cell = bodies_[bidx];
   body_active_[bidx] = 0;
-  if (owner_.config_.recycle_slots) free_body_slots_.push_back(bidx);
+  free_body_slots_.push_back(bidx);
   for (std::size_t n = 0; n < cage_bodies_.size(); ++n) {
     if (cage_bodies_[n].first != cage_id) continue;
     cage_bodies_.erase(cage_bodies_.begin() + static_cast<std::ptrdiff_t>(n));
-    fault_slots_.erase(fault_slots_.begin() + static_cast<std::ptrdiff_t>(n));
     break;
   }
   owner_.cages_.destroy(cage_id);

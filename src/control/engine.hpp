@@ -243,7 +243,8 @@ class EpisodeRuntime {
   const std::vector<CageGoal>& goals() const { return goals_; }
   std::size_t active_goal_count() const { return goals_.size(); }
   /// Size of the body array — the resident-memory metric the slot-recycling
-  /// regression gates on (bounded under `ControlConfig::recycle_slots`).
+  /// regression gates on. Released slots are reused, so it is bounded by the
+  /// peak number of bodies in the chamber at once.
   std::size_t resident_bodies() const { return bodies_.size(); }
   /// Compact committed-path history older than tick t-1 (see
   /// `Replanner::compact`). No-op when the initial plan failed.
@@ -262,13 +263,15 @@ class EpisodeRuntime {
   /// nothing mutated) when the port neighborhood is occupied or reserved, or
   /// when no conflict-free route to `goal` exists right now. On success the
   /// cage is created, its path committed, its track registered, the goal
-  /// supervised, and `cell` joins the body array; returns the new cage id.
+  /// supervised, and `cell` takes the slot `release_cage` freed last (the
+  /// body array grows only when none is free); returns the new cage id.
   std::optional<int> admit_cage(GridCoord at, GridCoord goal, int t,
                                 const physics::ParticleBody& cell);
 
   /// Remove a goal cage from this episode (handed off to another chamber):
   /// destroys the cage, drops its path/track/supervision/goal, deactivates
-  /// its body (the cell left the chamber), and returns the body.
+  /// its body (the cell left the chamber), and returns the body. The body's
+  /// slot in the caller's array is freed: the next `admit_cage` overwrites it.
   physics::ParticleBody release_cage(int cage_id);
 
   /// Drop a cage's delivery goal from this episode's accounting without
@@ -352,25 +355,20 @@ class EpisodeRuntime {
   std::vector<CageGoal> goals_;
   std::vector<physics::ParticleBody>& bodies_;
   std::vector<std::pair<int, int>> cage_bodies_;
-  /// Stable fault-stream slot per `cage_bodies_` entry (kept in sync).
-  /// `cage_bodies_` shrinks on hand-off, so indexing fault forks by vector
-  /// position would reuse stream ids across ticks; slots are assigned from
-  /// a monotone counter and never recycled, keeping (slot, tick) unique.
-  std::vector<std::uint64_t> fault_slots_;
-  std::uint64_t next_fault_slot_ = 0;
   /// Aligned with `bodies_`; 0 = the cell left this chamber (not integrated,
-  /// not imaged). Without `ControlConfig::recycle_slots` bodies are never
-  /// erased, so physics fork-stream ids (keyed by slot index) stay monotone
-  /// and collision-free. With recycling on, released slots are reused and
-  /// the physics stream is keyed by `body_streams_` instead — a persistent
-  /// per-admission counter that never repeats across reuse.
+  /// not imaged). `release_cage` clears the flag and frees the slot, and the
+  /// next `admit_cage` reuses it.
   std::vector<std::uint8_t> body_active_;
   /// Aligned with `bodies_`: the path this tick's advance took. Written per
   /// body inside the fan-out, counted after it.
   std::vector<physics::AdvancePath> advance_path_;
-  std::vector<std::uint64_t> body_streams_;  ///< per-slot physics stream id
+  /// Aligned with `bodies_`: the slot's admission id. Initial bodies take
+  /// their index; every admission, into a fresh or a reused slot, takes the
+  /// next id. A body's physics and escape draws are keyed (id, tick), so no
+  /// stream repeats across slot reuse or depends on list order.
+  std::vector<std::uint64_t> body_streams_;
   std::uint64_t next_body_stream_ = 0;       ///< monotone admission counter
-  std::vector<std::size_t> free_body_slots_;  ///< released slots (recycling on)
+  std::vector<std::size_t> free_body_slots_;  ///< released slots, reused first
 
   bool planned_ = false;
   int budget_ = 0;

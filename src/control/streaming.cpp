@@ -136,11 +136,6 @@ StreamingReport StreamingService::run(std::vector<ChamberSetup>& chambers,
   const std::size_t n_chambers = network_.chamber_count();
   const std::size_t n_inlets = network_.inlet_count();
 
-  // The memory contract needs both recyclers: body/track/plan slots in the
-  // runtime (`recycle_slots`) and cage ids in the controller.
-  ControlConfig control = config_.control;
-  control.recycle_slots = true;
-
   // Stream-space layout: fork(0) = arrival processes (keyed (inlet, tick) —
   // invariant to chamber count and worker count), fork(1) = fault schedule,
   // fork(2).fork(c) = chamber c's control stack.
@@ -148,7 +143,7 @@ StreamingReport StreamingService::run(std::vector<ChamberSetup>& chambers,
   std::vector<std::vector<CageGoal>> goals;
   goals.reserve(chambers.size());
   for (const ChamberSetup& setup : chambers) goals.push_back(setup.goals);
-  ChamberFleet fleet(network_, chambers, goals, config_.site_period, control,
+  ChamberFleet fleet(network_, chambers, goals, config_.site_period, config_.control,
                      config_.faults, stream_base.fork(2), stream_base.fork(1));
   BIOCHIP_REQUIRE(fleet.planned(), "a streaming chamber failed its initial plan");
   for (ChamberSetup& setup : chambers) setup.cages->set_recycle_ids(true);

@@ -26,12 +26,14 @@
 ///  6. drains observed audit events into bounded per-chamber counters and
 ///     compacts committed-path history (`Replanner::compact`).
 ///
-/// Memory contract: with `ControlConfig::recycle_slots` (forced on here) and
-/// cage-id recycling, steady state allocates nothing per arrival — body
-/// slots, cage slots, paths, tracks and supervision records are all reused,
-/// the audit trail is drained every tick, and the latency histogram is fixed
-/// size. Peak residency is bounded by quota × chambers + capacity × inlets,
-/// independent of how long the service runs or how hard it is overloaded.
+/// Memory contract: `EpisodeRuntime` reuses every released body slot, and
+/// streaming turns on the controller's cage-id recycling
+/// (`chip::CageController::set_recycle_ids`), so steady state allocates
+/// nothing per arrival — body slots, cage slots, paths, tracks and
+/// supervision records are all reused, the audit trail is drained every
+/// tick, and the latency histogram is fixed size. Peak residency is bounded
+/// by quota × chambers + capacity × inlets, independent of how long the
+/// service runs or how hard it is overloaded.
 ///
 /// Determinism contract: identical to the orchestrator's — arrivals,
 /// admission and harvest run serially in ascending (inlet | chamber) order
@@ -64,7 +66,7 @@ namespace biochip::control {
 
 struct StreamingConfig {
   /// Per-chamber control config. Streaming requires the closed loop
-  /// (delivery is confirmed by supervision) and forces `recycle_slots` on.
+  /// (delivery is confirmed by supervision).
   ControlConfig control;
   double site_period = 0.4;  ///< [s] per supervisory tick
   /// Service horizon in ticks. Memory does not scale with it — a 1M-tick

@@ -1,12 +1,15 @@
 // Tests for the closed-loop control subsystem: tracker hysteresis, the
 // lost → recapture → delivery loop on a seeded episode, pooled-vs-serial
-// bitwise identity, and defect-injection fuzz.
+// bitwise identity, body-slot reuse and per-body stream keying, and
+// defect-injection fuzz.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "cell/library.hpp"
@@ -280,6 +283,60 @@ TEST_F(ClosedLoopTest, PerBodyPoolBitwiseIdenticalToSerial) {
     EXPECT_EQ(serial.delivered_ids, pooled.delivered_ids);
     EXPECT_EQ(serial.failed_ids, pooled.failed_ids);
   }
+}
+
+// Body slots recycle in every driver, not only in streaming: a released
+// cage frees its slot, and the next admission takes it, so neither the
+// runtime's nor the caller's body array grows past its peak population.
+TEST_F(ClosedLoopTest, ReleasedSlotIsReusedOutsideStreaming) {
+  auto world = make_world();
+  ClosedLoopEngine engine(world->cages, world->engine, world->imager, world->defects, 0.4,
+                          ControlConfig{});
+  EpisodeRuntime runtime(engine, world->goals, world->bodies, world->cage_bodies, Rng(31),
+                         nullptr);
+  ASSERT_TRUE(runtime.planned());
+  runtime.tick(1);
+  ASSERT_EQ(runtime.resident_bodies(), 3u);
+
+  physics::ParticleBody cell = runtime.release_cage(world->goals[0].cage_id);
+  const GridCoord port{3, 21};
+  cell.position = runtime.trap_center(port);
+  const std::optional<int> id = runtime.admit_cage(port, {20, 21}, 2, cell);
+  ASSERT_TRUE(id.has_value());
+  EXPECT_EQ(runtime.resident_bodies(), 3u);
+  EXPECT_EQ(world->bodies.size(), 3u);
+  EXPECT_EQ(runtime.body_of(*id).position, cell.position);
+  runtime.tick(2);  // the reused slot is live: its body moves
+  EXPECT_NE(runtime.body_of(*id).position, cell.position);
+}
+
+// Escape draws are keyed by the body's admission id, so the order of the
+// caller's `cage_bodies` list cannot change a forced escape's heading. The
+// list is reversed, which moves `goals[0]` from its front to its back.
+TEST_F(ClosedLoopTest, EscapeDrawsFollowTheBodyNotItsListPosition) {
+  const auto positions_after_escape = [&](bool reversed) {
+    auto world = make_world();
+    ControlConfig config;
+    config.forced_escapes = {{1, world->goals[0].cage_id}};
+    std::vector<std::pair<int, int>> cage_bodies = world->cage_bodies;
+    if (reversed) std::reverse(cage_bodies.begin(), cage_bodies.end());
+    ClosedLoopEngine engine(world->cages, world->engine, world->imager, world->defects,
+                            0.4, config);
+    EpisodeRuntime runtime(engine, world->goals, world->bodies, cage_bodies, Rng(8), nullptr);
+    EXPECT_TRUE(runtime.planned());
+    runtime.tick(1);
+    const EpisodeReport report = runtime.finish();
+    EXPECT_EQ(count_events(report.events, EventKind::kEscapeInjected), 1u)
+        << "reversed " << reversed;
+    std::vector<Vec3> positions;
+    for (const physics::ParticleBody& b : world->bodies) positions.push_back(b.position);
+    return positions;
+  };
+  const std::vector<Vec3> listed = positions_after_escape(false);
+  const std::vector<Vec3> reversed = positions_after_escape(true);
+  ASSERT_EQ(listed.size(), reversed.size());
+  for (std::size_t n = 0; n < listed.size(); ++n)
+    EXPECT_EQ(listed[n], reversed[n]) << "body " << n;
 }
 
 // Defect-injection fuzz: randomized defect maps and random escapes. The

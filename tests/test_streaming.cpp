@@ -230,10 +230,11 @@ TEST_F(StreamingTest, IdleChamberElisionPreservesTheReport) {
 
 // --------------------------------------------------- bounded-memory soak ----
 
-// The monotone-growth regression: with slot recycling on (streaming forces
-// it), servicing tens of arrivals keeps the body array and the cage-slot
-// table bounded by the in-flight quota — not by the number of cells ever
-// serviced — and the admission accounting closes exactly.
+// The monotone-growth regression: with body slots recycled (every driver)
+// and cage ids recycled (streaming turns it on), servicing tens of arrivals
+// keeps the body array and the cage-slot table bounded by the in-flight
+// quota — not by the number of cells ever serviced — and the admission
+// accounting closes exactly.
 TEST_F(StreamingTest, SlotRecyclingBoundsResidencyOverManyServices) {
   fluidic::ChamberNetwork network = net(1, {0});
   auto w0 = make_world();
