@@ -132,17 +132,17 @@ int main() {
   // Determinism: the pooled episode fan-out must reproduce the serial
   // reference bit for bit (counter-based Rng::fork streams).
   std::vector<Vec3> positions[2];
-  for (const std::size_t parts : {std::size_t{1}, std::size_t{0}}) {
+  for (const bool pooled : {false, true}) {
     auto world = make_world(cfg, cage);
     control::ClosedLoopEngine engine(world->cages, world->engine, world->imager,
                                      world->defects, 0.4, control_cfg);
     std::vector<control::ClosedLoopEngine::Episode> episodes{
         {&engine, world->goals, &world->bodies, world->cage_bodies}};
     Rng rng(90210);
-    control::ClosedLoopEngine::run_episodes(episodes, rng.split(),
-                                            core::ThreadPool::global(), parts);
+    control::ClosedLoopEngine::run_episodes(
+        episodes, rng.split(), pooled ? &core::ThreadPool::global() : nullptr);
     for (const physics::ParticleBody& b : world->bodies)
-      positions[parts].push_back(b.position);
+      positions[pooled].push_back(b.position);
   }
   const bool bitwise = positions[0] == positions[1];
   std::cout << "\nSerial vs pooled execution bitwise identical: "

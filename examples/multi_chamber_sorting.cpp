@@ -204,14 +204,15 @@ int main() {
   // bit for bit (disjoint per-chamber fork-stream spaces + serial
   // arbitration).
   std::vector<Vec3> positions[2];
-  for (const std::size_t parts : {std::size_t{1}, std::size_t{0}}) {
+  for (const bool pooled : {false, true}) {
     Scenario s = make_scenario(cfg, cage);
     control::Orchestrator orch(net, base);
     Rng rng(90210);
-    orch.run(s.chambers, s.transfers, rng.split(), &core::ThreadPool::global(), parts);
+    orch.run(s.chambers, s.transfers, rng.split(),
+             pooled ? &core::ThreadPool::global() : nullptr);
     for (const auto& w : s.worlds)
       for (const physics::ParticleBody& b : w->bodies)
-        positions[parts].push_back(b.position);
+        positions[pooled].push_back(b.position);
   }
   const bool bitwise = positions[0] == positions[1];
   std::cout << "\nSerial vs pooled chamber execution bitwise identical: "

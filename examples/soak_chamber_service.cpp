@@ -177,7 +177,7 @@ struct SoakTotals {
 /// under the round's scripted fault schedule.
 RoundResult run_round(const chip::DeviceConfig& cfg, const field::HarmonicCage& cage,
                       const fluidic::ChamberNetwork& net, const ArmState& arm,
-                      bool health_on, std::uint64_t round, std::size_t max_parts,
+                      bool health_on, std::uint64_t round, core::ThreadPool* pool,
                       obs::Observer* obs = nullptr) {
   std::vector<std::unique_ptr<World>> worlds;
   for (std::size_t c = 0; c < kChambers; ++c) {
@@ -306,8 +306,7 @@ RoundResult run_round(const chip::DeviceConfig& cfg, const field::HarmonicCage& 
   for (auto& w : worlds) chambers.push_back(w->setup());
   orch.set_observer(obs);
   Rng rng = Rng(0x50AC).fork(round);
-  result.report =
-      orch.run(chambers, transfers, rng.split(), &core::ThreadPool::global(), max_parts);
+  result.report = orch.run(chambers, transfers, rng.split(), pool);
   return result;
 }
 
@@ -395,17 +394,18 @@ int main(int argc, char** argv) {
   const fluidic::ChamberNetwork net = chain(cfg);
 
   bool ok = true;
+  core::ThreadPool* const pool = &core::ThreadPool::global();
 
   // Round 0 must be bitwise serial-vs-pooled identical in both arms.
   for (const bool health_on : {false, true}) {
     const ArmState fresh;
     if (std::getenv("SOAK_TRACE") != nullptr)
       std::fprintf(stderr, "identity check: health %s serial\n", health_on ? "on" : "off");
-    const RoundResult serial = run_round(cfg, cage, net, fresh, health_on, 0, 1);
+    const RoundResult serial = run_round(cfg, cage, net, fresh, health_on, 0, nullptr);
     if (std::getenv("SOAK_TRACE") != nullptr)
       std::fprintf(stderr, "identity check: health %s pooled (serial ticks %d)\n",
                    health_on ? "on" : "off", serial.report.ticks);
-    const RoundResult pooled = run_round(cfg, cage, net, fresh, health_on, 0, 0);
+    const RoundResult pooled = run_round(cfg, cage, net, fresh, health_on, 0, pool);
     if (!reports_identical(serial.report, pooled.report)) {
       std::fprintf(stderr, "FAIL: serial vs pooled round-0 mismatch (health %s)\n",
                    health_on ? "on" : "off");
@@ -425,7 +425,7 @@ int main(int argc, char** argv) {
       obs::Observer* round_obs =
           health_on && round == 0 && observer.has_value() ? &*observer : nullptr;
       const RoundResult result =
-          run_round(cfg, cage, net, arm, health_on, round++, 0, round_obs);
+          run_round(cfg, cage, net, arm, health_on, round++, pool, round_obs);
       if (round_obs != nullptr) round_obs->finalize(result.report.ticks);
       accumulate(arm_totals, result);
       if (std::getenv("SOAK_TRACE") != nullptr)

@@ -105,7 +105,7 @@ struct World {
 control::StreamingReport run_arm(const chip::DeviceConfig& cfg,
                                  const field::HarmonicCage& cage, double rate,
                                  int ticks, std::uint64_t seed,
-                                 std::size_t max_parts, bool with_faults,
+                                 core::ThreadPool* pool, bool with_faults,
                                  std::vector<Vec3>* positions = nullptr,
                                  obs::Observer* obs = nullptr) {
   fluidic::ChamberNetwork net;
@@ -165,8 +165,7 @@ control::StreamingReport run_arm(const chip::DeviceConfig& cfg,
   for (auto& w : worlds) chambers.push_back(w->setup());
   service.set_observer(obs);
   Rng rng(seed);
-  const control::StreamingReport report =
-      service.run(chambers, rng.split(), &core::ThreadPool::global(), max_parts);
+  const control::StreamingReport report = service.run(chambers, rng.split(), pool);
   if (positions != nullptr)
     for (const auto& w : worlds)
       for (const physics::ParticleBody& b : w->bodies)
@@ -278,13 +277,14 @@ int main(int argc, char** argv) {
   const field::HarmonicCage cage = chip::BiochipDevice(cfg).calibrate_cage(5, 6);
 
   bool ok = true;
+  core::ThreadPool* const pool = &core::ThreadPool::global();
 
   // ---- 1. serial vs pooled bitwise identity at a sustainable load --------
   std::vector<Vec3> serial_pos, pooled_pos;
   const control::StreamingReport serial =
-      run_arm(cfg, cage, 0.12, 400, 90210, 1, true, &serial_pos);
+      run_arm(cfg, cage, 0.12, 400, 90210, nullptr, true, &serial_pos);
   const control::StreamingReport pooled =
-      run_arm(cfg, cage, 0.12, 400, 90210, 0, true, &pooled_pos);
+      run_arm(cfg, cage, 0.12, 400, 90210, pool, true, &pooled_pos);
   ok &= gate(serial == pooled && serial_pos == pooled_pos,
              "serial vs pooled streaming run mismatch");
   ok &= check_arm("identity", serial);
@@ -302,7 +302,7 @@ int main(int argc, char** argv) {
   if (!quick) {
     const int sweep_ticks = 2000;
     const control::StreamingReport probe =
-        run_arm(cfg, cage, 1.0, sweep_ticks, 1001, 0, false);
+        run_arm(cfg, cage, 1.0, sweep_ticks, 1001, pool, false);
     ok &= check_arm("probe", probe);
     capacity =  // sustained service rate, cells/tick, whole chip
         static_cast<double>(probe.delivered) / static_cast<double>(probe.ticks);
@@ -323,7 +323,7 @@ int main(int argc, char** argv) {
     for (const SweepArm& arm : arms) {
       const double rate = arm.factor * capacity / static_cast<double>(kChambers);
       const control::StreamingReport r =
-          run_arm(cfg, cage, rate, sweep_ticks, arm.seed, 0, false);
+          run_arm(cfg, cage, rate, sweep_ticks, arm.seed, pool, false);
       print_arm(arm.name, rate, r);
       ok &= check_arm(arm.name, r);
       if (arm.factor == 0.5) half_shed = shed_fraction(r);
@@ -346,7 +346,7 @@ int main(int argc, char** argv) {
   // ---- 4. long-horizon soak at 1.0x capacity with accumulating faults ----
   const double soak_rate = capacity / static_cast<double>(kChambers);
   const control::StreamingReport soak = run_arm(
-      cfg, cage, soak_rate, static_cast<int>(soak_ticks), 777, 0, true,
+      cfg, cage, soak_rate, static_cast<int>(soak_ticks), 777, pool, true,
       nullptr, observer.has_value() ? &*observer : nullptr);
   print_arm("soak", soak_rate, soak);
   std::printf("soak      final health:");

@@ -9,8 +9,6 @@ AdmissionController::AdmissionController(AdmissionConfig config, std::size_t n_i
   BIOCHIP_REQUIRE(config_.queue_capacity >= 1, "inlet queues need capacity >= 1");
   BIOCHIP_REQUIRE(config_.chamber_quota >= 1, "chamber quota must be >= 1");
   BIOCHIP_REQUIRE(config_.degraded_quota >= 0, "degraded quota must be >= 0");
-  BIOCHIP_REQUIRE(config_.admissions_per_tick >= 1,
-                  "need at least one admission per chamber tick");
 }
 
 std::size_t AdmissionController::check(int inlet) const {

@@ -14,8 +14,10 @@
 ///  * the head of each queue is offered to its chamber once per tick, gated
 ///    by a per-chamber in-flight quota that the chamber's `HealthMonitor`
 ///    rung scales down (degraded chambers take half, quarantined chambers
-///    none) and by the chamber runtime's own admission test
-///    (`EpisodeRuntime::admit_cage`: port clear, unreserved, routable);
+///    none), by one admission per chamber per tick (so one tick never
+///    floods a chamber's reservation table), and by the chamber runtime's
+///    own admission test (`EpisodeRuntime::admit_cage`: port clear,
+///    unreserved, routable);
 ///  * a head that cannot be admitted is **deferred** in place — the first
 ///    deferral of each cell is audited (`kAdmissionDeferred`), later ones
 ///    are just queue wait, so the audit trail stays bounded per cell.
@@ -39,9 +41,6 @@ struct AdmissionConfig {
   int chamber_quota = 4;
   /// Quota while the chamber is kDegraded (kQuarantined always admits 0).
   int degraded_quota = 2;
-  /// Max admissions per chamber per tick (smooths admission bursts so one
-  /// tick never floods a chamber's reservation table).
-  int admissions_per_tick = 1;
 };
 
 /// One cell waiting at an inlet.

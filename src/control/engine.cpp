@@ -12,6 +12,27 @@
 
 namespace biochip::control {
 
+namespace {
+
+/// CDS frames averaged per supervisory tick (√n noise reduction). A
+/// levitated lymphocyte reads ~1.9σ per CDS frame on the paper pixel, so 16
+/// frames put the peak ~7.4σ above the noise — comfortably over the
+/// detection threshold below while one tick stays far shorter than the
+/// 0.4 s site period (claim C4's time-for-quality trade, spent on-line).
+constexpr std::size_t kFramesPerTick = 16;
+/// Detection threshold in multiples of the averaged-frame noise σ.
+constexpr double kThresholdSigma = 4.0;
+/// A sensor burst's phantom pixels read this many thresholds of ΔC
+/// (negative, like a parked particle).
+constexpr double kBurstThresholds = 4.0;
+/// Injected random escapes displace the cell this many pitches (more than
+/// the capture radius, or the trap would pull the cell straight back).
+constexpr double kEscapeDistancePitches = 2.5;
+/// Drive the tracked field writes on a live cage-site electrode.
+constexpr double kFieldTrackingDrive = 1.0;
+
+}  // namespace
+
 ClosedLoopEngine::ClosedLoopEngine(chip::CageController& cages,
                                    core::ManipulationEngine& engine,
                                    const sensor::FrameSynthesizer& imager,
@@ -20,11 +41,6 @@ ClosedLoopEngine::ClosedLoopEngine(chip::CageController& cages,
     : cages_(cages), engine_(engine), imager_(imager), defects_(defects),
       site_period_(site_period), config_(std::move(config)) {
   BIOCHIP_REQUIRE(site_period > 0.0, "site period must be positive");
-  BIOCHIP_REQUIRE(config_.frames_per_tick >= 1, "need at least one frame per tick");
-  BIOCHIP_REQUIRE(std::isfinite(config_.threshold_sigma) && config_.threshold_sigma > 0.0,
-                  "threshold_sigma must be positive and finite");
-  BIOCHIP_REQUIRE(std::isfinite(config_.stuck_cage_thresholds),
-                  "stuck_cage_thresholds must be finite");
   BIOCHIP_REQUIRE(defects.cols() == cages.array().cols() &&
                       defects.rows() == cages.array().rows(),
                   "defect map shape does not match the array");
@@ -109,9 +125,7 @@ EpisodeRuntime::EpisodeRuntime(ClosedLoopEngine& owner, std::vector<CageGoal> go
   replanner_.emplace(replan_cfg);
   replanner_->commit(std::move(plan.paths));
 
-  const double gate =
-      config.tracker.gate_radius > 0.0 ? config.tracker.gate_radius : capture_;
-  tracker_.emplace(config.tracker, gate);
+  tracker_.emplace(capture_);
   for (const auto& [cid, bi] : cage_bodies_) tracker_->add_track(cid);
 
   supervisor_.emplace(config, array, defects_, *replanner_, capture_);
@@ -127,14 +141,10 @@ EpisodeRuntime::EpisodeRuntime(ClosedLoopEngine& owner, std::vector<CageGoal> go
   substeps_ =
       static_cast<std::size_t>(std::max(1.0, std::round(owner_.site_period_ / dt)));
   const int makespan = plan.makespan_steps;
-  budget_ = config.closed_loop
-                ? (config.max_ticks > 0 ? config.max_ticks : 4 * makespan + 120)
-                : makespan;
+  budget_ = config.closed_loop ? 4 * makespan + 120 : makespan;
 
   pixel_faults_ = sensor::pixel_faults(defects_);
   cds_base_sigma_ = owner_.imager_.cds_noise_sigma();
-  threshold_ = config.threshold_sigma * cds_base_sigma_ /
-               std::sqrt(static_cast<double>(config.frames_per_tick));
   bounds_ = owner_.engine_.integrator().options().bounds;
 
   // Tracked whole-chamber field (optional): one Laplace grid over the full
@@ -190,7 +200,7 @@ void EpisodeRuntime::update_tracked_field(const std::vector<GridCoord>& sites) {
   const chip::ElectrodeArray& array = owner_.cages_.array();
   std::fill(field_drive_.begin(), field_drive_.end(), 0.0);
   for (const GridCoord s : sites)
-    field_drive_[array.index(s)] = owner_.config_.field_tracking_drive;
+    field_drive_[array.index(s)] = kFieldTrackingDrive;
   // Changed-electrode detection, window clustering and the re-anchor cadence
   // all live in the tracker; an unchanged pattern is a bitwise no-op.
   field_tracker_->update(field_drive_);
@@ -314,16 +324,6 @@ CageMode EpisodeRuntime::mode(int cage_id) const {
   return supervisor_->mode(cage_id);
 }
 
-bool EpisodeRuntime::steady_state() const {
-  if (!supervisor_.has_value() || !tracker_.has_value()) return false;
-  for (const CageGoal& g : goals_) {
-    const CageMode m = supervisor_->mode(g.cage_id);
-    if (m != CageMode::kEnRoute && m != CageMode::kDelivered) return false;
-    if (tracker_->state(g.cage_id) != TrackState::kOccupied) return false;
-  }
-  return true;
-}
-
 std::vector<ControlEvent> EpisodeRuntime::take_observed_events(bool all) {
   // With health on, only the prefix the watchdog has scanned may leave (the
   // unscanned tail still owes the monitor its loss strikes); with health off
@@ -343,6 +343,17 @@ bool EpisodeRuntime::all_delivered() const {
          supervisor_->all_delivered();
 }
 
+void EpisodeRuntime::displace(int t, int cage_id, GridCoord site,
+                              physics::ParticleBody& body, double angle,
+                              double distance_pitches) {
+  const double dist = distance_pitches * owner_.cages_.array().pitch();
+  body.position += Vec3{dist * std::cos(angle), dist * std::sin(angle), 0.0};
+  const Aabb inset{bounds_.min + Vec3{body.radius, body.radius, body.radius},
+                   bounds_.max - Vec3{body.radius, body.radius, body.radius}};
+  body.position = inset.clamp(body.position);
+  report_.events.push_back({t, EventKind::kEscapeInjected, cage_id, site});
+}
+
 void EpisodeRuntime::integrate_range(int t, std::size_t nb, std::size_t ne) {
   const core::CageFieldModel& field = owner_.engine_.field_model();
   for (std::size_t n = nb; n < ne; ++n) {
@@ -357,7 +368,6 @@ void EpisodeRuntime::tick(int t) {
   const ControlConfig& config = owner_.config_;
   chip::CageController& cages = owner_.cages_;
   const chip::ElectrodeArray& array = cages.array();
-  const double pitch = array.pitch();
   const int min_sep = cages.min_separation();
   report_.ticks = t;
 
@@ -469,12 +479,7 @@ void EpisodeRuntime::tick(int t) {
     physics::ParticleBody& body = bodies_[bidx];
     const GridCoord site = cages.site(de.cage_id);
     if ((body.position - trap_center(site)).norm() > capture_) continue;
-    const double dist = de.distance_pitches * pitch;
-    body.position += Vec3{dist * std::cos(de.angle), dist * std::sin(de.angle), 0.0};
-    const Aabb inset{bounds_.min + Vec3{body.radius, body.radius, body.radius},
-                     bounds_.max - Vec3{body.radius, body.radius, body.radius}};
-    body.position = inset.clamp(body.position);
-    report_.events.push_back({t, EventKind::kEscapeInjected, de.cage_id, site});
+    displace(t, de.cage_id, site, body, de.angle, de.distance_pitches);
   }
   for (const auto& [cage_id, bidx] : cage_bodies_) {
     Rng fault = fault_base_.fork(body_streams_[static_cast<std::size_t>(bidx)])
@@ -489,22 +494,15 @@ void EpisodeRuntime::tick(int t) {
     const GridCoord site = cages.site(cage_id);
     if ((body.position - trap_center(site)).norm() > capture_)
       continue;  // already free — nothing to escape from
-    const double angle = fault.uniform(0.0, 2.0 * constants::pi);
-    const double dist = config.escape_distance_pitches * pitch;
-    body.position += Vec3{dist * std::cos(angle), dist * std::sin(angle), 0.0};
-    const Aabb inset{bounds_.min + Vec3{body.radius, body.radius, body.radius},
-                     bounds_.max - Vec3{body.radius, body.radius, body.radius}};
-    body.position = inset.clamp(body.position);
-    report_.events.push_back({t, EventKind::kEscapeInjected, cage_id, site});
+    displace(t, cage_id, site, body, fault.uniform(0.0, 2.0 * constants::pi),
+             kEscapeDistancePitches);
   }
 
   if (!config.closed_loop) return;
   phase.begin("sense");
 
   // ---- sense: one averaged CDS frame of the true scene, with the defect
-  // map's pixel faults overlaid, thresholded into detections. Detections
-  // over defective pixels are rejected up front (stuck-cage phantoms) —
-  // the chip's self-test map is legitimate controller knowledge. Only the
+  // map's pixel faults masked, thresholded into detections. Only the
   // pixels at or below the threshold are ever materialized: the frame's
   // crossings, drawn from its law (`averaged_crossings`), then each overlay
   // written over them in the order it would write a dense frame, the later
@@ -515,32 +513,22 @@ void EpisodeRuntime::tick(int t) {
     if (body_active_[n] != 0) targets.push_back({bodies_[n].position, bodies_[n].radius});
   // Burst sensing: a degraded chamber spends more frames per tick on SNR
   // (the claim-C4 time-for-quality trade, re-spent when the hardware is
-  // suspect). Its healthy-direction counterpart: a kNormal chamber whose
-  // every supervised cage is confirmed occupied on its nominal leg spends
-  // *fewer* frames (`steady_frames_divisor`) — sense slow while nothing is
-  // suspect. The detection threshold tracks the averaged-noise σ either way.
+  // suspect). The detection threshold tracks the averaged-noise σ.
   const std::size_t boost =
       health_.has_value() ? health_->frames_multiplier() : std::size_t{1};
-  std::size_t frames = config.frames_per_tick * boost;
-  if (boost == 1 && config.steady_frames_divisor > 1 && steady_state())
-    frames = std::max<std::size_t>(1, frames / config.steady_frames_divisor);
+  const std::size_t frames = kFramesPerTick * boost;
   report_.frames_sensed += frames;
-  threshold_ = config.threshold_sigma * cds_base_sigma_ /
-               std::sqrt(static_cast<double>(frames));
+  const double threshold =
+      kThresholdSigma * cds_base_sigma_ / std::sqrt(static_cast<double>(frames));
   Rng sense = sense_base_.fork(static_cast<std::uint64_t>(t));
-  // Pixel faults (`sensor::apply_pixel_faults`): dead and stuck-background
-  // pixels read 0, stuck-cage pixels a parked-phantom ΔC. Bad-pixel
-  // masking: the controller zeroes known-bad pixels before thresholding
-  // (its self-test map is legitimate calibration knowledge), which writes
-  // 0 over exactly the pixel set the raw overlay writes — otherwise every
-  // stuck-cage pixel reads as a permanently parked phantom, and dropping
-  // whole detections instead would blind the tracker to real cells whose
-  // clusters merge with a defective pixel (a cell next to a defect keeps
-  // its healthy pixels; only its centroid biases slightly).
+  // Bad-pixel masking: the controller zeroes known-bad pixels before
+  // thresholding (its self-test map is legitimate calibration knowledge),
+  // so a stuck-cage pixel never reads as a permanently parked phantom.
+  // Dropping whole detections instead would blind the tracker to real cells
+  // whose clusters merge with a defective pixel (a cell next to a defect
+  // keeps its healthy pixels; only its centroid biases slightly).
   sensor::FrameFaults faults;
   faults.pixels = pixel_faults_;
-  faults.stuck_cage_dc =
-      config.bad_pixel_masking ? 0.0 : -config.stuck_cage_thresholds * threshold_;
   // Transient sensor faults (injected, ground truth — the controller has no
   // mask for them): row dropouts read zero, bursts read phantom particles.
   // Expired overlays are pruned so a soak's memory stays bounded.
@@ -552,12 +540,12 @@ void EpisodeRuntime::tick(int t) {
                 bursts_.end());
   for (const SensorDropout& d : dropouts_) faults.zero_rows.push_back(d.row);
   for (const SensorBurst& b : bursts_) faults.phantom_tiles.push_back({b.origin, b.tile});
-  faults.phantom_dc = -config.stuck_cage_thresholds * threshold_;
+  faults.phantom_dc = -kBurstThresholds * threshold;
   std::size_t background = 0;
   const std::vector<sensor::Detection> detections = sensor::cluster_flagged(
       sensor::apply_frame_faults(
-          owner_.imager_.averaged_crossings(targets, sense, frames, threshold_, &background),
-          array, faults, threshold_),
+          owner_.imager_.averaged_crossings(targets, sense, frames, threshold, &background),
+          array, faults, threshold),
       array);
   report_.background_crossings += background;
 
@@ -726,23 +714,21 @@ EpisodeReport ClosedLoopEngine::run(const std::vector<CageGoal>& goals,
 
 std::vector<EpisodeReport> ClosedLoopEngine::run_episodes(std::vector<Episode>& episodes,
                                                           Rng stream_base,
-                                                          core::ThreadPool& pool,
-                                                          std::size_t max_parts) {
+                                                          core::ThreadPool* pool) {
   std::vector<EpisodeReport> results(episodes.size());
   // One counter-based stream per episode: results are independent of how
   // the pool chunks the episode range.
-  pool.parallel_for(
-      0, episodes.size(),
-      [&](std::size_t eb, std::size_t ee) {
-        for (std::size_t n = eb; n < ee; ++n) {
-          Episode& ep = episodes[n];
-          BIOCHIP_REQUIRE(ep.engine != nullptr && ep.bodies != nullptr,
-                          "episode needs an engine and a body array");
-          results[n] = ep.engine->run(ep.goals, *ep.bodies, ep.cage_bodies,
-                                      stream_base.fork(n), nullptr);
-        }
-      },
-      max_parts);
+  const auto run_range = [&](std::size_t eb, std::size_t ee) {
+    for (std::size_t n = eb; n < ee; ++n) {
+      Episode& ep = episodes[n];
+      BIOCHIP_REQUIRE(ep.engine != nullptr && ep.bodies != nullptr,
+                      "episode needs an engine and a body array");
+      results[n] = ep.engine->run(ep.goals, *ep.bodies, ep.cage_bodies,
+                                  stream_base.fork(n), nullptr);
+    }
+  };
+  if (pool != nullptr) pool->parallel_for(0, episodes.size(), run_range);
+  else run_range(0, episodes.size());
   return results;
 }
 

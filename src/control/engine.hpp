@@ -115,15 +115,13 @@ class ClosedLoopEngine {
     std::vector<std::pair<int, int>> cage_bodies;
   };
 
-  /// Run many independent episodes concurrently over `pool` in at most
-  /// `max_parts` chunks. Episode n runs on `stream_base.fork(n)`; inside the
+  /// Run many independent episodes concurrently over `pool` (null = the
+  /// serial reference). Episode n runs on `stream_base.fork(n)`; inside the
   /// fan-out each episode's body loop runs serially (nested parallel_for on
-  /// one pool would deadlock), so results are bitwise identical for any
-  /// `max_parts` (pass 1 for the serial reference).
+  /// one pool would deadlock), so results are bitwise identical either way.
   static std::vector<EpisodeReport> run_episodes(std::vector<Episode>& episodes,
                                                  Rng stream_base,
-                                                 core::ThreadPool& pool,
-                                                 std::size_t max_parts = 0);
+                                                 core::ThreadPool* pool);
 
  private:
   friend class EpisodeRuntime;
@@ -335,9 +333,11 @@ class EpisodeRuntime {
  private:
   bool body_index_of(int cage_id, std::size_t& out) const;
   void integrate_range(int t, std::size_t nb, std::size_t ne);
-  /// True while every supervised cage is confirmed occupied on its nominal
-  /// leg — the steady-state sense slow-down predicate.
-  bool steady_state() const;
+  /// Escape injection: displace `body` (the cell of `cage_id`, trapped at
+  /// `site`) `distance_pitches` at heading `angle` [rad], clamp it into the
+  /// physics domain, and record `kEscapeInjected`.
+  void displace(int t, int cage_id, GridCoord site, physics::ParticleBody& body,
+                double angle, double distance_pitches);
   /// Recompute belief + truth blocked masks from the (mutated) defect maps
   /// and the quarantine mask, and push the belief mask into the replanner.
   void refresh_blocked();
@@ -388,8 +388,7 @@ class EpisodeRuntime {
   std::vector<std::uint8_t> quarantine_mask_;  ///< watchdog-blocked sites
   std::size_t initial_blocked_ = 0;  ///< belief blocked count at episode start
   std::size_t substeps_ = 0;
-  double threshold_ = 0.0;
-  double cds_base_sigma_ = 0.0;  ///< single-frame CDS noise σ (threshold recompute)
+  double cds_base_sigma_ = 0.0;  ///< single-frame CDS noise σ (per-tick threshold)
   Aabb bounds_;
 
   /// Active transient sensor overlays (pruned when expired — bounded memory

@@ -94,7 +94,7 @@ void ChamberFleet::set_trace(obs::TraceRecorder* trace) {
 }
 
 void ChamberFleet::step(int t, const std::vector<std::uint8_t>& idle,
-                        core::ThreadPool* pool, std::size_t max_parts) {
+                        core::ThreadPool* pool) {
   BIOCHIP_REQUIRE(idle.size() == runtimes_.size(), "one idle flag per chamber");
   const auto step_range = [&](std::size_t cb, std::size_t ce) {
     for (std::size_t c = cb; c < ce; ++c) {
@@ -102,7 +102,7 @@ void ChamberFleet::step(int t, const std::vector<std::uint8_t>& idle,
       else runtimes_[c]->tick(t);
     }
   };
-  if (pool != nullptr) pool->parallel_for(0, runtimes_.size(), step_range, max_parts);
+  if (pool != nullptr) pool->parallel_for(0, runtimes_.size(), step_range);
   else step_range(0, runtimes_.size());
 }
 

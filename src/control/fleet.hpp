@@ -98,10 +98,8 @@ class ChamberFleet {
 
   /// One barrier-synchronized supervisory tick at t: chamber c runs
   /// `EpisodeRuntime::idle_tick` when `idle[c]` is set and a full `tick`
-  /// otherwise. Fans out over `pool` (null = serial) in at most `max_parts`
-  /// chunks (1 = serial reference).
-  void step(int t, const std::vector<std::uint8_t>& idle, core::ThreadPool* pool,
-            std::size_t max_parts);
+  /// otherwise. Fans out over `pool` (null = the serial reference).
+  void step(int t, const std::vector<std::uint8_t>& idle, core::ThreadPool* pool);
 
  private:
   // Heap-held: a runtime keeps a reference to its engine.

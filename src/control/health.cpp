@@ -21,7 +21,6 @@ HealthMonitor::HealthMonitor(HealthConfig config, int cols, int rows)
   BIOCHIP_REQUIRE(cols >= 1 && rows >= 1, "health monitor needs a site grid");
   BIOCHIP_REQUIRE(config_.suspect_after_losses >= 1,
                   "suspect threshold must be at least one loss");
-  BIOCHIP_REQUIRE(config_.quarantine_ring >= 0, "quarantine ring must be >= 0");
   BIOCHIP_REQUIRE(config_.strike_window >= 0, "strike window must be >= 0");
   BIOCHIP_REQUIRE(config_.quarantine_probation >= 0,
                   "quarantine probation must be >= 0");
@@ -42,7 +41,7 @@ bool HealthMonitor::admission_allowed(int t, int last_admission) const {
   switch (state_) {
     case HealthState::kNormal: return true;
     case HealthState::kDegraded:
-      return last_admission < 0 || t - last_admission >= config_.degraded_admission_cooldown;
+      return last_admission < 0 || t - last_admission >= kDegradedAdmissionCooldown;
     case HealthState::kQuarantined: return false;
   }
   return true;
@@ -90,8 +89,8 @@ std::vector<ControlEvent> HealthMonitor::observe(int t,
       strikes_[idx] = 0;
     last_strike_[idx] = t;
     if (++strikes_[idx] < config_.suspect_after_losses) continue;
-    for (int dr = -config_.quarantine_ring; dr <= config_.quarantine_ring; ++dr)
-      for (int dc = -config_.quarantine_ring; dc <= config_.quarantine_ring; ++dc) {
+    for (int dr = -kQuarantineRing; dr <= kQuarantineRing; ++dr)
+      for (int dc = -kQuarantineRing; dc <= kQuarantineRing; ++dc) {
         const GridCoord s{e.site.col + dc, e.site.row + dr};
         if (s.col < 0 || s.col >= cols_ || s.row < 0 || s.row >= rows_) continue;
         const std::size_t ring_idx = index(s);
@@ -107,7 +106,7 @@ std::vector<ControlEvent> HealthMonitor::observe(int t,
   // the mask the caller reports back next tick, so the ladder reacts one
   // observation later — deliberately conservative, never oscillating).
   if (state_ == HealthState::kNormal &&
-      excess_blocked_fraction >= config_.degraded_blocked_fraction) {
+      excess_blocked_fraction >= kDegradedBlockedFraction) {
     state_ = HealthState::kDegraded;
     decisions.push_back({t, EventKind::kHealthDegraded, -1, {}});
   }
@@ -124,7 +123,7 @@ std::vector<ControlEvent> HealthMonitor::observe(int t,
       state_ = HealthState::kDegraded;
       decisions.push_back({t, EventKind::kHealthRecovered, -1, {}});
     } else if (state_ == HealthState::kDegraded &&
-               excess_blocked_fraction < 0.5 * config_.degraded_blocked_fraction) {
+               excess_blocked_fraction < 0.5 * kDegradedBlockedFraction) {
       state_ = HealthState::kNormal;
       decisions.push_back({t, EventKind::kHealthRecovered, -1, {}});
     }

@@ -55,18 +55,10 @@ struct HealthConfig {
   /// neighborhood is quarantined (a suspected dead electrode the self-test
   /// missed — one loss is weather, repeated losses at one spot are a fault).
   int suspect_after_losses = 2;
-  /// Half-width of the quarantined square around a suspect site (1 = 3×3,
-  /// matching the counter-phase ring a cage needs).
-  int quarantine_ring = 1;
   /// Excess blocked-site fraction (growth over the episode-start mask) at
-  /// which the chamber degrades / quarantines.
-  double degraded_blocked_fraction = 0.05;
+  /// which the chamber quarantines (it degrades at
+  /// `HealthMonitor::kDegradedBlockedFraction`).
   double quarantined_blocked_fraction = 0.20;
-  /// `frames_per_tick` multiplier while degraded or worse (burst sensing:
-  /// spend frame budget on SNR when the chamber is suspect).
-  std::size_t degraded_frames_boost = 2;
-  /// Min ticks between admissions while degraded (reduced admission rate).
-  int degraded_admission_cooldown = 6;
   /// Ticks after which loss strikes at a site expire (0 = never — episode
   /// semantics, where an episode is short enough that every strike stays
   /// relevant). Open-ended streaming runs set a window: a genuinely dead
@@ -89,6 +81,17 @@ struct HealthConfig {
 /// previous observation.
 class HealthMonitor {
  public:
+  /// Half-width of the quarantined square around a suspect site (3×3,
+  /// matching the counter-phase ring a cage needs).
+  static constexpr int kQuarantineRing = 1;
+  /// Excess blocked-site fraction at which the chamber degrades.
+  static constexpr double kDegradedBlockedFraction = 0.05;
+  /// Frames-per-tick multiplier while degraded or worse (burst sensing:
+  /// spend frame budget on SNR when the chamber is suspect).
+  static constexpr std::size_t kDegradedFramesBoost = 2;
+  /// Min ticks between admissions while degraded (reduced admission rate).
+  static constexpr int kDegradedAdmissionCooldown = 6;
+
   HealthMonitor(HealthConfig config, int cols, int rows);
 
   const HealthConfig& config() const { return config_; }
@@ -111,16 +114,14 @@ class HealthMonitor {
   /// the caller to clear from its blocked mask again).
   const std::vector<GridCoord>& rehabilitated() const { return rehabbed_; }
 
-  /// Effective `frames_per_tick` multiplier for the current rung.
+  /// Effective frames-per-tick multiplier for the current rung.
   std::size_t frames_multiplier() const {
-    return state_ == HealthState::kNormal
-               ? 1
-               : (config_.degraded_frames_boost > 0 ? config_.degraded_frames_boost : 1);
+    return state_ == HealthState::kNormal ? 1 : kDegradedFramesBoost;
   }
 
   /// Admission policy for the current rung: quarantined chambers admit
   /// nothing; degraded chambers admit at most once per
-  /// `degraded_admission_cooldown` ticks (`last_admission` = tick of the
+  /// `kDegradedAdmissionCooldown` ticks (`last_admission` = tick of the
   /// chamber's most recent admission, or a negative value for none yet).
   bool admission_allowed(int t, int last_admission) const;
 

@@ -50,8 +50,7 @@ struct TransferState {
 
 OrchestratorReport Orchestrator::run(std::vector<ChamberSetup>& chambers,
                                      const std::vector<TransferGoal>& transfers,
-                                     Rng stream_base, core::ThreadPool* pool,
-                                     std::size_t max_parts) {
+                                     Rng stream_base, core::ThreadPool* pool) {
   const std::size_t n_chambers = network_.chamber_count();
   const std::size_t n_ports = network_.port_count();
   // Before the port staging below reads the setups' cages and defects.
@@ -189,17 +188,11 @@ OrchestratorReport Orchestrator::run(std::vector<ChamberSetup>& chambers,
 
   // Global tick budget: the widest chamber budget plus slack per transfer
   // (a destination leg spans at most cols + rows sites, plus backoff room).
-  int budget = config_.max_ticks;
-  if (budget <= 0) {
-    int base = 0;
-    for (std::size_t c = 0; c < n_chambers; ++c)
-      base = std::max(base, fleet[c].budget());
-    int slack = 0;
-    for (const TransferGoal& tr : transfers) {
-      const fluidic::ChamberSite& dest = network_.chamber(tr.to_chamber);
-      slack += dest.cols + dest.rows + 8 * config_.transfer_backoff + 30;
-    }
-    budget = base + slack;
+  int budget = 0;
+  for (std::size_t c = 0; c < n_chambers; ++c) budget = std::max(budget, fleet[c].budget());
+  for (const TransferGoal& tr : transfers) {
+    const fluidic::ChamberSite& dest = network_.chamber(tr.to_chamber);
+    budget += dest.cols + dest.rows + 8 * config_.transfer_backoff + 30;
   }
 
   // ---- telemetry (optional): counting-plane folds of the same serial
@@ -208,19 +201,17 @@ OrchestratorReport Orchestrator::run(std::vector<ChamberSetup>& chambers,
   // attached observer cannot perturb the bitwise serial-vs-pooled contract.
   obs::MetricsRegistry* reg = nullptr;
   obs::TraceRecorder* trace = nullptr;
+  std::vector<obs::RuntimeGauges> runtime_gauges;
   const core::PoolStats pool_base =
       pool != nullptr ? pool->stats() : core::PoolStats{};
   if (obs_ != nullptr && obs_->enabled()) {
     reg = &obs_->metrics();
     trace = obs_->trace();
     fleet.set_trace(trace);
+    runtime_gauges.reserve(n_chambers);
     for (std::size_t c = 0; c < n_chambers; ++c) {
       fold_health(*reg, static_cast<int>(c), fleet[c].health_state());
-      reg->gauge("chamber.replans", static_cast<int>(c));
-      reg->gauge("chamber.exact_advances", static_cast<int>(c));
-      reg->gauge("chamber.free_advances", static_cast<int>(c));
-      reg->gauge("chamber.em_advances", static_cast<int>(c));
-      reg->gauge("chamber.background_crossings", static_cast<int>(c));
+      runtime_gauges.emplace_back(*reg, "chamber", static_cast<int>(c));
     }
     reg->counter("transfer.requests");
     reg->counter("transfer.admissions");
@@ -244,16 +235,7 @@ OrchestratorReport Orchestrator::run(std::vector<ChamberSetup>& chambers,
                      report.injected_faults.size());
     for (std::size_t c = 0; c < n_chambers; ++c) {
       fold_health(*reg, static_cast<int>(c), fleet[c].health_state());
-      reg->set(reg->gauge("chamber.replans", static_cast<int>(c)),
-               static_cast<std::int64_t>(fleet[c].replans()));
-      reg->set(reg->gauge("chamber.exact_advances", static_cast<int>(c)),
-               static_cast<std::int64_t>(fleet[c].exact_advances()));
-      reg->set(reg->gauge("chamber.free_advances", static_cast<int>(c)),
-               static_cast<std::int64_t>(fleet[c].free_advances()));
-      reg->set(reg->gauge("chamber.em_advances", static_cast<int>(c)),
-               static_cast<std::int64_t>(fleet[c].em_advances()));
-      reg->set(reg->gauge("chamber.background_crossings", static_cast<int>(c)),
-               static_cast<std::int64_t>(fleet[c].background_crossings()));
+      runtime_gauges[c].fold(*reg, fleet[c]);
     }
     fold_pool(*reg, pool != nullptr ? pool->stats().since(pool_base)
                                     : core::PoolStats{});
@@ -335,7 +317,7 @@ OrchestratorReport Orchestrator::run(std::vector<ChamberSetup>& chambers,
 
     // ---- barrier-synchronized chamber ticks (disjoint worlds + streams).
     phase.begin("chambers");
-    fleet.step(t, elide, pool, max_parts);
+    fleet.step(t, elide, pool);
 
     phase.begin("arbitrate");
     // ---- queued transfers claim freed ports (serial, ascending order: an

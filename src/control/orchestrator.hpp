@@ -31,7 +31,7 @@
 /// fault schedule from `stream_base.fork(n_chambers)`; chamber ticks are
 /// barrier-synchronized, and arbitration runs serially in ascending transfer
 /// order, so a multi-chamber episode is **bitwise identical** for any worker
-/// count and chunking (pass `max_parts = 1` for the serial reference).
+/// count, and to the serial reference (a null pool).
 
 #include <cstdint>
 #include <vector>
@@ -107,8 +107,6 @@ struct OrchestratorConfig {
   /// admission before it fails explicitly (`kTransferTimedOut`). The timer
   /// restarts when an escalation re-tows to another port. 0 = no deadline.
   int transfer_deadline = 0;
-  /// Global tick budget; 0 = auto (chamber budgets + per-transfer slack).
-  int max_ticks = 0;
   /// Deterministic runtime fault schedule (scripted + Poisson arrivals),
   /// applied serially before each tick's chamber fan-out. Empty = none.
   chip::FaultScheduleConfig faults;
@@ -157,12 +155,12 @@ class Orchestrator {
 
   /// Run one orchestrated episode: `chambers[c]` is the world of network
   /// chamber c (site grids must match the topology), `transfers` the
-  /// cross-chamber goals. Chamber ticks fan out over `pool` (null = serial)
-  /// in at most `max_parts` chunks (1 = serial reference); results are
-  /// bitwise identical for any choice.
+  /// cross-chamber goals. Chamber ticks fan out over `pool` (null = the
+  /// serial reference); results are bitwise identical either way. The tick
+  /// budget is the widest chamber budget plus slack per transfer.
   OrchestratorReport run(std::vector<ChamberSetup>& chambers,
                          const std::vector<TransferGoal>& transfers, Rng stream_base,
-                         core::ThreadPool* pool, std::size_t max_parts = 0);
+                         core::ThreadPool* pool);
 
   /// Attach a telemetry observer for subsequent `run` calls (null = off).
   /// Counting-plane folds run in the serial arbitration sections only, so

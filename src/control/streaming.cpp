@@ -11,6 +11,13 @@
 
 namespace biochip::control {
 
+namespace {
+
+/// Latency histogram bins (1 tick each); one overflow bin follows.
+constexpr int kLatencyBins = 512;
+
+}  // namespace
+
 double StreamingReport::cells_per_hour(double site_period) const {
   const double hours = static_cast<double>(ticks) * site_period / 3600.0;
   return hours > 0.0 ? static_cast<double>(delivered) / hours : 0.0;
@@ -106,8 +113,6 @@ StreamingService::StreamingService(const fluidic::ChamberNetwork& network,
         "every chamber with an inlet needs at least one goal site");
   BIOCHIP_REQUIRE(config_.service_deadline >= 0,
                   "service deadline must be non-negative");
-  BIOCHIP_REQUIRE(config_.max_latency_bins >= 1,
-                  "latency histogram needs at least one bin");
   // Streaming v1 runs intra-chamber service legs only — no transfer ports —
   // so a port fault could never be observed. Reject instead of ignoring.
   BIOCHIP_REQUIRE(config_.faults.rates.port_intermittent == 0.0 &&
@@ -131,8 +136,7 @@ struct InFlight {
 }  // namespace
 
 StreamingReport StreamingService::run(std::vector<ChamberSetup>& chambers,
-                                      Rng stream_base, core::ThreadPool* pool,
-                                      std::size_t max_parts) {
+                                      Rng stream_base, core::ThreadPool* pool) {
   const std::size_t n_chambers = network_.chamber_count();
   const std::size_t n_inlets = network_.inlet_count();
 
@@ -156,8 +160,7 @@ StreamingReport StreamingService::run(std::vector<ChamberSetup>& chambers,
     bounds[c] = chambers[c].engine->integrator().options().bounds;
 
   StreamingReport report;
-  report.latency_hist.assign(
-      static_cast<std::size_t>(config_.max_latency_bins) + 1, 0);
+  report.latency_hist.assign(static_cast<std::size_t>(kLatencyBins) + 1, 0);
   report.event_counts.assign(n_chambers,
                              std::vector<std::uint64_t>(kEventKindCount, 0));
 
@@ -168,6 +171,7 @@ StreamingReport StreamingService::run(std::vector<ChamberSetup>& chambers,
   obs::MetricsRegistry* reg = nullptr;
   obs::TraceRecorder* trace = nullptr;
   obs::MetricId latency_id, delivered_id, evicted_id;
+  std::vector<obs::RuntimeGauges> runtime_gauges;
   const core::PoolStats pool_base =
       pool != nullptr ? pool->stats() : core::PoolStats{};
   if (obs_ != nullptr && obs_->enabled()) {
@@ -180,20 +184,16 @@ StreamingReport StreamingService::run(std::vector<ChamberSetup>& chambers,
     delivered_id = reg->counter("service.delivered");
     evicted_id = reg->counter("service.evicted");
     std::vector<std::int64_t> bounds;
-    for (std::int64_t b = 1; b < config_.max_latency_bins; b *= 2)
-      bounds.push_back(b);
-    bounds.push_back(config_.max_latency_bins);
+    for (std::int64_t b = 1; b < kLatencyBins; b *= 2) bounds.push_back(b);
+    bounds.push_back(kLatencyBins);
     latency_id = reg->histogram("service.latency_ticks", std::move(bounds));
     fold_admission(*reg, admission.stats());
     for (std::size_t i = 0; i < n_inlets; ++i)
       reg->gauge("admission.queue_depth", static_cast<int>(i));
+    runtime_gauges.reserve(n_chambers);
     for (std::size_t c = 0; c < n_chambers; ++c) {
       reg->gauge("service.in_flight", static_cast<int>(c));
-      reg->gauge("service.replans", static_cast<int>(c));
-      reg->gauge("service.exact_advances", static_cast<int>(c));
-      reg->gauge("service.free_advances", static_cast<int>(c));
-      reg->gauge("service.em_advances", static_cast<int>(c));
-      reg->gauge("service.background_crossings", static_cast<int>(c));
+      runtime_gauges.emplace_back(*reg, "service", static_cast<int>(c));
       fold_health(*reg, static_cast<int>(c), fleet[c].health_state());
       for (std::size_t k = 0; k < kEventKindCount; ++k)
         event_metric(*reg, static_cast<int>(c), static_cast<EventKind>(k));
@@ -245,7 +245,7 @@ StreamingReport StreamingService::run(std::vector<ChamberSetup>& chambers,
 
     // ---- barrier-synchronized chamber ticks (disjoint worlds + streams).
     phase.begin("chambers");
-    fleet.step(t, elide, pool, max_parts);
+    fleet.step(t, elide, pool);
 
     // ---- harvest delivered cells (before admission, so the freed quota and
     // goal site are reusable the same tick), then evict deadline breakers —
@@ -259,9 +259,9 @@ StreamingReport StreamingService::run(std::vector<ChamberSetup>& chambers,
         if (rt.supervises(fl[k].cage_id) &&
             rt.mode(fl[k].cage_id) == CageMode::kDelivered) {
           const int latency = t - fl[k].arrival_tick;
-          const std::size_t bin = std::min<std::size_t>(
-              static_cast<std::size_t>(std::max(latency, 0)),
-              static_cast<std::size_t>(config_.max_latency_bins));
+          const std::size_t bin =
+              std::min<std::size_t>(static_cast<std::size_t>(std::max(latency, 0)),
+                                    static_cast<std::size_t>(kLatencyBins));
           ++report.latency_hist[bin];
           ++report.delivered;
           if (reg != nullptr) reg->observe(latency_id, latency);
@@ -287,10 +287,12 @@ StreamingReport StreamingService::run(std::vector<ChamberSetup>& chambers,
     }
 
     // ---- admissions, serial in ascending inlet order: one head per inlet
-    // per tick, gated by the health-scaled chamber quota and the chamber's
-    // own admission test, rotating over the chamber's goal sites.
+    // and at most one admission per chamber per tick (one tick never floods
+    // a chamber's reservation table), gated by the health-scaled chamber
+    // quota and the chamber's own admission test, rotating over the
+    // chamber's goal sites.
     phase.begin("admit");
-    std::vector<int> admitted_this_tick(n_chambers, 0);
+    std::vector<std::uint8_t> admitted_this_tick(n_chambers, 0);
     for (std::size_t i = 0; i < n_inlets; ++i) {
       if (!admission.has_waiting(static_cast<int>(i))) continue;
       const fluidic::InletPort& inlet = network_.inlet(static_cast<int>(i));
@@ -298,7 +300,7 @@ StreamingReport StreamingService::run(std::vector<ChamberSetup>& chambers,
       EpisodeRuntime& rt = fleet[c];
       const PendingCell head = admission.head(static_cast<int>(i));
       bool admitted = false;
-      if (admitted_this_tick[c] < config_.admission.admissions_per_tick &&
+      if (admitted_this_tick[c] == 0 &&
           static_cast<int>(in_flight[c].size()) <
               admission.quota(rt.health_state()) &&
           rt.site_ok(inlet.site)) {
@@ -315,7 +317,7 @@ StreamingReport StreamingService::run(std::vector<ChamberSetup>& chambers,
           if (id.has_value()) {
             in_flight[c].push_back({*id, t, head.arrival_tick});
             admission.admit_head(static_cast<int>(i));
-            ++admitted_this_tick[c];
+            admitted_this_tick[c] = 1;
             next_goal[c] = (gi + 1) % sites.size();
             admitted = true;
           }
@@ -366,16 +368,7 @@ StreamingReport StreamingService::run(std::vector<ChamberSetup>& chambers,
       for (std::size_t c = 0; c < n_chambers; ++c) {
         reg->set(reg->gauge("service.in_flight", static_cast<int>(c)),
                  static_cast<std::int64_t>(in_flight[c].size()));
-        reg->set(reg->gauge("service.replans", static_cast<int>(c)),
-                 static_cast<std::int64_t>(fleet[c].replans()));
-        reg->set(reg->gauge("service.exact_advances", static_cast<int>(c)),
-                 static_cast<std::int64_t>(fleet[c].exact_advances()));
-        reg->set(reg->gauge("service.free_advances", static_cast<int>(c)),
-                 static_cast<std::int64_t>(fleet[c].free_advances()));
-        reg->set(reg->gauge("service.em_advances", static_cast<int>(c)),
-                 static_cast<std::int64_t>(fleet[c].em_advances()));
-        reg->set(reg->gauge("service.background_crossings", static_cast<int>(c)),
-                 static_cast<std::int64_t>(fleet[c].background_crossings()));
+        runtime_gauges[c].fold(*reg, fleet[c]);
         fold_health(*reg, static_cast<int>(c), fleet[c].health_state());
         frames += fleet[c].frames_sensed();
       }

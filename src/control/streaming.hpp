@@ -38,8 +38,8 @@
 /// Determinism contract: identical to the orchestrator's — arrivals,
 /// admission and harvest run serially in ascending (inlet | chamber) order
 /// between barrier-synchronized chamber ticks, all randomness is
-/// counter-keyed, so a run is **bitwise identical** for any worker count and
-/// chunking (`max_parts = 1` = serial reference).
+/// counter-keyed, so a run is **bitwise identical** for any worker count, and
+/// to the serial reference (a null pool).
 
 #include <cstddef>
 #include <cstdint>
@@ -95,8 +95,6 @@ struct StreamingConfig {
   /// Skip full ticks of chambers with no cage and no queued admission work
   /// (the watchdog still observes — same contract as the orchestrator).
   bool elide_idle_chambers = false;
-  /// Latency histogram bins (1 tick each) + one overflow bin.
-  int max_latency_bins = 512;
 };
 
 /// Bounded aggregate accounting of one streaming run. Everything is a
@@ -109,7 +107,7 @@ struct StreamingReport {
   std::uint64_t delivered = 0;  ///< harvested with a confirmed cell at a goal
   std::uint64_t evicted = 0;    ///< failed on the service deadline
   /// `latency_hist[k]` = deliveries with time-in-chip (arrival → harvest) of
-  /// k ticks; the last bin collects >= max_latency_bins.
+  /// k ticks, k < 512; the last bin (k = 512) collects 512 ticks and more.
   std::vector<std::uint64_t> latency_hist;
   std::size_t peak_in_flight = 0;       ///< max queued + caged, any tick
   std::size_t peak_resident_bodies = 0; ///< max Σ body-array slots
@@ -134,7 +132,7 @@ struct StreamingReport {
   double cells_per_hour(double site_period) const;
   /// Smallest latency [ticks] with cumulative delivered fraction >= q
   /// (q in (0, 1]); -1 when nothing was delivered. The overflow bin reports
-  /// as `max_latency_bins`.
+  /// as 512.
   int latency_quantile(double q) const;
 };
 
@@ -161,10 +159,10 @@ class StreamingService {
   /// Run the service for `config().ticks` supervisory ticks. `chambers[c]`
   /// is the world of network chamber c (normally empty of cages — arrivals
   /// populate it); cage-id recycling is switched on on every controller.
-  /// Chamber ticks fan out over `pool` (null = serial) in at most
-  /// `max_parts` chunks; reports are bitwise identical for any choice.
+  /// Chamber ticks fan out over `pool` (null = the serial reference);
+  /// reports are bitwise identical either way.
   StreamingReport run(std::vector<ChamberSetup>& chambers, Rng stream_base,
-                      core::ThreadPool* pool, std::size_t max_parts = 0);
+                      core::ThreadPool* pool);
 
   /// Attach a telemetry observer for subsequent `run` calls (null = off).
   /// Counting-plane folds happen in the serial driver sections, so enabling

@@ -2,10 +2,58 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 
 #include "common/error.hpp"
 
 namespace biochip::control {
+
+namespace {
+
+/// Committed-path steps checked ahead against defective sites each tick.
+constexpr int kLookahead = 2;
+/// Consecutive actuation stalls (separation clash with a deviating cage)
+/// after which a stalled cage is re-routed.
+constexpr int kStallReplanAfter = 2;
+/// Ticks a cage waits after a failed replan attempt before retrying. Even
+/// with the router's fast-fail prechecks, a temporally congested replan
+/// costs a real time-expanded search; hammering it every tick is what would
+/// make a stuck episode O(sites × horizon) per tick.
+constexpr int kReplanBackoff = 3;
+/// Max cage-to-detection distance [pitches] for recapture targeting.
+constexpr int kRecaptureSearchPitches = 8;
+/// Ticks a recapturing cage waits at the capture site before giving up on a
+/// stale fix and re-acquiring a fresh one.
+constexpr int kRecapturePatience = 12;
+
+/// Nearest site to a detection fix, among the 5×5 sites around its pixel
+/// that `accept(site, distance)` admits, or nullopt. Deterministic: nearest
+/// first, then smallest (row, col).
+template <class Accept>
+std::optional<GridCoord> nearest_site(const chip::ElectrodeArray& array, Vec2 fix,
+                                      Accept accept) {
+  const GridCoord base = array.nearest(fix);
+  std::optional<GridCoord> best;
+  double best_d = std::numeric_limits<double>::infinity();
+  for (int dr = -2; dr <= 2; ++dr)
+    for (int dc = -2; dc <= 2; ++dc) {
+      const GridCoord site{base.col + dc, base.row + dr};
+      if (!array.contains(site)) continue;
+      const double d = (array.center(site) - fix).norm();
+      if (!accept(site, d)) continue;
+      const bool better =
+          d < best_d ||
+          (d == best_d && best.has_value() &&
+           (site.row < best->row || (site.row == best->row && site.col < best->col)));
+      if (better) {
+        best_d = d;
+        best = site;
+      }
+    }
+  return best;
+}
+
+}  // namespace
 
 Supervisor::Supervisor(const ControlConfig& config, const chip::ElectrodeArray& array,
                        const chip::DefectMap& defects, Replanner& replanner,
@@ -77,52 +125,6 @@ bool Supervisor::credible_fix(Vec2 position) const {
   return defects_.state(pixel) == chip::PixelState::kOk;
 }
 
-std::optional<GridCoord> Supervisor::capture_site_for(Vec2 fix) const {
-  const GridCoord base = array_.nearest(fix);
-  std::optional<GridCoord> best;
-  double best_d = std::numeric_limits<double>::infinity();
-  for (int dr = -2; dr <= 2; ++dr)
-    for (int dc = -2; dc <= 2; ++dc) {
-      const GridCoord site{base.col + dc, base.row + dr};
-      if (!array_.contains(site)) continue;
-      if (replanner_.config().is_blocked(site)) continue;
-      const double d = (array_.center(site) - fix).norm();
-      // Deterministic: nearest first, then smallest (row, col).
-      const bool better =
-          d < best_d ||
-          (d == best_d && best.has_value() &&
-           (site.row < best->row || (site.row == best->row && site.col < best->col)));
-      if (better) {
-        best_d = d;
-        best = site;
-      }
-    }
-  return best;
-}
-
-std::optional<GridCoord> Supervisor::capture_site_relaxed(Vec2 fix) const {
-  const GridCoord base = array_.nearest(fix);
-  std::optional<GridCoord> best;
-  double best_d = std::numeric_limits<double>::infinity();
-  for (int dr = -2; dr <= 2; ++dr)
-    for (int dc = -2; dc <= 2; ++dc) {
-      const GridCoord site{base.col + dc, base.row + dr};
-      if (!array_.contains(site)) continue;
-      if (defects_.state(site) != chip::PixelState::kOk) continue;  // own pixel only
-      const double d = (array_.center(site) - fix).norm();
-      if (d > capture_radius_) continue;  // the basin must reach the cell
-      const bool better =
-          d < best_d ||
-          (d == best_d && best.has_value() &&
-           (site.row < best->row || (site.row == best->row && site.col < best->col)));
-      if (better) {
-        best_d = d;
-        best = site;
-      }
-    }
-  return best;
-}
-
 std::vector<std::uint8_t> Supervisor::relaxed_blocked() const {
   // Ring-0 semantics: an empty cage only needs its own pixel functional —
   // there is no cell aboard for a broken counter-phase wall to lose.
@@ -140,7 +142,7 @@ std::vector<std::uint8_t> Supervisor::relaxed_blocked() const {
 std::vector<ControlEvent> Supervisor::preflight() {
   std::vector<ControlEvent> events;
   for (Cage& c : cages_) {
-    if (!replanner_.enters_blocked_ahead(c.cage_id, 0, config_.lookahead)) continue;
+    if (!replanner_.enters_blocked_ahead(c.cage_id, 0, kLookahead)) continue;
     if (replanner_.replan(c.cage_id, c.goal, 0))
       events.push_back({0, EventKind::kRerouted, c.cage_id,
                         replanner_.position_at(c.cage_id, 0)});
@@ -178,7 +180,7 @@ std::vector<ControlEvent> Supervisor::step(int t, const OccupancyTracker& tracke
     if (replanner_.replan(c.cage_id, target, t)) return true;
     if (c.rescue && replanner_.replan(c.cage_id, target, t, relaxed_blocked()))
       return true;
-    c.replan_cooldown = config_.replan_backoff;
+    c.replan_cooldown = kReplanBackoff;
     return false;
   };
   // Rescue legs route against the ring-0 mask: an empty (or dragging) rescue
@@ -240,7 +242,7 @@ std::vector<ControlEvent> Supervisor::step(int t, const OccupancyTracker& tracke
     if (c.mode == CageMode::kPaused) {
       // Hunt for a credible stray detection near the cage: the escaped cell.
       const double reach =
-          static_cast<double>(config_.recapture_search_pitches) * array_.pitch();
+          static_cast<double>(kRecaptureSearchPitches) * array_.pitch();
       const Vec2 center = array_.center(here);
       double best_d = std::numeric_limits<double>::infinity();
       int best = -1;
@@ -255,7 +257,9 @@ std::vector<ControlEvent> Supervisor::step(int t, const OccupancyTracker& tracke
       }
       if (best >= 0) {
         const Vec2 fix = detections[static_cast<std::size_t>(best)].position;
-        const auto site = capture_site_for(fix);
+        const auto site = nearest_site(array_, fix, [&](GridCoord s, double) {
+          return !replanner_.config().is_blocked(s);
+        });
         // With rescue enabled, a routable site whose basin cannot reach the
         // cell is not worth parking at; without it, keep the legacy attempt
         // (the cage waits out its patience and re-hunts).
@@ -273,8 +277,11 @@ std::vector<ControlEvent> Supervisor::step(int t, const OccupancyTracker& tracke
         if (!started && config_.rescue) {
           // The cell sits in a fully blocked neighborhood (or the boundary
           // approach is unroutable): park an adjacent cage on a ring-
-          // defective site whose own pixel still traps, via the ring-0 mask.
-          const auto rsite = capture_site_relaxed(fix);
+          // defective site whose own pixel still traps and whose basin
+          // reaches the cell, via the ring-0 mask.
+          const auto rsite = nearest_site(array_, fix, [&](GridCoord s, double d) {
+            return defects_.state(s) == chip::PixelState::kOk && d <= capture_radius_;
+          });
           if (rsite.has_value() && try_replan_relaxed(c, *rsite)) {
             c.mode = CageMode::kRecapturing;
             c.recapture_site = *rsite;
@@ -293,7 +300,7 @@ std::vector<ControlEvent> Supervisor::step(int t, const OccupancyTracker& tracke
       // drifted or was phantom) sends us back to the hunt. The explicit
       // failure event is the health monitor's strike signal: repeated
       // capture failures at one site indict that site's electrode.
-      if (++c.recapture_wait > config_.recapture_patience) {
+      if (++c.recapture_wait > kRecapturePatience) {
         replanner_.park(c.cage_id, t);
         c.mode = CageMode::kPaused;
         emit(EventKind::kRecaptureFailed, c);
@@ -323,7 +330,7 @@ std::vector<ControlEvent> Supervisor::step(int t, const OccupancyTracker& tracke
       // Defect lookahead: re-route before the plan enters a blocked site.
       // Rescue legs are exempt — entering the blocked region is the point.
       if (!c.rescue &&
-          replanner_.enters_blocked_ahead(c.cage_id, t, config_.lookahead)) {
+          replanner_.enters_blocked_ahead(c.cage_id, t, kLookahead)) {
         if (try_replan(c, target)) {
           emit(EventKind::kRerouted, c);
         } else {
@@ -331,7 +338,7 @@ std::vector<ControlEvent> Supervisor::step(int t, const OccupancyTracker& tracke
         }
       }
       // Congestion: a neighbor deviated from plan and keeps blocking us.
-      if (c.stall_streak >= config_.stall_replan_after) {
+      if (c.stall_streak >= kStallReplanAfter) {
         emit(EventKind::kCongestionStall, c);
         if (try_replan(c, target) ||
             (c.rescue && try_replan_relaxed(c, target)))

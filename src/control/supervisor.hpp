@@ -17,7 +17,6 @@
 /// auditable and failures are explicit, never silent.
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "chip/cage.hpp"
@@ -103,15 +102,9 @@ class Supervisor {
 
   Cage& cage(int cage_id);
   const Cage& cage(int cage_id) const;
-  /// Nearest routable site to a detection fix, or nullopt (deterministic:
-  /// distance, then (row, col)).
-  std::optional<GridCoord> capture_site_for(Vec2 fix) const;
   /// True when the detection sits over a healthy pixel (stuck-cage phantoms
   /// and dead-pixel artifacts are rejected via the self-test defect map).
   bool credible_fix(Vec2 position) const;
-  /// Rescue variant of `capture_site_for`: only requires the site's own
-  /// pixel healthy (ring ignored) and its trap basin to reach the fix.
-  std::optional<GridCoord> capture_site_relaxed(Vec2 fix) const;
   /// Ring-0 blocked mask (blocked iff the site's own pixel is defective) —
   /// what an empty rescue cage may traverse.
   std::vector<std::uint8_t> relaxed_blocked() const;

@@ -6,6 +6,16 @@
 
 namespace biochip::control {
 
+namespace {
+
+/// Occupancy hysteresis: a track changes state only after this many
+/// *consecutive* frames agree, so a single noisy frame (one missed
+/// detection, one stray cluster) never flips it.
+constexpr int kLostAfterMisses = 3;    ///< occupied → lost
+constexpr int kOccupiedAfterHits = 2;  ///< (re)capture confirmed
+
+}  // namespace
+
 const char* to_string(TrackState state) {
   switch (state) {
     case TrackState::kEmpty: return "empty";
@@ -15,10 +25,7 @@ const char* to_string(TrackState state) {
   return "unknown";
 }
 
-OccupancyTracker::OccupancyTracker(TrackerConfig config, double gate_radius)
-    : config_(config), gate_radius_(gate_radius) {
-  BIOCHIP_REQUIRE(config.lost_after_misses >= 1 && config.occupied_after_hits >= 1,
-                  "hysteresis thresholds must be >= 1");
+OccupancyTracker::OccupancyTracker(double gate_radius) : gate_radius_(gate_radius) {
   BIOCHIP_REQUIRE(gate_radius > 0.0, "association gate must be positive");
 }
 
@@ -88,14 +95,14 @@ TrackUpdate OccupancyTracker::update(const std::vector<int>& cage_ids,
       ++t.hits;
       t.has_fix = true;
       t.fix = detections[static_cast<std::size_t>(assignment[n])].position;
-      if (t.state != TrackState::kOccupied && t.hits >= config_.occupied_after_hits) {
+      if (t.state != TrackState::kOccupied && t.hits >= kOccupiedAfterHits) {
         t.state = TrackState::kOccupied;
         out.changes.push_back({t.cage_id, t.state});
       }
     } else {
       t.hits = 0;
       ++t.misses;
-      if (t.state == TrackState::kOccupied && t.misses >= config_.lost_after_misses) {
+      if (t.state == TrackState::kOccupied && t.misses >= kLostAfterMisses) {
         t.state = TrackState::kLost;
         out.changes.push_back({t.cage_id, t.state});
       }

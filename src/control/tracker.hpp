@@ -8,15 +8,15 @@
 /// expected positions by greedy nearest assignment
 /// (`sensor::associate_detections`), and per-track hit/miss counters drive a
 /// hysteresis state machine — occupied / lost / empty — so a single noisy
-/// frame (missed detection, stray cluster) never flips a track. Detections
-/// left unmatched after association are the candidate stray cells the
-/// supervisor targets for recapture.
+/// frame (missed detection, stray cluster) never flips a track: a loss is
+/// confirmed after 3 consecutive misses, a (re)capture after 2 consecutive
+/// hits. Detections left unmatched after association are the candidate
+/// stray cells the supervisor targets for recapture.
 
 #include <cstdint>
 #include <vector>
 
 #include "common/geometry.hpp"
-#include "control/config.hpp"
 #include "sensor/detect.hpp"
 
 namespace biochip::control {
@@ -44,8 +44,9 @@ struct TrackUpdate {
 
 class OccupancyTracker {
  public:
-  /// `gate_radius` must be resolved by the caller (config 0 = capture radius).
-  OccupancyTracker(TrackerConfig config, double gate_radius);
+  /// `gate_radius` [m] is the association gate (the closed loop passes the
+  /// trap's capture radius).
+  explicit OccupancyTracker(double gate_radius);
 
   /// Register a track for a cage. Initial state is trusted (no hysteresis).
   void add_track(int cage_id, TrackState initial = TrackState::kOccupied);
@@ -79,7 +80,6 @@ class OccupancyTracker {
   Track& track(int cage_id);
   const Track& track(int cage_id) const;
 
-  TrackerConfig config_;
   double gate_radius_;
   std::vector<Track> tracks_;  ///< sorted by cage_id
 };

@@ -2,6 +2,7 @@
 
 #include <string>
 
+#include "control/engine.hpp"
 #include "core/threadpool.hpp"
 #include "field/solver.hpp"
 
@@ -27,6 +28,25 @@ void fold_events(MetricsRegistry& registry, int chamber,
                  const std::vector<control::ControlEvent>& events) {
   for (const control::ControlEvent& e : events)
     registry.inc(event_metric(registry, chamber, e.kind));
+}
+
+RuntimeGauges::RuntimeGauges(MetricsRegistry& registry, std::string_view prefix,
+                             int chamber) {
+  const std::string base(prefix);
+  ids_ = {registry.gauge(base + ".replans", chamber),
+          registry.gauge(base + ".exact_advances", chamber),
+          registry.gauge(base + ".free_advances", chamber),
+          registry.gauge(base + ".em_advances", chamber),
+          registry.gauge(base + ".background_crossings", chamber)};
+}
+
+void RuntimeGauges::fold(MetricsRegistry& registry,
+                         const control::EpisodeRuntime& runtime) const {
+  const std::array<std::size_t, 5> values = {
+      runtime.replans(), runtime.exact_advances(), runtime.free_advances(),
+      runtime.em_advances(), runtime.background_crossings()};
+  for (std::size_t k = 0; k < ids_.size(); ++k)
+    registry.set(ids_[k], static_cast<std::int64_t>(values[k]));
 }
 
 void fold_health(MetricsRegistry& registry, int chamber,

@@ -14,7 +14,9 @@
 /// Callers run every fold in a serial driver section; the adapters are not
 /// thread-safe by design (docs/observability.md, "Counting plane").
 
+#include <array>
 #include <cstddef>
+#include <string_view>
 #include <vector>
 
 #include "control/admission.hpp"
@@ -22,6 +24,9 @@
 #include "control/health.hpp"
 #include "obs/metrics.hpp"
 
+namespace biochip::control {
+class EpisodeRuntime;
+}
 namespace biochip::core {
 struct PoolStats;
 }
@@ -45,6 +50,21 @@ MetricId event_metric(MetricsRegistry& registry, int chamber,
 /// Increment per-kind counters for a drained event batch of one chamber.
 void fold_events(MetricsRegistry& registry, int chamber,
                  const std::vector<control::ControlEvent>& events);
+
+/// The per-chamber runtime gauges both network drivers fold every tick:
+/// `<prefix>.{replans,exact_advances,free_advances,em_advances,
+/// background_crossings}` at index `chamber`, absolute sets of the chamber
+/// runtime's totals. Construction registers (or looks up) the five gauges,
+/// in that order, when an observer attaches; `fold` then sets them by id,
+/// with no name lookup per tick.
+class RuntimeGauges {
+ public:
+  RuntimeGauges(MetricsRegistry& registry, std::string_view prefix, int chamber);
+  void fold(MetricsRegistry& registry, const control::EpisodeRuntime& runtime) const;
+
+ private:
+  std::array<MetricId, 5> ids_;
+};
 
 /// Gauge `health.state` at index `chamber` (0 normal / 1 degraded /
 /// 2 quarantined — the ladder rung as an integer).

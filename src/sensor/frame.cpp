@@ -189,31 +189,25 @@ std::vector<PixelFault> pixel_faults(const chip::DefectMap& defects) {
 std::vector<FlaggedPixel> apply_frame_faults(const std::vector<FlaggedPixel>& crossings,
                                              const chip::ElectrodeArray& array,
                                              const FrameFaults& faults, double threshold) {
-  // A pixel fault changes the output only where a crossing sits on it (the
-  // write replaces the crossing) or where its written value itself flags,
-  // so the crossings are looked up in the sorted fault span and the faults
-  // are walked only when a written value can flag.
-  std::vector<FlaggedPixel> kept;
-  kept.reserve(crossings.size());
+  BIOCHIP_REQUIRE(threshold > 0.0, "threshold must be positive");
+  // A masked pixel reads 0, which never flags: a pixel fault only removes
+  // the crossing it sits on, so the crossings are looked up in the sorted
+  // fault span.
+  std::vector<FlaggedPixel> flagged;
+  flagged.reserve(crossings.size());
   auto fault = faults.pixels.begin();
   for (const FlaggedPixel& p : crossings) {
     fault = std::lower_bound(fault, faults.pixels.end(), p.index,
                              [](const PixelFault& f, std::size_t i) { return f.index < i; });
-    if (fault == faults.pixels.end() || fault->index != p.index) kept.push_back(p);
+    if (fault == faults.pixels.end() || fault->index != p.index) flagged.push_back(p);
   }
-  std::vector<FlaggedPixel> writes;
-  if (std::min(faults.stuck_cage_dc, 0.0) <= -threshold)
-    for (const PixelFault& f : faults.pixels)
-      writes.push_back(
-          {f.index, f.state == chip::PixelState::kStuckCage ? faults.stuck_cage_dc : 0.0});
-  std::vector<FlaggedPixel> flagged = overwrite(kept, writes, threshold);
-  // A dropout row reads 0, which never flags: its entries just go.
+  // A dropout row reads 0 too: its entries just go.
   const std::size_t cols = static_cast<std::size_t>(array.cols());
   std::erase_if(flagged, [&](const FlaggedPixel& p) {
     return std::find(faults.zero_rows.begin(), faults.zero_rows.end(),
                      static_cast<int>(p.index / cols)) != faults.zero_rows.end();
   });
-  writes.clear();
+  std::vector<FlaggedPixel> writes;
   for (const PhantomTile& t : faults.phantom_tiles)
     for (int dr = 0; dr < t.side; ++dr)
       for (int dc = 0; dc < t.side; ++dc) {

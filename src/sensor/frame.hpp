@@ -103,10 +103,9 @@ struct PhantomTile {
 /// The sensor faults one sense writes over its averaged frame before
 /// thresholding, in write order; the later writer wins at a pixel.
 struct FrameFaults {
-  /// Pixel faults in raster order, written as `apply_pixel_faults` writes
-  /// them: stuck-cage pixels read `stuck_cage_dc`, the others 0.
+  /// Known-bad pixels in raster order, masked: each reads 0, as
+  /// `apply_pixel_faults` writes them with a zero stuck-cage ΔC.
   std::span<const PixelFault> pixels;
-  double stuck_cage_dc = 0.0;
   std::vector<int> zero_rows;  ///< row dropouts: the whole row reads 0
   std::vector<PhantomTile> phantom_tiles;  ///< bursts: each pixel reads `phantom_dc`
   double phantom_dc = 0.0;
@@ -116,9 +115,9 @@ struct FrameFaults {
 /// pixels at or below −threshold: takes the frame's crossings
 /// (`FrameSynthesizer::averaged_crossings`) and returns, in raster order,
 /// the pixels and values `detect_threshold` would flag on the faulted frame.
-/// Cost O(crossings × log faulty pixels + dropout rows × crossings + tile
-/// pixels), plus O(faulty pixels) only when a fault's written value itself
-/// flags (`stuck_cage_dc` <= −threshold).
+/// `threshold` > 0 [F], so a pixel that reads 0 never flags. Cost
+/// O(crossings × log faulty pixels + dropout rows × crossings + tile
+/// pixels).
 std::vector<FlaggedPixel> apply_frame_faults(const std::vector<FlaggedPixel>& crossings,
                                              const chip::ElectrodeArray& array,
                                              const FrameFaults& faults, double threshold);

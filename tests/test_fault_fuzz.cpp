@@ -384,7 +384,6 @@ TEST(HealthMonitorTest, StrikesQuarantineTheRegionAndLadderIsOneWay) {
   HealthConfig cfg;
   cfg.enabled = true;
   cfg.suspect_after_losses = 2;
-  cfg.quarantine_ring = 1;
   HealthMonitor monitor(cfg, 16, 16);
 
   // One strike: suspect, not yet quarantined.
@@ -403,7 +402,7 @@ TEST(HealthMonitorTest, StrikesQuarantineTheRegionAndLadderIsOneWay) {
   out = monitor.observe(3, {}, 0.10);
   EXPECT_EQ(count_events(out, EventKind::kHealthDegraded), 1u);
   EXPECT_EQ(monitor.state(), HealthState::kDegraded);
-  EXPECT_EQ(monitor.frames_multiplier(), cfg.degraded_frames_boost);
+  EXPECT_EQ(monitor.frames_multiplier(), HealthMonitor::kDegradedFramesBoost);
   out = monitor.observe(4, {}, 0.01);  // fraction back down: state stays
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(monitor.state(), HealthState::kDegraded);
@@ -417,8 +416,9 @@ TEST(HealthMonitorTest, StrikesQuarantineTheRegionAndLadderIsOneWay) {
   degraded.observe(1, {}, 0.10);
   ASSERT_EQ(degraded.state(), HealthState::kDegraded);
   EXPECT_TRUE(degraded.admission_allowed(10, -1));
-  EXPECT_FALSE(degraded.admission_allowed(10, 10 - cfg.degraded_admission_cooldown + 1));
-  EXPECT_TRUE(degraded.admission_allowed(10, 10 - cfg.degraded_admission_cooldown));
+  EXPECT_FALSE(
+      degraded.admission_allowed(10, 10 - HealthMonitor::kDegradedAdmissionCooldown + 1));
+  EXPECT_TRUE(degraded.admission_allowed(10, 10 - HealthMonitor::kDegradedAdmissionCooldown));
 }
 
 // Open-ended-horizon mode: stale strikes expire, site quarantines serve a
@@ -429,7 +429,6 @@ TEST(HealthMonitorTest, StrikeWindowAndProbationRecoverFalsePositives) {
   HealthConfig cfg;
   cfg.enabled = true;
   cfg.suspect_after_losses = 2;
-  cfg.quarantine_ring = 1;
   cfg.strike_window = 100;
   cfg.quarantine_probation = 50;
   HealthMonitor monitor(cfg, 16, 16);
@@ -564,7 +563,7 @@ TEST_F(FaultFuzzTest, IdleChamberElisionPreservesEventStreams) {
 // lifecycle armed: sampled faults of five kinds, health monitoring, rescue,
 // deadlines, escalation and elision all on.
 TEST_F(FaultFuzzTest, PooledBitwiseIdenticalUnderFaultFuzz) {
-  const auto run_once = [&](std::size_t max_parts) {
+  const auto run_once = [&](bool pooled) {
     fluidic::ChamberNetwork net = chain(3);
     auto w0 = make_world();
     auto w1 = make_world();
@@ -591,8 +590,9 @@ TEST_F(FaultFuzzTest, PooledBitwiseIdenticalUnderFaultFuzz) {
     const std::vector<TransferGoal> transfers{{0, cage_a, 1, {12, 8}},
                                               {1, cage_b, 2, {12, 10}}};
     Rng rng(424242);
-    const OrchestratorReport report = orch.run(chambers, transfers, rng.split(),
-                                               &core::ThreadPool::global(), max_parts);
+    const OrchestratorReport report =
+        orch.run(chambers, transfers, rng.split(),
+                 pooled ? &core::ThreadPool::global() : nullptr);
 
     std::vector<Vec3> positions;
     for (const World* w : {w0.get(), w1.get(), w2.get()})
@@ -600,8 +600,8 @@ TEST_F(FaultFuzzTest, PooledBitwiseIdenticalUnderFaultFuzz) {
     return std::make_pair(report, positions);
   };
 
-  const auto [serial, serial_pos] = run_once(1);
-  const auto [pooled, pooled_pos] = run_once(0);
+  const auto [serial, serial_pos] = run_once(false);
+  const auto [pooled, pooled_pos] = run_once(true);
 
   ASSERT_TRUE(serial.planned);
   ASSERT_EQ(serial_pos.size(), pooled_pos.size());

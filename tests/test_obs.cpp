@@ -279,7 +279,7 @@ class ObsStreamingTest : public ::testing::Test {
   /// + sensor faults, random escapes, health monitoring, elision — the
   /// nastiest deterministic load the identity suites exercise.
   std::pair<MetricsSnapshot, control::StreamingReport> run_observed(
-      std::size_t max_parts, Observer& observer) {
+      bool pooled, Observer& observer) {
     fluidic::ChamberNetwork network;
     fluidic::Microchamber geo;
     geo.length = cfg_.cols * cfg_.pitch;
@@ -317,8 +317,7 @@ class ObsStreamingTest : public ::testing::Test {
     std::vector<control::ChamberSetup> chambers{w0->setup(), w1->setup()};
     core::ThreadPool pool(4);
     const control::StreamingReport report =
-        service.run(chambers, Rng(90210), max_parts == 1 ? nullptr : &pool,
-                    max_parts);
+        service.run(chambers, Rng(90210), pooled ? &pool : nullptr);
     return {observer.metrics().snapshot(report.ticks, /*counting_only=*/true),
             report};
   }
@@ -336,8 +335,8 @@ TEST_F(ObsStreamingTest, CountingSnapshotBitwiseIdenticalSerialVsPooled) {
   ocfg.timing = false;  // counting plane only; wall clock stays untouched
   Observer serial_obs(ocfg), pooled_obs(ocfg);
 
-  const auto [serial_snap, serial_report] = run_observed(1, serial_obs);
-  const auto [pooled_snap, pooled_report] = run_observed(0, pooled_obs);
+  const auto [serial_snap, serial_report] = run_observed(false, serial_obs);
+  const auto [pooled_snap, pooled_report] = run_observed(true, pooled_obs);
 
   EXPECT_TRUE(serial_report == pooled_report);
   EXPECT_TRUE(serial_snap == pooled_snap);
@@ -369,7 +368,7 @@ TEST_F(ObsStreamingTest, RegistryReconcilesWithStreamingReport) {
   ocfg.enabled = true;
   ocfg.timing = false;
   Observer obs(ocfg);
-  const auto [snap, report] = run_observed(0, obs);
+  const auto [snap, report] = run_observed(true, obs);
   (void)snap;
   const MetricsRegistry& reg = obs.metrics();
 
@@ -452,9 +451,9 @@ TEST_F(ObsStreamingTest, DisabledObserverIsInert) {
   on.timing = false;
   Observer enabled(on);
 
-  const auto [snap_on, report_on] = run_observed(0, enabled);
+  const auto [snap_on, report_on] = run_observed(true, enabled);
   (void)snap_on;
-  const auto [snap_off, report_off] = run_observed(0, disabled);
+  const auto [snap_off, report_off] = run_observed(true, disabled);
   EXPECT_TRUE(report_on == report_off);
   EXPECT_EQ(snap_off.metrics.size(), 0u);
 }

@@ -314,7 +314,7 @@ TEST_F(OrchestratorTest, TransferDestinationOutsideChamberIsRejected) {
 // a 3-chamber chain with transfers, intra-chamber goals, scripted and
 // random escapes: same trajectories, same event logs, same accounting.
 TEST_F(OrchestratorTest, PooledBitwiseIdenticalToSerialWithThreeChambers) {
-  const auto run_once = [&](std::size_t max_parts) {
+  const auto run_once = [&](bool pooled) {
     fluidic::ChamberNetwork net = chain(3);
     auto w0 = make_world();
     auto w1 = make_world();
@@ -332,8 +332,9 @@ TEST_F(OrchestratorTest, PooledBitwiseIdenticalToSerialWithThreeChambers) {
     const std::vector<TransferGoal> transfers{{0, cage_a, 1, {12, 8}},
                                               {1, cage_b, 2, {12, 10}}};
     Rng rng(90210);
-    const OrchestratorReport report = orch.run(chambers, transfers, rng.split(),
-                                               &core::ThreadPool::global(), max_parts);
+    const OrchestratorReport report =
+        orch.run(chambers, transfers, rng.split(),
+                 pooled ? &core::ThreadPool::global() : nullptr);
 
     std::vector<Vec3> positions;
     for (const World* w : {w0.get(), w1.get(), w2.get()})
@@ -341,8 +342,8 @@ TEST_F(OrchestratorTest, PooledBitwiseIdenticalToSerialWithThreeChambers) {
     return std::make_pair(report, positions);
   };
 
-  const auto [serial, serial_pos] = run_once(1);
-  const auto [pooled, pooled_pos] = run_once(0);
+  const auto [serial, serial_pos] = run_once(false);
+  const auto [pooled, pooled_pos] = run_once(true);
 
   ASSERT_TRUE(serial.planned);
   ASSERT_EQ(serial_pos.size(), pooled_pos.size());

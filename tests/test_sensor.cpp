@@ -556,7 +556,6 @@ struct SenseCase {
   std::size_t n_frames = 1;
   double threshold = 0.0;
   std::unique_ptr<chip::DefectMap> defects;
-  double stuck_cage_dc = 0.0;
   std::vector<int> zero_rows;
   std::vector<PhantomTile> tiles;
   double phantom_dc = 0.0;
@@ -582,12 +581,8 @@ SenseCase draw_case(const FrameSynthesizer& synth, Rng& rng) {
   c.n_frames = static_cast<std::size_t>(rng.uniform_int(1, 64));
   const double sigma = synth.cds_noise_sigma() / std::sqrt(static_cast<double>(c.n_frames));
   c.threshold = rng.uniform(0.5, 6.0) * sigma;
-  // The controller's stuck-cage and burst readings: masking on writes 0
-  // over every faulty pixel; off, stuck-cage pixels read a multiple of the
-  // threshold that may or may not cross it.
+  // A burst reads a multiple of the threshold that may or may not cross it.
   const double multiple = rng.bernoulli(0.5) ? rng.uniform(0.3, 1.0) : rng.uniform(1.0, 6.0);
-  const bool masking = rng.bernoulli(0.5);
-  c.stuck_cage_dc = masking ? 0.0 : -multiple * c.threshold;
   c.phantom_dc = -multiple * c.threshold;
   c.defects = std::make_unique<chip::DefectMap>(
       chip::sample_defects(array, rng.uniform(0.0, 0.05), rng));
@@ -612,9 +607,10 @@ SenseCase draw_case(const FrameSynthesizer& synth, Rng& rng) {
 }
 
 // The dense overlay of `c`'s faults, written over `frame` in the closed
-// loop's order: pixel faults, dropout rows, burst tiles.
+// loop's order: masked pixel faults (every one reads 0), dropout rows, burst
+// tiles.
 void overlay_faults(Grid2& frame, const chip::ElectrodeArray& array, const SenseCase& c) {
-  apply_pixel_faults(frame, *c.defects, c.stuck_cage_dc);
+  apply_pixel_faults(frame, *c.defects, 0.0);
   for (const int row : c.zero_rows)
     for (std::size_t i = 0; i < frame.nx(); ++i) frame.at(i, static_cast<std::size_t>(row)) = 0.0;
   for (const PhantomTile& t : c.tiles)
@@ -648,7 +644,6 @@ std::vector<Detection> sparse_detect(const FrameSynthesizer& synth, const SenseC
   const std::vector<PixelFault> pixels = pixel_faults(*c.defects);
   FrameFaults faults;
   faults.pixels = pixels;
-  faults.stuck_cage_dc = c.stuck_cage_dc;
   faults.zero_rows = c.zero_rows;
   faults.phantom_tiles = c.tiles;
   faults.phantom_dc = c.phantom_dc;

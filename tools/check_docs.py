@@ -10,20 +10,34 @@ Over README.md and every docs/*.md this verifies that
   3. every backtick code span that names a C++ symbol path (foo::Bar,
      chip::DefectMap, Replanner::park, ...) still exists in the sources:
      each `::`-component must appear as an identifier somewhere under src/,
-     tests/, bench/ or examples/.
+     tests/, bench/ or examples/;
+  4. every backtick code span that is a bare snake_case identifier (lower
+     case, containing `_`: a config field, a metric column, a binary name)
+     still appears as an identifier in a file under src/, tests/, bench/,
+     examples/, perfbench/, tools/ or .github/, or in CMakeLists.txt, or is
+     the name of such a file (with or without its suffix). This script is
+     left out, so its own fixtures vouch for nothing.
 
 Exit code 0 = clean, 1 = stale references (each one listed).
+
+  tools/check_docs.py              # check README.md and docs/*.md
+  tools/check_docs.py --self-test  # prove rule 4 passes a current fixture
+                                   # and flags a stale one
 """
 
 from __future__ import annotations
 
+import argparse
 import re
 import sys
+import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 DOC_FILES = [REPO / "README.md"] + sorted((REPO / "docs").glob("*.md"))
 SOURCE_DIRS = ["src", "tests", "bench", "examples"]
+NAME_DIRS = SOURCE_DIRS + ["perfbench", "tools", ".github"]
+NAME_FILES = ["CMakeLists.txt"]
 PATH_PREFIXES = ("src/", "docs/", "examples/", "bench/", "tests/", "tools/", ".github/")
 ROOT_FILE_SUFFIXES = (".md", ".json", ".sh", ".py", ".yml")
 
@@ -31,6 +45,8 @@ MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 FENCED_BLOCK = re.compile(r"^```.*?^```", re.S | re.M)
 CODE_SPAN = re.compile(r"`([^`\n]+)`")
 SYMBOL = re.compile(r"^~?[A-Za-z_][A-Za-z0-9_]*(::~?[A-Za-z_][A-Za-z0-9_]*)+$")
+IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+SNAKE = re.compile(r"^[a-z][a-z0-9]*(?:_[a-z0-9]+)+$")
 
 
 def source_corpus() -> str:
@@ -42,12 +58,29 @@ def source_corpus() -> str:
     return "\n".join(chunks)
 
 
-def check_file(doc: Path, identifiers: set[str]) -> list[str]:
+def name_corpus(root: Path) -> set[str]:
+    """Rule 4's corpus: every identifier in any file under NAME_DIRS or in
+    NAME_FILES, plus every such file's name and suffix-less stem. This
+    script's text is left out, its name is not."""
+    files = [root / f for f in NAME_FILES if (root / f).is_file()]
+    for d in NAME_DIRS:
+        files.extend(p for p in sorted((root / d).rglob("*"))
+                     if p.is_file() and "__pycache__" not in p.parts)
+    me = Path(__file__).resolve()
+    names: set[str] = set()
+    for path in files:
+        if path.resolve() != me:
+            names.update(IDENTIFIER.findall(path.read_text(encoding="utf-8", errors="replace")))
+        names.update((path.name, path.stem))
+    return names
+
+
+def check_text(text: str, rel: str, doc_dir: Path, identifiers: set[str],
+               names: set[str]) -> list[str]:
     errors = []
     # Fenced code blocks are shell/ASCII art, not references; strip them so
     # the inline-span parser cannot pair a fence with a later inline tick.
-    text = FENCED_BLOCK.sub("", doc.read_text(encoding="utf-8"))
-    rel = doc.relative_to(REPO)
+    text = FENCED_BLOCK.sub("", text)
 
     for m in MD_LINK.finditer(text):
         target = m.group(1)
@@ -56,7 +89,7 @@ def check_file(doc: Path, identifiers: set[str]) -> list[str]:
         path = target.split("#", 1)[0]
         if not path:
             continue
-        resolved = (doc.parent / path).resolve()
+        resolved = (doc_dir / path).resolve()
         if not resolved.exists():
             errors.append(f"{rel}: broken link `{target}`")
 
@@ -81,17 +114,70 @@ def check_file(doc: Path, identifiers: set[str]) -> list[str]:
                         "not found in the sources"
                     )
                     break
+            continue
+        # Bare snake_case names (config fields, metric columns, binaries).
+        if SNAKE.match(span) and span not in names:
+            errors.append(f"{rel}: name `{span}` not found in the tree")
     return errors
 
 
+def self_test() -> int:
+    """Rule 4 over a fixture tree: a doc naming only current names is clean,
+    a doc naming a deleted field and a renamed column is flagged once per
+    stale span."""
+    tree = {
+        "src/control/engine.cpp": "std::size_t frames_sensed = 0;  // Supervisor::step",
+        "bench/bench_control.cpp": 'state.counters["basin_share"] = 1.0;',
+        "tests/test_control.cpp": "",
+        "tools/run_benches.sh": 'echo "library_build_type"',
+    }
+    passing = ("The report's `frames_sensed`, the `basin_share` column of "
+               "`bench_control`, `test_control`, `library_build_type`, "
+               "`Supervisor::step`, and `plain`, `_tracked`, "
+               "`MALLOC_TRIM_THRESHOLD_` or `BIOCHIP_LONGFUZZ=10`, which rule "
+               "4 leaves alone.\n")
+    stale = ("`frames_per_tick` frames, the `exact_share` column, "
+             "`frames_sensed` again.\n")
+    failures = []
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for rel, text in tree.items():
+            (root / rel).parent.mkdir(parents=True, exist_ok=True)
+            (root / rel).write_text(text, encoding="utf-8")
+        names = name_corpus(root)
+    identifiers = {"Supervisor", "step"}
+    got = check_text(passing, "passing.md", REPO, identifiers, names)
+    if got:
+        failures.append(f"passing fixture flagged: {got}")
+    got = check_text(stale, "stale.md", REPO, identifiers, names)
+    want = ["stale.md: name `frames_per_tick` not found in the tree",
+            "stale.md: name `exact_share` not found in the tree"]
+    if got != want:
+        failures.append(f"stale fixture: expected {want}, got {got}")
+    if failures:
+        print(f"check_docs --self-test: {len(failures)} failure(s):")
+        for f in failures:
+            print(f"  {f}")
+        return 1
+    print("check_docs --self-test: both fixtures behave as declared")
+    return 0
+
+
 def main() -> int:
-    identifiers = set(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", source_corpus()))
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--self-test", action="store_true")
+    if ap.parse_args().self_test:
+        return self_test()
+    identifiers = set(IDENTIFIER.findall(source_corpus()))
+    names = name_corpus(REPO)
     errors = []
     for doc in DOC_FILES:
         if not doc.exists():
             errors.append(f"missing required doc: {doc.relative_to(REPO)}")
             continue
-        errors.extend(check_file(doc, identifiers))
+        errors.extend(check_text(doc.read_text(encoding="utf-8"),
+                                 str(doc.relative_to(REPO)), doc.parent,
+                                 identifiers, names))
     if errors:
         print(f"check_docs: {len(errors)} stale reference(s):")
         for e in errors:
