@@ -505,7 +505,7 @@ void bm_sense(benchmark::State& state) {
     const auto t0 = std::chrono::steady_clock::now();
     Rng rng = check.fork(2 * f + 1);
     Grid2 dense_frame = imager.averaged_frame(targets, rng, kFrames);
-    sensor::apply_pixel_faults(dense_frame, defects, 0.0);
+    sensor::apply_pixel_faults(dense_frame, defects);
     const auto dets = sensor::detect_threshold(dense_frame, array, threshold);
     dense_s += std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
     dense.add(static_cast<double>(dets.size()));

@@ -1,7 +1,7 @@
 // Experiment S-1 — field-solver engineering: plain SOR vs multigrid V-cycle
 // scaling (with fine-grid-equivalent work accounting), solver accuracy
-// against the analytic parallel-plate solution, and cage calibration vs
-// grid resolution.
+// against the analytic parallel-plate solution, cage calibration vs grid
+// resolution, and the cold cage calibration every set-up runs.
 
 #include <benchmark/benchmark.h>
 
@@ -297,6 +297,24 @@ void bm_thin_gap(benchmark::State& state) {
   state.counters["fe_sweeps"] = fe;
 }
 
+// The set-up every closed-loop caller pays before simulating: a cold
+// BiochipDevice::calibrate_cage(5, range(0)) on the paper device, with no
+// workspace, as perfbench's set-up calls it. The counters come from one more
+// calibration after the timed loop, through a fresh workspace (the same
+// solves): fine-equivalent sweeps and V-cycles summed over both quadrature
+// solves, and the calibrated curvatures.
+void bm_calibrate_cage(benchmark::State& state) {
+  const int npp = static_cast<int>(state.range(0));
+  const chip::BiochipDevice dev = chip::paper_device();
+  for (auto _ : state) benchmark::DoNotOptimize(dev.calibrate_cage(5, npp).c_r);
+  MultigridWorkspace workspace;
+  const HarmonicCage cage = dev.calibrate_cage(5, npp, &workspace);
+  state.counters["fe_sweeps"] = workspace.accounting().fine_equiv_sweeps;
+  state.counters["cycles"] = static_cast<double>(workspace.accounting().cycles);
+  state.counters["c_r"] = cage.c_r;
+  state.counters["c_z"] = cage.c_z;
+}
+
 // Coarse-level variable-coefficient smoothing sweep: range(1) selects the
 // kernel (0 = per-node smooth_plane_var, 1 = the broadcast fast path that
 // reads uniform rows' 27 coefficients from one cache line instead of 27
@@ -343,6 +361,7 @@ BENCHMARK(bm_multilevel)->Arg(17)->Arg(33)->Arg(65)->Unit(benchmark::kMillisecon
 BENCHMARK(bm_vcycle_warm)->Arg(33)->Arg(65)->Unit(benchmark::kMillisecond);
 BENCHMARK(bm_incremental)->Arg(1)->Arg(16)->Arg(0)->Unit(benchmark::kMillisecond);
 BENCHMARK(bm_thin_gap)->Arg(33)->Arg(65)->Unit(benchmark::kMillisecond);
+BENCHMARK(bm_calibrate_cage)->Arg(6)->Unit(benchmark::kMillisecond);
 BENCHMARK(bm_var_smooth)
     ->Args({65, 0})
     ->Args({65, 1})

@@ -128,7 +128,7 @@ EpisodeRuntime::EpisodeRuntime(ClosedLoopEngine& owner, std::vector<CageGoal> go
   tracker_.emplace(capture_);
   for (const auto& [cid, bi] : cage_bodies_) tracker_->add_track(cid);
 
-  supervisor_.emplace(config, array, defects_, *replanner_, capture_);
+  supervisor_.emplace(config.rescue, array, defects_, *replanner_, capture_);
   for (const CageGoal& g : goals_) supervisor_->add_cage(g.cage_id, g.destination);
   if (config.closed_loop) {
     const auto pre = supervisor_->preflight();

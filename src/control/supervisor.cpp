@@ -55,10 +55,10 @@ std::optional<GridCoord> nearest_site(const chip::ElectrodeArray& array, Vec2 fi
 
 }  // namespace
 
-Supervisor::Supervisor(const ControlConfig& config, const chip::ElectrodeArray& array,
+Supervisor::Supervisor(bool rescue, const chip::ElectrodeArray& array,
                        const chip::DefectMap& defects, Replanner& replanner,
                        double capture_radius)
-    : config_(config), array_(array), defects_(defects), replanner_(replanner),
+    : rescue_(rescue), array_(array), defects_(defects), replanner_(replanner),
       capture_radius_(capture_radius) {
   BIOCHIP_REQUIRE(capture_radius_ > 0.0, "capture radius must be positive");
 }
@@ -265,7 +265,7 @@ std::vector<ControlEvent> Supervisor::step(int t, const OccupancyTracker& tracke
         // (the cage waits out its patience and re-hunts).
         const bool worth_trying =
             site.has_value() &&
-            (!config_.rescue || (array_.center(*site) - fix).norm() <= capture_radius_);
+            (!rescue_ || (array_.center(*site) - fix).norm() <= capture_radius_);
         bool started = false;
         if (worth_trying && try_replan(c, *site)) {
           c.mode = CageMode::kRecapturing;
@@ -274,7 +274,7 @@ std::vector<ControlEvent> Supervisor::step(int t, const OccupancyTracker& tracke
           emit(EventKind::kRecaptureStarted, c);
           started = true;
         }
-        if (!started && config_.rescue) {
+        if (!started && rescue_) {
           // The cell sits in a fully blocked neighborhood (or the boundary
           // approach is unroutable): park an adjacent cage on a ring-
           // defective site whose own pixel still traps and whose basin

@@ -22,7 +22,6 @@
 #include "chip/cage.hpp"
 #include "chip/defects.hpp"
 #include "chip/electrode_array.hpp"
-#include "control/config.hpp"
 #include "control/events.hpp"
 #include "control/replanner.hpp"
 #include "control/tracker.hpp"
@@ -40,10 +39,11 @@ enum class CageMode : std::uint8_t {
 
 class Supervisor {
  public:
+  /// `rescue` enables the rescue maneuver (`ControlConfig::rescue`).
   /// `capture_radius` [m] is the trap basin's reach — the supervisor uses it
   /// to judge whether a candidate capture site can actually pull a stray
   /// cell in (a trap exerts zero force beyond it).
-  Supervisor(const ControlConfig& config, const chip::ElectrodeArray& array,
+  Supervisor(bool rescue, const chip::ElectrodeArray& array,
              const chip::DefectMap& defects, Replanner& replanner,
              double capture_radius);
 
@@ -109,7 +109,7 @@ class Supervisor {
   /// what an empty rescue cage may traverse.
   std::vector<std::uint8_t> relaxed_blocked() const;
 
-  const ControlConfig& config_;
+  bool rescue_;
   const chip::ElectrodeArray& array_;
   const chip::DefectMap& defects_;
   Replanner& replanner_;

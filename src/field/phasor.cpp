@@ -73,9 +73,12 @@ PhasorSolution solve_phasor(const ChamberDomain& domain,
   Grid3 re = domain.make_grid();
   Grid3 im = domain.make_grid();
   // Both quadratures pin the same nodes, so the hierarchy prepared for the
-  // real solve is reused as-is by the imaginary one.
-  const SolveStats sre = solve_laplace(re, bc.re, opts, workspace);
-  const SolveStats sim = solve_laplace(im, bc.im, opts, workspace);
+  // real solve is reused as-is by the imaginary one: the caller's workspace,
+  // or one prepared here for this call.
+  MultigridWorkspace local;
+  MultigridWorkspace& ws = workspace != nullptr ? *workspace : local;
+  const SolveStats sre = solve_laplace(re, bc.re, opts, &ws);
+  const SolveStats sim = solve_laplace(im, bc.im, opts, &ws);
   if (stats != nullptr) *stats = {sre, sim};
   return PhasorSolution(std::move(re), std::move(im));
 }

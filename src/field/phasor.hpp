@@ -59,9 +59,9 @@ struct PhasorStats {
 };
 
 /// Solve the phasor problem for the given domain/electrodes/lid.
-/// `workspace` (optional) caches the multigrid hierarchy across solves on
-/// the same grid shape — the two quadrature solves share it, and callers
-/// performing many solves on one domain reuse it throughout.
+/// The two quadrature solves share one multigrid hierarchy: `workspace`'s
+/// when given, which callers performing many solves on one domain reuse
+/// throughout, else one prepared for this call.
 PhasorSolution solve_phasor(const ChamberDomain& domain,
                             const std::vector<ElectrodePatch>& electrodes,
                             std::optional<std::complex<double>> lid,

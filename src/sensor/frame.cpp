@@ -159,17 +159,14 @@ double FrameSynthesizer::cds_noise_sigma() const {
   return pixel_.frame_noise_sigma(temperature_) * std::sqrt(2.0);
 }
 
-void apply_pixel_faults(Grid2& frame, const chip::DefectMap& defects,
-                        double stuck_cage_dc) {
+void apply_pixel_faults(Grid2& frame, const chip::DefectMap& defects) {
   BIOCHIP_REQUIRE(frame.nx() == static_cast<std::size_t>(defects.cols()) &&
                       frame.ny() == static_cast<std::size_t>(defects.rows()),
                   "frame and defect map shapes differ");
   for (int r = 0; r < defects.rows(); ++r)
     for (int c = 0; c < defects.cols(); ++c) {
-      const chip::PixelState s = defects.state({c, r});
-      if (s == chip::PixelState::kOk) continue;
-      frame.at(static_cast<std::size_t>(c), static_cast<std::size_t>(r)) =
-          s == chip::PixelState::kStuckCage ? stuck_cage_dc : 0.0;
+      if (defects.state({c, r}) != chip::PixelState::kOk)
+        frame.at(static_cast<std::size_t>(c), static_cast<std::size_t>(r)) = 0.0;
     }
 }
 

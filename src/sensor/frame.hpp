@@ -76,15 +76,11 @@ class FrameSynthesizer {
   std::uint64_t seed_;  ///< seed of the fixed-pattern offset stream
 };
 
-/// Overlay manufacturing pixel faults on a synthesized ΔC frame (the sensor
-/// side of `chip::DefectMap`): dead and stuck-background pixels read no
-/// signal (ΔC = 0 — their readout or CDS chain is broken), stuck-cage pixels
-/// read the constant `stuck_cage_dc` (a large negative ΔC that mimics a
-/// permanently parked particle — the false-positive source a closed-loop
-/// tracker must reject via DefectMap lookups). Frame and map must share the
-/// array shape.
-void apply_pixel_faults(Grid2& frame, const chip::DefectMap& defects,
-                        double stuck_cage_dc);
+/// Mask manufacturing pixel faults on a synthesized ΔC frame (the sensor
+/// side of `chip::DefectMap`): every known-bad pixel (dead, stuck background
+/// or stuck cage) reads 0, as the controller's bad-pixel mask writes it.
+/// Frame and map must share the array shape.
+void apply_pixel_faults(Grid2& frame, const chip::DefectMap& defects);
 
 /// A faulty pixel of a defect map: raster index and (non-OK) state.
 struct PixelFault {
@@ -104,7 +100,7 @@ struct PhantomTile {
 /// thresholding, in write order; the later writer wins at a pixel.
 struct FrameFaults {
   /// Known-bad pixels in raster order, masked: each reads 0, as
-  /// `apply_pixel_faults` writes them with a zero stuck-cage ΔC.
+  /// `apply_pixel_faults` writes them.
   std::span<const PixelFault> pixels;
   std::vector<int> zero_rows;  ///< row dropouts: the whole row reads 0
   std::vector<PhantomTile> phantom_tiles;  ///< bursts: each pixel reads `phantom_dc`

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
+#include "chip/device.hpp"
 #include "common/error.hpp"
 #include "common/units.hpp"
 #include "field/analytic.hpp"
@@ -425,6 +427,38 @@ TEST(Multigrid, BroadcastSmootherBitIdenticalToVarOnUniformRows) {
   EXPECT_TRUE(any_uniform_row);
 }
 
+TEST(Multigrid, CoarsestLevelSolvedToCycleAccuracy) {
+  // Grids whose coarsening stops at a large level: 31³ halves once, to 16³,
+  // and 33×33×11 once, to 17×17×6. The coarsest level is relaxed only until
+  // its max update falls to 1e-2 of its first sweep's, so the default solve
+  // keeps the cycle counts of a near-exact coarse solve (5, 4 and 6) and
+  // runs at most 40 coarsest-level sweeps per cycle. A near-exact solve ran
+  // the 100-sweep cap on every cycle of both 31³ grids.
+  struct Case {
+    const char* name;
+    std::size_t nx, ny, nz;
+    bool thin_gap;
+    std::size_t cycles;
+  };
+  for (const Case& c : {Case{"31^3 reference", 31, 31, 31, false, 5},
+                        Case{"31^3 thin gap", 31, 31, 31, true, 4},
+                        Case{"33x33x11 reference", 33, 33, 11, false, 6}}) {
+    SCOPED_TRACE(c.name);
+    Grid3 phi(c.nx, c.ny, c.nz, 1e-6);
+    const DirichletBc bc = c.thin_gap ? cage_thin_gap_bc(phi, 3.3, 1) : cage_bc(phi, 3.3);
+    MultigridWorkspace ws;
+    ws.prepare(phi, bc);
+    // One coarse level: every sweep beyond V(2,2)'s four fine sweeps per
+    // cycle is a coarsest-level sweep.
+    ASSERT_EQ(ws.levels().size(), 1u);
+    const SolveStats s = solve_laplace(phi, bc);
+    EXPECT_TRUE(s.converged);
+    EXPECT_EQ(s.cycles, c.cycles);
+    EXPECT_EQ(s.sweeps, 4 * s.cycles);
+    EXPECT_LE(s.total_sweeps - 4 * s.cycles, 40 * s.cycles);
+  }
+}
+
 TEST(Solver, AnisotropicAutoOmegaDoesNotRegress) {
   // Auto-omega derives the model-problem ω from per-axis dimensions; on an
   // elongated chamber grid the historical longest-side formula over-relaxes
@@ -545,6 +579,53 @@ TEST(Phasor, Erms2OfUniformFieldMatchesAnalytic) {
               e_mag * 0.01);
 }
 
+TEST(Phasor, NullWorkspaceSharesOneHierarchyBitwise) {
+  // Without a workspace, solve_phasor prepares one hierarchy for both
+  // quadratures. Its grids and stats must equal, bit for bit, a call with
+  // an explicit workspace and two solve_laplace calls that each build their
+  // own hierarchy.
+  const ChamberDomain domain{80.0_um, 80.0_um, 40.0_um, 2.5_um};
+  const std::vector<ElectrodePatch> patches{
+      {{{10.0_um, 10.0_um}, {35.0_um, 35.0_um}}, {1.0, 0.5}},
+      {{{45.0_um, 45.0_um}, {70.0_um, 70.0_um}}, {-0.7, 0.3}}};
+  const std::complex<double> lid{0.2, -0.4};
+  SolverOptions opts;
+  opts.tolerance = 1e-7;
+  PhasorStats shared_stats, explicit_stats;
+  const PhasorSolution shared = solve_phasor(domain, patches, lid, opts, &shared_stats);
+  MultigridWorkspace ws;
+  const PhasorSolution with_ws =
+      solve_phasor(domain, patches, lid, opts, &explicit_stats, &ws);
+  const PhasorBc bc = build_boundary(domain, patches, lid);
+  Grid3 re = domain.make_grid(), im = domain.make_grid();
+  const PhasorStats separate_stats{solve_laplace(re, bc.re, opts),
+                                   solve_laplace(im, bc.im, opts)};
+  ASSERT_GT(separate_stats.re.cycles, 0u);
+  ASSERT_GT(separate_stats.im.cycles, 0u);
+
+  const auto same_grid = [](const Grid3& a, const Grid3& b) {
+    ASSERT_EQ(a.size(), b.size());
+    EXPECT_EQ(std::memcmp(a.data().data(), b.data().data(), a.size() * sizeof(double)), 0);
+  };
+  const auto same_stats = [](const SolveStats& a, const SolveStats& b) {
+    EXPECT_EQ(a.sweeps, b.sweeps);
+    EXPECT_EQ(a.total_sweeps, b.total_sweeps);
+    EXPECT_EQ(a.fine_equiv_sweeps, b.fine_equiv_sweeps);
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.final_update, b.final_update);
+    EXPECT_EQ(a.final_residual, b.final_residual);
+    EXPECT_EQ(a.converged, b.converged);
+  };
+  same_grid(shared.phi_re(), with_ws.phi_re());
+  same_grid(shared.phi_im(), with_ws.phi_im());
+  same_grid(shared.phi_re(), re);
+  same_grid(shared.phi_im(), im);
+  same_stats(shared_stats.re, explicit_stats.re);
+  same_stats(shared_stats.im, explicit_stats.im);
+  same_stats(shared_stats.re, separate_stats.re);
+  same_stats(shared_stats.im, separate_stats.im);
+}
+
 TEST(Phasor, MismatchedQuadratureGridsThrow) {
   Grid3 a(4, 4, 4, 1.0), b(5, 5, 5, 1.0);
   EXPECT_THROW(PhasorSolution(a, b), PreconditionError);
@@ -583,6 +664,28 @@ TEST(Analytic, CalibrationRecoversSyntheticQuadratic) {
   PhasorSolution sol(re, im);  // zero field everywhere
   const Aabb box{{5e-6, 5e-6, 5e-6}, {25e-6, 25e-6, 25e-6}};
   EXPECT_THROW(calibrate_cage(sol, box, 2e-6), NumericError);
+}
+
+TEST(Analytic, CageCalibrationAnchoredToExactCoarseSolve) {
+  // calibrate_cage(5, 6) of the paper device, against the HarmonicCage that
+  // commit 793b903 computed with the coarsest level relaxed to a 1e-10
+  // relative update. Solving that level only to cycle accuracy moves these
+  // values by at most about 2e-5 relative; the bound is 1e-4.
+  const HarmonicCage cage = chip::paper_device().calibrate_cage(5, 6);
+  const HarmonicCage anchor{{0x1.a36e2eb1c432dp-15, 0x1.a36e2eb1c3babp-15,
+                             0x1.600e337da7036p-16},
+                            0x1.8b3fe6fe7e338p+25,
+                            0x1.55b5851a28e5ep+63,
+                            0x1.b5c9d3d95f657p+66};
+  const auto near = [](double got, double want) {
+    EXPECT_LE(std::fabs(got - want), 1e-4 * std::fabs(want)) << got << " vs " << want;
+  };
+  near(cage.center.x, anchor.center.x);
+  near(cage.center.y, anchor.center.y);
+  near(cage.center.z, anchor.center.z);
+  near(cage.w_min, anchor.w_min);
+  near(cage.c_r, anchor.c_r);
+  near(cage.c_z, anchor.c_z);
 }
 
 TEST(Analytic, ParallelPlateHelperClamps) {

@@ -427,16 +427,13 @@ TEST(Frame, PixelFaultsOverlayByKind) {
   defects.set_state({2, 1}, chip::PixelState::kStuckBackground);
   defects.set_state({3, 2}, chip::PixelState::kStuckCage);
   Grid2 frame(4, 4, 20.0_um, /*init=*/-7e-16);
-  apply_pixel_faults(frame, defects, -4e-15);
+  apply_pixel_faults(frame, defects);
   EXPECT_EQ(frame.at(1, 0), 0.0);      // dead: no reading
   EXPECT_EQ(frame.at(2, 1), 0.0);      // stuck background: no reading
-  EXPECT_EQ(frame.at(3, 2), -4e-15);   // stuck cage: parked-phantom ΔC
+  EXPECT_EQ(frame.at(3, 2), 0.0);      // stuck cage: masked like the others
   EXPECT_EQ(frame.at(0, 0), -7e-16);   // healthy pixels untouched
-  // Controller-side bad-pixel masking is the same overlay with ΔC = 0.
-  apply_pixel_faults(frame, defects, 0.0);
-  EXPECT_EQ(frame.at(3, 2), 0.0);
   Grid2 wrong(3, 3, 20.0_um);
-  EXPECT_THROW(apply_pixel_faults(wrong, defects, 0.0), PreconditionError);
+  EXPECT_THROW(apply_pixel_faults(wrong, defects), PreconditionError);
 }
 
 TEST(Detect, AssociateNearestWithinGate) {
@@ -610,7 +607,7 @@ SenseCase draw_case(const FrameSynthesizer& synth, Rng& rng) {
 // loop's order: masked pixel faults (every one reads 0), dropout rows, burst
 // tiles.
 void overlay_faults(Grid2& frame, const chip::ElectrodeArray& array, const SenseCase& c) {
-  apply_pixel_faults(frame, *c.defects, 0.0);
+  apply_pixel_faults(frame, *c.defects);
   for (const int row : c.zero_rows)
     for (std::size_t i = 0; i < frame.nx(); ++i) frame.at(i, static_cast<std::size_t>(row)) = 0.0;
   for (const PhantomTile& t : c.tiles)

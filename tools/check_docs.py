@@ -16,13 +16,21 @@ Over README.md and every docs/*.md this verifies that
      still appears as an identifier in a file under src/, tests/, bench/,
      examples/, perfbench/, tools/ or .github/, or in CMakeLists.txt, or is
      the name of such a file (with or without its suffix). This script is
-     left out, so its own fixtures vouch for nothing.
+     left out, so its own fixtures vouch for nothing;
+  5. every backtick code span that is a dotted metric name (snake_case
+     components joined by dots, with an optional `[x]` index suffix:
+     `service.free_advances[c]`, `obs.trace_overhead`) is registered: its
+     text without the suffix appears in a string literal in a file under
+     src/, bench/, perfbench/ or tools/ (this script left out), or it splits
+     at a dot into two literals that compose it at run time, a prefix and a
+     `.suffix` (`"chamber"` + `".replans"`) or a `prefix.` and a suffix
+     (`"event."` + `"admission_shed"`).
 
 Exit code 0 = clean, 1 = stale references (each one listed).
 
   tools/check_docs.py              # check README.md and docs/*.md
-  tools/check_docs.py --self-test  # prove rule 4 passes a current fixture
-                                   # and flags a stale one
+  tools/check_docs.py --self-test  # prove rules 4 and 5 pass a current
+                                   # fixture and flag a stale one
 """
 
 from __future__ import annotations
@@ -40,6 +48,9 @@ NAME_DIRS = SOURCE_DIRS + ["perfbench", "tools", ".github"]
 NAME_FILES = ["CMakeLists.txt"]
 PATH_PREFIXES = ("src/", "docs/", "examples/", "bench/", "tests/", "tools/", ".github/")
 ROOT_FILE_SUFFIXES = (".md", ".json", ".sh", ".py", ".yml")
+LITERAL_DIRS = ["src", "bench", "perfbench", "tools"]
+# A dotted span ending in one of these names a file, not a metric.
+FILE_SUFFIXES = ("cpp", "hpp", "h", "md", "json", "jsonl", "py", "sh", "yml", "txt", "csv")
 
 MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 FENCED_BLOCK = re.compile(r"^```.*?^```", re.S | re.M)
@@ -47,6 +58,9 @@ CODE_SPAN = re.compile(r"`([^`\n]+)`")
 SYMBOL = re.compile(r"^~?[A-Za-z_][A-Za-z0-9_]*(::~?[A-Za-z_][A-Za-z0-9_]*)+$")
 IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 SNAKE = re.compile(r"^[a-z][a-z0-9]*(?:_[a-z0-9]+)+$")
+DOTTED = re.compile(r"^([a-z][a-z0-9_]*(?:\.[a-z][a-z0-9_]*)+)(?:\[[a-z0-9_]+\])?$")
+DOTTED_TOKEN = re.compile(r"(?<![A-Za-z0-9_.])[a-z][a-z0-9_]*(?:\.[a-z][a-z0-9_]*)+(?![A-Za-z0-9_.])")
+STRING_LITERAL = re.compile(r'"((?:[^"\\\n]|\\.)*)"|\'((?:[^\'\\\n]|\\.)*)\'')
 
 
 def source_corpus() -> str:
@@ -75,8 +89,41 @@ def name_corpus(root: Path) -> set[str]:
     return names
 
 
+def literal_corpus(root: Path) -> set[str]:
+    """Rule 5's corpus: the text of every string literal in a file under
+    LITERAL_DIRS, plus every dotted token inside one. This script's text is
+    left out."""
+    me = Path(__file__).resolve()
+    literals: set[str] = set()
+    for d in LITERAL_DIRS:
+        for path in sorted((root / d).rglob("*")):
+            if not path.is_file() or "__pycache__" in path.parts or path.resolve() == me:
+                continue
+            text = path.read_text(encoding="utf-8", errors="replace")
+            for m in STRING_LITERAL.finditer(text):
+                lit = m.group(1) if m.group(1) is not None else m.group(2)
+                literals.add(lit)
+                literals.update(DOTTED_TOKEN.findall(lit))
+    return literals
+
+
+def registered(name: str, literals: set[str]) -> bool:
+    """Rule 5: `name` is a literal, or a literal prefix and a literal suffix
+    compose it with the dot on exactly one side."""
+    if name in literals:
+        return True
+    for i, ch in enumerate(name):
+        if ch != ".":
+            continue
+        head, tail = name[:i], name[i + 1:]
+        if ((head in literals and "." + tail in literals)
+                or (head + "." in literals and tail in literals)):
+            return True
+    return False
+
+
 def check_text(text: str, rel: str, doc_dir: Path, identifiers: set[str],
-               names: set[str]) -> list[str]:
+               names: set[str], literals: set[str]) -> list[str]:
     errors = []
     # Fenced code blocks are shell/ASCII art, not references; strip them so
     # the inline-span parser cannot pair a fence with a later inline tick.
@@ -118,26 +165,43 @@ def check_text(text: str, rel: str, doc_dir: Path, identifiers: set[str],
         # Bare snake_case names (config fields, metric columns, binaries).
         if SNAKE.match(span) and span not in names:
             errors.append(f"{rel}: name `{span}` not found in the tree")
+        # Dotted metric names.
+        dotted = DOTTED.match(span)
+        if (dotted and span.rsplit(".", 1)[1] not in FILE_SUFFIXES
+                and not registered(dotted.group(1), literals)):
+            errors.append(f"{rel}: metric `{span}` is registered nowhere")
     return errors
 
 
 def self_test() -> int:
-    """Rule 4 over a fixture tree: a doc naming only current names is clean,
-    a doc naming a deleted field and a renamed column is flagged once per
-    stale span."""
+    """Rules 4 and 5 over a fixture tree: a doc naming only current names is
+    clean, a doc naming a deleted field, a renamed column and metrics that
+    no literal under src/, bench/, perfbench/ or tools/ registers is flagged
+    once per stale span."""
     tree = {
         "src/control/engine.cpp": "std::size_t frames_sensed = 0;  // Supervisor::step",
+        "src/obs/fold.cpp": ('reg.gauge("service.free_advances", c);\n'
+                             'reg.gauge(base + ".replans", c);\n'
+                             'RuntimeGauges(reg, "chamber", c);\n'
+                             'reg.counter(std::string("event.") + to_string(kind));\n'
+                             'case Kind::kShed: return "admission_shed";\n'),
         "bench/bench_control.cpp": 'state.counters["basin_share"] = 1.0;',
-        "tests/test_control.cpp": "",
+        "tests/test_control.cpp": 'reg.gauge("service.test_only", 0);',
         "tools/run_benches.sh": 'echo "library_build_type"',
+        "perfbench/src/layers.cpp": 'const char* kNames = "obs.trace_overhead,obs.span_coverage";',
     }
     passing = ("The report's `frames_sensed`, the `basin_share` column of "
                "`bench_control`, `test_control`, `library_build_type`, "
                "`Supervisor::step`, and `plain`, `_tracked`, "
                "`MALLOC_TRIM_THRESHOLD_` or `BIOCHIP_LONGFUZZ=10`, which rule "
-               "4 leaves alone.\n")
+               "4 leaves alone. The gauges `service.free_advances[c]`, "
+               "`obs.trace_overhead` and `obs.span_coverage`, composed "
+               "`chamber.replans[c]` and `event.admission_shed`, and "
+               "`engine.cpp`, which rule 5 leaves alone.\n")
     stale = ("`frames_per_tick` frames, the `exact_share` column, "
-             "`frames_sensed` again.\n")
+             "`frames_sensed` again, `service.no_such_gauge[c]`, "
+             "`obs.made_up_share`, `service.test_only`, `chamber.exact_advances` "
+             "and `event.shed`.\n")
     failures = []
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -145,13 +209,19 @@ def self_test() -> int:
             (root / rel).parent.mkdir(parents=True, exist_ok=True)
             (root / rel).write_text(text, encoding="utf-8")
         names = name_corpus(root)
+        literals = literal_corpus(root)
     identifiers = {"Supervisor", "step"}
-    got = check_text(passing, "passing.md", REPO, identifiers, names)
+    got = check_text(passing, "passing.md", REPO, identifiers, names, literals)
     if got:
         failures.append(f"passing fixture flagged: {got}")
-    got = check_text(stale, "stale.md", REPO, identifiers, names)
+    got = check_text(stale, "stale.md", REPO, identifiers, names, literals)
     want = ["stale.md: name `frames_per_tick` not found in the tree",
-            "stale.md: name `exact_share` not found in the tree"]
+            "stale.md: name `exact_share` not found in the tree",
+            "stale.md: metric `service.no_such_gauge[c]` is registered nowhere",
+            "stale.md: metric `obs.made_up_share` is registered nowhere",
+            "stale.md: metric `service.test_only` is registered nowhere",
+            "stale.md: metric `chamber.exact_advances` is registered nowhere",
+            "stale.md: metric `event.shed` is registered nowhere"]
     if got != want:
         failures.append(f"stale fixture: expected {want}, got {got}")
     if failures:
@@ -170,6 +240,7 @@ def main() -> int:
         return self_test()
     identifiers = set(IDENTIFIER.findall(source_corpus()))
     names = name_corpus(REPO)
+    literals = literal_corpus(REPO)
     errors = []
     for doc in DOC_FILES:
         if not doc.exists():
@@ -177,7 +248,7 @@ def main() -> int:
             continue
         errors.extend(check_text(doc.read_text(encoding="utf-8"),
                                  str(doc.relative_to(REPO)), doc.parent,
-                                 identifiers, names))
+                                 identifiers, names, literals))
     if errors:
         print(f"check_docs: {len(errors)} stale reference(s):")
         for e in errors:
