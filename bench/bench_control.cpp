@@ -2,7 +2,8 @@
 // sense → track → replan → actuate loop vs array size and live-cage count,
 // plus the open-loop baseline for the control overhead, plus the
 // multi-chamber orchestrator's ticks/s vs chamber count, plus the sense
-// phase alone against the dense sequence. Per-tick cost is the sparse sense
+// phase alone against the dense sequence, plus one episode's set-up on the
+// paper's 320 × 320 array. Per-tick cost is the sparse sense
 // (the cells' window pixels plus the threshold crossings, drawn from the
 // frame's law) on top of the per-body physics; the counters record achieved
 // ticks/s so the BENCH JSON carries the control loop's throughput
@@ -15,6 +16,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -137,6 +139,75 @@ BENCHMARK(bm_control_episode)
     ->Args({48, 15, 1})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+// Episode set-up on the paper's array, as perfbench's `rare_cell` pays it per
+// episode: ClosedLoopEngine + EpisodeRuntime construction (blocked mask,
+// initial A* plan, replanner, preflight) for twelve cells on a side² array
+// with 1% defects, each 60-120 pitches (Manhattan) from its goal in a bank
+// near the right edge. range(0) = array side. `makespan` and `moves` come
+// from one route_astar of the same requests under the episode's mask after
+// the timed loop: they repeat exactly unless the planner's answer changes.
+std::unique_ptr<World> make_sparse_world(int side) {
+  chip::DeviceConfig cfg = chip::paper_config_on_node(chip::paper_node());
+  cfg.cols = side;
+  cfg.rows = side;
+  auto world = std::make_unique<World>(cfg, unit_cage());
+  Rng defect_rng(515);
+  world->defects = chip::sample_defects(world->dev.array(), 0.01, defect_rng);
+  Rng sites(616);
+  std::vector<GridCoord> used;
+  const auto clear_of = [&](GridCoord s) {
+    for (const GridCoord u : used)
+      if (chebyshev(u, s) < 4) return false;
+    return true;
+  };
+  for (int k = 0; k < 12; ++k) {
+    const GridCoord goal{side - 6, 28 + 24 * k};
+    used.push_back(goal);
+    GridCoord start;
+    do {
+      const auto dist = static_cast<int>(sites.uniform_int(60, 120));
+      const auto dr = static_cast<int>(sites.uniform_int(-20, 20));
+      start = {goal.col - (dist - std::abs(dr)), goal.row + dr};
+    } while (!clear_of(start));
+    used.push_back(start);
+    for (int dr = -1; dr <= 1; ++dr)
+      for (int dc = -1; dc <= 1; ++dc)
+        world->defects.set_state({goal.col + dc, goal.row + dr}, chip::PixelState::kOk);
+    world->add_cell(start, goal);
+  }
+  return world;
+}
+
+void bm_episode_setup(benchmark::State& state) {
+  const int side = static_cast<int>(state.range(0));
+  unit_cage();  // calibrate outside the timed region
+  const control::ControlConfig config;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto world = make_sparse_world(side);
+    state.ResumeTiming();
+    control::ClosedLoopEngine engine(world->cages, world->engine, world->imager,
+                                     world->defects, 0.4, config);
+    const control::EpisodeRuntime runtime(engine, world->goals, world->bodies,
+                                          world->cage_bodies, Rng(90210), nullptr);
+    benchmark::DoNotOptimize(runtime.budget());
+  }
+  const auto world = make_sparse_world(side);
+  cad::RouteConfig plan;
+  plan.cols = side;
+  plan.rows = side;
+  plan.min_separation = world->cages.min_separation();
+  plan.blocked = chip::blocked_site_mask(world->dev.array(), world->defects, config.defect_ring);
+  std::vector<cad::RouteRequest> requests;
+  for (const control::CageGoal& g : world->goals)
+    requests.push_back({g.cage_id, world->cages.site(g.cage_id), g.destination});
+  const cad::RouteResult result = cad::route_astar(requests, plan);
+  state.counters["makespan"] = result.makespan_steps;
+  state.counters["moves"] = static_cast<double>(result.total_moves);
+}
+
+BENCHMARK(bm_episode_setup)->Arg(320)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Multi-chamber orchestration: a chain of N 24x24 chambers, each with two
 // local deliveries, plus one cross-chamber transfer per port. range(0) =

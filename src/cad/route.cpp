@@ -129,6 +129,104 @@ RouteResult route_greedy(const std::vector<RouteRequest>& requests,
   return result;
 }
 
+SiteComponents::SiteComponents(const RouteConfig& config,
+                               const std::vector<std::uint8_t>& blocked)
+    : cols_(config.cols), rows_(config.rows) {
+  BIOCHIP_REQUIRE(cols_ >= 1 && rows_ >= 1, "routing grid must be non-empty");
+  const auto cols = static_cast<std::size_t>(cols_);
+  const auto rows = static_cast<std::size_t>(rows_);
+  BIOCHIP_REQUIRE(blocked.empty() || blocked.size() == cols * rows,
+                  "blocked mask size does not match the routing grid");
+  labels_.assign(cols * rows, 0);
+  for (const RouteObstacle& ob : config.obstacles) {
+    const int c0 = std::max(ob.origin.col, 0);
+    const int c1 = std::min(ob.origin.col + ob.width, cols_);
+    const int r0 = std::max(ob.origin.row, 0);
+    const int r1 = std::min(ob.origin.row + ob.height, rows_);
+    for (int r = r0; r < r1; ++r)
+      for (int c = c0; c < c1; ++c) labels_[static_cast<std::size_t>(r) * cols +
+                                            static_cast<std::size_t>(c)] = kObstacle;
+  }
+
+  // Raster scan: a free site takes its left or upper neighbour's provisional
+  // label (a fresh one when neither is free) and unites the two when both
+  // are. Every root is the smallest label of its set, so parent[l] <= l.
+  std::vector<std::int32_t> parent;
+  const auto up_of = [&](std::int32_t l) -> std::int32_t& {
+    return parent[static_cast<std::size_t>(l)];
+  };
+  const auto find = [&](std::int32_t a) {
+    while (up_of(a) != a) {
+      up_of(a) = up_of(up_of(a));  // path halving
+      a = up_of(a);
+    }
+    return a;
+  };
+  const auto unite = [&](std::int32_t a, std::int32_t b) {
+    a = find(a);
+    b = find(b);
+    if (a < b) up_of(b) = a;
+    if (b < a) up_of(a) = b;
+  };
+  for (std::size_t r = 0; r < rows; ++r) {
+    std::int32_t* row = labels_.data() + r * cols;
+    const std::int32_t* up = r > 0 ? row - cols : nullptr;
+    const std::uint8_t* mask = blocked.empty() ? nullptr : blocked.data() + r * cols;
+    for (std::size_t c = 0; c < cols; ++c) {
+      if (mask != nullptr && mask[c] != 0) {
+        row[c] = kBlocked;
+        continue;
+      }
+      if (row[c] == kObstacle) continue;
+      const std::int32_t left = c > 0 ? row[c - 1] : -1;
+      const std::int32_t above = up != nullptr ? up[c] : -1;
+      if (left >= 0) {
+        row[c] = left;
+        if (above >= 0 && above != left) unite(left, above);
+      } else if (above >= 0) {
+        row[c] = above;
+      } else {
+        row[c] = static_cast<std::int32_t>(parent.size());
+        parent.push_back(row[c]);
+      }
+    }
+  }
+  // One forward pass resolves every label to its root (parents come first).
+  for (std::int32_t& p : parent) p = up_of(p);
+  for (std::int32_t& l : labels_)
+    if (l >= 0) l = up_of(l);
+}
+
+bool SiteComponents::reachable(GridCoord from, GridCoord to) const {
+  BIOCHIP_REQUIRE(from.col >= 0 && from.col < cols_ && from.row >= 0 && from.row < rows_ &&
+                      to.col >= 0 && to.col < cols_ && to.row >= 0 && to.row < rows_,
+                  "route endpoints outside the grid");
+  if (from == to) return true;
+  if (blocked(to)) return false;
+  if (manhattan(from, to) == 1) return true;
+  const auto free_neighbours = [&](GridCoord c, std::int32_t (&out)[4]) {
+    int n = 0;
+    const GridCoord nbs[4] = {{c.col + 1, c.row},
+                              {c.col - 1, c.row},
+                              {c.col, c.row + 1},
+                              {c.col, c.row - 1}};
+    for (const GridCoord nb : nbs) {
+      if (nb.col < 0 || nb.col >= cols_ || nb.row < 0 || nb.row >= rows_) continue;
+      const std::int32_t l = label(nb);
+      if (l >= 0) out[n++] = l;
+    }
+    return n;
+  };
+  std::int32_t near_from[4];
+  std::int32_t near_to[4];
+  const int nf = free_neighbours(from, near_from);
+  const int nt = free_neighbours(to, near_to);
+  for (int a = 0; a < nf; ++a)
+    for (int b = 0; b < nt; ++b)
+      if (near_from[a] == near_to[b]) return true;
+  return false;
+}
+
 namespace {
 
 // Time-expanded A* for ONE request against a set of committed paths, in an
@@ -136,50 +234,16 @@ namespace {
 // committed paths park at their last waypoint). Returns the positions at
 // t0, t0+1, ..., or nullopt when no conflict-free path reaches the target
 // within `horizon` (an absolute step bound). Shared by the batch prioritized
-// planner (t0 = 0) and the online replanner (route_astar_reserved).
-// Static (time-free) reachability of req.to from req.from under the same
-// obstacle/blocked passability rules as the time-expanded search. A relaxed
-// superset of the real search space: if this says unreachable, so is every
-// time-expanded path.
-bool static_reachable(const RouteRequest& req, const RouteConfig& config) {
-  if (req.from == req.to) return true;
-  const auto idx = [&](GridCoord c) {
-    return static_cast<std::size_t>(c.row) * static_cast<std::size_t>(config.cols) +
-           static_cast<std::size_t>(c.col);
-  };
-  const auto passable = [&](GridCoord c) {
-    if (hits_obstacle(config, c) && !(c == req.to) && !(c == req.from)) return false;
-    if (config.is_blocked(c) && !(c == req.from)) return false;
-    return true;
-  };
-  std::vector<std::uint8_t> seen(
-      static_cast<std::size_t>(config.cols) * static_cast<std::size_t>(config.rows), 0);
-  std::vector<GridCoord> stack{req.from};
-  seen[idx(req.from)] = 1;
-  while (!stack.empty()) {
-    const GridCoord cur = stack.back();
-    stack.pop_back();
-    const GridCoord nbs[4] = {{cur.col + 1, cur.row},
-                              {cur.col - 1, cur.row},
-                              {cur.col, cur.row + 1},
-                              {cur.col, cur.row - 1}};
-    for (const GridCoord nxt : nbs) {
-      if (!in_bounds(config, nxt) || !passable(nxt)) continue;
-      if (nxt == req.to) return true;
-      if (seen[idx(nxt)]) continue;
-      seen[idx(nxt)] = 1;
-      stack.push_back(nxt);
-    }
-  }
-  return false;
-}
-
+// planner (t0 = 0) and the online replanner (route_astar_reserved). With
+// `skip_own`, committed paths carrying req.id are not reservations.
 std::optional<std::vector<GridCoord>> plan_one(const RouteRequest& req,
                                                const RouteConfig& config,
+                                               const SiteComponents& sites,
                                                const std::vector<RoutedPath>& committed,
-                                               int t0, int horizon) {
+                                               bool skip_own, int t0, int horizon) {
   BIOCHIP_REQUIRE(in_bounds(config, req.from) && in_bounds(config, req.to),
                   "route endpoints outside the grid");
+  const auto reserves = [&](const RoutedPath& c) { return !skip_own || c.id != req.id; };
 
   // Fast-fail prechecks: a hopeless request would otherwise exhaust the
   // whole (sites × horizon) time-expanded state space before reporting
@@ -190,10 +254,10 @@ std::optional<std::vector<GridCoord>> plan_one(const RouteRequest& req,
   //  * Static unreachability (blocked/obstacle topology) implies
   //    time-expanded unreachability.
   for (const RoutedPath& c : committed)
-    if (!c.waypoints.empty() &&
+    if (reserves(c) && !c.waypoints.empty() &&
         chebyshev(c.waypoints.back(), req.to) < config.min_separation)
       return std::nullopt;
-  if (!static_reachable(req, config)) return std::nullopt;
+  if (!sites.reachable(req.from, req.to)) return std::nullopt;
 
   // The planned cage avoids every committed path at every step. Cages not
   // yet planned are NOT treated as obstacles — they will, in turn, plan
@@ -202,11 +266,12 @@ std::optional<std::vector<GridCoord>> plan_one(const RouteRequest& req,
   // in callers guarantees global pairwise separation.
   auto conflicts = [&](GridCoord p, int t) {
     for (const RoutedPath& c : committed)
-      if (chebyshev(p, c.position_at(t)) < config.min_separation) return true;
+      if (reserves(c) && chebyshev(p, c.position_at(t)) < config.min_separation) return true;
     return false;
   };
   auto parking_ok = [&](GridCoord target, int t_arrive) {
     for (const RoutedPath& c : committed) {
+      if (!reserves(c)) continue;
       const int last = c.last_step();
       for (int t = t_arrive; t <= std::max(last, t_arrive); ++t)
         if (chebyshev(target, c.position_at(t)) < config.min_separation) return false;
@@ -265,10 +330,10 @@ std::optional<std::vector<GridCoord>> plan_one(const RouteRequest& req,
                                 {cur.col, cur.row - 1}};
     for (const GridCoord nxt : moves) {
       if (!in_bounds(config, nxt)) continue;
-      if (hits_obstacle(config, nxt) && !(nxt == req.to) && !(nxt == req.from)) continue;
+      if (sites.obstacle(nxt) && !(nxt == req.to) && !(nxt == req.from)) continue;
       // Blocked (defective) sites are never entered — not even as endpoints;
       // a path may only sit on one it already starts from.
-      if (config.is_blocked(nxt) && !(nxt == req.from)) continue;
+      if (sites.blocked(nxt) && !(nxt == req.from)) continue;
       const int nt = node.t + 1;
       if (visited.count(key(nxt, nt)) != 0) continue;
       if (conflicts(nxt, nt)) continue;
@@ -303,6 +368,7 @@ RouteResult route_astar(const std::vector<RouteRequest>& requests,
     const int d = manhattan(r.from, r.to);
     return d == 0 ? std::numeric_limits<int>::max() : d;
   };
+  const SiteComponents sites(config, config.blocked);
   std::vector<std::size_t> order(requests.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
@@ -314,7 +380,7 @@ RouteResult route_astar(const std::vector<RouteRequest>& requests,
 
   for (std::size_t oi : order) {
     const RouteRequest& req = requests[oi];
-    auto waypoints = plan_one(req, config, result.paths, 0, horizon);
+    auto waypoints = plan_one(req, config, sites, result.paths, false, 0, horizon);
     if (!waypoints) {
       result.failed_ids.push_back(req.id);
       // Park the failed cage at its source so later plans still avoid it.
@@ -336,11 +402,26 @@ std::optional<RoutedPath> route_astar_reserved(const RouteRequest& request,
                                                const RouteConfig& config,
                                                const std::vector<RoutedPath>& committed,
                                                int t0) {
-  check_config(config);
+  return route_astar_reserved(request, config, SiteComponents(config, config.blocked),
+                              committed, t0);
+}
+
+std::optional<RoutedPath> route_astar_reserved(const RouteRequest& request,
+                                               const RouteConfig& config,
+                                               const SiteComponents& sites,
+                                               const std::vector<RoutedPath>& committed,
+                                               int t0) {
+  BIOCHIP_REQUIRE(config.cols >= 1 && config.rows >= 1, "routing grid must be non-empty");
+  BIOCHIP_REQUIRE(sites.cols() == config.cols && sites.rows() == config.rows,
+                  "site components do not match the routing grid");
   BIOCHIP_REQUIRE(t0 >= 0, "reserved planning starts at a non-negative step");
+  // The horizon counts the paths actually reserved: the cage's own is not.
+  const auto reserved = static_cast<std::size_t>(
+      std::count_if(committed.begin(), committed.end(),
+                    [&](const RoutedPath& p) { return p.id != request.id; }));
   const int span = config.max_steps > 0 ? config.max_steps
-                                        : auto_horizon(config, committed.size() + 1);
-  auto waypoints = plan_one(request, config, committed, t0, t0 + span);
+                                        : auto_horizon(config, reserved + 1);
+  auto waypoints = plan_one(request, config, sites, committed, true, t0, t0 + span);
   if (!waypoints) return std::nullopt;
   return RoutedPath{request.id, std::move(*waypoints), t0};
 }

@@ -10,6 +10,8 @@
 ///    blocked; cheap, prone to gridlock (the baseline);
 ///  * `route_astar` — prioritized planning: time-expanded A* per cage
 ///    against a reservation table of previously committed paths.
+/// Both A* entry points take the grid's passability from a `SiteComponents`,
+/// which also answers their static reachability precheck.
 
 #include <cstdint>
 #include <optional>
@@ -97,6 +99,50 @@ struct RouteResult {
   std::vector<int> failed_ids; ///< requests that could not be routed
 };
 
+/// The sites of a routing grid under one blocked mask: each site is blocked,
+/// an obstacle (inside some `RouteObstacle`, not blocked) or free, and the
+/// free sites carry the label of their 4-connected component. The A* reads
+/// its passability here, and its static reachability precheck becomes a few
+/// label comparisons instead of a flood over the grid. Built in one scanline
+/// union-find pass (the sequential labelling of Rosenfeld & Pfaltz,
+/// "Sequential operations in digital picture processing", J. ACM 13(4),
+/// 1966), so an owner that keeps its mask across many searches rebuilds this
+/// only when the mask changes.
+class SiteComponents {
+ public:
+  /// Classify and label `config`'s grid with `config.obstacles` and
+  /// `blocked` (row-major; empty = nothing blocked) — `config.blocked` is not
+  /// read, so one config can carry different masks.
+  SiteComponents(const RouteConfig& config, const std::vector<std::uint8_t>& blocked);
+
+  int cols() const { return cols_; }
+  int rows() const { return rows_; }
+  bool blocked(GridCoord c) const { return label(c) == kBlocked; }
+  bool obstacle(GridCoord c) const { return label(c) == kObstacle; }
+
+  /// Static (time-free) reachability under the routers' passability rules: a
+  /// path may leave a blocked or obstacle `from` and may end inside an
+  /// obstacle, but never enters a blocked site. Exactly a flood from `from`:
+  /// `from == to` is reachable; otherwise a blocked `to` is not, an adjacent
+  /// `to` is, and any other `to` is iff a free neighbour of `from` and a free
+  /// neighbour of `to` share a component. A relaxed superset of the
+  /// time-expanded search space: unreachable here means no path at all.
+  bool reachable(GridCoord from, GridCoord to) const;
+
+ private:
+  static constexpr std::int32_t kObstacle = -1;
+  static constexpr std::int32_t kBlocked = -2;
+
+  std::int32_t label(GridCoord c) const {
+    return labels_[static_cast<std::size_t>(c.row) * static_cast<std::size_t>(cols_) +
+                   static_cast<std::size_t>(c.col)];
+  }
+
+  int cols_ = 0;
+  int rows_ = 0;
+  std::vector<std::int32_t> labels_;  ///< component id (>= 0), kObstacle or kBlocked
+};
+
 RouteResult route_greedy(const std::vector<RouteRequest>& requests,
                          const RouteConfig& config);
 
@@ -109,11 +155,24 @@ RouteResult route_astar(const std::vector<RouteRequest>& requests,
 /// paths are indexed in the same absolute time frame (waypoint t of each
 /// path is its position at step t; paths park at their last waypoint), so a
 /// supervisor can keep every still-valid plan live and re-plan only the
-/// deviating cage. Returns the new path as positions at t0, t0+1, ... (with
-/// `start = t0`, so `position_at` works in the same absolute frame) or
-/// nullopt when no conflict-free path exists within the horizon.
+/// deviating cage. A committed path carrying `request.id` is the cage's own
+/// and reserves nothing (nor counts toward the auto horizon), so an owner of
+/// the plan can pass it whole. Returns the new path as positions at t0,
+/// t0+1, ... (with `start = t0`, so `position_at` works in the same absolute
+/// frame) or nullopt when no conflict-free path exists within the horizon.
+/// Builds `config`'s `SiteComponents` for the one call.
 std::optional<RoutedPath> route_astar_reserved(const RouteRequest& request,
                                                const RouteConfig& config,
+                                               const std::vector<RoutedPath>& committed,
+                                               int t0);
+
+/// The same search with the grid's sites supplied by their owner: `sites`
+/// stands in for `config.obstacles` and `config.blocked` (build it from
+/// `config` and the mask in force); `config` gives the grid, separation and
+/// horizon.
+std::optional<RoutedPath> route_astar_reserved(const RouteRequest& request,
+                                               const RouteConfig& config,
+                                               const SiteComponents& sites,
                                                const std::vector<RoutedPath>& committed,
                                                int t0);
 

@@ -1,5 +1,6 @@
 #include "chip/defects.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -71,12 +72,39 @@ double usable_cage_fraction(const ElectrodeArray& array, const DefectMap& defect
 
 std::vector<std::uint8_t> blocked_site_mask(const ElectrodeArray& array,
                                             const DefectMap& defects, int ring) {
-  std::vector<std::uint8_t> mask(array.electrode_count(), 0);
-  for (int r = 0; r < array.rows(); ++r)
-    for (int c = 0; c < array.cols(); ++c)
-      mask[static_cast<std::size_t>(r) * static_cast<std::size_t>(array.cols()) +
-           static_cast<std::size_t>(c)] =
-          site_usable(array, defects, {c, r}, ring) ? 0 : 1;
+  BIOCHIP_REQUIRE(ring >= 0, "ring must be non-negative");
+  // `site_usable`'s (2·ring+1)² window is separable: dilate the defective
+  // pixels along each row, then the rows along each column. A window that
+  // leaves the array (within `ring` of an edge) blocks the site outright.
+  const int cols = array.cols();
+  const int rows = array.rows();
+  const auto ucols = static_cast<std::size_t>(cols);
+  std::vector<std::uint8_t> row_bad(array.electrode_count());
+  std::vector<std::uint8_t> bad(ucols);
+  for (int r = 0; r < rows; ++r) {
+    for (int c = 0; c < cols; ++c)
+      bad[static_cast<std::size_t>(c)] = defects.state({c, r}) != PixelState::kOk ? 1 : 0;
+    std::uint8_t* out = row_bad.data() + static_cast<std::size_t>(r) * ucols;
+    for (int c = 0; c < cols; ++c) {
+      std::uint8_t b = c < ring || c >= cols - ring ? 1 : 0;
+      for (int k = -ring; k <= ring && b == 0; ++k) b = bad[static_cast<std::size_t>(c + k)];
+      out[c] = b;
+    }
+  }
+  std::vector<std::uint8_t> mask(array.electrode_count());
+  for (int r = 0; r < rows; ++r) {
+    std::uint8_t* out = mask.data() + static_cast<std::size_t>(r) * ucols;
+    if (r < ring || r >= rows - ring) {
+      std::fill(out, out + ucols, std::uint8_t{1});
+      continue;
+    }
+    std::copy(row_bad.begin() + static_cast<std::ptrdiff_t>(r - ring) * cols,
+              row_bad.begin() + static_cast<std::ptrdiff_t>(r - ring + 1) * cols, out);
+    for (int k = -ring + 1; k <= ring; ++k) {
+      const std::uint8_t* in = row_bad.data() + static_cast<std::size_t>(r + k) * ucols;
+      for (std::size_t c = 0; c < ucols; ++c) out[c] |= in[c];
+    }
+  }
   return mask;
 }
 

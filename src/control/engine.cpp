@@ -128,7 +128,9 @@ EpisodeRuntime::EpisodeRuntime(ClosedLoopEngine& owner, std::vector<CageGoal> go
   tracker_.emplace(capture_);
   for (const auto& [cid, bi] : cage_bodies_) tracker_->add_track(cid);
 
-  supervisor_.emplace(config.rescue, array, defects_, *replanner_, capture_);
+  if (config.rescue) rescue_sites_.emplace(rescue_sites());
+  supervisor_.emplace(rescue_sites_.has_value() ? &*rescue_sites_ : nullptr, array,
+                      defects_, *replanner_, capture_);
   for (const CageGoal& g : goals_) supervisor_->add_cage(g.cage_id, g.destination);
   if (config.closed_loop) {
     const auto pre = supervisor_->preflight();
@@ -214,6 +216,14 @@ void EpisodeRuntime::refresh_blocked() {
     if (quarantine_mask_[i] != 0) blocked_[i] = 1;
   truth_blocked_ = chip::blocked_site_mask(array, truth_defects_, ring);
   if (replanner_.has_value()) replanner_->set_blocked(blocked_);
+  if (rescue_sites_.has_value()) *rescue_sites_ = rescue_sites();
+}
+
+cad::SiteComponents EpisodeRuntime::rescue_sites() const {
+  // Ring-0 semantics: an empty cage only needs its own pixel functional —
+  // there is no cell aboard for a broken counter-phase wall to lose.
+  return cad::SiteComponents(replanner_->config(),
+                             chip::blocked_site_mask(owner_.cages_.array(), defects_, 0));
 }
 
 double EpisodeRuntime::excess_blocked_fraction() const {
@@ -628,21 +638,15 @@ std::optional<int> EpisodeRuntime::admit_cage(GridCoord at, GridCoord goal, int 
     if (chebyshev(p.position_at(t), at) < min_sep) return std::nullopt;
 
   // Route through this chamber's own reservation table, defect-aware.
-  const int id = cages.create(at);
-  const auto fresh =
-      cad::route_astar_reserved({id, at, goal}, replanner_->config(),
-                                replanner_->paths(), t);
-  if (!fresh) {
-    cages.destroy(id);
-    return std::nullopt;
-  }
   // Absolute time frame: the fresh route starts at tick t (`start = t`), and
   // `position_at` clamps every earlier tick to the port site — observably
   // identical to materializing t copies of `at`, without the O(t) prefix
   // that would make open-system admission cost grow with elapsed time.
-  cad::RoutedPath path = *fresh;
-  path.id = id;
-  replanner_->add_path(std::move(path));
+  const int id = cages.create(at);
+  if (!replanner_->admit({id, at, goal}, t)) {
+    cages.destroy(id);
+    return std::nullopt;
+  }
 
   tracker_->add_track(id);
   supervisor_->add_cage(id, goal);

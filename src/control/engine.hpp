@@ -339,8 +339,12 @@ class EpisodeRuntime {
   void displace(int t, int cage_id, GridCoord site, physics::ParticleBody& body,
                 double angle, double distance_pitches);
   /// Recompute belief + truth blocked masks from the (mutated) defect maps
-  /// and the quarantine mask, and push the belief mask into the replanner.
+  /// and the quarantine mask, push the belief mask into the replanner, and
+  /// rebuild the rescue sites when rescue is on.
   void refresh_blocked();
+  /// The belief map's ring-0 sites (blocked iff the site's own pixel is
+  /// defective): what an empty rescue cage may traverse.
+  cad::SiteComponents rescue_sites() const;
   /// True when ground truth leaves the site's trap functional.
   bool truth_site_ok(GridCoord site) const;
   /// Health observation over the audit events recorded since the last scan.
@@ -414,6 +418,10 @@ class EpisodeRuntime {
   Rng fault_base_;
 
   std::optional<Replanner> replanner_;
+  /// `rescue_sites()` of the current belief map, engaged only with
+  /// `ControlConfig::rescue`; rebuilt by `refresh_blocked`, read by the
+  /// supervisor's rescue replans.
+  std::optional<cad::SiteComponents> rescue_sites_;
   std::optional<OccupancyTracker> tracker_;
   std::optional<Supervisor> supervisor_;
 

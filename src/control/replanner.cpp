@@ -6,10 +6,8 @@
 
 namespace biochip::control {
 
-Replanner::Replanner(cad::RouteConfig config) : config_(std::move(config)) {
-  BIOCHIP_REQUIRE(config_.cols >= 1 && config_.rows >= 1,
-                  "replanner needs a non-empty grid");
-}
+Replanner::Replanner(cad::RouteConfig config)
+    : config_(std::move(config)), sites_(config_, config_.blocked) {}
 
 void Replanner::commit(std::vector<cad::RoutedPath> paths) {
   paths_ = std::move(paths);
@@ -17,10 +15,12 @@ void Replanner::commit(std::vector<cad::RoutedPath> paths) {
     BIOCHIP_REQUIRE(!p.waypoints.empty(), "committed path has no waypoints");
 }
 
-void Replanner::add_path(cad::RoutedPath path) {
-  BIOCHIP_REQUIRE(!path.waypoints.empty(), "committed path has no waypoints");
-  BIOCHIP_REQUIRE(!has_path(path.id), "cage already has a committed path");
-  paths_.push_back(std::move(path));
+bool Replanner::admit(const cad::RouteRequest& request, int t0) {
+  BIOCHIP_REQUIRE(!has_path(request.id), "cage already has a committed path");
+  auto fresh = cad::route_astar_reserved(request, config_, sites_, paths_, t0);
+  if (!fresh) return false;
+  paths_.push_back(std::move(*fresh));
+  return true;
 }
 
 void Replanner::remove_path(int cage_id) {
@@ -97,29 +97,21 @@ void Replanner::compact(int t) {
 }
 
 void Replanner::set_blocked(std::vector<std::uint8_t> blocked) {
-  BIOCHIP_REQUIRE(blocked.empty() ||
-                      blocked.size() == static_cast<std::size_t>(config_.cols) *
-                                            static_cast<std::size_t>(config_.rows),
-                  "blocked mask shape does not match the route grid");
+  sites_ = cad::SiteComponents(config_, blocked);  // checks the mask's shape
   config_.blocked = std::move(blocked);
 }
 
 bool Replanner::replan(int cage_id, GridCoord to, int t_now) {
-  return replan(cage_id, to, t_now, config_.blocked);
+  return replan(cage_id, to, t_now, sites_);
 }
 
 bool Replanner::replan(int cage_id, GridCoord to, int t_now,
-                       const std::vector<std::uint8_t>& blocked_override) {
+                       const cad::SiteComponents& sites) {
   cad::RoutedPath& own = path(cage_id);
   const GridCoord from = own.position_at(t_now);
-  std::vector<cad::RoutedPath> committed;
-  committed.reserve(paths_.size() - 1);
-  for (const cad::RoutedPath& p : paths_)
-    if (p.id != cage_id) committed.push_back(p);
-  cad::RouteConfig cfg = config_;
-  cfg.blocked = blocked_override;
+  // The cage's own path rides along in paths_; the router skips it by id.
   const auto fresh =
-      cad::route_astar_reserved({cage_id, from, to}, cfg, committed, t_now);
+      cad::route_astar_reserved({cage_id, from, to}, config_, sites, paths_, t_now);
   if (!fresh) return false;
   // Keep retained history up to t_now-1, then splice the new route (starts
   // at t_now). History older than the path's own start was compacted away

@@ -10,7 +10,10 @@
 ///  * `park` freezes a cage in place (a paused tow);
 ///  * `replan` routes one cage to a new target through the reservation table
 ///    of every other committed path (`cad::route_astar_reserved`), honoring
-///    the blocked-site mask (defective sites) baked into the route config.
+///    the blocked-site mask (defective sites) baked into the route config;
+///  * `admit` routes and commits a cage handed in mid-episode.
+/// It owns the mask and its `cad::SiteComponents`, rebuilt only when the
+/// mask changes, so no search copies the mask or re-scans the grid.
 /// The invariant the engine relies on: after each tick's bookkeeping,
 /// `position_at(id, t)` equals the cage's physical site.
 
@@ -31,8 +34,10 @@ class Replanner {
   const cad::RouteConfig& config() const { return config_; }
 
   /// Replace the blocked-site mask mid-episode (runtime fault injection /
-  /// health quarantine grew the defect state). Committed paths are left
-  /// untouched — the supervisor's defect lookahead reroutes them.
+  /// health quarantine grew the defect state) and rebuild its site
+  /// components — the only place they are built after construction.
+  /// Committed paths are left untouched — the supervisor's defect lookahead
+  /// reroutes them.
   void set_blocked(std::vector<std::uint8_t> blocked);
 
   /// Install the committed plan (absolute time frame, t = 0 = episode start).
@@ -40,10 +45,12 @@ class Replanner {
   const std::vector<cad::RoutedPath>& paths() const { return paths_; }
   bool has_path(int cage_id) const;
 
-  /// Add one committed path mid-episode (a cage admitted by a cross-chamber
-  /// handoff). The path must already be in the absolute time frame and must
-  /// not collide with an existing id.
-  void add_path(cad::RoutedPath path);
+  /// Route a cage admitted mid-episode (a cross-chamber handoff) from
+  /// `request.from` at tick `t0` to `request.to` through every committed
+  /// path, under the committed mask, and commit the route. `request.id` must
+  /// not have a path yet. Returns false (nothing committed) when no
+  /// conflict-free route exists.
+  bool admit(const cad::RouteRequest& request, int t0);
 
   /// Drop a cage's committed path (the cage left this chamber). Its
   /// reservation disappears with it.
@@ -77,11 +84,11 @@ class Replanner {
   /// (path untouched) when the router finds no conflict-free route.
   bool replan(int cage_id, GridCoord to, int t_now);
 
-  /// `replan` against an override blocked mask instead of the committed one
-  /// (rescue maneuvers route an empty cage through ring-defective sites).
-  /// Reservations of every other committed path still apply.
-  bool replan(int cage_id, GridCoord to, int t_now,
-              const std::vector<std::uint8_t>& blocked_override);
+  /// `replan` under other sites than the committed mask's (rescue maneuvers
+  /// route an empty cage through ring-defective sites). `sites` must be built
+  /// from this replanner's config; its owner keeps it current. Reservations
+  /// of every other committed path still apply.
+  bool replan(int cage_id, GridCoord to, int t_now, const cad::SiteComponents& sites);
 
   /// True when any of the path steps in (t, t + lookahead] enters a blocked
   /// site — the defect lookahead trigger.
@@ -95,6 +102,7 @@ class Replanner {
   const cad::RoutedPath& path(int cage_id) const;
 
   cad::RouteConfig config_;
+  cad::SiteComponents sites_;  ///< config_'s sites under config_.blocked
   std::vector<cad::RoutedPath> paths_;
   std::size_t replans_ = 0;
 };

@@ -55,10 +55,10 @@ std::optional<GridCoord> nearest_site(const chip::ElectrodeArray& array, Vec2 fi
 
 }  // namespace
 
-Supervisor::Supervisor(bool rescue, const chip::ElectrodeArray& array,
-                       const chip::DefectMap& defects, Replanner& replanner,
-                       double capture_radius)
-    : rescue_(rescue), array_(array), defects_(defects), replanner_(replanner),
+Supervisor::Supervisor(const cad::SiteComponents* rescue_sites,
+                       const chip::ElectrodeArray& array, const chip::DefectMap& defects,
+                       Replanner& replanner, double capture_radius)
+    : rescue_sites_(rescue_sites), array_(array), defects_(defects), replanner_(replanner),
       capture_radius_(capture_radius) {
   BIOCHIP_REQUIRE(capture_radius_ > 0.0, "capture radius must be positive");
 }
@@ -125,20 +125,6 @@ bool Supervisor::credible_fix(Vec2 position) const {
   return defects_.state(pixel) == chip::PixelState::kOk;
 }
 
-std::vector<std::uint8_t> Supervisor::relaxed_blocked() const {
-  // Ring-0 semantics: an empty cage only needs its own pixel functional —
-  // there is no cell aboard for a broken counter-phase wall to lose.
-  std::vector<std::uint8_t> mask(static_cast<std::size_t>(array_.cols()) *
-                                     static_cast<std::size_t>(array_.rows()),
-                                 0);
-  for (int r = 0; r < array_.rows(); ++r)
-    for (int c = 0; c < array_.cols(); ++c)
-      mask[static_cast<std::size_t>(r) * static_cast<std::size_t>(array_.cols()) +
-           static_cast<std::size_t>(c)] =
-          defects_.state({c, r}) == chip::PixelState::kOk ? 0 : 1;
-  return mask;
-}
-
 std::vector<ControlEvent> Supervisor::preflight() {
   std::vector<ControlEvent> events;
   for (Cage& c : cages_) {
@@ -178,7 +164,7 @@ std::vector<ControlEvent> Supervisor::step(int t, const OccupancyTracker& tracke
   const auto try_replan = [&](Cage& c, GridCoord target) {
     if (c.replan_cooldown > 0) return false;
     if (replanner_.replan(c.cage_id, target, t)) return true;
-    if (c.rescue && replanner_.replan(c.cage_id, target, t, relaxed_blocked()))
+    if (c.rescue && replanner_.replan(c.cage_id, target, t, *rescue_sites_))
       return true;
     c.replan_cooldown = kReplanBackoff;
     return false;
@@ -188,7 +174,7 @@ std::vector<ControlEvent> Supervisor::step(int t, const OccupancyTracker& tracke
   // Checked without a cooldown of its own — it runs as the same-tick fallback
   // of a failed strict attempt, whose backoff already throttles the pair.
   const auto try_replan_relaxed = [&](Cage& c, GridCoord target) {
-    return replanner_.replan(c.cage_id, target, t, relaxed_blocked());
+    return replanner_.replan(c.cage_id, target, t, *rescue_sites_);
   };
 
   // Confirmed tracker transitions.
@@ -265,7 +251,8 @@ std::vector<ControlEvent> Supervisor::step(int t, const OccupancyTracker& tracke
         // (the cage waits out its patience and re-hunts).
         const bool worth_trying =
             site.has_value() &&
-            (!rescue_ || (array_.center(*site) - fix).norm() <= capture_radius_);
+            (rescue_sites_ == nullptr ||
+             (array_.center(*site) - fix).norm() <= capture_radius_);
         bool started = false;
         if (worth_trying && try_replan(c, *site)) {
           c.mode = CageMode::kRecapturing;
@@ -274,7 +261,7 @@ std::vector<ControlEvent> Supervisor::step(int t, const OccupancyTracker& tracke
           emit(EventKind::kRecaptureStarted, c);
           started = true;
         }
-        if (!started && rescue_) {
+        if (!started && rescue_sites_ != nullptr) {
           // The cell sits in a fully blocked neighborhood (or the boundary
           // approach is unroutable): park an adjacent cage on a ring-
           // defective site whose own pixel still traps and whose basin

@@ -39,11 +39,14 @@ enum class CageMode : std::uint8_t {
 
 class Supervisor {
  public:
-  /// `rescue` enables the rescue maneuver (`ControlConfig::rescue`).
+  /// A non-null `rescue_sites` enables the rescue maneuver
+  /// (`ControlConfig::rescue`): the ring-0 sites of the belief map that an
+  /// empty rescue cage routes under. Its owner keeps it current as the
+  /// belief map changes; the supervisor only reads it.
   /// `capture_radius` [m] is the trap basin's reach — the supervisor uses it
   /// to judge whether a candidate capture site can actually pull a stray
   /// cell in (a trap exerts zero force beyond it).
-  Supervisor(bool rescue, const chip::ElectrodeArray& array,
+  Supervisor(const cad::SiteComponents* rescue_sites, const chip::ElectrodeArray& array,
              const chip::DefectMap& defects, Replanner& replanner,
              double capture_radius);
 
@@ -105,11 +108,8 @@ class Supervisor {
   /// True when the detection sits over a healthy pixel (stuck-cage phantoms
   /// and dead-pixel artifacts are rejected via the self-test defect map).
   bool credible_fix(Vec2 position) const;
-  /// Ring-0 blocked mask (blocked iff the site's own pixel is defective) —
-  /// what an empty rescue cage may traverse.
-  std::vector<std::uint8_t> relaxed_blocked() const;
 
-  bool rescue_;
+  const cad::SiteComponents* rescue_sites_;  ///< null = rescue off
   const chip::ElectrodeArray& array_;
   const chip::DefectMap& defects_;
   Replanner& replanner_;

@@ -61,7 +61,9 @@ struct PhasorStats {
 /// Solve the phasor problem for the given domain/electrodes/lid.
 /// The two quadrature solves share one multigrid hierarchy: `workspace`'s
 /// when given, which callers performing many solves on one domain reuse
-/// throughout, else one prepared for this call.
+/// throughout, else one prepared for this call. A quadrature whose Dirichlet
+/// values are all zero (the imaginary half of a real drive) is not solved:
+/// it is the zero grid, reported as a converged solve of no cycles.
 PhasorSolution solve_phasor(const ChamberDomain& domain,
                             const std::vector<ElectrodePatch>& electrodes,
                             std::optional<std::complex<double>> lid,

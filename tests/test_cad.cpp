@@ -13,6 +13,7 @@
 #include "cad/synthesis.hpp"
 #include "chip/defects.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 
 namespace biochip::cad {
 namespace {
@@ -430,6 +431,153 @@ TEST(Route, AstarReservedRepeatedSearchesAreBitwiseIdentical) {
     ASSERT_TRUE(p.has_value());
     EXPECT_EQ(p->waypoints, first_pass[i]) << "replan " << i << " diverged";
   }
+
+  // An owner of the whole plan passes the cage's own path along: skipped by
+  // its id, it must route exactly as if it had been removed.
+  const SiteComponents sites(cfg, cfg.blocked);
+  for (std::size_t i = 0; i < replans.size(); ++i) {
+    const auto p = route_astar_reserved(replans[i], cfg, sites, base.paths, 0);
+    ASSERT_TRUE(p.has_value());
+    EXPECT_EQ(p->waypoints, first_pass[i]) << "replan " << i << " with its own path";
+  }
+
+  // The auto horizon counts only the paths reserved. Cage 1 waits beside the
+  // target until step 230, just past the horizon of one reservation (228 on
+  // this grid): counting the cage's own path as well (236) would let it park.
+  RouteConfig open = small_grid();
+  RoutedPath waiter{1, std::vector<GridCoord>(231, GridCoord{20, 9})};
+  for (int row = 8; row >= 5; --row) waiter.waypoints.push_back({20, row});
+  const RoutedPath own{0, {{2, 10}}};
+  const RouteRequest late{0, {2, 10}, {20, 10}};
+  EXPECT_FALSE(route_astar_reserved(late, open, {waiter}, 0).has_value());
+  EXPECT_FALSE(route_astar_reserved(late, open, SiteComponents(open, open.blocked),
+                                    {own, waiter}, 0)
+                   .has_value());
+  open.max_steps = 236;
+  const auto longer = route_astar_reserved(late, open, {waiter}, 0);
+  ASSERT_TRUE(longer.has_value());  // the case does turn on those 8 steps
+  EXPECT_EQ(route_astar_reserved(late, open, SiteComponents(open, open.blocked),
+                                 {own, waiter}, 0)
+                ->waypoints,
+            longer->waypoints);
+}
+
+// The flood the router ran before every search until the precheck became a
+// label lookup, kept as the oracle of SiteComponents::reachable: a DFS from
+// `from` over in-bounds sites, where an obstacle may only be the start or the
+// target and a blocked site only the start.
+bool flood_reachable(const RouteRequest& req, const RouteConfig& config) {
+  if (req.from == req.to) return true;
+  const auto in_bounds = [&](GridCoord c) {
+    return c.col >= 0 && c.col < config.cols && c.row >= 0 && c.row < config.rows;
+  };
+  const auto idx = [&](GridCoord c) {
+    return static_cast<std::size_t>(c.row) * static_cast<std::size_t>(config.cols) +
+           static_cast<std::size_t>(c.col);
+  };
+  const auto passable = [&](GridCoord c) {
+    bool obstacle = false;
+    for (const RouteObstacle& ob : config.obstacles) obstacle = obstacle || ob.contains(c);
+    if (obstacle && !(c == req.to) && !(c == req.from)) return false;
+    if (config.is_blocked(c) && !(c == req.from)) return false;
+    return true;
+  };
+  std::vector<std::uint8_t> seen(
+      static_cast<std::size_t>(config.cols) * static_cast<std::size_t>(config.rows), 0);
+  std::vector<GridCoord> stack{req.from};
+  seen[idx(req.from)] = 1;
+  while (!stack.empty()) {
+    const GridCoord cur = stack.back();
+    stack.pop_back();
+    const GridCoord nbs[4] = {{cur.col + 1, cur.row},
+                              {cur.col - 1, cur.row},
+                              {cur.col, cur.row + 1},
+                              {cur.col, cur.row - 1}};
+    for (const GridCoord nxt : nbs) {
+      if (!in_bounds(nxt) || !passable(nxt)) continue;
+      if (nxt == req.to) return true;
+      if (seen[idx(nxt)]) continue;
+      seen[idx(nxt)] = 1;
+      stack.push_back(nxt);
+    }
+  }
+  return false;
+}
+
+// Seeded fuzz of the label precheck against the flood: 1×N and N×1 strips
+// and small grids, blocked densities 0-0.6 and empty masks, obstacles that
+// reach past the edges, and endpoints chosen to hit every rule — from == to,
+// adjacent pairs, a from or to inside an obstacle, a blocked from or to, and
+// grid edges.
+TEST(Route, SiteComponentsMatchFloodOracle) {
+  Rng rng(0x5C0DE);
+  const auto pick = [&](int n) { return static_cast<int>(rng.uniform_int(0, n - 1)); };
+  std::size_t cases = 0, reachable = 0;
+  for (int grid = 0; grid < 2400; ++grid) {
+    RouteConfig cfg;
+    cfg.cols = grid % 4 == 0 ? 1 : 1 + pick(14);
+    cfg.rows = grid % 4 == 1 ? 1 : 1 + pick(14);
+    const auto sites = static_cast<std::size_t>(cfg.cols) * static_cast<std::size_t>(cfg.rows);
+    const double density = 0.1 * static_cast<double>(grid % 7);  // 0 .. 0.6
+    if (grid % 5 != 0) {  // every fifth grid keeps the empty (all-free) mask
+      cfg.blocked.assign(sites, 0);
+      for (std::uint8_t& b : cfg.blocked) b = rng.bernoulli(density) ? 1 : 0;
+    }
+    for (int k = pick(3); k > 0; --k)
+      cfg.obstacles.push_back({{pick(cfg.cols + 2) - 1, pick(cfg.rows + 2) - 1},
+                               1 + pick(4), 1 + pick(4)});
+    const SiteComponents components(cfg, cfg.blocked);
+
+    const auto random_site = [&] { return GridCoord{pick(cfg.cols), pick(cfg.rows)}; };
+    const auto site_where = [&](auto pred) {
+      for (int tries = 0; tries < 64; ++tries) {
+        const GridCoord c = random_site();
+        if (pred(c)) return c;
+      }
+      return random_site();
+    };
+    const auto in_obstacle = [&](GridCoord c) {
+      for (const RouteObstacle& ob : cfg.obstacles)
+        if (ob.contains(c)) return true;
+      return false;
+    };
+    const auto on_edge = [&](GridCoord c) {
+      return c.col == 0 || c.row == 0 || c.col == cfg.cols - 1 || c.row == cfg.rows - 1;
+    };
+    for (int pair = 0; pair < 10; ++pair) {
+      GridCoord from = random_site();
+      GridCoord to = random_site();
+      switch (pair) {
+        case 0: to = from; break;
+        case 1: {
+          const GridCoord nbs[4] = {{from.col + 1, from.row},
+                                    {from.col - 1, from.row},
+                                    {from.col, from.row + 1},
+                                    {from.col, from.row - 1}};
+          const GridCoord nb = nbs[pick(4)];
+          if (nb.col >= 0 && nb.col < cfg.cols && nb.row >= 0 && nb.row < cfg.rows) to = nb;
+          break;
+        }
+        case 2: from = site_where(in_obstacle); break;
+        case 3: to = site_where(in_obstacle); break;
+        case 4: from = site_where([&](GridCoord c) { return cfg.is_blocked(c); }); break;
+        case 5: to = site_where([&](GridCoord c) { return cfg.is_blocked(c); }); break;
+        case 6: from = site_where(on_edge); to = site_where(on_edge); break;
+        default: break;
+      }
+      const bool expect = flood_reachable({0, from, to}, cfg);
+      ASSERT_EQ(components.reachable(from, to), expect)
+          << "grid " << grid << " (" << cfg.cols << "x" << cfg.rows << ", "
+          << cfg.obstacles.size() << " obstacles) from {" << from.col << "," << from.row
+          << "} to {" << to.col << "," << to.row << "}";
+      ++cases;
+      if (expect) ++reachable;
+    }
+  }
+  EXPECT_GE(cases, 20000u);
+  // Both answers are common, so neither rule is checked only vacuously.
+  EXPECT_GT(reachable, cases / 5);
+  EXPECT_LT(reachable, cases - cases / 5);
 }
 
 TEST(Route, GreedyGridlocksWhereAstarSolves) {

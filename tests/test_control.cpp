@@ -1,4 +1,5 @@
 // Tests for the closed-loop control subsystem: tracker hysteresis, the
+// replanner's mask ownership, the
 // lost → recapture → delivery loop on a seeded episode, pooled-vs-serial
 // bitwise identity, body-slot reuse and per-body stream keying, and
 // defect-injection fuzz.
@@ -13,8 +14,10 @@
 
 #include "cell/library.hpp"
 #include "chip/device.hpp"
+#include "common/error.hpp"
 #include "control/engine.hpp"
 #include "control/events.hpp"
+#include "control/replanner.hpp"
 #include "control/tracker.hpp"
 #include "core/threadpool.hpp"
 #include "physics/medium.hpp"
@@ -91,6 +94,69 @@ TEST_F(TrackerTest, OutOfGateDetectionIsUnmatched) {
 }
 
 // ------------------------------------------------------- episode fixtures ----
+
+// -------------------------------------------------------------- replanner ----
+
+// A 16×12 grid whose column 8 is walled off when `wall` is set.
+std::vector<std::uint8_t> column_wall(const cad::RouteConfig& cfg, bool wall) {
+  std::vector<std::uint8_t> mask(static_cast<std::size_t>(cfg.cols * cfg.rows), 0);
+  if (wall)
+    for (int r = 0; r < cfg.rows; ++r) mask[static_cast<std::size_t>(r * cfg.cols + 8)] = 1;
+  return mask;
+}
+
+cad::RouteConfig replanner_grid() {
+  cad::RouteConfig cfg;
+  cfg.cols = 16;
+  cfg.rows = 12;
+  return cfg;
+}
+
+// The replanner's reachability labels follow its mask: a wall that cuts the
+// goal off makes the replan fail with the path untouched, and once the wall
+// is cleared the same replan must succeed — labels left over from the walled
+// mask would still refuse it.
+TEST(ReplannerTest, SetBlockedRebuildsTheReachabilityLabels) {
+  const cad::RouteConfig cfg = replanner_grid();
+  Replanner planner(cfg);
+  planner.commit({{0, {{2, 5}}}, {1, {{13, 1}}}});
+  const GridCoord goal{13, 8};
+
+  planner.set_blocked(column_wall(cfg, true));
+  EXPECT_FALSE(planner.replan(0, goal, 1));
+  EXPECT_EQ(planner.position_at(0, 40), (GridCoord{2, 5}));
+  EXPECT_EQ(planner.replans(), 0u);
+
+  planner.set_blocked(column_wall(cfg, false));
+  ASSERT_TRUE(planner.replan(0, goal, 1));
+  EXPECT_EQ(planner.replans(), 1u);
+  const int end = planner.horizon();
+  EXPECT_EQ(planner.position_at(0, end), goal);
+  for (int t = 1; t <= end; ++t)
+    EXPECT_GE(chebyshev(planner.position_at(0, t), planner.position_at(1, t)),
+              cfg.min_separation)
+        << "t " << t;
+}
+
+// Rescue replans route under sites their owner supplies instead of the
+// committed mask; admissions route under the committed mask and commit.
+TEST(ReplannerTest, OverrideSitesAndAdmissionsUseTheirOwnMasks) {
+  const cad::RouteConfig cfg = replanner_grid();
+  Replanner planner(cfg);
+  planner.commit({{0, {{2, 5}}}});
+  planner.set_blocked(column_wall(cfg, true));
+
+  const cad::SiteComponents open(cfg, column_wall(cfg, false));
+  ASSERT_TRUE(planner.replan(0, {13, 8}, 1, open));
+  EXPECT_EQ(planner.position_at(0, planner.horizon()), (GridCoord{13, 8}));
+
+  EXPECT_FALSE(planner.admit({1, {2, 2}, {12, 2}}, 3));  // the wall holds
+  EXPECT_FALSE(planner.has_path(1));
+  ASSERT_TRUE(planner.admit({1, {2, 2}, {6, 2}}, 3));
+  EXPECT_EQ(planner.position_at(1, 0), (GridCoord{2, 2}));  // parked before t0
+  EXPECT_EQ(planner.position_at(1, planner.horizon() + 1), (GridCoord{6, 2}));
+  EXPECT_THROW(planner.admit({1, {2, 8}, {5, 8}}, 4), PreconditionError);
+}
 
 sensor::CapacitivePixel pixel_for(const chip::BiochipDevice& dev) {
   sensor::CapacitivePixel px;

@@ -180,6 +180,35 @@ TEST(Defects, GracefulDegradationBeatsAllGoodYield) {
   EXPECT_NEAR(usable, chip::expected_usable_fraction(1e-3), 0.01);
 }
 
+// blocked_site_mask computes site_usable's (2·ring+1)² window as a row then a
+// column dilation plus the edge rule; it must match the per-site definition
+// byte for byte, on grids narrower than the window too (every site blocked).
+TEST(Defects, BlockedMaskMatchesPerSiteUsability) {
+  Rng rng(0xB10C);
+  std::size_t sites = 0, blocked = 0;
+  for (int trial = 0; trial < 240; ++trial) {
+    const int ring = trial % 4;
+    const int cols = 1 + static_cast<int>(rng.uniform_int(0, 15));
+    const int rows = 1 + static_cast<int>(rng.uniform_int(0, 15));
+    const chip::ElectrodeArray array(cols, rows, 20e-6);
+    const double p = 0.02 * static_cast<double>(trial % 6);  // 0 .. 0.1
+    const chip::DefectMap map = chip::sample_defects(array, p, rng);
+    const std::vector<std::uint8_t> mask = chip::blocked_site_mask(array, map, ring);
+    ASSERT_EQ(mask.size(), array.electrode_count());
+    for (int r = 0; r < rows; ++r)
+      for (int c = 0; c < cols; ++c) {
+        const std::uint8_t expect = chip::site_usable(array, map, {c, r}, ring) ? 0 : 1;
+        ASSERT_EQ(mask[static_cast<std::size_t>(r * cols + c)], expect)
+            << "trial " << trial << " (" << cols << "x" << rows << ", ring " << ring
+            << ") site {" << c << "," << r << "}";
+        ++sites;
+        blocked += expect;
+      }
+  }
+  EXPECT_GT(blocked, sites / 10);
+  EXPECT_LT(blocked, sites - sites / 10);
+}
+
 TEST(Defects, ExpectedFractionMonotonicInRing) {
   EXPECT_GT(chip::expected_usable_fraction(0.01, 1),
             chip::expected_usable_fraction(0.01, 2));

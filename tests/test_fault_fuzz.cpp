@@ -1,7 +1,8 @@
 // Fault-lifecycle tests: deterministic injector schedules, injected-vs-
 // observed exact accounting through the orchestrator, transfer retry /
 // escalation / deadline discipline, per-port transfer queueing, the rescue
-// maneuver, watchdog quarantine, idle-chamber elision equivalence, and
+// maneuver (with a pocket from the initial map and from mid-episode faults),
+// watchdog quarantine, idle-chamber elision equivalence, and
 // pooled-vs-serial bitwise identity under randomized fault fuzz.
 
 #include <gtest/gtest.h>
@@ -376,6 +377,50 @@ TEST_F(FaultFuzzTest, RescueRecoversCellFromBlockedNeighborhood) {
   EXPECT_GE(count_events(without.events, EventKind::kRecaptureFailed), 1u);
   EXPECT_EQ(without.failed_ids, std::vector<int>{0});
   EXPECT_FALSE(without.success);
+}
+
+// The same pocket, but made by announced electrode faults after the episode
+// is planned: the rescue replans must route under ring-0 sites rebuilt from
+// the faulted belief map. Sites kept from episode start (no defects) would
+// let the rescue cage cross the dead pixels, so every tick checks that no
+// cage stands on one.
+TEST_F(FaultFuzzTest, RescueRoutesAroundFaultsAnnouncedMidEpisode) {
+  auto w = make_world();
+  w->add_cell({8, 7});
+  w->goals.push_back({0, {13, 7}});
+
+  ControlConfig config;
+  config.rescue = true;
+  const Vec3 from = w->engine.field_model().trap_center({9, 7});
+  const Vec3 to = w->engine.field_model().trap_center({8, 4});
+  ControlConfig::DirectedEscape de;
+  de.tick = 1;
+  de.cage_id = 0;
+  de.angle = std::atan2(to.y - from.y, to.x - from.x);
+  de.distance_pitches = (to - from).norm() / cfg_.pitch;
+  config.directed_escapes = {de};
+
+  ClosedLoopEngine engine(w->cages, w->engine, w->imager, w->defects, 0.4, config);
+  Rng rng(808);
+  EpisodeRuntime rt(engine, w->goals, w->bodies, w->cage_bodies, rng.split(), nullptr);
+  ASSERT_TRUE(rt.planned());
+  const std::vector<GridCoord> dead{{7, 3}, {9, 3}, {8, 5}};
+  for (const GridCoord site : dead)
+    rt.apply_electrode_fault(0, site, chip::FaultKind::kElectrodeDead);
+  ASSERT_FALSE(rt.site_ok({8, 4}));  // the pocket is ring-blocked in belief
+
+  for (int t = 1; t <= rt.budget(); ++t) {
+    rt.tick(t);
+    for (const GridCoord site : dead)
+      ASSERT_FALSE(rt.site(0) == site) << "tick " << t << " cage on a dead pixel";
+    if (rt.all_delivered()) break;
+  }
+  const EpisodeReport report = rt.finish();
+  EXPECT_EQ(count_events(report.events, EventKind::kFaultInjected), 3u);
+  EXPECT_GE(count_events(report.events, EventKind::kRescueStarted), 1u);
+  EXPECT_GE(count_events(report.events, EventKind::kCellRecaptured), 1u);
+  EXPECT_EQ(report.delivered_ids, std::vector<int>{0});
+  EXPECT_TRUE(report.success);
 }
 
 // ------------------------------------------------------- health watchdog ----

@@ -626,6 +626,40 @@ TEST(Phasor, NullWorkspaceSharesOneHierarchyBitwise) {
   same_stats(shared_stats.im, separate_stats.im);
 }
 
+TEST(Phasor, AllZeroQuadratureIsNotSolved) {
+  // A real drive under a real lid pins every imaginary Dirichlet value to 0:
+  // that quadrature is returned as the zero grid, converged in no cycles,
+  // while the real one is exactly a cold solve_laplace of its BC.
+  const ChamberDomain domain{80.0_um, 80.0_um, 40.0_um, 2.5_um};
+  const std::vector<ElectrodePatch> patches{
+      {{{10.0_um, 10.0_um}, {35.0_um, 35.0_um}}, {1.0, 0.0}},
+      {{{45.0_um, 45.0_um}, {70.0_um, 70.0_um}}, {-0.7, 0.0}}};
+  const std::complex<double> lid{0.2, 0.0};
+  SolverOptions opts;
+  opts.tolerance = 1e-7;
+  PhasorStats stats;
+  const PhasorSolution sol = solve_phasor(domain, patches, lid, opts, &stats);
+
+  EXPECT_EQ(stats.im.cycles, 0u);
+  EXPECT_EQ(stats.im.sweeps, 0u);
+  EXPECT_EQ(stats.im.fine_equiv_sweeps, 0.0);
+  EXPECT_TRUE(stats.im.converged);
+  const Grid3& im = sol.phi_im();
+  for (std::size_t n = 0; n < im.size(); ++n)
+    ASSERT_EQ(im.data()[n], 0.0) << "node " << n;
+
+  const PhasorBc bc = build_boundary(domain, patches, lid);
+  Grid3 re = domain.make_grid();
+  const SolveStats cold = solve_laplace(re, bc.re, opts);
+  ASSERT_GT(cold.cycles, 0u);
+  EXPECT_EQ(stats.re.cycles, cold.cycles);
+  EXPECT_EQ(stats.re.fine_equiv_sweeps, cold.fine_equiv_sweeps);
+  ASSERT_EQ(sol.phi_re().size(), re.size());
+  EXPECT_EQ(std::memcmp(sol.phi_re().data().data(), re.data().data(),
+                        re.size() * sizeof(double)),
+            0);
+}
+
 TEST(Phasor, MismatchedQuadratureGridsThrow) {
   Grid3 a(4, 4, 4, 1.0), b(5, 5, 5, 1.0);
   EXPECT_THROW(PhasorSolution(a, b), PreconditionError);
@@ -686,6 +720,21 @@ TEST(Analytic, CageCalibrationAnchoredToExactCoarseSolve) {
   near(cage.w_min, anchor.w_min);
   near(cage.c_r, anchor.c_r);
   near(cage.c_z, anchor.c_z);
+}
+
+TEST(Analytic, CageCalibrationUnchangedBySkippingTheZeroQuadrature) {
+  // calibrate_cage(5, 6) drives every electrode and the lid with real
+  // phasors, so its imaginary quadrature is all zero and is no longer solved.
+  // The HarmonicCage must equal, bit for bit, the one commit 46bd63b
+  // computed by solving that quadrature (the same under BIOCHIP_SIMD_LEVEL 0
+  // and 1).
+  const HarmonicCage cage = chip::paper_device().calibrate_cage(5, 6);
+  EXPECT_EQ(cage.center.x, 0x1.a36e2ebc189a9p-15);
+  EXPECT_EQ(cage.center.y, 0x1.a36e360d20602p-15);
+  EXPECT_EQ(cage.center.z, 0x1.600e62d997fdp-16);
+  EXPECT_EQ(cage.w_min, 0x1.8b4227e79b9cbp+25);
+  EXPECT_EQ(cage.c_r, 0x1.55b41e277629cp+63);
+  EXPECT_EQ(cage.c_z, 0x1.b5c9899a6039cp+66);
 }
 
 TEST(Analytic, ParallelPlateHelperClamps) {

@@ -18,8 +18,8 @@ no spread on either side reads `no spread`.
 The timing verdict is advisory: on the pooled bench_control rows one binary
 run against itself has read further apart than this band (docs/perf.md).
 The deterministic counters (delivered_frac, cells_per_hour, p50_ticks,
-p99_ticks, shed_frac and every *_per_frame) repeat exactly for a given build
-and seed, so they are compared exactly: each difference is listed under
+p99_ticks, shed_frac, makespan, moves and every *_per_frame) repeat exactly
+for a given build and seed, so they are compared exactly: each difference is listed under
 "moved counters", and only these set the exit status (1).
 
 Usage:
@@ -38,7 +38,8 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-EXACT_COUNTERS = ("delivered_frac", "cells_per_hour", "p50_ticks", "p99_ticks", "shed_frac")
+EXACT_COUNTERS = ("delivered_frac", "cells_per_hour", "p50_ticks", "p99_ticks", "shed_frac",
+                  "makespan", "moves")
 NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
