@@ -27,6 +27,14 @@ void check_config(const RouteConfig& config) {
                   "blocked mask size does not match the routing grid");
 }
 
+// Entry-point contract of the routers that take their sites from an owner:
+// a non-degenerate grid the sites were built for.
+void check_sites(const RouteConfig& config, const SiteComponents& sites) {
+  BIOCHIP_REQUIRE(config.cols >= 1 && config.rows >= 1, "routing grid must be non-empty");
+  BIOCHIP_REQUIRE(sites.cols() == config.cols && sites.rows() == config.rows,
+                  "site components do not match the routing grid");
+}
+
 bool in_bounds(const RouteConfig& config, GridCoord c) {
   return c.col >= 0 && c.col < config.cols && c.row >= 0 && c.row < config.rows;
 }
@@ -355,7 +363,13 @@ std::optional<std::vector<GridCoord>> plan_one(const RouteRequest& req,
 
 RouteResult route_astar(const std::vector<RouteRequest>& requests,
                         const RouteConfig& config) {
-  check_config(config);
+  // The sites' constructor checks the grid and the mask, as check_config.
+  return route_astar(requests, config, SiteComponents(config, config.blocked));
+}
+
+RouteResult route_astar(const std::vector<RouteRequest>& requests,
+                        const RouteConfig& config, const SiteComponents& sites) {
+  check_sites(config, sites);
   const int horizon = config.max_steps > 0 ? config.max_steps
                                            : auto_horizon(config, requests.size());
   RouteResult result;
@@ -368,7 +382,6 @@ RouteResult route_astar(const std::vector<RouteRequest>& requests,
     const int d = manhattan(r.from, r.to);
     return d == 0 ? std::numeric_limits<int>::max() : d;
   };
-  const SiteComponents sites(config, config.blocked);
   std::vector<std::size_t> order(requests.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
@@ -400,20 +413,10 @@ RouteResult route_astar(const std::vector<RouteRequest>& requests,
 
 std::optional<RoutedPath> route_astar_reserved(const RouteRequest& request,
                                                const RouteConfig& config,
-                                               const std::vector<RoutedPath>& committed,
-                                               int t0) {
-  return route_astar_reserved(request, config, SiteComponents(config, config.blocked),
-                              committed, t0);
-}
-
-std::optional<RoutedPath> route_astar_reserved(const RouteRequest& request,
-                                               const RouteConfig& config,
                                                const SiteComponents& sites,
                                                const std::vector<RoutedPath>& committed,
                                                int t0) {
-  BIOCHIP_REQUIRE(config.cols >= 1 && config.rows >= 1, "routing grid must be non-empty");
-  BIOCHIP_REQUIRE(sites.cols() == config.cols && sites.rows() == config.rows,
-                  "site components do not match the routing grid");
+  check_sites(config, sites);
   BIOCHIP_REQUIRE(t0 >= 0, "reserved planning starts at a non-negative step");
   // The horizon counts the paths actually reserved: the cage's own is not.
   const auto reserved = static_cast<std::size_t>(

@@ -10,8 +10,10 @@
 ///    blocked; cheap, prone to gridlock (the baseline);
 ///  * `route_astar` — prioritized planning: time-expanded A* per cage
 ///    against a reservation table of previously committed paths.
-/// Both A* entry points take the grid's passability from a `SiteComponents`,
-/// which also answers their static reachability precheck.
+/// Every A* entry point takes the grid's passability from a `SiteComponents`,
+/// which also answers its static reachability precheck; an owner that keeps
+/// one across searches passes it in, and `route_astar(requests, config)`
+/// builds one from `config` for the call.
 
 #include <cstdint>
 #include <optional>
@@ -146,30 +148,29 @@ class SiteComponents {
 RouteResult route_greedy(const std::vector<RouteRequest>& requests,
                          const RouteConfig& config);
 
+/// Builds `config`'s `SiteComponents` for the one call.
 RouteResult route_astar(const std::vector<RouteRequest>& requests,
                         const RouteConfig& config);
 
-/// Incremental re-routing entry point for closed-loop supervision: plan ONE
-/// cage through a reservation table of already-committed paths, starting at
-/// absolute step `t0` (the cage sits at `request.from` at t0). `committed`
-/// paths are indexed in the same absolute time frame (waypoint t of each
-/// path is its position at step t; paths park at their last waypoint), so a
-/// supervisor can keep every still-valid plan live and re-plan only the
-/// deviating cage. A committed path carrying `request.id` is the cage's own
-/// and reserves nothing (nor counts toward the auto horizon), so an owner of
-/// the plan can pass it whole. Returns the new path as positions at t0,
-/// t0+1, ... (with `start = t0`, so `position_at` works in the same absolute
-/// frame) or nullopt when no conflict-free path exists within the horizon.
-/// Builds `config`'s `SiteComponents` for the one call.
-std::optional<RoutedPath> route_astar_reserved(const RouteRequest& request,
-                                               const RouteConfig& config,
-                                               const std::vector<RoutedPath>& committed,
-                                               int t0);
-
-/// The same search with the grid's sites supplied by their owner: `sites`
+/// The same planner with the grid's sites supplied by their owner: `sites`
 /// stands in for `config.obstacles` and `config.blocked` (build it from
 /// `config` and the mask in force); `config` gives the grid, separation and
 /// horizon.
+RouteResult route_astar(const std::vector<RouteRequest>& requests,
+                        const RouteConfig& config, const SiteComponents& sites);
+
+/// Incremental re-routing entry point for closed-loop supervision: plan ONE
+/// cage through a reservation table of already-committed paths, starting at
+/// absolute step `t0` (the cage sits at `request.from` at t0), under the
+/// owner's `sites` (as for `route_astar`). `committed` paths are indexed in
+/// the same absolute time frame (waypoint t of each path is its position at
+/// step t; paths park at their last waypoint), so a supervisor can keep
+/// every still-valid plan live and re-plan only the deviating cage. A
+/// committed path carrying `request.id` is the cage's own and reserves
+/// nothing (nor counts toward the auto horizon), so an owner of the plan can
+/// pass it whole. Returns the new path as positions at t0, t0+1, ... (with
+/// `start = t0`, so `position_at` works in the same absolute frame) or
+/// nullopt when no conflict-free path exists within the horizon.
 std::optional<RoutedPath> route_astar_reserved(const RouteRequest& request,
                                                const RouteConfig& config,
                                                const SiteComponents& sites,

@@ -83,14 +83,18 @@ EpisodeRuntime::EpisodeRuntime(ClosedLoopEngine& owner, std::vector<CageGoal> go
   initial_blocked_ = static_cast<std::size_t>(
       std::count(blocked_.begin(), blocked_.end(), std::uint8_t{1}));
 
-  // Initial plan: parked cages become zero-length requests so the planner
-  // keeps traffic separated from them.
-  cad::RouteConfig plan_cfg;
-  plan_cfg.cols = array.cols();
-  plan_cfg.rows = array.rows();
-  plan_cfg.min_separation = min_sep;
-  if (config.closed_loop && config.defect_aware_initial) plan_cfg.blocked = blocked_;
+  // Control stack. Replans are always defect-aware, even when the initial
+  // plan was deliberately blind (the online-reroute exercise).
+  cad::RouteConfig grid;
+  grid.cols = array.cols();
+  grid.rows = array.rows();
+  grid.min_separation = min_sep;
+  replanner_.emplace(grid, blocked_);
 
+  // Initial plan: parked cages become zero-length requests so the planner
+  // keeps traffic separated from them. A defect-aware plan routes on the
+  // replanner's sites.
+  const bool defect_aware = config.closed_loop && config.defect_aware_initial;
   std::vector<cad::RouteRequest> requests;
   std::vector<int> moving;
   for (const CageGoal& g : goals_) {
@@ -102,10 +106,13 @@ EpisodeRuntime::EpisodeRuntime(ClosedLoopEngine& owner, std::vector<CageGoal> go
     const GridCoord site = owner_.cages_.site(id);
     requests.push_back({id, site, site});
   }
-  cad::RouteResult plan = cad::route_astar(requests, plan_cfg);
+  cad::RouteResult plan = defect_aware
+                             ? cad::route_astar(requests, grid, replanner_->sites())
+                             : cad::route_astar(requests, grid);
   planned_ = plan.success;
   report_.planned = plan.success;
   if (!plan.success) {
+    replanner_.reset();  // no control stack without a plan
     // The report contract holds even without an episode: every goal cage
     // lands in exactly one list, every failure carries an explicit event.
     for (const CageGoal& g : goals_) {
@@ -116,21 +123,17 @@ EpisodeRuntime::EpisodeRuntime(ClosedLoopEngine& owner, std::vector<CageGoal> go
     goals_.clear();  // finish() must not double-account them
     return;
   }
-  cad::verify_routes(requests, plan, plan_cfg);
-
-  // Control stack. Replans are always defect-aware, even when the initial
-  // plan was deliberately blind (the online-reroute exercise).
-  cad::RouteConfig replan_cfg = plan_cfg;
-  replan_cfg.blocked = blocked_;
-  replanner_.emplace(replan_cfg);
+  // A defect-aware plan is verified against the mask it routed under.
+  cad::RouteConfig verify_cfg = grid;
+  if (defect_aware) verify_cfg.blocked = blocked_;
+  cad::verify_routes(requests, plan, verify_cfg);
   replanner_->commit(std::move(plan.paths));
 
   tracker_.emplace(capture_);
   for (const auto& [cid, bi] : cage_bodies_) tracker_->add_track(cid);
 
-  if (config.rescue) rescue_sites_.emplace(rescue_sites());
-  supervisor_.emplace(rescue_sites_.has_value() ? &*rescue_sites_ : nullptr, array,
-                      defects_, *replanner_, capture_);
+  if (config.rescue) refresh_rescue_sites();
+  supervisor_.emplace(array, defects_, *replanner_, capture_);
   for (const CageGoal& g : goals_) supervisor_->add_cage(g.cage_id, g.destination);
   if (config.closed_loop) {
     const auto pre = supervisor_->preflight();
@@ -208,22 +211,18 @@ void EpisodeRuntime::update_tracked_field(const std::vector<GridCoord>& sites) {
   field_tracker_->update(field_drive_);
 }
 
-void EpisodeRuntime::refresh_blocked() {
-  const chip::ElectrodeArray& array = owner_.cages_.array();
-  const int ring = owner_.config_.defect_ring;
-  blocked_ = chip::blocked_site_mask(array, defects_, ring);
+void EpisodeRuntime::refresh_belief_blocked() {
+  blocked_ = chip::blocked_site_mask(owner_.cages_.array(), defects_,
+                                     owner_.config_.defect_ring);
   for (std::size_t i = 0; i < blocked_.size(); ++i)
     if (quarantine_mask_[i] != 0) blocked_[i] = 1;
-  truth_blocked_ = chip::blocked_site_mask(array, truth_defects_, ring);
-  if (replanner_.has_value()) replanner_->set_blocked(blocked_);
-  if (rescue_sites_.has_value()) *rescue_sites_ = rescue_sites();
+  replanner_->set_blocked(blocked_);
 }
 
-cad::SiteComponents EpisodeRuntime::rescue_sites() const {
+void EpisodeRuntime::refresh_rescue_sites() {
   // Ring-0 semantics: an empty cage only needs its own pixel functional —
   // there is no cell aboard for a broken counter-phase wall to lose.
-  return cad::SiteComponents(replanner_->config(),
-                             chip::blocked_site_mask(owner_.cages_.array(), defects_, 0));
+  replanner_->set_rescue_blocked(chip::blocked_site_mask(owner_.cages_.array(), defects_, 0));
 }
 
 double EpisodeRuntime::excess_blocked_fraction() const {
@@ -250,7 +249,7 @@ void EpisodeRuntime::observe_health(int t) {
     for (const GridCoord s : health_->newly_quarantined())
       quarantine_mask_[static_cast<std::size_t>(s.row) * cols +
                        static_cast<std::size_t>(s.col)] = 1;
-    refresh_blocked();
+    refresh_belief_blocked();  // the truth mask and rescue sites ignore quarantines
   }
   report_.events.insert(report_.events.end(), decisions.begin(), decisions.end());
   // Decisions are not re-scanned (they carry no loss strikes anyway).
@@ -277,9 +276,15 @@ void EpisodeRuntime::apply_electrode_fault(int t, GridCoord site,
     default:
       throw PreconditionError("not an electrode fault kind");
   }
-  if (kind != chip::FaultKind::kElectrodeSilentDead)
+  truth_blocked_ = chip::blocked_site_mask(owner_.cages_.array(), truth_defects_,
+                                           owner_.config_.defect_ring);
+  // A silent fault leaves the belief map, and every fact built from it, as
+  // it was; an announced one changes them all.
+  if (kind != chip::FaultKind::kElectrodeSilentDead) {
     pixel_faults_ = sensor::pixel_faults(defects_);
-  refresh_blocked();
+    refresh_belief_blocked();
+    if (replanner_->rescue_enabled()) refresh_rescue_sites();
+  }
   report_.events.push_back({t, EventKind::kFaultInjected, -1, site});
 }
 
@@ -565,7 +570,7 @@ void EpisodeRuntime::tick(int t) {
   std::vector<Vec2> expected;
   expected.reserve(tracked.size());
   for (const int id : tracked) expected.push_back(trap_center(cages.site(id)).xy());
-  const TrackUpdate update = tracker_->update(tracked, expected, detections);
+  const TrackUpdate update = tracker_->update(expected, detections);
 
   // ---- supervise: pause / recapture / re-route; events are the audit log.
   // (The "plan" phase of the span catalog: replanning happens inside the

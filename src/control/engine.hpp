@@ -338,13 +338,13 @@ class EpisodeRuntime {
   /// physics domain, and record `kEscapeInjected`.
   void displace(int t, int cage_id, GridCoord site, physics::ParticleBody& body,
                 double angle, double distance_pitches);
-  /// Recompute belief + truth blocked masks from the (mutated) defect maps
-  /// and the quarantine mask, push the belief mask into the replanner, and
-  /// rebuild the rescue sites when rescue is on.
-  void refresh_blocked();
-  /// The belief map's ring-0 sites (blocked iff the site's own pixel is
-  /// defective): what an empty rescue cage may traverse.
-  cad::SiteComponents rescue_sites() const;
+  /// Rebuild the belief mask from the belief map and the quarantine mask,
+  /// and the replanner's strict sites from it (either input changed).
+  void refresh_belief_blocked();
+  /// Rebuild the replanner's rescue sites from the belief map's ring-0 mask
+  /// (blocked iff the site's own pixel is defective): what an empty rescue
+  /// cage may traverse. Only the belief map feeds them.
+  void refresh_rescue_sites();
   /// True when ground truth leaves the site's trap functional.
   bool truth_site_ok(GridCoord site) const;
   /// Health observation over the audit events recorded since the last scan.
@@ -418,10 +418,6 @@ class EpisodeRuntime {
   Rng fault_base_;
 
   std::optional<Replanner> replanner_;
-  /// `rescue_sites()` of the current belief map, engaged only with
-  /// `ControlConfig::rescue`; rebuilt by `refresh_blocked`, read by the
-  /// supervisor's rescue replans.
-  std::optional<cad::SiteComponents> rescue_sites_;
   std::optional<OccupancyTracker> tracker_;
   std::optional<Supervisor> supervisor_;
 

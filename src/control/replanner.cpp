@@ -6,8 +6,8 @@
 
 namespace biochip::control {
 
-Replanner::Replanner(cad::RouteConfig config)
-    : config_(std::move(config)), sites_(config_, config_.blocked) {}
+Replanner::Replanner(cad::RouteConfig config, const std::vector<std::uint8_t>& blocked)
+    : config_(std::move(config)), sites_(config_, blocked) {}
 
 void Replanner::commit(std::vector<cad::RoutedPath> paths) {
   paths_ = std::move(paths);
@@ -96,17 +96,25 @@ void Replanner::compact(int t) {
   }
 }
 
-void Replanner::set_blocked(std::vector<std::uint8_t> blocked) {
+void Replanner::set_blocked(const std::vector<std::uint8_t>& blocked) {
   sites_ = cad::SiteComponents(config_, blocked);  // checks the mask's shape
-  config_.blocked = std::move(blocked);
+}
+
+void Replanner::set_rescue_blocked(const std::vector<std::uint8_t>& blocked) {
+  rescue_sites_ = cad::SiteComponents(config_, blocked);  // checks the mask's shape
 }
 
 bool Replanner::replan(int cage_id, GridCoord to, int t_now) {
-  return replan(cage_id, to, t_now, sites_);
+  return replan_under(sites_, cage_id, to, t_now);
 }
 
-bool Replanner::replan(int cage_id, GridCoord to, int t_now,
-                       const cad::SiteComponents& sites) {
+bool Replanner::replan_relaxed(int cage_id, GridCoord to, int t_now) {
+  BIOCHIP_REQUIRE(rescue_sites_.has_value(), "relaxed replans need rescue on");
+  return replan_under(*rescue_sites_, cage_id, to, t_now);
+}
+
+bool Replanner::replan_under(const cad::SiteComponents& sites, int cage_id, GridCoord to,
+                             int t_now) {
   cad::RoutedPath& own = path(cage_id);
   const GridCoord from = own.position_at(t_now);
   // The cage's own path rides along in paths_; the router skips it by id.
@@ -130,7 +138,7 @@ bool Replanner::replan(int cage_id, GridCoord to, int t_now,
 bool Replanner::enters_blocked_ahead(int cage_id, int t, int lookahead) const {
   const cad::RoutedPath& p = path(cage_id);
   for (int s = t + 1; s <= t + lookahead; ++s)
-    if (config_.is_blocked(p.position_at(s))) return true;
+    if (sites_.blocked(p.position_at(s))) return true;
   return false;
 }
 

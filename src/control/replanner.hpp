@@ -9,16 +9,20 @@
 ///    the plan survives, one step later);
 ///  * `park` freezes a cage in place (a paused tow);
 ///  * `replan` routes one cage to a new target through the reservation table
-///    of every other committed path (`cad::route_astar_reserved`), honoring
-///    the blocked-site mask (defective sites) baked into the route config;
+///    of every other committed path (`cad::route_astar_reserved`), never
+///    entering a blocked (defective or quarantined) site;
+///  * `replan_relaxed` does the same under the rescue sites;
 ///  * `admit` routes and commits a cage handed in mid-episode.
-/// It owns the mask and its `cad::SiteComponents`, rebuilt only when the
-/// mask changes, so no search copies the mask or re-scans the grid.
-/// The invariant the engine relies on: after each tick's bookkeeping,
-/// `position_at(id, t)` equals the cage's physical site.
+/// It owns the site labels it routes on (`cad::SiteComponents`): the strict
+/// sites of the belief mask and, with rescue on, the ring-0 rescue sites.
+/// Each set is built from the mask its owner hands in and rebuilt only when
+/// that mask changes; no mask is kept, so no search copies one or re-scans
+/// the grid. The invariant the engine relies on: after each tick's
+/// bookkeeping, `position_at(id, t)` equals the cage's physical site.
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "cad/route.hpp"
@@ -28,17 +32,26 @@ namespace biochip::control {
 
 class Replanner {
  public:
-  /// `config` is used for every replan; bake the defect blocked mask in here.
-  explicit Replanner(cad::RouteConfig config);
+  /// `config` gives the grid, separation and horizon of every route. The
+  /// strict sites are `config`'s grid under `blocked` (row-major; empty =
+  /// nothing blocked); as in every router entry that takes sites, they stand
+  /// in for `config.blocked`, which is not read.
+  Replanner(cad::RouteConfig config, const std::vector<std::uint8_t>& blocked);
 
-  const cad::RouteConfig& config() const { return config_; }
+  /// The strict sites every replan and admission routes under (the
+  /// defect-aware initial plan routes under them too).
+  const cad::SiteComponents& sites() const { return sites_; }
 
-  /// Replace the blocked-site mask mid-episode (runtime fault injection /
-  /// health quarantine grew the defect state) and rebuild its site
-  /// components — the only place they are built after construction.
-  /// Committed paths are left untouched — the supervisor's defect lookahead
-  /// reroutes them.
-  void set_blocked(std::vector<std::uint8_t> blocked);
+  /// Rebuild the strict sites from a new blocked mask (runtime fault
+  /// injection or a health quarantine changed it). Committed paths are left
+  /// untouched — the supervisor's defect lookahead reroutes them.
+  void set_blocked(const std::vector<std::uint8_t>& blocked);
+
+  /// Build (or rebuild) the rescue sites from their mask — the belief map's
+  /// ring-0 sites, which an empty rescue cage may traverse. The first call
+  /// turns rescue on.
+  void set_rescue_blocked(const std::vector<std::uint8_t>& blocked);
+  bool rescue_enabled() const { return rescue_sites_.has_value(); }
 
   /// Install the committed plan (absolute time frame, t = 0 = episode start).
   void commit(std::vector<cad::RoutedPath> paths);
@@ -84,14 +97,13 @@ class Replanner {
   /// (path untouched) when the router finds no conflict-free route.
   bool replan(int cage_id, GridCoord to, int t_now);
 
-  /// `replan` under other sites than the committed mask's (rescue maneuvers
-  /// route an empty cage through ring-defective sites). `sites` must be built
-  /// from this replanner's config; its owner keeps it current. Reservations
-  /// of every other committed path still apply.
-  bool replan(int cage_id, GridCoord to, int t_now, const cad::SiteComponents& sites);
+  /// `replan` under the rescue sites instead of the strict ones (rescue
+  /// maneuvers route an empty cage through ring-defective sites).
+  /// Reservations of every other committed path still apply. Needs rescue on.
+  bool replan_relaxed(int cage_id, GridCoord to, int t_now);
 
-  /// True when any of the path steps in (t, t + lookahead] enters a blocked
-  /// site — the defect lookahead trigger.
+  /// True when any of the path steps in (t, t + lookahead] enters a site
+  /// blocked in the strict sites — the defect lookahead trigger.
   bool enters_blocked_ahead(int cage_id, int t, int lookahead) const;
 
   /// Total successful replans (report bookkeeping).
@@ -100,9 +112,11 @@ class Replanner {
  private:
   cad::RoutedPath& path(int cage_id);
   const cad::RoutedPath& path(int cage_id) const;
+  bool replan_under(const cad::SiteComponents& sites, int cage_id, GridCoord to, int t_now);
 
-  cad::RouteConfig config_;
-  cad::SiteComponents sites_;  ///< config_'s sites under config_.blocked
+  cad::RouteConfig config_;    ///< grid, separation and horizon
+  cad::SiteComponents sites_;  ///< strict sites of the belief mask
+  std::optional<cad::SiteComponents> rescue_sites_;  ///< ring-0 sites; rescue on
   std::vector<cad::RoutedPath> paths_;
   std::size_t replans_ = 0;
 };

@@ -55,10 +55,9 @@ std::optional<GridCoord> nearest_site(const chip::ElectrodeArray& array, Vec2 fi
 
 }  // namespace
 
-Supervisor::Supervisor(const cad::SiteComponents* rescue_sites,
-                       const chip::ElectrodeArray& array, const chip::DefectMap& defects,
+Supervisor::Supervisor(const chip::ElectrodeArray& array, const chip::DefectMap& defects,
                        Replanner& replanner, double capture_radius)
-    : rescue_sites_(rescue_sites), array_(array), defects_(defects), replanner_(replanner),
+    : array_(array), defects_(defects), replanner_(replanner),
       capture_radius_(capture_radius) {
   BIOCHIP_REQUIRE(capture_radius_ > 0.0, "capture radius must be positive");
 }
@@ -164,8 +163,7 @@ std::vector<ControlEvent> Supervisor::step(int t, const OccupancyTracker& tracke
   const auto try_replan = [&](Cage& c, GridCoord target) {
     if (c.replan_cooldown > 0) return false;
     if (replanner_.replan(c.cage_id, target, t)) return true;
-    if (c.rescue && replanner_.replan(c.cage_id, target, t, *rescue_sites_))
-      return true;
+    if (c.rescue && replanner_.replan_relaxed(c.cage_id, target, t)) return true;
     c.replan_cooldown = kReplanBackoff;
     return false;
   };
@@ -174,7 +172,7 @@ std::vector<ControlEvent> Supervisor::step(int t, const OccupancyTracker& tracke
   // Checked without a cooldown of its own — it runs as the same-tick fallback
   // of a failed strict attempt, whose backoff already throttles the pair.
   const auto try_replan_relaxed = [&](Cage& c, GridCoord target) {
-    return replanner_.replan(c.cage_id, target, t, *rescue_sites_);
+    return replanner_.replan_relaxed(c.cage_id, target, t);
   };
 
   // Confirmed tracker transitions.
@@ -221,8 +219,7 @@ std::vector<ControlEvent> Supervisor::step(int t, const OccupancyTracker& tracke
     // the dragged cell is back behind a full counter-phase wall. Outbound
     // (kRecapturing) and hunting (kPaused) legs keep the flag: they start on
     // normal sites and still need the relaxed mask to enter the pocket.
-    if (c.rescue && c.mode == CageMode::kEnRoute &&
-        !replanner_.config().is_blocked(here))
+    if (c.rescue && c.mode == CageMode::kEnRoute && !replanner_.sites().blocked(here))
       c.rescue = false;
 
     if (c.mode == CageMode::kPaused) {
@@ -244,14 +241,14 @@ std::vector<ControlEvent> Supervisor::step(int t, const OccupancyTracker& tracke
       if (best >= 0) {
         const Vec2 fix = detections[static_cast<std::size_t>(best)].position;
         const auto site = nearest_site(array_, fix, [&](GridCoord s, double) {
-          return !replanner_.config().is_blocked(s);
+          return !replanner_.sites().blocked(s);
         });
         // With rescue enabled, a routable site whose basin cannot reach the
         // cell is not worth parking at; without it, keep the legacy attempt
         // (the cage waits out its patience and re-hunts).
         const bool worth_trying =
             site.has_value() &&
-            (rescue_sites_ == nullptr ||
+            (!replanner_.rescue_enabled() ||
              (array_.center(*site) - fix).norm() <= capture_radius_);
         bool started = false;
         if (worth_trying && try_replan(c, *site)) {
@@ -261,7 +258,7 @@ std::vector<ControlEvent> Supervisor::step(int t, const OccupancyTracker& tracke
           emit(EventKind::kRecaptureStarted, c);
           started = true;
         }
-        if (!started && rescue_sites_ != nullptr) {
+        if (!started && replanner_.rescue_enabled()) {
           // The cell sits in a fully blocked neighborhood (or the boundary
           // approach is unroutable): park an adjacent cage on a ring-
           // defective site whose own pixel still traps and whose basin

@@ -39,16 +39,12 @@ enum class CageMode : std::uint8_t {
 
 class Supervisor {
  public:
-  /// A non-null `rescue_sites` enables the rescue maneuver
-  /// (`ControlConfig::rescue`): the ring-0 sites of the belief map that an
-  /// empty rescue cage routes under. Its owner keeps it current as the
-  /// belief map changes; the supervisor only reads it.
-  /// `capture_radius` [m] is the trap basin's reach — the supervisor uses it
-  /// to judge whether a candidate capture site can actually pull a stray
-  /// cell in (a trap exerts zero force beyond it).
-  Supervisor(const cad::SiteComponents* rescue_sites, const chip::ElectrodeArray& array,
-             const chip::DefectMap& defects, Replanner& replanner,
-             double capture_radius);
+  /// The rescue maneuver (`ControlConfig::rescue`) is on when `replanner`
+  /// has rescue sites. `capture_radius` [m] is the trap basin's reach — the
+  /// supervisor uses it to judge whether a candidate capture site can
+  /// actually pull a stray cell in (a trap exerts zero force beyond it).
+  Supervisor(const chip::ElectrodeArray& array, const chip::DefectMap& defects,
+             Replanner& replanner, double capture_radius);
 
   /// Register a cage with its delivery goal (its committed path must already
   /// be in the replanner). Legal mid-episode too — a cross-chamber handoff
@@ -109,7 +105,6 @@ class Supervisor {
   /// and dead-pixel artifacts are rejected via the self-test defect map).
   bool credible_fix(Vec2 position) const;
 
-  const cad::SiteComponents* rescue_sites_;  ///< null = rescue off
   const chip::ElectrodeArray& array_;
   const chip::DefectMap& defects_;
   Replanner& replanner_;

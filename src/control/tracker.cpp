@@ -60,14 +60,6 @@ const OccupancyTracker::Track& OccupancyTracker::track(int cage_id) const {
 
 TrackState OccupancyTracker::state(int cage_id) const { return track(cage_id).state; }
 
-bool OccupancyTracker::has_fix(int cage_id) const { return track(cage_id).has_fix; }
-
-Vec2 OccupancyTracker::last_fix(int cage_id) const {
-  const Track& t = track(cage_id);
-  BIOCHIP_REQUIRE(t.has_fix, "track has never matched a detection");
-  return t.fix;
-}
-
 std::vector<int> OccupancyTracker::cage_ids() const {
   std::vector<int> ids;
   ids.reserve(tracks_.size());
@@ -75,26 +67,21 @@ std::vector<int> OccupancyTracker::cage_ids() const {
   return ids;
 }
 
-TrackUpdate OccupancyTracker::update(const std::vector<int>& cage_ids,
-                                     const std::vector<Vec2>& expected,
+TrackUpdate OccupancyTracker::update(const std::vector<Vec2>& expected,
                                      const std::vector<sensor::Detection>& detections) {
-  BIOCHIP_REQUIRE(cage_ids.size() == expected.size(),
-                  "one expected position per cage id");
-  BIOCHIP_REQUIRE(cage_ids.size() == tracks_.size(),
-                  "update must cover every registered track");
+  BIOCHIP_REQUIRE(expected.size() == tracks_.size(),
+                  "one expected position per registered track");
   const std::vector<int> assignment =
       sensor::associate_detections(expected, detections, gate_radius_);
 
   TrackUpdate out;
   std::vector<std::uint8_t> det_used(detections.size(), 0);
-  for (std::size_t n = 0; n < cage_ids.size(); ++n) {
-    Track& t = track(cage_ids[n]);
+  for (std::size_t n = 0; n < tracks_.size(); ++n) {
+    Track& t = tracks_[n];
     if (assignment[n] >= 0) {
       det_used[static_cast<std::size_t>(assignment[n])] = 1;
       t.misses = 0;
       ++t.hits;
-      t.has_fix = true;
-      t.fix = detections[static_cast<std::size_t>(assignment[n])].position;
       if (t.state != TrackState::kOccupied && t.hits >= kOccupiedAfterHits) {
         t.state = TrackState::kOccupied;
         out.changes.push_back({t.cage_id, t.state});

@@ -53,15 +53,12 @@ class OccupancyTracker {
   void remove_track(int cage_id);
 
   TrackState state(int cage_id) const;
-  /// Last associated detection position; valid once the track ever matched.
-  bool has_fix(int cage_id) const;
-  Vec2 last_fix(int cage_id) const;
 
-  /// One frame: `expected[i]` is the trap center of `cage_ids[i]` (every
-  /// registered track, ascending cage id). Associates detections, advances
-  /// the hit/miss hysteresis, and reports confirmed transitions plus the
-  /// detections no track claimed.
-  TrackUpdate update(const std::vector<int>& cage_ids, const std::vector<Vec2>& expected,
+  /// One frame: `expected[i]` is the trap center of the i-th registered
+  /// track in `cage_ids()` order (ascending cage id), one per track.
+  /// Associates detections, advances the hit/miss hysteresis, and reports
+  /// confirmed transitions plus the detections no track claimed.
+  TrackUpdate update(const std::vector<Vec2>& expected,
                      const std::vector<sensor::Detection>& detections);
 
   /// All registered cage ids, ascending.
@@ -73,8 +70,6 @@ class OccupancyTracker {
     TrackState state = TrackState::kOccupied;
     int hits = 0;    ///< consecutive matched frames
     int misses = 0;  ///< consecutive unmatched frames
-    bool has_fix = false;
-    Vec2 fix;
   };
 
   Track& track(int cage_id);

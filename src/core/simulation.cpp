@@ -54,27 +54,6 @@ inline bool closer_site(double d2, GridCoord site, double best_d2, GridCoord bes
 }  // namespace
 
 void CageFieldModel::set_sites(std::vector<GridCoord> sites) {
-  // Same-length positional diff: tow and parallel transport move one cage
-  // per hop and keep everyone else parked, so the new vector matches the
-  // old one except in a handful of slots. Applying erase+insert for just
-  // those entries keeps the per-hop cost O(changed) instead of O(live
-  // cages). The table never needs to grow here — same length means the same
-  // multiset size, and capacity was sized for it at the last rebuild.
-  if (!slot_key_.empty() && !sites.empty() && sites.size() == sites_.size()) {
-    const std::size_t limit = std::max<std::size_t>(4, sites.size() / 8);
-    std::size_t changed = 0;
-    for (std::size_t n = 0; n < sites.size() && changed <= limit; ++n)
-      changed += sites[n] == sites_[n] ? 0u : 1u;
-    if (changed <= limit) {
-      for (std::size_t n = 0; n < sites.size(); ++n) {
-        if (sites[n] == sites_[n]) continue;
-        erase_key(pack_site(sites_[n]));
-        insert_key(pack_site(sites[n]));
-      }
-      sites_ = std::move(sites);
-      return;
-    }
-  }
   sites_ = std::move(sites);
   rebuild_index();
 }
@@ -83,7 +62,6 @@ void CageFieldModel::rebuild_index() {
   std::size_t capacity = 16;
   while (capacity < 2 * sites_.size()) capacity *= 2;
   slot_key_.assign(capacity, 0);
-  slot_count_.assign(capacity, 0);
   slot_used_.assign(capacity, 0);
   slot_mask_ = capacity - 1;
   for (const GridCoord site : sites_) insert_key(pack_site(site));
@@ -92,45 +70,11 @@ void CageFieldModel::rebuild_index() {
 void CageFieldModel::insert_key(std::uint64_t key) {
   std::size_t slot = hash_site(key) & slot_mask_;
   while (slot_used_[slot]) {
-    if (slot_key_[slot] == key) {
-      ++slot_count_[slot];  // duplicate site
-      return;
-    }
+    if (slot_key_[slot] == key) return;  // duplicate site
     slot = (slot + 1) & slot_mask_;
   }
   slot_used_[slot] = 1;
   slot_key_[slot] = key;
-  slot_count_[slot] = 1;
-}
-
-void CageFieldModel::erase_key(std::uint64_t key) {
-  std::size_t slot = hash_site(key) & slot_mask_;
-  while (slot_used_[slot]) {
-    if (slot_key_[slot] != key) {
-      slot = (slot + 1) & slot_mask_;
-      continue;
-    }
-    if (--slot_count_[slot] > 0) return;
-    // Backward-shift deletion: walk the probe chain after the hole and move
-    // back every entry whose home slot lies at or before the hole, so
-    // lookups never need tombstones.
-    std::size_t hole = slot;
-    std::size_t next = (hole + 1) & slot_mask_;
-    while (slot_used_[next]) {
-      const std::size_t home = hash_site(slot_key_[next]) & slot_mask_;
-      if (((next - home) & slot_mask_) >= ((next - hole) & slot_mask_)) {
-        slot_key_[hole] = slot_key_[next];
-        slot_count_[hole] = slot_count_[next];
-        hole = next;
-      }
-      next = (next + 1) & slot_mask_;
-    }
-    slot_used_[hole] = 0;
-    slot_count_[hole] = 0;
-    return;
-  }
-  // The positional diff only erases keys it previously inserted, so a miss
-  // here would be a bookkeeping bug; tolerate it silently in release.
 }
 
 bool CageFieldModel::site_active(GridCoord site) const {

@@ -43,13 +43,8 @@ class CageFieldModel {
   /// Trap center (in chamber coordinates) for a cage parked at `site`.
   Vec3 trap_center(GridCoord site) const;
 
-  /// Replace the active cage site list (one entry per live cage). When the
-  /// new list has the same length as the current one and differs in only a
-  /// few positions (the tow / parallel-transport pattern: one cage moves per
-  /// hop, everyone else stays parked), the spatial index is updated
-  /// incrementally — one erase + one insert per changed entry — instead of
-  /// being rebuilt, so per-hop cost stops scaling with the live cage count.
-  /// Any other change falls back to a full O(sites) rebuild.
+  /// Replace the active cage site list (one entry per live cage; duplicates
+  /// are legal) and rebuild the spatial index from it: O(sites) per call.
   void set_sites(std::vector<GridCoord> sites);
   const std::vector<GridCoord>& sites() const { return sites_; }
 
@@ -103,19 +98,16 @@ class CageFieldModel {
   Vec3 drive_from(Vec3 center, Vec3 p) const;
   void rebuild_index();
   void insert_key(std::uint64_t key);
-  void erase_key(std::uint64_t key);
 
   field::HarmonicCage unit_;
   double pitch_;
   double capture_radius_;
   std::vector<GridCoord> sites_;
 
-  // Flat open-addressed hash multiset of active sites (power-of-two slots,
-  // linear probing; load factor <= 0.5). Each slot carries the multiplicity
-  // of its key (duplicate sites in the list are legal), and deletion uses
-  // backward shifting so probe chains never need tombstones.
+  // Flat open-addressed hash set of active sites (power-of-two slots, linear
+  // probing; load factor <= 0.5), rebuilt by every `set_sites`. A duplicate
+  // site takes one slot: probes ask only for membership.
   std::vector<std::uint64_t> slot_key_;
-  std::vector<std::uint32_t> slot_count_;
   std::vector<std::uint8_t> slot_used_;
   std::size_t slot_mask_ = 0;
 };

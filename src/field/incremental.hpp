@@ -59,7 +59,7 @@ class IncrementalPotential {
   /// The current boundary condition (mask fixed for the layout's lifetime).
   const DirichletBc& boundary() const { return bc_; }
   /// Cumulative work counters (full vs window solves, window volume
-  /// trajectory) — feeds `obs::fold_solver`.
+  /// trajectory).
   const SolveAccounting& accounting() const { return workspace_.accounting(); }
 
   /// Set the per-electrode drives [V] (+ lid drive when a lid is present).

@@ -163,10 +163,8 @@ struct SolveStats {
 };
 
 /// Cumulative solver work across every `solve_laplace` call that used one
-/// `MultigridWorkspace` — the counting-plane telemetry source
-/// (`obs::fold_solver`). Sums of the per-call `SolveStats` by construction,
-/// so registry metrics reconcile exactly with the counters the benches
-/// accumulate themselves (tests/test_obs.cpp pins this).
+/// `MultigridWorkspace`: the exact sum of the per-call `SolveStats`, which
+/// benches and tests read (tests/test_obs.cpp pins the sum).
 struct SolveAccounting {
   std::uint64_t solves = 0;  ///< full-grid solves (the oracle / re-anchor path)
   std::uint64_t cycles = 0;

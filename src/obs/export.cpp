@@ -1,8 +1,5 @@
 #include "obs/export.hpp"
 
-#include <iomanip>
-#include <limits>
-
 namespace biochip::obs {
 
 namespace {
@@ -35,9 +32,6 @@ void write_metric(std::ostream& os, const Metric& m) {
     case MetricKind::kGauge:
       os << ",\"value\":" << m.ivalue;
       break;
-    case MetricKind::kRealGauge:
-      os << ",\"value\":" << m.rvalue;
-      break;
     case MetricKind::kHistogram: {
       os << ",\"bounds\":[";
       for (std::size_t i = 0; i < m.bounds.size(); ++i)
@@ -55,7 +49,6 @@ void write_metric(std::ostream& os, const Metric& m) {
 }  // namespace
 
 void write_snapshot_jsonl(std::ostream& os, const MetricsSnapshot& snapshot) {
-  os << std::setprecision(std::numeric_limits<double>::max_digits10);
   os << "{\"schema\":\"biochip.metrics.v" << snapshot.schema
      << "\",\"tick\":" << snapshot.tick << ",\"metrics\":[";
   for (std::size_t i = 0; i < snapshot.metrics.size(); ++i) {
@@ -67,7 +60,6 @@ void write_snapshot_jsonl(std::ostream& os, const MetricsSnapshot& snapshot) {
 
 void write_summary_json(std::ostream& os, const MetricsSnapshot& snapshot,
                         std::string_view label) {
-  os << std::setprecision(std::numeric_limits<double>::max_digits10);
   os << "{\n  \"context\": {\n    \"schema\": \"biochip.metrics.v"
      << snapshot.schema << "\",\n    \"label\": ";
   write_escaped(os, label);

@@ -14,8 +14,8 @@
 ///    (a "context" object plus a flat array of named entries), so the same
 ///    scripts that diff bench trajectories can diff telemetry summaries.
 ///
-/// Exported values are exact: counters and histogram buckets print as
-/// integers, real gauges with max_digits10 round-trip precision.
+/// Exported values are exact: every value and histogram bucket is an
+/// integer.
 
 #include <ostream>
 #include <string_view>

@@ -4,7 +4,6 @@
 
 #include "control/engine.hpp"
 #include "core/threadpool.hpp"
-#include "field/solver.hpp"
 
 namespace biochip::obs {
 
@@ -53,27 +52,6 @@ void fold_health(MetricsRegistry& registry, int chamber,
                  control::HealthState state) {
   registry.set(registry.gauge("health.state", chamber),
                static_cast<std::int64_t>(state));
-}
-
-void fold_solver(MetricsRegistry& registry,
-                 const field::SolveAccounting& accounting) {
-  registry.set_counter(registry.counter("solver.solves"), accounting.solves);
-  registry.set_counter(registry.counter("solver.cycles"), accounting.cycles);
-  registry.set_counter(registry.counter("solver.sweeps"),
-                       accounting.total_sweeps);
-  registry.set_real(registry.real_gauge("solver.fe_sweeps"),
-                    accounting.fine_equiv_sweeps);
-  registry.set_real(registry.real_gauge("solver.final_residual"),
-                    accounting.last_residual);
-  // Incremental (dirty-region) path: windowed corrections vs full solves,
-  // and the mean window-volume fraction of the windowed ones.
-  registry.set_counter(registry.counter("solver.window_solves"),
-                       accounting.window_solves);
-  registry.set_real(registry.real_gauge("solver.window_fraction"),
-                    accounting.window_solves > 0
-                        ? accounting.window_fraction_sum /
-                              static_cast<double>(accounting.window_solves)
-                        : 0.0);
 }
 
 void fold_pool(MetricsRegistry& registry, const core::PoolStats& delta) {

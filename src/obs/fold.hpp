@@ -5,7 +5,7 @@
 ///
 /// The control stack already maintains exact, serial-vs-pooled-identical
 /// accounting (`AdmissionStats`, drained `ControlEvent` streams,
-/// `HealthMonitor` rungs, `SolveStats`). These adapters fold that state into
+/// `HealthMonitor` rungs). These adapters fold that state into
 /// a `MetricsRegistry` instead of instrumenting hot paths twice — the
 /// registry mirrors the sums the identity suites already pin, which is what
 /// makes the accounting-closure cross-checks in tests/test_obs.cpp exact
@@ -29,9 +29,6 @@ class EpisodeRuntime;
 }
 namespace biochip::core {
 struct PoolStats;
-}
-namespace biochip::field {
-struct SolveAccounting;
 }
 
 namespace biochip::obs {
@@ -70,16 +67,6 @@ class RuntimeGauges {
 /// 2 quarantined — the ladder rung as an integer).
 void fold_health(MetricsRegistry& registry, int chamber,
                  control::HealthState state);
-
-/// Solver accounting (MultigridWorkspace cumulative counters):
-/// solver.{solves,cycles,sweeps}, solver.fe_sweeps (real),
-/// solver.final_residual (real, last solve), plus the incremental
-/// dirty-region path: solver.window_solves (counter) and
-/// solver.window_fraction (real, mean window volume / grid volume). Values
-/// reconcile exactly with summed `SolveStats` — the bench counters' source
-/// of truth.
-void fold_solver(MetricsRegistry& registry,
-                 const field::SolveAccounting& accounting);
 
 /// Execution-plane fold of a thread-pool stats delta:
 /// pool.{jobs,chunks} counters + pool.max_parts gauge. Tagged

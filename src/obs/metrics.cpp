@@ -10,7 +10,6 @@ const char* to_string(MetricKind kind) {
   switch (kind) {
     case MetricKind::kCounter: return "counter";
     case MetricKind::kGauge: return "gauge";
-    case MetricKind::kRealGauge: return "real_gauge";
     case MetricKind::kHistogram: return "histogram";
   }
   return "unknown";
@@ -60,10 +59,6 @@ MetricId MetricsRegistry::gauge(std::string_view name, int index, Plane plane) {
   return intern(name, index, MetricKind::kGauge, plane, {});
 }
 
-MetricId MetricsRegistry::real_gauge(std::string_view name, int index, Plane plane) {
-  return intern(name, index, MetricKind::kRealGauge, plane, {});
-}
-
 MetricId MetricsRegistry::histogram(std::string_view name,
                                     std::vector<std::int64_t> bounds, int index,
                                     Plane plane) {
@@ -94,20 +89,6 @@ void MetricsRegistry::set(MetricId id, std::int64_t value) {
   Metric& m = metrics_[id.index];
   BIOCHIP_REQUIRE(m.kind == MetricKind::kGauge, "set needs a gauge");
   m.ivalue = value;
-}
-
-void MetricsRegistry::set_real(MetricId id, double value) {
-  BIOCHIP_REQUIRE(id.valid() && id.index < metrics_.size(), "invalid metric id");
-  Metric& m = metrics_[id.index];
-  BIOCHIP_REQUIRE(m.kind == MetricKind::kRealGauge, "set_real needs a real gauge");
-  m.rvalue = value;
-}
-
-void MetricsRegistry::add_real(MetricId id, double delta) {
-  BIOCHIP_REQUIRE(id.valid() && id.index < metrics_.size(), "invalid metric id");
-  Metric& m = metrics_[id.index];
-  BIOCHIP_REQUIRE(m.kind == MetricKind::kRealGauge, "add_real needs a real gauge");
-  m.rvalue += delta;
 }
 
 void MetricsRegistry::observe(MetricId id, std::int64_t value) {

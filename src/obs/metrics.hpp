@@ -6,12 +6,12 @@
 /// The observability layer is split into two planes (docs/observability.md):
 ///
 ///  * the **counting plane** (this file) holds integer counters, gauges and
-///    fixed-bucket histograms plus a handful of solver-derived real gauges.
-///    Every update is driven from serial driver sections (arrival /
-///    harvest / admission / arbitration passes, event drains) or from values
-///    that are themselves bitwise-deterministic, so a `MetricsSnapshot` is
-///    **bitwise identical** between serial and pooled runs — enforced by the
-///    same identity suites that pin the streaming and orchestrator reports;
+///    fixed-bucket histograms. Every update is driven from serial driver
+///    sections (arrival / harvest / admission / arbitration passes, event
+///    drains) or from values that are themselves bitwise-deterministic, so a
+///    `MetricsSnapshot` is **bitwise identical** between serial and pooled
+///    runs — enforced by the same identity suites that pin the streaming and
+///    orchestrator reports;
 ///  * the **timing plane** (trace.hpp) reads the wall clock and is
 ///    explicitly nondeterministic.
 ///
@@ -42,7 +42,6 @@ inline constexpr int kMetricsSchemaVersion = 1;
 enum class MetricKind : std::uint8_t {
   kCounter,    ///< monotone non-negative total
   kGauge,      ///< signed instantaneous value
-  kRealGauge,  ///< double-valued gauge (solver residuals, fe-sweep work)
   kHistogram,  ///< fixed upper-bound buckets + one overflow bucket
 };
 
@@ -69,7 +68,6 @@ struct Metric {
   Plane plane = Plane::kCounting;
   std::uint64_t value = 0;               ///< kCounter
   std::int64_t ivalue = 0;               ///< kGauge
-  double rvalue = 0.0;                   ///< kRealGauge
   std::vector<std::int64_t> bounds;      ///< kHistogram: ascending upper bounds
   std::vector<std::uint64_t> buckets;    ///< bounds.size() + 1 (last = overflow)
 
@@ -93,8 +91,6 @@ class MetricsRegistry {
                    Plane plane = Plane::kCounting);
   MetricId gauge(std::string_view name, int index = -1,
                  Plane plane = Plane::kCounting);
-  MetricId real_gauge(std::string_view name, int index = -1,
-                      Plane plane = Plane::kCounting);
   /// `bounds` are ascending inclusive upper bounds; an observation above the
   /// last bound lands in the overflow bucket.
   MetricId histogram(std::string_view name, std::vector<std::int64_t> bounds,
@@ -104,8 +100,6 @@ class MetricsRegistry {
   /// Absolute fold of an externally maintained total (e.g. AdmissionStats).
   void set_counter(MetricId id, std::uint64_t value);
   void set(MetricId id, std::int64_t value);
-  void set_real(MetricId id, double value);
-  void add_real(MetricId id, double delta);
   /// Histogram observation: first bucket with `value <= bound`, else overflow.
   void observe(MetricId id, std::int64_t value);
 

@@ -239,7 +239,7 @@ std::vector<int> associate_detections(const std::vector<Vec2>& expected,
   BIOCHIP_REQUIRE(gate > 0.0, "association gate must be positive");
   std::vector<int> assignment(expected.size(), -1);
   std::vector<std::uint8_t> det_used(detections.size(), 0);
-  // Greedy nearest-pair assignment, the same scheme as match_detections:
+  // Greedy nearest-pair assignment (match_detections scores through it):
   // strict < keeps the first (lowest-index) pair at equal distance.
   for (std::size_t round = 0; round < expected.size(); ++round) {
     double best = std::numeric_limits<double>::infinity();
@@ -278,39 +278,21 @@ double MatchStats::precision() const {
 MatchStats match_detections(const std::vector<Vec2>& truth,
                             const std::vector<Detection>& detections, double tolerance) {
   BIOCHIP_REQUIRE(tolerance > 0.0, "tolerance must be positive");
-  MatchStats stats;
-  std::vector<std::uint8_t> truth_used(truth.size(), 0);
-  std::vector<std::uint8_t> det_used(detections.size(), 0);
-
-  // Greedy nearest-pair matching.
-  while (true) {
-    double best = std::numeric_limits<double>::infinity();
-    std::size_t bt = 0, bd = 0;
-    bool found = false;
-    for (std::size_t t = 0; t < truth.size(); ++t) {
-      if (truth_used[t]) continue;
-      for (std::size_t d = 0; d < detections.size(); ++d) {
-        if (det_used[d]) continue;
-        const double dist = (truth[t] - detections[d].position).norm();
-        if (dist <= tolerance && dist < best) {
-          best = dist;
-          bt = t;
-          bd = d;
-          found = true;
-        }
-      }
-    }
-    if (!found) break;
-    truth_used[bt] = 1;
-    det_used[bd] = 1;
-    ++stats.true_positives;
-    stats.mean_localization_error += best;
-  }
-  if (stats.true_positives > 0) stats.mean_localization_error /= stats.true_positives;
+  const std::vector<int> assignment = associate_detections(truth, detections, tolerance);
+  std::vector<double> matched;
   for (std::size_t t = 0; t < truth.size(); ++t)
-    if (!truth_used[t]) ++stats.false_negatives;
-  for (std::size_t d = 0; d < detections.size(); ++d)
-    if (!det_used[d]) ++stats.false_positives;
+    if (assignment[t] >= 0)
+      matched.push_back(
+          (truth[t] - detections[static_cast<std::size_t>(assignment[t])].position).norm());
+  // The greedy rounds pick pairs nearest first, so the ascending order is
+  // their pick order, and the sum below keeps the bits of a sum in picks.
+  std::sort(matched.begin(), matched.end());
+  MatchStats stats;
+  stats.true_positives = static_cast<int>(matched.size());
+  for (const double d : matched) stats.mean_localization_error += d;
+  if (stats.true_positives > 0) stats.mean_localization_error /= stats.true_positives;
+  stats.false_negatives = static_cast<int>(truth.size()) - stats.true_positives;
+  stats.false_positives = static_cast<int>(detections.size()) - stats.true_positives;
   return stats;
 }
 

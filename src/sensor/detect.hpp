@@ -75,7 +75,8 @@ struct MatchStats {
   double precision() const;
 };
 
-/// Greedy nearest-first matching of detections to truth within `tolerance`.
+/// Greedy nearest-first matching of detections to truth within `tolerance`:
+/// `associate_detections` with `truth` as the expected positions.
 MatchStats match_detections(const std::vector<Vec2>& truth,
                             const std::vector<Detection>& detections, double tolerance);
 

@@ -339,18 +339,34 @@ TEST(Route, BlockedSitesNeverEntered) {
       reqs.push_back({id++, from, to});
     }
 
-    for (auto* router : {&route_greedy, &route_astar}) {
-      const RouteResult r = (*router)(reqs, cfg);
+    for (const bool astar : {false, true}) {
+      const RouteResult r = astar ? route_astar(reqs, cfg) : route_greedy(reqs, cfg);
       for (const RoutedPath& p : r.paths)
         for (std::size_t t = 1; t < p.waypoints.size(); ++t)
           EXPECT_FALSE(cfg.is_blocked(p.waypoints[t]))
               << "seed " << seed << " cage " << p.id << " t " << t;
-      if (router == &route_astar) {
+      if (astar) {
         EXPECT_TRUE(r.success) << "seed " << seed;
         EXPECT_NO_THROW(verify_routes(reqs, r, cfg));
       }
     }
+
+    // An owner's sites stand in for the config's mask: a mask-free config
+    // routed under sites built from the mask plans exactly the same paths.
+    RouteConfig grid = cfg;
+    grid.blocked.clear();
+    const RouteResult own = route_astar(reqs, grid, SiteComponents(cfg, cfg.blocked));
+    const RouteResult built = route_astar(reqs, cfg);
+    ASSERT_EQ(own.paths.size(), built.paths.size());
+    for (std::size_t i = 0; i < own.paths.size(); ++i)
+      EXPECT_EQ(own.paths[i].waypoints, built.paths[i].waypoints)
+          << "seed " << seed << " cage " << own.paths[i].id;
+    EXPECT_EQ(own.failed_ids, built.failed_ids);
   }
+  RouteConfig wider = small_grid();
+  wider.cols = 33;
+  EXPECT_THROW(route_astar({{0, {2, 2}, {4, 2}}}, small_grid(), SiteComponents(wider, {})),
+               PreconditionError);
 }
 
 TEST(Route, BlockedDestinationFailsCleanly) {
@@ -378,7 +394,8 @@ TEST(Route, ReservedReplanAvoidsCommittedTraffic) {
   const RoutedPath& own = base.paths[0];
   const std::vector<RoutedPath> committed{base.paths[1]};
   const RouteRequest replan{0, own.position_at(t0), {20, 4}};
-  const auto fresh = route_astar_reserved(replan, cfg, committed, t0);
+  const auto fresh =
+      route_astar_reserved(replan, cfg, SiteComponents(cfg, cfg.blocked), committed, t0);
   ASSERT_TRUE(fresh.has_value());
   EXPECT_EQ(fresh->waypoints.front(), own.position_at(t0));
   EXPECT_EQ(fresh->waypoints.back(), (GridCoord{20, 4}));
@@ -413,6 +430,7 @@ TEST(Route, AstarReservedRepeatedSearchesAreBitwiseIdentical) {
   const RouteResult base = route_astar(reqs, cfg);
   ASSERT_TRUE(base.success);
   const std::vector<RoutedPath> committed{base.paths[1]};
+  const SiteComponents sites(cfg, cfg.blocked);
 
   std::vector<RouteRequest> replans;
   for (int col = 4; col <= 24; col += 2)
@@ -420,21 +438,20 @@ TEST(Route, AstarReservedRepeatedSearchesAreBitwiseIdentical) {
 
   std::vector<std::vector<GridCoord>> first_pass;
   for (const RouteRequest& r : replans) {
-    const auto p = route_astar_reserved(r, cfg, committed, 0);
+    const auto p = route_astar_reserved(r, cfg, sites, committed, 0);
     ASSERT_TRUE(p.has_value()) << "to {" << r.to.col << "," << r.to.row << "}";
     first_pass.push_back(p->waypoints);
   }
   for (std::size_t i = replans.size(); i-- > 0;) {
     std::vector<int> churn(1 + 977 * i % 4096);  // heap-state perturbation
     churn.back() = static_cast<int>(i);
-    const auto p = route_astar_reserved(replans[i], cfg, committed, 0);
+    const auto p = route_astar_reserved(replans[i], cfg, sites, committed, 0);
     ASSERT_TRUE(p.has_value());
     EXPECT_EQ(p->waypoints, first_pass[i]) << "replan " << i << " diverged";
   }
 
   // An owner of the whole plan passes the cage's own path along: skipped by
   // its id, it must route exactly as if it had been removed.
-  const SiteComponents sites(cfg, cfg.blocked);
   for (std::size_t i = 0; i < replans.size(); ++i) {
     const auto p = route_astar_reserved(replans[i], cfg, sites, base.paths, 0);
     ASSERT_TRUE(p.has_value());
@@ -449,16 +466,13 @@ TEST(Route, AstarReservedRepeatedSearchesAreBitwiseIdentical) {
   for (int row = 8; row >= 5; --row) waiter.waypoints.push_back({20, row});
   const RoutedPath own{0, {{2, 10}}};
   const RouteRequest late{0, {2, 10}, {20, 10}};
-  EXPECT_FALSE(route_astar_reserved(late, open, {waiter}, 0).has_value());
-  EXPECT_FALSE(route_astar_reserved(late, open, SiteComponents(open, open.blocked),
-                                    {own, waiter}, 0)
-                   .has_value());
+  const SiteComponents open_sites(open, open.blocked);
+  EXPECT_FALSE(route_astar_reserved(late, open, open_sites, {waiter}, 0).has_value());
+  EXPECT_FALSE(route_astar_reserved(late, open, open_sites, {own, waiter}, 0).has_value());
   open.max_steps = 236;
-  const auto longer = route_astar_reserved(late, open, {waiter}, 0);
+  const auto longer = route_astar_reserved(late, open, open_sites, {waiter}, 0);
   ASSERT_TRUE(longer.has_value());  // the case does turn on those 8 steps
-  EXPECT_EQ(route_astar_reserved(late, open, SiteComponents(open, open.blocked),
-                                 {own, waiter}, 0)
-                ->waypoints,
+  EXPECT_EQ(route_astar_reserved(late, open, open_sites, {own, waiter}, 0)->waypoints,
             longer->waypoints);
 }
 

@@ -41,56 +41,72 @@ class TrackerTest : public ::testing::Test {
     tracker_.add_track(7, TrackState::kOccupied);
   }
   OccupancyTracker tracker_;
-  const std::vector<int> ids_{7};
   const std::vector<Vec2> expected_{{100e-6, 100e-6}};
 };
 
 TEST_F(TrackerTest, SingleNoisyMissDoesNotFlipTheTrack) {
   // One missed frame, then the detection returns: no state change ever.
-  auto up = tracker_.update(ids_, expected_, {});
+  auto up = tracker_.update(expected_, {});
   EXPECT_TRUE(up.changes.empty());
   EXPECT_EQ(tracker_.state(7), TrackState::kOccupied);
-  up = tracker_.update(ids_, expected_, {det(102e-6, 99e-6)});
+  up = tracker_.update(expected_, {det(102e-6, 99e-6)});
   EXPECT_TRUE(up.changes.empty());
   // Two more isolated misses, interleaved with hits: still no flap.
   for (int round = 0; round < 2; ++round) {
-    up = tracker_.update(ids_, expected_, {});
+    up = tracker_.update(expected_, {});
     EXPECT_TRUE(up.changes.empty()) << "round " << round;
-    up = tracker_.update(ids_, expected_, {det(100e-6, 100e-6)});
+    up = tracker_.update(expected_, {det(100e-6, 100e-6)});
     EXPECT_TRUE(up.changes.empty()) << "round " << round;
   }
   EXPECT_EQ(tracker_.state(7), TrackState::kOccupied);
 }
 
 TEST_F(TrackerTest, ConsecutiveMissesConfirmLossExactlyOnce) {
-  tracker_.update(ids_, expected_, {});
-  tracker_.update(ids_, expected_, {});
+  tracker_.update(expected_, {});
+  tracker_.update(expected_, {});
   EXPECT_EQ(tracker_.state(7), TrackState::kOccupied);  // 2 misses: not yet
-  const auto up = tracker_.update(ids_, expected_, {});
+  const auto up = tracker_.update(expected_, {});
   ASSERT_EQ(up.changes.size(), 1u);
   EXPECT_EQ(up.changes[0].cage_id, 7);
   EXPECT_EQ(up.changes[0].state, TrackState::kLost);
   // Further misses do not re-announce the loss.
-  EXPECT_TRUE(tracker_.update(ids_, expected_, {}).changes.empty());
+  EXPECT_TRUE(tracker_.update(expected_, {}).changes.empty());
 }
 
 TEST_F(TrackerTest, RecaptureNeedsHitHysteresis) {
-  for (int n = 0; n < 3; ++n) tracker_.update(ids_, expected_, {});
+  for (int n = 0; n < 3; ++n) tracker_.update(expected_, {});
   ASSERT_EQ(tracker_.state(7), TrackState::kLost);
-  auto up = tracker_.update(ids_, expected_, {det(101e-6, 100e-6)});
+  auto up = tracker_.update(expected_, {det(101e-6, 100e-6)});
   EXPECT_TRUE(up.changes.empty());  // one hit: not confirmed yet
-  up = tracker_.update(ids_, expected_, {det(101e-6, 100e-6)});
+  up = tracker_.update(expected_, {det(101e-6, 100e-6)});
   ASSERT_EQ(up.changes.size(), 1u);
   EXPECT_EQ(up.changes[0].state, TrackState::kOccupied);
-  EXPECT_TRUE(tracker_.has_fix(7));
-  EXPECT_NEAR(tracker_.last_fix(7).x, 101e-6, 1e-12);
 }
 
 TEST_F(TrackerTest, OutOfGateDetectionIsUnmatched) {
   // 50 µm from the expected trap center with a 30 µm gate: stray.
-  const auto up = tracker_.update(ids_, expected_, {det(150e-6, 100e-6)});
+  const auto up = tracker_.update(expected_, {det(150e-6, 100e-6)});
   ASSERT_EQ(up.unmatched_detections.size(), 1u);
   EXPECT_EQ(up.unmatched_detections[0], 0u);
+}
+
+// `update` reads one expected position per track in `cage_ids()` order
+// (ascending cage id), whatever order the tracks were added in.
+TEST(TrackerOrderTest, ExpectedPositionsFollowTheTrackOrder) {
+  OccupancyTracker tracker(30e-6);
+  tracker.add_track(9);
+  tracker.add_track(3);
+  ASSERT_EQ(tracker.cage_ids(), (std::vector<int>{3, 9}));
+  const std::vector<Vec2> expected{{100e-6, 100e-6}, {400e-6, 100e-6}};  // cages 3, 9
+  // Only cage 9's cell shows: three misses confirm cage 3's loss alone.
+  TrackUpdate up;
+  for (int n = 0; n < 3; ++n) up = tracker.update(expected, {det(401e-6, 100e-6)});
+  ASSERT_EQ(up.changes.size(), 1u);
+  EXPECT_EQ(up.changes[0].cage_id, 3);
+  EXPECT_EQ(tracker.state(3), TrackState::kLost);
+  EXPECT_EQ(tracker.state(9), TrackState::kOccupied);
+  EXPECT_TRUE(up.unmatched_detections.empty());
+  EXPECT_THROW(tracker.update({{100e-6, 100e-6}}, {}), PreconditionError);
 }
 
 // ------------------------------------------------------- episode fixtures ----
@@ -118,16 +134,18 @@ cad::RouteConfig replanner_grid() {
 // mask would still refuse it.
 TEST(ReplannerTest, SetBlockedRebuildsTheReachabilityLabels) {
   const cad::RouteConfig cfg = replanner_grid();
-  Replanner planner(cfg);
+  Replanner planner(cfg, column_wall(cfg, false));
   planner.commit({{0, {{2, 5}}}, {1, {{13, 1}}}});
   const GridCoord goal{13, 8};
 
   planner.set_blocked(column_wall(cfg, true));
+  EXPECT_TRUE(planner.sites().blocked({8, 5}));
   EXPECT_FALSE(planner.replan(0, goal, 1));
   EXPECT_EQ(planner.position_at(0, 40), (GridCoord{2, 5}));
   EXPECT_EQ(planner.replans(), 0u);
 
   planner.set_blocked(column_wall(cfg, false));
+  EXPECT_FALSE(planner.sites().blocked({8, 5}));
   ASSERT_TRUE(planner.replan(0, goal, 1));
   EXPECT_EQ(planner.replans(), 1u);
   const int end = planner.horizon();
@@ -138,17 +156,32 @@ TEST(ReplannerTest, SetBlockedRebuildsTheReachabilityLabels) {
         << "t " << t;
 }
 
-// Rescue replans route under sites their owner supplies instead of the
-// committed mask; admissions route under the committed mask and commit.
-TEST(ReplannerTest, OverrideSitesAndAdmissionsUseTheirOwnMasks) {
+// Relaxed replans route under the rescue sites the replanner builds from
+// their own mask, and only once rescue is on; rebuilding them follows a new
+// mask. Strict replans, the defect lookahead and admissions keep the strict
+// sites throughout.
+TEST(ReplannerTest, RescueSitesAndAdmissionsUseTheirOwnMasks) {
   const cad::RouteConfig cfg = replanner_grid();
-  Replanner planner(cfg);
+  Replanner planner(cfg, column_wall(cfg, true));
   planner.commit({{0, {{2, 5}}}});
-  planner.set_blocked(column_wall(cfg, true));
+  const GridCoord goal{13, 8};
+  EXPECT_FALSE(planner.rescue_enabled());
+  EXPECT_THROW(planner.replan_relaxed(0, goal, 1), PreconditionError);
 
-  const cad::SiteComponents open(cfg, column_wall(cfg, false));
-  ASSERT_TRUE(planner.replan(0, {13, 8}, 1, open));
-  EXPECT_EQ(planner.position_at(0, planner.horizon()), (GridCoord{13, 8}));
+  planner.set_rescue_blocked(column_wall(cfg, true));  // rescue on, still walled
+  ASSERT_TRUE(planner.rescue_enabled());
+  EXPECT_FALSE(planner.replan_relaxed(0, goal, 1));
+  planner.set_rescue_blocked(column_wall(cfg, false));  // rebuilt without the wall
+  EXPECT_FALSE(planner.replan(0, goal, 1));
+  ASSERT_TRUE(planner.replan_relaxed(0, goal, 1));
+  EXPECT_EQ(planner.replans(), 1u);
+  EXPECT_EQ(planner.position_at(0, planner.horizon()), goal);
+  EXPECT_TRUE(planner.sites().blocked({8, 5}));
+  bool crosses = false;  // the relaxed route crosses the strict wall...
+  for (int t = 1; t <= planner.horizon(); ++t)
+    crosses = crosses || planner.position_at(0, t).col == 8;
+  EXPECT_TRUE(crosses);
+  EXPECT_TRUE(planner.enters_blocked_ahead(0, 0, planner.horizon()));  // ...strictly
 
   EXPECT_FALSE(planner.admit({1, {2, 2}, {12, 2}}, 3));  // the wall holds
   EXPECT_FALSE(planner.has_path(1));

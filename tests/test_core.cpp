@@ -101,20 +101,18 @@ TEST(CageFieldModel, EmptySiteSetGivesZeroDrive) {
   EXPECT_EQ(model.grad_erms2(model.trap_center({1, 1})), (Vec3{}));
 }
 
-TEST(CageFieldModel, IncrementalSetSitesMatchesRebuildAndOracle) {
-  // Same-length site updates take the incremental erase+insert path (the
-  // one-cage-per-hop tow pattern). Every hop must leave the hash in exactly
-  // the state a full rebuild would produce: compare against a fresh model
-  // and against the linear-scan oracle, including duplicate sites and the
-  // backward-shift deletion chains they exercise.
-  CageFieldModel inc(test_cage(), 20e-6, 30e-6);
+TEST(CageFieldModel, RepeatedSetSitesMatchFreshModelAndOracle) {
+  // One cage moves per hop (the tow pattern). After every hop the model must
+  // answer as a fresh model given the same list and as the linear-scan
+  // oracle, duplicate sites included.
+  CageFieldModel model(test_cage(), 20e-6, 30e-6);
   Rng rng(20260731);
   std::vector<GridCoord> sites;
   for (int s = 0; s < 24; ++s)
     sites.push_back({static_cast<int>(rng.uniform_int(0, 15)),
                      static_cast<int>(rng.uniform_int(0, 15))});
   sites.push_back(sites.front());  // duplicate from the start
-  inc.set_sites(sites);
+  model.set_sites(sites);
   for (int hop = 0; hop < 50; ++hop) {
     const auto idx = static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(sites.size()) - 1));
@@ -122,24 +120,24 @@ TEST(CageFieldModel, IncrementalSetSitesMatchesRebuildAndOracle) {
                   static_cast<int>(rng.uniform_int(0, 15))};
     if (hop % 7 == 0)  // periodically create & later destroy duplicates
       sites[(idx + 3) % sites.size()] = sites[idx];
-    inc.set_sites(sites);  // same length: incremental path
+    model.set_sites(sites);
     CageFieldModel fresh(test_cage(), 20e-6, 30e-6);
-    fresh.set_sites(sites);  // full rebuild
+    fresh.set_sites(sites);
     for (int q = 0; q < 30; ++q) {
       const Vec3 p{rng.uniform(-2 * 20e-6, 18 * 20e-6),
                    rng.uniform(-2 * 20e-6, 18 * 20e-6), rng.uniform(0.0, 50e-6)};
-      const Vec3 g = inc.grad_erms2(p);
+      const Vec3 g = model.grad_erms2(p);
       ASSERT_EQ(g, fresh.grad_erms2(p)) << "hop=" << hop << " q=" << q;
-      ASSERT_EQ(g, inc.grad_erms2_linear(p)) << "hop=" << hop << " q=" << q;
+      ASSERT_EQ(g, model.grad_erms2_linear(p)) << "hop=" << hop << " q=" << q;
     }
   }
 }
 
-TEST(CageFieldModel, IncrementalShrinkAndGrowFallsBackToRebuild) {
+TEST(CageFieldModel, GrowAndShrinkMatchOracle) {
   CageFieldModel model(test_cage(), 20e-6, 30e-6);
   std::vector<GridCoord> sites{{1, 1}, {5, 5}, {9, 9}};
   model.set_sites(sites);
-  sites.push_back({3, 7});  // length change: full rebuild path
+  sites.push_back({3, 7});
   model.set_sites(sites);
   for (const GridCoord site : sites) {
     const Vec3 p = model.trap_center(site);
@@ -203,13 +201,12 @@ TEST(CageFieldModel, ExactDistanceTiesBreakIdenticallyOnBothPaths) {
 }
 
 TEST(CageFieldModel, SetSitesFuzzHashedVsLinearEveryStep) {
-  // Randomized workout of the incremental set_sites path: sequences of
-  // single-site moves (the tow pattern), duplicate creation/destruction,
-  // swaps, and occasional grow/shrink rebuilds. After every step the hashed
-  // lookup must agree with the linear oracle and with a freshly rebuilt
-  // model at random points, every trap center, and exact pair midpoints
-  // (covers the backward-shift deletion and multiset slots).
-  CageFieldModel inc = tie_model();
+  // Randomized set_sites sequences: single-site moves (the tow pattern),
+  // duplicate creation/destruction, swaps, grows and shrinks. After every
+  // step the hashed lookup must agree with the linear oracle and with a
+  // fresh model at random points, every trap center, and exact pair
+  // midpoints.
+  CageFieldModel model = tie_model();
   Rng rng(424242);
   std::vector<GridCoord> sites;
   const auto rand_site = [&] {
@@ -217,7 +214,7 @@ TEST(CageFieldModel, SetSitesFuzzHashedVsLinearEveryStep) {
                      static_cast<int>(rng.uniform_int(-2, 9))};
   };
   for (int s = 0; s < 12; ++s) sites.push_back(rand_site());
-  inc.set_sites(sites);
+  model.set_sites(sites);
   for (int step = 0; step < 160; ++step) {
     const int op = static_cast<int>(rng.uniform_int(0, 9));
     const auto idx = [&] {
@@ -225,39 +222,39 @@ TEST(CageFieldModel, SetSitesFuzzHashedVsLinearEveryStep) {
           rng.uniform_int(0, static_cast<std::int64_t>(sites.size()) - 1));
     };
     if (op < 5) {
-      sites[idx()] = rand_site();  // single move: incremental erase+insert
+      sites[idx()] = rand_site();  // single move
     } else if (op < 7) {
       sites[idx()] = sites[idx()];  // duplicate an existing site
     } else if (op < 8) {
       std::swap(sites[idx()], sites[idx()]);  // reorder only
     } else if (op < 9 || sites.size() <= 2) {
-      sites.push_back(rand_site());  // grow: full rebuild
+      sites.push_back(rand_site());  // grow
     } else {
       sites.erase(sites.begin() + static_cast<std::ptrdiff_t>(idx()));  // shrink
     }
-    inc.set_sites(sites);
+    model.set_sites(sites);
     CageFieldModel fresh = tie_model();
     fresh.set_sites(sites);
     // Every trap center (membership through the drive field)...
     for (const GridCoord site : sites) {
-      const Vec3 c = inc.trap_center(site);
-      ASSERT_EQ(inc.grad_erms2(c), inc.grad_erms2_linear(c)) << "step=" << step;
-      ASSERT_EQ(inc.grad_erms2(c), fresh.grad_erms2(c)) << "step=" << step;
+      const Vec3 c = model.trap_center(site);
+      ASSERT_EQ(model.grad_erms2(c), model.grad_erms2_linear(c)) << "step=" << step;
+      ASSERT_EQ(model.grad_erms2(c), fresh.grad_erms2(c)) << "step=" << step;
     }
     // ...exact midpoints of site pairs (distance ties when equidistant)...
     for (int q = 0; q < 6; ++q) {
-      const Vec3 a = inc.trap_center(sites[idx()]);
-      const Vec3 b = inc.trap_center(sites[idx()]);
+      const Vec3 a = model.trap_center(sites[idx()]);
+      const Vec3 b = model.trap_center(sites[idx()]);
       const Vec3 mid{(a.x + b.x) * 0.5, (a.y + b.y) * 0.5, 0.0};
-      ASSERT_EQ(inc.grad_erms2(mid), inc.grad_erms2_linear(mid)) << "step=" << step;
-      ASSERT_EQ(inc.grad_erms2(mid), fresh.grad_erms2(mid)) << "step=" << step;
+      ASSERT_EQ(model.grad_erms2(mid), model.grad_erms2_linear(mid)) << "step=" << step;
+      ASSERT_EQ(model.grad_erms2(mid), fresh.grad_erms2(mid)) << "step=" << step;
     }
     // ...and random probes in and around the populated region.
     for (int q = 0; q < 10; ++q) {
       const Vec3 p{rng.uniform(-8.0, 24.0), rng.uniform(-8.0, 24.0),
                    rng.uniform(-1.0, 1.0)};
-      ASSERT_EQ(inc.grad_erms2(p), inc.grad_erms2_linear(p)) << "step=" << step;
-      ASSERT_EQ(inc.grad_erms2(p), fresh.grad_erms2(p)) << "step=" << step;
+      ASSERT_EQ(model.grad_erms2(p), model.grad_erms2_linear(p)) << "step=" << step;
+      ASSERT_EQ(model.grad_erms2(p), fresh.grad_erms2(p)) << "step=" << step;
     }
   }
 }

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <utility>
@@ -516,11 +517,14 @@ TEST(HealthMonitorTest, StrikeWindowAndProbationRecoverFalsePositives) {
 
 // The runtime folds watchdog quarantines into its belief mask (routing sees
 // them) without ever touching ground truth, and announced vs silent
-// electrode faults split exactly along the belief/truth line.
+// electrode faults split exactly along the belief/truth line: a silent fault
+// drops the trap it kills while routing still trusts the site, and a
+// quarantine refuses routes into its region while the hardware still traps.
 TEST_F(FaultFuzzTest, RuntimeFaultHooksSplitBeliefFromTruth) {
   auto w = make_world();
   w->add_cell({3, 8});
   w->goals.push_back({0, {12, 8}});
+  w->add_cell({12, 12});  // parked: no goal
 
   ControlConfig config;
   config.health.enabled = true;
@@ -550,6 +554,19 @@ TEST_F(FaultFuzzTest, RuntimeFaultHooksSplitBeliefFromTruth) {
   EXPECT_FALSE(rt.site_ok({9, 12}));
   EXPECT_FALSE(rt.site_ok({8, 11}));  // ring-1 region, not just the site
   EXPECT_EQ(rt.truth_defects().state({9, 12}), chip::PixelState::kOk);
+
+  // The tick's trap set follows truth: the parked cage on the silently dead
+  // site holds nothing, the towing cage keeps its trap.
+  const std::vector<GridCoord>& traps = w->engine.field_model().sites();
+  EXPECT_EQ(std::count(traps.begin(), traps.end(), GridCoord{12, 12}), 0);
+  EXPECT_EQ(std::count(traps.begin(), traps.end(), rt.site(0)), 1);
+
+  // Routing follows belief: an admission into the quarantined region is
+  // refused, one beside it is routed (so the refusal is the region's).
+  physics::ParticleBody cell = w->bodies[0];
+  cell.position = rt.trap_center({3, 2});
+  EXPECT_FALSE(rt.admit_cage({3, 2}, {9, 12}, 2, cell).has_value());
+  EXPECT_TRUE(rt.admit_cage({3, 2}, {5, 12}, 2, cell).has_value());
 
   const EpisodeReport report = rt.finish();
   EXPECT_EQ(count_events(report.events, EventKind::kFaultInjected), 2u);

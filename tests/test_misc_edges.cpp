@@ -1,5 +1,5 @@
-// Edge-case tests for utility corners not covered elsewhere: logging,
-// table/SI formatting, geometry printing, timing and scan boundaries.
+// Edge-case tests for utility corners not covered elsewhere: table/SI
+// formatting, geometry printing, timing and scan boundaries.
 
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 
 #include "chip/timing.hpp"
 #include "common/error.hpp"
-#include "common/log.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
 #include "sensor/capacitive.hpp"
@@ -18,17 +17,7 @@ namespace {
 
 using namespace biochip::units;
 
-TEST(Log, LevelGateIsRespected) {
-  const LogLevel prev = log_level();
-  set_log_level(LogLevel::kError);
-  EXPECT_EQ(log_level(), LogLevel::kError);
-  BIOCHIP_LOG(kDebug) << "suppressed";  // must not crash, must not emit
-  set_log_level(LogLevel::kOff);
-  BIOCHIP_LOG(kError) << "also suppressed";
-  set_log_level(prev);
-}
-
-TEST(Log, GeometryStreamOperators) {
+TEST(Geometry, StreamOperators) {
   std::ostringstream os;
   os << Vec2{1.5, -2.0} << " " << Vec3{1, 2, 3} << " " << GridCoord{4, 5};
   EXPECT_EQ(os.str(), "(1.5, -2) (1, 2, 3) [4, 5]");

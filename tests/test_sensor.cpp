@@ -9,12 +9,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/units.hpp"
 #include "sensor/capacitive.hpp"
@@ -453,6 +456,96 @@ TEST(Detect, AssociateNearestWithinGate) {
   const std::vector<int> b = associate_detections(both, one, 30e-6);
   EXPECT_EQ(b[0], 0);
   EXPECT_EQ(b[1], -1);
+}
+
+// `match_detections` as it was before it scored through
+// `associate_detections`: its own greedy nearest-pair rounds, adding each
+// matched distance to the error sum in pick order. The shared matcher's
+// oracle.
+MatchStats match_rounds_oracle(const std::vector<Vec2>& truth,
+                               const std::vector<Detection>& detections,
+                               double tolerance) {
+  MatchStats stats;
+  std::vector<std::uint8_t> truth_used(truth.size(), 0);
+  std::vector<std::uint8_t> det_used(detections.size(), 0);
+  while (true) {
+    double best = std::numeric_limits<double>::infinity();
+    std::size_t bt = 0, bd = 0;
+    bool found = false;
+    for (std::size_t t = 0; t < truth.size(); ++t) {
+      if (truth_used[t]) continue;
+      for (std::size_t d = 0; d < detections.size(); ++d) {
+        if (det_used[d]) continue;
+        const double dist = (truth[t] - detections[d].position).norm();
+        if (dist <= tolerance && dist < best) {
+          best = dist;
+          bt = t;
+          bd = d;
+          found = true;
+        }
+      }
+    }
+    if (!found) break;
+    truth_used[bt] = 1;
+    det_used[bd] = 1;
+    ++stats.true_positives;
+    stats.mean_localization_error += best;
+  }
+  if (stats.true_positives > 0) stats.mean_localization_error /= stats.true_positives;
+  for (std::size_t t = 0; t < truth.size(); ++t)
+    if (!truth_used[t]) ++stats.false_negatives;
+  for (std::size_t d = 0; d < detections.size(); ++d)
+    if (!det_used[d]) ++stats.false_positives;
+  return stats;
+}
+
+// The scoring matcher is the tracker's association plus a sum of the matched
+// distances in ascending order. On seeded scenes it must count exactly what
+// the rounds oracle counts and keep the mean error's bits. Half the scenes
+// sit on a binary-exact lattice (a power-of-two unit), where equal offsets
+// give exactly equal distances and the gate can fall on a distance exactly,
+// so the tie rule and the `<=` gate are exercised, not just continuous data.
+TEST(Detect, MatchDetectionsEqualsGreedyRoundsOracle) {
+  const double unit = std::ldexp(1.0, -16);  // about 15 um, exact in binary
+  Rng rng(0x4D415443);
+  int tied_scenes = 0;
+  int multi_match_scenes = 0;
+  for (int scene = 0; scene < 3000; ++scene) {
+    const bool lattice = scene % 2 == 0;
+    const auto coord = [&] {
+      return lattice ? unit * static_cast<double>(rng.uniform_int(0, 7))
+                     : rng.uniform(0.0, 8.0 * unit);
+    };
+    std::vector<Vec2> truth(static_cast<std::size_t>(rng.uniform_int(0, 8)));
+    for (Vec2& t : truth) t = {coord(), coord()};
+    std::vector<Detection> dets(static_cast<std::size_t>(rng.uniform_int(0, 10)));
+    for (Detection& d : dets) d.position = {coord(), coord()};
+    const double tolerance = lattice ? unit * static_cast<double>(rng.uniform_int(1, 4))
+                                     : rng.uniform(0.25, 4.0) * unit;
+
+    const MatchStats got = match_detections(truth, dets, tolerance);
+    const MatchStats want = match_rounds_oracle(truth, dets, tolerance);
+    ASSERT_EQ(got.true_positives, want.true_positives) << "scene " << scene;
+    ASSERT_EQ(got.false_positives, want.false_positives) << "scene " << scene;
+    ASSERT_EQ(got.false_negatives, want.false_negatives) << "scene " << scene;
+    std::uint64_t got_bits = 0, want_bits = 0;
+    std::memcpy(&got_bits, &got.mean_localization_error, sizeof got_bits);
+    std::memcpy(&want_bits, &want.mean_localization_error, sizeof want_bits);
+    ASSERT_EQ(got_bits, want_bits) << "scene " << scene;
+
+    if (want.true_positives >= 2) ++multi_match_scenes;
+    std::vector<double> in_gate;
+    for (const Vec2& t : truth)
+      for (const Detection& d : dets) {
+        const double dist = (t - d.position).norm();
+        if (dist <= tolerance) in_gate.push_back(dist);
+      }
+    std::sort(in_gate.begin(), in_gate.end());
+    if (std::adjacent_find(in_gate.begin(), in_gate.end()) != in_gate.end()) ++tied_scenes;
+  }
+  // The scenes do reach the cases the rule is about.
+  EXPECT_GT(tied_scenes, 600);
+  EXPECT_GT(multi_match_scenes, 600);
 }
 
 TEST(Detect, ThresholdValidation) {

@@ -30,7 +30,7 @@ import sys
 from pathlib import Path
 
 SCHEMA = "biochip.metrics.v1"
-KINDS = {"counter", "gauge", "real_gauge", "histogram"}
+KINDS = {"counter", "gauge", "histogram"}
 PLANES = {"counting", "execution"}
 
 
