@@ -95,12 +95,6 @@ void AssayGraph::validate() const {
   }
 }
 
-std::vector<int> AssayGraph::topo_order() const {
-  std::vector<int> order(ops_.size());
-  for (std::size_t i = 0; i < ops_.size(); ++i) order[i] = static_cast<int>(i);
-  return order;  // ids are appended in dependency order by construction
-}
-
 double AssayGraph::critical_path() const {
   std::vector<double> finish(ops_.size(), 0.0);
   double best = 0.0;

@@ -57,10 +57,6 @@ class AssayGraph {
   /// Throws ConfigError with a description on the first violation.
   void validate() const;
 
-  /// Topological order (ids ascending already satisfy it by construction,
-  /// returned explicitly for clarity).
-  std::vector<int> topo_order() const;
-
   /// Critical-path duration ignoring resource limits and transport [s].
   double critical_path() const;
 

@@ -47,13 +47,8 @@ SynthesisResult synthesize(const AssayGraph& graph, const SynthesisConfig& confi
   result.processing_makespan = result.schedule.makespan;
 
   // 2. Place.
-  PlacerConfig pcfg{config.dims, config.module_size, config.halo};
-  if (config.anneal_placement) {
-    Rng rng(config.seed);
-    result.placement = annealed_place(graph, result.schedule, pcfg, rng);
-  } else {
-    result.placement = greedy_place(graph, result.schedule, pcfg);
-  }
+  const PlacerConfig pcfg{config.dims};  // default module size and halo
+  result.placement = greedy_place(graph, result.schedule, pcfg);
   if (!result.placement.valid) {
     result.success = false;
     for (const std::string& s : result.placement.issues)
@@ -104,8 +99,7 @@ SynthesisResult synthesize(const AssayGraph& graph, const SynthesisConfig& confi
       rcfg.obstacles.push_back({m.origin, m.width, m.height});
     }
 
-    episode.routes = config.astar_router ? route_astar(episode.transfers, rcfg)
-                                         : route_greedy(episode.transfers, rcfg);
+    episode.routes = route_astar(episode.transfers, rcfg);
     if (!episode.routes.success) {
       result.success = false;
       result.issues.push_back("routing failed for " +

@@ -8,7 +8,6 @@
 /// count is multiplied by the physical actuation step period (pitch / tow
 /// speed — mass transfer, not electronics, is the clock here: claim C3).
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -19,17 +18,15 @@
 
 namespace biochip::cad {
 
+/// Placement is greedy, with `PlacerConfig`'s default module size and halo,
+/// and routing is A*; `annealed_place` and `route_greedy` stay callable on
+/// their own.
 struct SynthesisConfig {
   ArrayDims dims{64, 64};
   ChipResources resources;
-  int module_size = 6;
-  int halo = 2;
   int min_separation = 2;
   double step_period = 0.4;   ///< s per cage step (20 µm / 50 µm/s)
   bool list_scheduler = true; ///< false = FIFO baseline
-  bool astar_router = true;   ///< false = greedy baseline
-  bool anneal_placement = false;
-  std::uint64_t seed = 1;
 };
 
 /// One simultaneous-transfer routing episode (all edges departing together).

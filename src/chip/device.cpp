@@ -68,16 +68,6 @@ field::ChamberDomain BiochipDevice::local_domain(int patch, int nodes_per_pitch)
   return d;
 }
 
-std::vector<Rect> BiochipDevice::local_footprints(int patch) const {
-  // A standalone patch-sized array reuses the footprint geometry.
-  const ElectrodeArray local(patch, patch, config_.pitch, config_.metal_fill);
-  std::vector<Rect> out;
-  out.reserve(static_cast<std::size_t>(patch) * static_cast<std::size_t>(patch));
-  for (int r = 0; r < patch; ++r)
-    for (int c = 0; c < patch; ++c) out.push_back(local.footprint({c, r}));
-  return out;
-}
-
 field::HarmonicCage BiochipDevice::calibrate_cage(int patch, int nodes_per_pitch,
                                                   field::MultigridWorkspace* workspace) const {
   const field::ChamberDomain domain = local_domain(patch, nodes_per_pitch);

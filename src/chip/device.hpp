@@ -61,9 +61,6 @@ class BiochipDevice {
   /// `nodes_per_pitch` grid nodes per pitch, full chamber height.
   field::ChamberDomain local_domain(int patch, int nodes_per_pitch) const;
 
-  /// Electrode footprints of the local patch, row-major.
-  std::vector<Rect> local_footprints(int patch) const;
-
   /// Solve the field of a single centered cage on a local patch and calibrate
   /// the harmonic cage surrogate. `nodes_per_pitch` trades accuracy for time.
   /// `workspace` (optional) caches the multigrid hierarchy across calls: a

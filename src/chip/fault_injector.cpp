@@ -6,6 +6,15 @@
 
 namespace biochip::chip {
 
+namespace {
+
+/// Ticks a sampled row dropout, pixel burst and intermittent port outage last.
+constexpr int kSensorDropoutDuration = 4;
+constexpr int kSensorBurstDuration = 2;
+constexpr int kPortDownDuration = 25;
+
+}  // namespace
+
 const char* to_string(FaultKind kind) {
   switch (kind) {
     case FaultKind::kElectrodeDead: return "electrode_dead";
@@ -113,15 +122,14 @@ void FaultInjector::sample(int t, std::vector<FaultEvent>& fired) {
     if (rates.sensor_row_dropout > 0.0 && rng.bernoulli(rates.sensor_row_dropout)) {
       const int row = static_cast<int>(rng.uniform_int(0, shape.rows - 1));
       fired.push_back({t, FaultKind::kSensorRowDropout, static_cast<int>(c),
-                       {0, row}, -1, config_.sensor_dropout_duration});
+                       {0, row}, -1, kSensorDropoutDuration});
     }
     if (rates.sensor_pixel_burst > 0.0 && rng.bernoulli(rates.sensor_pixel_burst)) {
-      const int tile = std::max(1, config_.burst_tile);
       const GridCoord origin{
-          static_cast<int>(rng.uniform_int(0, std::max(0, shape.cols - tile))),
-          static_cast<int>(rng.uniform_int(0, std::max(0, shape.rows - tile)))};
+          static_cast<int>(rng.uniform_int(0, std::max(0, shape.cols - kBurstTile))),
+          static_cast<int>(rng.uniform_int(0, std::max(0, shape.rows - kBurstTile)))};
       fired.push_back({t, FaultKind::kSensorPixelBurst, static_cast<int>(c), origin,
-                       -1, config_.sensor_burst_duration});
+                       -1, kSensorBurstDuration});
     }
   }
 
@@ -130,7 +138,7 @@ void FaultInjector::sample(int t, std::vector<FaultEvent>& fired) {
     Rng rng = stream_.fork(chambers_.size() + p).fork(static_cast<std::uint64_t>(t));
     if (rates.port_intermittent > 0.0 && rng.bernoulli(rates.port_intermittent))
       fired.push_back({t, FaultKind::kPortIntermittent, -1, {}, static_cast<int>(p),
-                       config_.port_down_duration});
+                       kPortDownDuration});
     if (rates.port_failed > 0.0 && rng.bernoulli(rates.port_failed))
       fired.push_back({t, FaultKind::kPortFailed, -1, {}, static_cast<int>(p), 0});
   }

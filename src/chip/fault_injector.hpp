@@ -64,13 +64,14 @@ struct FaultRates {
   double port_failed = 0.0;
 };
 
+/// Tile side of every pixel burst, scripted or sampled [sites].
+inline constexpr int kBurstTile = 3;
+
+/// Sampled transient faults (row dropouts, pixel bursts, intermittent port
+/// outages) last fixed spans, set beside the sampler in fault_injector.cpp.
 struct FaultScheduleConfig {
   std::vector<FaultEvent> scripted;  ///< fired at their exact tick, in order
   FaultRates rates;
-  int sensor_dropout_duration = 4;  ///< ticks a sampled row dropout lasts
-  int sensor_burst_duration = 2;    ///< ticks a sampled pixel burst lasts
-  int burst_tile = 3;               ///< tile side of a sampled pixel burst
-  int port_down_duration = 25;      ///< ticks a sampled intermittent outage lasts
   /// Cap on sampled *electrode* faults per chamber (scripted ones always
   /// fire); 0 = unbounded. Lets a soak accumulate defects to a target
   /// density and then hold it.
@@ -99,8 +100,6 @@ class FaultInjector {
  public:
   FaultInjector(FaultScheduleConfig config, std::vector<ChamberShape> chambers,
                 std::size_t n_ports, Rng stream);
-
-  const FaultScheduleConfig& config() const { return config_; }
 
   /// All faults firing at tick t (strictly increasing t across calls).
   std::vector<FaultEvent> tick(int t);

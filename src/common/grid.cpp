@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 namespace biochip {
 
@@ -39,10 +38,8 @@ double Grid2::sample(Vec2 p) const {
   return lerp(lerp(v00, v10, fx.t), lerp(v01, v11, fx.t), fy.t);
 }
 
-void Grid2::fill(double v) { std::fill(data_.begin(), data_.end(), v); }
 double Grid2::min() const { return *std::min_element(data_.begin(), data_.end()); }
 double Grid2::max() const { return *std::max_element(data_.begin(), data_.end()); }
-double Grid2::sum() const { return std::accumulate(data_.begin(), data_.end(), 0.0); }
 
 Grid3::Grid3(std::size_t nx, std::size_t ny, std::size_t nz, double spacing, double init)
     : nx_(nx), ny_(ny), nz_(nz), spacing_(spacing), data_(nx * ny * nz, init) {

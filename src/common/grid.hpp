@@ -42,11 +42,8 @@ class Grid2 {
   /// Positions outside the grid are clamped to the boundary.
   double sample(Vec2 p) const;
 
-  void fill(double v);
   double min() const;
   double max() const;
-  /// Sum of all node values.
-  double sum() const;
 
   const std::vector<double>& data() const { return data_; }
   std::vector<double>& data() { return data_; }

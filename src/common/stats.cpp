@@ -26,10 +26,6 @@ double RunningStats::variance() const {
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
-double RunningStats::sem() const {
-  return n_ >= 2 ? stddev() / std::sqrt(static_cast<double>(n_)) : 0.0;
-}
-
 void RunningStats::merge(const RunningStats& o) {
   if (o.n_ == 0) return;
   if (n_ == 0) {

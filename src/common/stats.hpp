@@ -18,8 +18,6 @@ class RunningStats {
   double stddev() const;
   double min() const { return min_; }
   double max() const { return max_; }
-  /// Standard error of the mean.
-  double sem() const;
   /// Merge another accumulator (parallel reduction).
   void merge(const RunningStats& o);
 

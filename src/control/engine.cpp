@@ -31,6 +31,15 @@ constexpr double kEscapeDistancePitches = 2.5;
 /// Drive the tracked field writes on a live cage-site electrode.
 constexpr double kFieldTrackingDrive = 1.0;
 
+/// The routing grid of a chamber: its site array and cage separation.
+cad::RouteConfig route_grid(const chip::CageController& cages) {
+  cad::RouteConfig grid;
+  grid.cols = cages.array().cols();
+  grid.rows = cages.array().rows();
+  grid.min_separation = cages.min_separation();
+  return grid;
+}
+
 }  // namespace
 
 ClosedLoopEngine::ClosedLoopEngine(chip::CageController& cages,
@@ -57,13 +66,23 @@ EpisodeRuntime::EpisodeRuntime(ClosedLoopEngine& owner, std::vector<CageGoal> go
       body_active_(bodies.size(), std::uint8_t{1}),
       body_streams_(bodies.size()),
       next_body_stream_(bodies.size()),
+      capture_(owner.engine_.field_model().capture_radius()),
       defects_(owner.defects_), truth_defects_(owner.defects_),
+      // Self-test knowledge: which sites the defect map rules out. At episode
+      // start belief and ground truth agree; runtime fault injection can grow
+      // them apart (silent faults land in truth only, health quarantines in
+      // belief only). Truth drives the physics, belief drives routing/admission.
+      blocked_(chip::blocked_site_mask(owner.cages_.array(), defects_,
+                                       owner.config_.defect_ring)),
+      truth_blocked_(blocked_), quarantine_mask_(blocked_.size(), 0),
       phys_base_(stream_base.fork(0)), sense_base_(stream_base.fork(1)),
-      fault_base_(stream_base.fork(2)) {
+      fault_base_(stream_base.fork(2)),
+      // Control stack. Replans are always defect-aware, even when the initial
+      // plan was deliberately blind (the online-reroute exercise).
+      replanner_(route_grid(owner.cages_), blocked_), tracker_(capture_),
+      supervisor_(owner.cages_.array(), defects_, replanner_, capture_) {
   const ControlConfig& config = owner_.config_;
   const chip::ElectrodeArray& array = owner_.cages_.array();
-  capture_ = owner_.engine_.field_model().capture_radius();
-  const int min_sep = owner_.cages_.min_separation();
   for (std::size_t n = 0; n < body_streams_.size(); ++n)
     body_streams_[n] = static_cast<std::uint64_t>(n);
 
@@ -73,23 +92,8 @@ EpisodeRuntime::EpisodeRuntime(ClosedLoopEngine& owner, std::vector<CageGoal> go
     BIOCHIP_REQUIRE(body_index_of(g.cage_id, bidx), "goal cage has no tracked body");
   }
 
-  // Self-test knowledge: which sites the defect map rules out. At episode
-  // start belief and ground truth agree; runtime fault injection can grow
-  // them apart (silent faults land in truth only, health quarantines in
-  // belief only). Truth drives the physics, belief drives routing/admission.
-  blocked_ = chip::blocked_site_mask(array, defects_, config.defect_ring);
-  truth_blocked_ = blocked_;
-  quarantine_mask_.assign(blocked_.size(), 0);
   initial_blocked_ = static_cast<std::size_t>(
       std::count(blocked_.begin(), blocked_.end(), std::uint8_t{1}));
-
-  // Control stack. Replans are always defect-aware, even when the initial
-  // plan was deliberately blind (the online-reroute exercise).
-  cad::RouteConfig grid;
-  grid.cols = array.cols();
-  grid.rows = array.rows();
-  grid.min_separation = min_sep;
-  replanner_.emplace(grid, blocked_);
 
   // Initial plan: parked cages become zero-length requests so the planner
   // keeps traffic separated from them. A defect-aware plan routes on the
@@ -106,37 +110,26 @@ EpisodeRuntime::EpisodeRuntime(ClosedLoopEngine& owner, std::vector<CageGoal> go
     const GridCoord site = owner_.cages_.site(id);
     requests.push_back({id, site, site});
   }
+  cad::RouteConfig grid = route_grid(owner_.cages_);
   cad::RouteResult plan = defect_aware
-                             ? cad::route_astar(requests, grid, replanner_->sites())
+                             ? cad::route_astar(requests, grid, replanner_.sites())
                              : cad::route_astar(requests, grid);
   planned_ = plan.success;
   report_.planned = plan.success;
-  if (!plan.success) {
-    replanner_.reset();  // no control stack without a plan
-    // The report contract holds even without an episode: every goal cage
-    // lands in exactly one list, every failure carries an explicit event.
-    for (const CageGoal& g : goals_) {
-      report_.failed_ids.push_back(g.cage_id);
-      report_.events.push_back(
-          {0, EventKind::kDeliveryFailed, g.cage_id, owner_.cages_.site(g.cage_id)});
-    }
-    goals_.clear();  // finish() must not double-account them
-    return;
-  }
+  // A failed plan leaves the stack empty and the budget 0: the episode runs
+  // no tick, and finish() fails every goal with an explicit event.
+  if (!plan.success) return;
   // A defect-aware plan is verified against the mask it routed under.
-  cad::RouteConfig verify_cfg = grid;
-  if (defect_aware) verify_cfg.blocked = blocked_;
-  cad::verify_routes(requests, plan, verify_cfg);
-  replanner_->commit(std::move(plan.paths));
+  if (defect_aware) grid.blocked = blocked_;
+  cad::verify_routes(requests, plan, grid);
+  replanner_.commit(std::move(plan.paths));
 
-  tracker_.emplace(capture_);
-  for (const auto& [cid, bi] : cage_bodies_) tracker_->add_track(cid);
+  for (const auto& [cid, bi] : cage_bodies_) tracker_.add_track(cid);
 
   if (config.rescue) refresh_rescue_sites();
-  supervisor_.emplace(array, defects_, *replanner_, capture_);
-  for (const CageGoal& g : goals_) supervisor_->add_cage(g.cage_id, g.destination);
+  for (const CageGoal& g : goals_) supervisor_.add_cage(g.cage_id, g.destination);
   if (config.closed_loop) {
-    const auto pre = supervisor_->preflight();
+    const auto pre = supervisor_.preflight();
     report_.events.insert(report_.events.end(), pre.begin(), pre.end());
   }
   if (config.closed_loop && config.health.enabled)
@@ -216,13 +209,13 @@ void EpisodeRuntime::refresh_belief_blocked() {
                                      owner_.config_.defect_ring);
   for (std::size_t i = 0; i < blocked_.size(); ++i)
     if (quarantine_mask_[i] != 0) blocked_[i] = 1;
-  replanner_->set_blocked(blocked_);
+  replanner_.set_blocked(blocked_);
 }
 
 void EpisodeRuntime::refresh_rescue_sites() {
   // Ring-0 semantics: an empty cage only needs its own pixel functional —
   // there is no cell aboard for a broken counter-phase wall to lose.
-  replanner_->set_rescue_blocked(chip::blocked_site_mask(owner_.cages_.array(), defects_, 0));
+  replanner_.set_rescue_blocked(chip::blocked_site_mask(owner_.cages_.array(), defects_, 0));
 }
 
 double EpisodeRuntime::excess_blocked_fraction() const {
@@ -283,7 +276,7 @@ void EpisodeRuntime::apply_electrode_fault(int t, GridCoord site,
   if (kind != chip::FaultKind::kElectrodeSilentDead) {
     pixel_faults_ = sensor::pixel_faults(defects_);
     refresh_belief_blocked();
-    if (replanner_->rescue_enabled()) refresh_rescue_sites();
+    if (replanner_.rescue_enabled()) refresh_rescue_sites();
   }
   report_.events.push_back({t, EventKind::kFaultInjected, -1, site});
 }
@@ -309,22 +302,20 @@ void EpisodeRuntime::begin_sensor_burst(int t, GridCoord origin, int tile,
 }
 
 void EpisodeRuntime::assign_goal(int cage_id, GridCoord goal) {
-  BIOCHIP_REQUIRE(planned_ && supervisor_.has_value(),
-                  "cannot assign goals to an unplanned episode");
-  BIOCHIP_REQUIRE(!supervisor_->supervises(cage_id),
+  BIOCHIP_REQUIRE(planned_, "cannot assign goals to an unplanned episode");
+  BIOCHIP_REQUIRE(!supervisor_.supervises(cage_id),
                   "cage already has a delivery goal");
   std::size_t bidx = 0;
   BIOCHIP_REQUIRE(body_index_of(cage_id, bidx), "goal cage has no tracked body");
   BIOCHIP_REQUIRE(owner_.cages_.array().contains(goal),
                   "destination outside the array");
-  supervisor_->add_cage(cage_id, goal);
+  supervisor_.add_cage(cage_id, goal);
   goals_.push_back({cage_id, goal});
 }
 
 void EpisodeRuntime::retarget(int cage_id, GridCoord goal) {
-  BIOCHIP_REQUIRE(planned_ && supervisor_.has_value(),
-                  "cannot retarget in an unplanned episode");
-  supervisor_->retarget(cage_id, goal);
+  BIOCHIP_REQUIRE(planned_, "cannot retarget in an unplanned episode");
+  supervisor_.retarget(cage_id, goal);
   for (CageGoal& g : goals_)
     if (g.cage_id == cage_id) g.destination = goal;
 }
@@ -334,9 +325,8 @@ Vec3 EpisodeRuntime::trap_center(GridCoord site) const {
 }
 
 CageMode EpisodeRuntime::mode(int cage_id) const {
-  BIOCHIP_REQUIRE(supervisor_.has_value(),
-                  "no control stack: the initial plan failed");
-  return supervisor_->mode(cage_id);
+  BIOCHIP_REQUIRE(planned_, "no supervision: the initial plan failed");
+  return supervisor_.mode(cage_id);
 }
 
 std::vector<ControlEvent> EpisodeRuntime::take_observed_events(bool all) {
@@ -354,8 +344,8 @@ std::vector<ControlEvent> EpisodeRuntime::take_observed_events(bool all) {
 }
 
 bool EpisodeRuntime::all_delivered() const {
-  return owner_.config_.closed_loop && supervisor_.has_value() &&
-         supervisor_->all_delivered();
+  // An empty supervisor delivers vacuously; an unplanned episode never does.
+  return planned_ && owner_.config_.closed_loop && supervisor_.all_delivered();
 }
 
 void EpisodeRuntime::displace(int t, int cage_id, GridCoord site,
@@ -398,7 +388,7 @@ void EpisodeRuntime::tick(int t) {
   std::vector<GridCoord> next(ids.size());
   for (std::size_t i = 0; i < ids.size(); ++i) {
     cur[i] = cages.site(ids[i]);
-    next[i] = replanner_->position_at(ids[i], t);
+    next[i] = replanner_.position_at(ids[i], t);
   }
   stalled_.clear();
   if (config.closed_loop) {
@@ -422,7 +412,7 @@ void EpisodeRuntime::tick(int t) {
         }
       }
     }
-    for (const int id : stalled_) replanner_->hold(id, t);
+    for (const int id : stalled_) replanner_.hold(id, t);
   }
   std::vector<chip::CageMove> moves;
   for (std::size_t i = 0; i < ids.size(); ++i)
@@ -444,8 +434,7 @@ void EpisodeRuntime::tick(int t) {
     const GridCoord s = cages.site(id);
     if (truth_site_ok(s)) {
       sites.push_back(s);
-    } else if (supervisor_.has_value() && supervisor_->supervises(id) &&
-               supervisor_->rescuing(id) &&
+    } else if (supervisor_.supervises(id) && supervisor_.rescuing(id) &&
                truth_defects_.state(s) == chip::PixelState::kOk) {
       sites.push_back(s);
     }
@@ -566,17 +555,17 @@ void EpisodeRuntime::tick(int t) {
 
   // ---- track: associate detections to per-cage trap centers.
   phase.begin("track");
-  const std::vector<int> tracked = tracker_->cage_ids();
+  const std::vector<int> tracked = tracker_.cage_ids();
   std::vector<Vec2> expected;
   expected.reserve(tracked.size());
   for (const int id : tracked) expected.push_back(trap_center(cages.site(id)).xy());
-  const TrackUpdate update = tracker_->update(expected, detections);
+  const TrackUpdate update = tracker_.update(expected, detections);
 
   // ---- supervise: pause / recapture / re-route; events are the audit log.
   // (The "plan" phase of the span catalog: replanning happens inside the
   // supervisor's step, so one span covers supervise + replan + health.)
   phase.begin("plan");
-  const auto events = supervisor_->step(t, *tracker_, detections, update, cages, stalled_);
+  const auto events = supervisor_.step(t, tracker_, detections, update, cages, stalled_);
   report_.events.insert(report_.events.end(), events.begin(), events.end());
 
   // ---- health: the watchdog reads the audit trail it just grew and walks
@@ -595,13 +584,14 @@ void EpisodeRuntime::idle_tick(int t) {
 
 EpisodeReport EpisodeRuntime::finish() {
   // Ground-truth delivery accounting (same criterion for open and closed
-  // loop): at the destination with the cell inside the capture basin.
+  // loop): at the destination with the cell inside the capture basin. An
+  // unplanned episode delivers nothing: every goal fails, at tick 0.
   for (const CageGoal& g : goals_) {
     std::size_t bidx = 0;
     BIOCHIP_REQUIRE(body_index_of(g.cage_id, bidx), "goal cage lost its body");
     const bool at_goal = owner_.cages_.site(g.cage_id) == g.destination;
     const Vec3 trap = trap_center(g.destination);
-    if (at_goal && (bodies_[bidx].position - trap).norm() <= capture_) {
+    if (planned_ && at_goal && (bodies_[bidx].position - trap).norm() <= capture_) {
       report_.delivered_ids.push_back(g.cage_id);
       // Open-loop runs (and budget-truncated closed ones) have no supervisor
       // to announce the delivery; keep the audit trail complete.
@@ -618,7 +608,7 @@ EpisodeReport EpisodeRuntime::finish() {
                                 owner_.cages_.site(g.cage_id)});
     }
   }
-  if (replanner_.has_value()) report_.replans = replanner_->replans();
+  report_.replans = replanner_.replans();
   report_.success = report_.planned && report_.failed_ids.empty();
   return report_;
 }
@@ -639,7 +629,7 @@ std::optional<int> EpisodeRuntime::admit_cage(GridCoord at, GridCoord goal, int 
   // planner only checks conflicts from the first *move* onward).
   if (!cages.can_place(at)) return std::nullopt;
   const int min_sep = cages.min_separation();
-  for (const cad::RoutedPath& p : replanner_->paths())
+  for (const cad::RoutedPath& p : replanner_.paths())
     if (chebyshev(p.position_at(t), at) < min_sep) return std::nullopt;
 
   // Route through this chamber's own reservation table, defect-aware.
@@ -648,13 +638,13 @@ std::optional<int> EpisodeRuntime::admit_cage(GridCoord at, GridCoord goal, int 
   // identical to materializing t copies of `at`, without the O(t) prefix
   // that would make open-system admission cost grow with elapsed time.
   const int id = cages.create(at);
-  if (!replanner_->admit({id, at, goal}, t)) {
+  if (!replanner_.admit({id, at, goal}, t)) {
     cages.destroy(id);
     return std::nullopt;
   }
 
-  tracker_->add_track(id);
-  supervisor_->add_cage(id, goal);
+  tracker_.add_track(id);
+  supervisor_.add_cage(id, goal);
   goals_.push_back({id, goal});
   std::size_t slot = bodies_.size();
   if (!free_body_slots_.empty()) {
@@ -668,6 +658,9 @@ std::optional<int> EpisodeRuntime::admit_cage(GridCoord at, GridCoord goal, int 
     body_active_.push_back(1);
     body_streams_.push_back(next_body_stream_++);
   }
+  // The staging clamp: a cell offset from another frame's trap stays inside
+  // this chamber's physics domain.
+  bodies_[slot].position = bounds_.clamp(cell.position);
   cage_bodies_.emplace_back(id, static_cast<int>(slot));
   last_admit_tick_ = t;
   report_.events.push_back({t, EventKind::kTransferAdmitted, id, at});
@@ -681,6 +674,7 @@ physics::ParticleBody EpisodeRuntime::body_of(int cage_id) const {
 }
 
 physics::ParticleBody EpisodeRuntime::release_cage(int cage_id) {
+  BIOCHIP_REQUIRE(planned_, "cannot release from an unplanned episode");
   std::size_t bidx = 0;
   BIOCHIP_REQUIRE(body_index_of(cage_id, bidx), "released cage has no tracked body");
   const physics::ParticleBody cell = bodies_[bidx];
@@ -692,10 +686,9 @@ physics::ParticleBody EpisodeRuntime::release_cage(int cage_id) {
     break;
   }
   owner_.cages_.destroy(cage_id);
-  if (tracker_.has_value()) tracker_->remove_track(cage_id);
-  if (supervisor_.has_value() && supervisor_->supervises(cage_id))
-    supervisor_->remove_cage(cage_id);
-  if (replanner_.has_value()) replanner_->remove_path(cage_id);
+  tracker_.remove_track(cage_id);
+  if (supervisor_.supervises(cage_id)) supervisor_.remove_cage(cage_id);
+  replanner_.remove_path(cage_id);
   drop_goal(cage_id);
   return cell;
 }
@@ -713,7 +706,6 @@ EpisodeReport ClosedLoopEngine::run(const std::vector<CageGoal>& goals,
                                     const std::vector<std::pair<int, int>>& cage_bodies,
                                     Rng stream_base, core::ThreadPool* pool) {
   EpisodeRuntime runtime(*this, goals, bodies, cage_bodies, stream_base, pool);
-  if (!runtime.planned()) return runtime.finish();
   for (int t = 1; t <= runtime.budget(); ++t) {
     runtime.tick(t);
     if (runtime.all_delivered()) break;

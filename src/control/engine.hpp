@@ -136,12 +136,15 @@ class ClosedLoopEngine {
 
 /// The per-tick state of ONE running episode, pulled out of
 /// `ClosedLoopEngine::run` so an orchestrator can interleave supervisory
-/// ticks of many chambers with arbitration between them. Construction plans
-/// the initial routes and builds the control stack (replanner / tracker /
-/// supervisor); `tick(t)` executes one supervisory tick; `finish()` does the
+/// ticks of many chambers with arbitration between them. Construction builds
+/// the control stack (replanner / tracker / supervisor) and plans the initial
+/// routes; `tick(t)` executes one supervisory tick; `finish()` does the
 /// ground-truth delivery accounting. `ClosedLoopEngine::run` is exactly
 /// construct → tick until done → finish, so single-chamber behavior is the
-/// steppable path, not a parallel implementation.
+/// steppable path, not a parallel implementation. A failed initial plan is
+/// an episode of zero ticks: the stack stays empty (no committed path, no
+/// supervised cage), the budget is 0, and `finish()` accounts it like any
+/// other episode.
 ///
 /// The hand-off hooks (`release_cage` / `admit_cage`) are what make
 /// cross-chamber transfers possible: a cage (and its cell body) can leave a
@@ -156,9 +159,14 @@ class EpisodeRuntime {
                  std::vector<physics::ParticleBody>& bodies,
                  std::vector<std::pair<int, int>> cage_bodies, Rng stream_base,
                  core::ThreadPool* pool);
+  /// The supervisor refers to the replanner and the belief map, members of
+  /// this object, so a runtime is never copied or moved.
+  EpisodeRuntime(const EpisodeRuntime&) = delete;
+  EpisodeRuntime& operator=(const EpisodeRuntime&) = delete;
 
-  /// False when the initial multi-cage plan failed; the report is already
-  /// final (every goal cage failed, with explicit events).
+  /// False when the initial multi-cage plan failed. The budget is then 0,
+  /// and `finish()` fails every goal with one `kDeliveryFailed` at tick 0,
+  /// in goal order.
   bool planned() const { return planned_; }
   /// Tick budget of the single-chamber driver (orchestrators set their own).
   int budget() const { return budget_; }
@@ -173,12 +181,13 @@ class EpisodeRuntime {
   /// fire on the same tick as in a non-elided run.
   void idle_tick(int t);
 
-  /// Closed loop: every supervised cage delivered. Open loop: never true
-  /// (the committed plan just runs out).
+  /// Closed loop: every supervised cage delivered. Open loop, or a failed
+  /// initial plan: never true.
   bool all_delivered() const;
   /// Last tick at which any committed path still moves (open-loop horizon,
-  /// grows as hand-offs admit new cages; 0 when the initial plan failed).
-  int horizon() const { return replanner_.has_value() ? replanner_->horizon() : 0; }
+  /// grows as hand-offs admit new cages; 0 when the initial plan failed,
+  /// since nothing is committed then).
+  int horizon() const { return replanner_.horizon(); }
 
   /// Ground-truth delivery accounting over the current goal set; call once,
   /// after the last tick. Returns the finished report.
@@ -187,12 +196,10 @@ class EpisodeRuntime {
   // ---- orchestration hooks (cross-chamber transfers) ----------------------
 
   const ControlConfig& config() const { return owner_.config_; }
-  /// Supervision mode of a goal cage (throws when not supervised or when
-  /// the initial plan failed — no control stack exists then).
+  /// Supervision mode of a goal cage (throws when the cage is not supervised
+  /// or the initial plan failed).
   CageMode mode(int cage_id) const;
-  bool supervises(int cage_id) const {
-    return supervisor_.has_value() && supervisor_->supervises(cage_id);
-  }
+  bool supervises(int cage_id) const { return supervisor_.supervises(cage_id); }
   GridCoord site(int cage_id) const { return owner_.cages_.site(cage_id); }
   /// True when the defect map leaves this site usable as a cage position.
   /// `site` must lie in the array (checked in Debug builds).
@@ -217,9 +224,7 @@ class EpisodeRuntime {
   /// CDS frames averaged so far (streaming reports fold this per chamber).
   std::size_t frames_sensed() const { return report_.frames_sensed; }
   /// Successful online re-routes so far (obs gauge fold).
-  std::size_t replans() const {
-    return replanner_.has_value() ? replanner_->replans() : 0;
-  }
+  std::size_t replans() const { return replanner_.replans(); }
   /// Period advances so far by path (obs gauge folds; see EpisodeReport).
   std::size_t exact_advances() const { return report_.exact_advances; }
   std::size_t free_advances() const { return report_.free_advances; }
@@ -245,10 +250,8 @@ class EpisodeRuntime {
   /// peak number of bodies in the chamber at once.
   std::size_t resident_bodies() const { return bodies_.size(); }
   /// Compact committed-path history older than tick t-1 (see
-  /// `Replanner::compact`). No-op when the initial plan failed.
-  void compact_paths(int t) {
-    if (replanner_.has_value()) replanner_->compact(t);
-  }
+  /// `Replanner::compact`).
+  void compact_paths(int t) { replanner_.compact(t); }
 
   /// Copy of the cell body a goal cage tows (hand-off staging: the
   /// orchestrator repositions the copy into the destination chamber's frame
@@ -261,8 +264,9 @@ class EpisodeRuntime {
   /// nothing mutated) when the port neighborhood is occupied or reserved, or
   /// when no conflict-free route to `goal` exists right now. On success the
   /// cage is created, its path committed, its track registered, the goal
-  /// supervised, and `cell` takes the slot `release_cage` freed last (the
-  /// body array grows only when none is free); returns the new cage id.
+  /// supervised, and `cell`, its position clamped into this chamber's
+  /// physics domain, takes the slot `release_cage` freed last (the body
+  /// array grows only when none is free); returns the new cage id.
   std::optional<int> admit_cage(GridCoord at, GridCoord goal, int t,
                                 const physics::ParticleBody& cell);
 
@@ -417,9 +421,11 @@ class EpisodeRuntime {
   Rng sense_base_;
   Rng fault_base_;
 
-  std::optional<Replanner> replanner_;
-  std::optional<OccupancyTracker> tracker_;
-  std::optional<Supervisor> supervisor_;
+  /// The control stack, built with the runtime. A failed initial plan
+  /// leaves it empty: no committed path, no track, no supervised cage.
+  Replanner replanner_;
+  OccupancyTracker tracker_;
+  Supervisor supervisor_;
 
   /// Tracked whole-chamber field (engaged when
   /// `ControlConfig::field_tracking_nodes_per_pitch > 0`) + the per-electrode

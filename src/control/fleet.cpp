@@ -79,7 +79,7 @@ bool ChamberFleet::apply(int t, const chip::FaultEvent& fault) {
       return true;
     case chip::FaultKind::kSensorPixelBurst:
       runtimes_[static_cast<std::size_t>(fault.chamber)]->begin_sensor_burst(
-          t, fault.site, injector_.config().burst_tile, fault.duration);
+          t, fault.site, chip::kBurstTile, fault.duration);
       return true;
     case chip::FaultKind::kPortIntermittent:
     case chip::FaultKind::kPortFailed:

@@ -1,6 +1,7 @@
 #include "control/orchestrator.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/error.hpp"
 #include "core/threadpool.hpp"
@@ -68,14 +69,64 @@ OrchestratorReport Orchestrator::run(std::vector<ChamberSetup>& chambers,
 
   const bool closed = config_.control.closed_loop;
 
+  std::vector<TransferState> states(transfers.size());
+  // True while another transfer occupies (or tows toward) a port from the
+  // same side — the physical port site holds one cage at a time.
+  const auto port_held = [&](int p, int from_chamber, std::size_t self) {
+    for (std::size_t j = 0; j < states.size(); ++j) {
+      if (j == self) continue;
+      const TransferPhase ph = states[j].outcome.phase;
+      if ((ph == TransferPhase::kTowingToPort ||
+           ph == TransferPhase::kAwaitingAdmission) &&
+          states[j].outcome.port_id == p &&
+          transfers[j].from_chamber == from_chamber)
+        return true;
+    }
+    return false;
+  };
+  // The one port rule (staging, queued activation and escalation): the first
+  // port of transfer i's chamber pair, in `ports_between` order, that has not
+  // failed, is not in `skip`, has both endpoint sites usable by
+  // `usable(chamber, site)`, and is not held; -1 when none. `alive`, when
+  // given, is set once a port passes every test but the held one.
+  const auto pick_port = [&](std::size_t i, const auto& usable,
+                             const std::vector<int>& skip, bool* alive) {
+    const TransferGoal& tr = transfers[i];
+    for (const int p : network_.ports_between(tr.from_chamber, tr.to_chamber)) {
+      if (port_failed[static_cast<std::size_t>(p)] ||
+          std::find(skip.begin(), skip.end(), p) != skip.end() ||
+          !usable(tr.from_chamber, network_.port_site(p, tr.from_chamber)) ||
+          !usable(tr.to_chamber, network_.port_site(p, tr.to_chamber)))
+        continue;
+      if (alive != nullptr) *alive = true;
+      if (!port_held(p, tr.from_chamber, i)) return p;
+    }
+    return -1;
+  };
+  // Send transfer i through port p (escalation never revisits a tried port).
+  const auto use_port = [&](std::size_t i, int p) {
+    TransferState& st = states[i];
+    st.outcome.port_id = p;
+    st.port_from = network_.port_site(p, transfers[i].from_chamber);
+    st.port_to = network_.port_site(p, transfers[i].to_chamber);
+    st.tried_ports.push_back(p);
+  };
+
   // Resolve every transfer against the topology and stage the per-chamber
   // goal lists: the source chamber's supervisor sees the port site as the
-  // cage's in-chamber delivery goal. Closed loop: a transfer whose source
-  // port is already claimed by an earlier transfer starts `kQueued` — its
-  // cage keeps a parked (goal-less) plan and receives the port goal only
-  // when a port of the pair frees up, so two cages never race to one port
-  // site. Open loop keeps the legacy blind behavior.
-  std::vector<TransferState> states(transfers.size());
+  // cage's in-chamber delivery goal. Closed loop stages toward the port the
+  // rule picks under the self-test maps (the fleet is built from this
+  // result), so a port the self-test already condemned does not sink the
+  // whole chamber's initial plan. No port (held, blocked, or failed) starts
+  // the transfer `kQueued`: its cage keeps a parked (goal-less) plan, and the
+  // per-tick activation pass below claims a port later or fails the transfer
+  // explicitly, so two cages never race to one port site. Open loop keeps
+  // the legacy blind staging on the pair's first port.
+  const auto self_test_usable = [&](int c, GridCoord site) {
+    const ChamberSetup& setup = chambers[static_cast<std::size_t>(c)];
+    return chip::site_usable(setup.cages->array(), *setup.defects, site,
+                             config_.control.defect_ring);
+  };
   std::vector<std::vector<CageGoal>> chamber_goals(n_chambers);
   for (std::size_t c = 0; c < n_chambers; ++c) chamber_goals[c] = chambers[c].goals;
   for (std::size_t i = 0; i < transfers.size(); ++i) {
@@ -89,50 +140,14 @@ OrchestratorReport Orchestrator::run(std::vector<ChamberSetup>& chambers,
                         .cages->array()
                         .contains(tr.destination),
                     "transfer destination outside the destination chamber");
-    const std::vector<int> candidates =
-        network_.ports_between(tr.from_chamber, tr.to_chamber);
-    BIOCHIP_REQUIRE(!candidates.empty(), "no port connects the transfer's chambers");
-    // Closed loop stages toward the first *viable* port — alive and with
-    // both endpoint sites defect-usable — so a port the self-test already
-    // condemned does not sink the whole chamber's initial plan. No viable
-    // port yet (held, blocked, or failed) parks the transfer `kQueued`; the
-    // per-tick activation pass below claims a port later or fails the
-    // transfer explicitly. Open loop keeps the legacy blind staging.
-    int port = candidates.front();
-    if (closed) {
-      port = -1;
-      for (const int p : candidates) {
-        if (port_failed[static_cast<std::size_t>(p)]) continue;
-        const std::size_t from_c = static_cast<std::size_t>(tr.from_chamber);
-        const std::size_t to_c = static_cast<std::size_t>(tr.to_chamber);
-        if (!chip::site_usable(chambers[from_c].cages->array(),
-                               *chambers[from_c].defects,
-                               network_.port_site(p, tr.from_chamber),
-                               config_.control.defect_ring) ||
-            !chip::site_usable(chambers[to_c].cages->array(),
-                               *chambers[to_c].defects,
-                               network_.port_site(p, tr.to_chamber),
-                               config_.control.defect_ring))
-          continue;
-        bool held = false;
-        for (std::size_t j = 0; j < i; ++j)
-          if (transfers[j].from_chamber == tr.from_chamber &&
-              states[j].outcome.port_id == p &&
-              states[j].outcome.phase == TransferPhase::kTowingToPort)
-            held = true;
-        if (held) continue;
-        port = p;
-        break;
-      }
-    }
+    const std::optional<int> first = network_.port_between(tr.from_chamber, tr.to_chamber);
+    BIOCHIP_REQUIRE(first.has_value(), "no port connects the transfer's chambers");
+    const int port = closed ? pick_port(i, self_test_usable, {}, nullptr) : *first;
     if (port < 0) {
       states[i].outcome.phase = TransferPhase::kQueued;
       continue;  // no staged goal: the cage parks until a port frees
     }
-    states[i].outcome.port_id = port;
-    states[i].port_from = network_.port_site(port, tr.from_chamber);
-    states[i].port_to = network_.port_site(port, tr.to_chamber);
-    states[i].tried_ports.push_back(port);
+    use_port(i, port);
     chamber_goals[static_cast<std::size_t>(tr.from_chamber)].push_back(
         {tr.cage_id, states[i].port_from});
   }
@@ -145,54 +160,21 @@ OrchestratorReport Orchestrator::run(std::vector<ChamberSetup>& chambers,
 
   OrchestratorReport report;
   report.transfers.resize(transfers.size());
-  const auto final_chamber_state = [&] {
-    for (std::size_t p = 0; p < n_ports; ++p)
-      if (port_failed[p]) report.failed_ports.push_back(static_cast<int>(p));
-    for (std::size_t c = 0; c < n_chambers; ++c) {
-      report.final_truth_defects.push_back(fleet[c].truth_defects());
-      report.health.push_back(fleet[c].health_state());
-    }
-  };
   report.planned = fleet.planned();
-  if (!report.planned) {
-    // Same contract as the single-chamber engine: no episode, but complete
-    // accounting — every chamber report is final, every transfer failed.
-    // Transfers are accounted globally, so pull their port legs out of the
-    // source chambers' books first (a failed-plan source already booked the
-    // leg in its constructor; erase it from the finished report instead).
-    // Queued transfers never staged a goal, so there is nothing to pull.
-    for (std::size_t i = 0; i < transfers.size(); ++i) {
-      if (states[i].outcome.phase == TransferPhase::kQueued) continue;
-      EpisodeRuntime& src = fleet[static_cast<std::size_t>(transfers[i].from_chamber)];
-      if (src.planned()) src.drop_goal(transfers[i].cage_id);
-    }
-    for (std::size_t c = 0; c < n_chambers; ++c)
-      report.chambers.push_back(fleet[c].finish());
-    for (std::size_t i = 0; i < transfers.size(); ++i) {
-      const TransferGoal& tr = transfers[i];
-      if (states[i].outcome.phase == TransferPhase::kQueued) continue;
-      if (fleet[static_cast<std::size_t>(tr.from_chamber)].planned()) continue;
-      std::vector<int>& failed =
-          report.chambers[static_cast<std::size_t>(tr.from_chamber)].failed_ids;
-      failed.erase(std::remove(failed.begin(), failed.end(), tr.cage_id),
-                   failed.end());
-    }
-    for (std::size_t i = 0; i < transfers.size(); ++i) {
-      states[i].outcome.phase = TransferPhase::kFailed;
-      report.transfers[i] = states[i].outcome;
-      report.failed_transfers.push_back(i);
-    }
-    final_chamber_state();
-    return report;
-  }
 
   // Global tick budget: the widest chamber budget plus slack per transfer
   // (a destination leg spans at most cols + rows sites, plus backoff room).
+  // A failed initial plan is an episode of zero ticks: the loop below runs
+  // none, and the end-of-run accounting fails every transfer and judges every
+  // chamber goal at tick 0.
   int budget = 0;
-  for (std::size_t c = 0; c < n_chambers; ++c) budget = std::max(budget, fleet[c].budget());
-  for (const TransferGoal& tr : transfers) {
-    const fluidic::ChamberSite& dest = network_.chamber(tr.to_chamber);
-    budget += dest.cols + dest.rows + 8 * config_.transfer_backoff + 30;
+  if (report.planned) {
+    for (std::size_t c = 0; c < n_chambers; ++c)
+      budget = std::max(budget, fleet[c].budget());
+    for (const TransferGoal& tr : transfers) {
+      const fluidic::ChamberSite& dest = network_.chamber(tr.to_chamber);
+      budget += dest.cols + dest.rows + 8 * config_.transfer_backoff + 30;
+    }
   }
 
   // ---- telemetry (optional): counting-plane folds of the same serial
@@ -245,19 +227,18 @@ OrchestratorReport Orchestrator::run(std::vector<ChamberSetup>& chambers,
   const auto chamber_done = [&](std::size_t c, int t) {
     return closed ? fleet[c].all_delivered() : t >= fleet[c].horizon();
   };
-  // True while another transfer occupies (or tows toward) a port from the
-  // same side — the physical port site holds one cage at a time.
-  const auto port_held = [&](int p, int from_chamber, std::size_t self) {
-    for (std::size_t j = 0; j < states.size(); ++j) {
-      if (j == self) continue;
-      const TransferPhase ph = states[j].outcome.phase;
-      if ((ph == TransferPhase::kTowingToPort ||
-           ph == TransferPhase::kAwaitingAdmission) &&
-          states[j].outcome.port_id == p &&
-          transfers[j].from_chamber == from_chamber)
-        return true;
-    }
-    return false;
+  // Activation and escalation judge port sites by the runtimes' belief.
+  const auto belief_usable = [&](int c, GridCoord site) {
+    return fleet[static_cast<std::size_t>(c)].site_ok(site);
+  };
+  // The one way a transfer fails: an explicit event in the source chamber's
+  // trail, its port leg out of that chamber's books (transfers are accounted
+  // globally; a queued transfer staged no goal), then the terminal phase.
+  const auto fail_transfer = [&](std::size_t i, int tick, GridCoord where) {
+    EpisodeRuntime& src = fleet[static_cast<std::size_t>(transfers[i].from_chamber)];
+    src.record_event({tick, EventKind::kDeliveryFailed, transfers[i].cage_id, where});
+    src.drop_goal(transfers[i].cage_id);
+    states[i].outcome.phase = TransferPhase::kFailed;
   };
 
   for (int t = 1; t <= budget; ++t) {
@@ -322,40 +303,24 @@ OrchestratorReport Orchestrator::run(std::vector<ChamberSetup>& chambers,
     phase.begin("arbitrate");
     // ---- queued transfers claim freed ports (serial, ascending order: an
     // activation makes its port held for every later queued transfer).
+    // Belief-blocked endpoint sites only ever get worse (defects and
+    // quarantine are one-way), so such a port counts as dead here.
     if (closed) {
       for (std::size_t i = 0; i < states.size(); ++i) {
-        TransferState& st = states[i];
-        if (st.outcome.phase != TransferPhase::kQueued) continue;
+        if (states[i].outcome.phase != TransferPhase::kQueued) continue;
         const TransferGoal& tr = transfers[i];
         EpisodeRuntime& src = fleet[static_cast<std::size_t>(tr.from_chamber)];
-        const std::vector<int> candidates =
-            network_.ports_between(tr.from_chamber, tr.to_chamber);
-        bool any_alive = false;
-        for (int p : candidates) {
-          if (port_failed[static_cast<std::size_t>(p)]) continue;
-          // Belief-blocked endpoint sites only ever get worse (defects and
-          // quarantine are one-way), so such a port counts as dead here.
-          if (!src.site_ok(network_.port_site(p, tr.from_chamber)) ||
-              !fleet[static_cast<std::size_t>(tr.to_chamber)].site_ok(
-                  network_.port_site(p, tr.to_chamber)))
-            continue;
-          any_alive = true;
-          if (port_held(p, tr.from_chamber, i)) continue;
-          st.outcome.port_id = p;
-          st.port_from = network_.port_site(p, tr.from_chamber);
-          st.port_to = network_.port_site(p, tr.to_chamber);
-          st.tried_ports.assign(1, p);
-          st.outcome.phase = TransferPhase::kTowingToPort;
-          src.assign_goal(tr.cage_id, st.port_from);
-          break;
-        }
-        if (!any_alive) {
+        bool alive = false;
+        const int port = pick_port(i, belief_usable, {}, &alive);
+        if (port >= 0) {
+          use_port(i, port);
+          states[i].outcome.phase = TransferPhase::kTowingToPort;
+          src.assign_goal(tr.cage_id, states[i].port_from);
+        } else if (!alive) {
           // Every port of the pair failed permanently (or is condemned by
           // the defect/quarantine mask) while we queued: the transfer can
           // never start — explicit failure, not a livelock.
-          src.record_event({t, EventKind::kDeliveryFailed, tr.cage_id,
-                            src.site(tr.cage_id)});
-          st.outcome.phase = TransferPhase::kFailed;
+          fail_transfer(i, t, src.site(tr.cage_id));
         }
       }
     }
@@ -371,39 +336,22 @@ OrchestratorReport Orchestrator::run(std::vector<ChamberSetup>& chambers,
       EpisodeRuntime& src = fleet[static_cast<std::size_t>(tr.from_chamber)];
       EpisodeRuntime& dst = fleet[static_cast<std::size_t>(tr.to_chamber)];
 
-      const auto fail_transfer = [&](int tick, GridCoord where) {
-        src.record_event({tick, EventKind::kDeliveryFailed, tr.cage_id, where});
-        src.drop_goal(tr.cage_id);  // accounted globally, not as a port leg
-        st.outcome.phase = TransferPhase::kFailed;
-      };
-      // Escalate to an untried, alive, unblocked, unheld port of the same
-      // chamber pair: re-tow there and restart the admission deadline.
+      // Escalate to an untried port the rule picks: re-tow there and restart
+      // the admission deadline.
       const auto escalate = [&]() -> bool {
         if (!closed) return false;
-        for (int p : network_.ports_between(tr.from_chamber, tr.to_chamber)) {
-          if (std::find(st.tried_ports.begin(), st.tried_ports.end(), p) !=
-              st.tried_ports.end())
-            continue;
-          if (port_failed[static_cast<std::size_t>(p)]) continue;
-          if (!src.site_ok(network_.port_site(p, tr.from_chamber))) continue;
-          if (!dst.site_ok(network_.port_site(p, tr.to_chamber))) continue;
-          if (port_held(p, tr.from_chamber, i)) continue;
-          st.tried_ports.push_back(p);
-          st.outcome.port_id = p;
-          st.port_from = network_.port_site(p, tr.from_chamber);
-          st.port_to = network_.port_site(p, tr.to_chamber);
-          src.retarget(tr.cage_id, st.port_from);
-          src.record_event(
-              {t, EventKind::kTransferRerouted, tr.cage_id, st.port_from});
-          ++st.outcome.reroutes;
-          ++report.reroutes;
-          st.outcome.phase = TransferPhase::kTowingToPort;
-          st.request_tick = -1;
-          st.denial_streak = 0;
-          st.cooldown = 0;
-          return true;
-        }
-        return false;
+        const int port = pick_port(i, belief_usable, st.tried_ports, nullptr);
+        if (port < 0) return false;
+        use_port(i, port);
+        src.retarget(tr.cage_id, st.port_from);
+        src.record_event({t, EventKind::kTransferRerouted, tr.cage_id, st.port_from});
+        ++st.outcome.reroutes;
+        ++report.reroutes;
+        st.outcome.phase = TransferPhase::kTowingToPort;
+        st.request_tick = -1;
+        st.denial_streak = 0;
+        st.cooldown = 0;
+        return true;
       };
 
       if (st.outcome.phase == TransferPhase::kTowingToPort) {
@@ -413,7 +361,7 @@ OrchestratorReport Orchestrator::run(std::vector<ChamberSetup>& chambers,
         if (closed && (port_failed[static_cast<std::size_t>(st.outcome.port_id)] ||
                        !src.site_ok(st.port_from) || !dst.site_ok(st.port_to))) {
           if (!escalate()) {
-            fail_transfer(t, src.site(tr.cage_id));
+            fail_transfer(i, t, src.site(tr.cage_id));
             continue;
           }
         }
@@ -440,7 +388,7 @@ OrchestratorReport Orchestrator::run(std::vector<ChamberSetup>& chambers,
               {t, EventKind::kTransferTimedOut, tr.cage_id, st.port_from});
           st.outcome.timed_out = true;
           ++report.timeouts;
-          fail_transfer(t, st.port_from);
+          fail_transfer(i, t, st.port_from);
           continue;
         }
         // A defect-blocked final destination can never be routed to, and a
@@ -448,14 +396,14 @@ OrchestratorReport Orchestrator::run(std::vector<ChamberSetup>& chambers,
         // failure, not an infinite backoff (an alternate port cannot help).
         if (!dst.site_ok(tr.destination) ||
             dst.health_state() == HealthState::kQuarantined) {
-          fail_transfer(t, st.port_from);
+          fail_transfer(i, t, st.port_from);
           continue;
         }
         // A dead port or a defect-blocked receiving site: escalate to an
         // alternate port of the pair, or fail explicitly when none is left.
         if (port_failed[static_cast<std::size_t>(st.outcome.port_id)] ||
             !dst.site_ok(st.port_to)) {
-          if (!escalate()) fail_transfer(t, st.port_from);
+          if (!escalate()) fail_transfer(i, t, st.port_from);
           continue;
         }
         // Intermittent outage: hold — no denial booked, no backoff grown,
@@ -473,10 +421,7 @@ OrchestratorReport Orchestrator::run(std::vector<ChamberSetup>& chambers,
         // that no destination trap will hold).
         physics::ParticleBody cell = src.body_of(tr.cage_id);
         const Vec3 offset = cell.position - src.trap_center(st.port_from);
-        const Aabb bounds =
-            chambers[static_cast<std::size_t>(tr.to_chamber)].engine->integrator()
-                .options().bounds;
-        cell.position = bounds.clamp(dst.trap_center(st.port_to) + offset);
+        cell.position = dst.trap_center(st.port_to) + offset;
         const auto dest_id = dst.admit_cage(st.port_to, tr.destination, t, cell);
         if (!dest_id.has_value()) {
           ++st.outcome.denials;
@@ -525,26 +470,19 @@ OrchestratorReport Orchestrator::run(std::vector<ChamberSetup>& chambers,
     if (done) break;
   }
 
-  // ---- ground-truth accounting: chamber reports first, then transfers
-  // judged against the destination chamber's delivered list. A transfer
-  // stuck short of admission is a *global* failure: pull its port leg out of
-  // the source chamber's books (no double counting) and make the failure an
-  // explicit event there. A still-queued transfer never staged a goal — only
-  // the explicit failure event is owed.
+  // ---- ground-truth accounting, the same for every run (a failed initial
+  // plan arrives here after zero ticks). A transfer short of admission, or
+  // still queued, is a *global* failure: one explicit event in its source
+  // chamber's trail, its port leg out of that chamber's books (no double
+  // counting). Then the chamber reports, then transfers judged against the
+  // destination chamber's delivered list.
   for (std::size_t i = 0; i < transfers.size(); ++i) {
-    TransferState& st = states[i];
-    EpisodeRuntime& src = fleet[static_cast<std::size_t>(transfers[i].from_chamber)];
-    if (st.outcome.phase == TransferPhase::kQueued) {
-      src.record_event({report.ticks, EventKind::kDeliveryFailed,
-                        transfers[i].cage_id, src.site(transfers[i].cage_id)});
-      continue;
-    }
-    if (st.outcome.phase != TransferPhase::kTowingToPort &&
-        st.outcome.phase != TransferPhase::kAwaitingAdmission)
-      continue;
-    src.record_event({report.ticks, EventKind::kDeliveryFailed, transfers[i].cage_id,
-                      src.site(transfers[i].cage_id)});
-    src.drop_goal(transfers[i].cage_id);
+    const TransferPhase ph = states[i].outcome.phase;
+    if (ph == TransferPhase::kQueued || ph == TransferPhase::kTowingToPort ||
+        ph == TransferPhase::kAwaitingAdmission)
+      fail_transfer(i, report.ticks,
+                    fleet[static_cast<std::size_t>(transfers[i].from_chamber)].site(
+                        transfers[i].cage_id));
   }
   for (std::size_t c = 0; c < n_chambers; ++c)
     report.chambers.push_back(fleet[c].finish());
@@ -569,9 +507,6 @@ OrchestratorReport Orchestrator::run(std::vector<ChamberSetup>& chambers,
       // The erased leg may have been the chamber's only failure.
       dest.success = dest.planned && dest.failed_ids.empty();
       st.outcome.phase = delivered ? TransferPhase::kDelivered : TransferPhase::kFailed;
-    } else if (st.outcome.phase != TransferPhase::kFailed) {
-      // Never reached the port / never admitted within the budget.
-      st.outcome.phase = TransferPhase::kFailed;
     }
     report.transfers[i] = st.outcome;
     if (st.outcome.phase == TransferPhase::kDelivered)
@@ -579,7 +514,12 @@ OrchestratorReport Orchestrator::run(std::vector<ChamberSetup>& chambers,
     else
       report.failed_transfers.push_back(i);
   }
-  final_chamber_state();
+  for (std::size_t p = 0; p < n_ports; ++p)
+    if (port_failed[p]) report.failed_ports.push_back(static_cast<int>(p));
+  for (std::size_t c = 0; c < n_chambers; ++c) {
+    report.final_truth_defects.push_back(fleet[c].truth_defects());
+    report.health.push_back(fleet[c].health_state());
+  }
   fold_tick(report.ticks);
   return report;
 }

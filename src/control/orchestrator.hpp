@@ -121,7 +121,10 @@ struct OrchestratorConfig {
 };
 
 struct OrchestratorReport {
-  bool planned = false;  ///< every chamber's initial plan succeeded
+  /// Every chamber's initial plan succeeded. When false the episode ran zero
+  /// ticks: the end-of-run accounting failed every transfer, each with one
+  /// `kDeliveryFailed` event, and finished every chamber at tick 0.
+  bool planned = false;
   int ticks = 0;         ///< global supervisory ticks executed
   std::size_t transfer_requests = 0;  ///< transfers that reached their port
   std::size_t admissions = 0;

@@ -12,6 +12,13 @@ namespace biochip::control {
 
 namespace {
 
+/// Trap basin extent in pitches. Must exceed 1.0: a one-pitch cage hop
+/// momentarily leaves the particle a full pitch from the new trap center,
+/// which must still be inside the basin for the tow to work.
+constexpr double kCaptureRadiusPitches = 1.5;
+/// Minimum cage spacing [pitches], for the cages and for assay routing.
+constexpr int kCageSeparation = 2;
+
 sensor::CapacitivePixel pixel_for_device(const chip::BiochipDevice& device) {
   sensor::CapacitivePixel px;
   px.electrode_area = device.array().footprint({0, 0}).area();
@@ -34,9 +41,9 @@ LabOnChipPlatform::LabOnChipPlatform(const PlatformConfig& config)
     : config_(config),
       device_(config.device),
       unit_cage_(device_.calibrate_cage()),
-      cages_(device_.array(), config.cage_separation),
+      cages_(device_.array(), kCageSeparation),
       engine_(device_, config.medium, unit_cage_,
-              config.capture_radius_pitches * config.device.pitch),
+              kCaptureRadiusPitches * config.device.pitch),
       imager_(device_.array(), pixel_for_device(device_), config.medium.temperature,
               config.seed ^ 0xFEEDFACEull),
       rng_(config.seed) {
@@ -191,9 +198,8 @@ cad::SynthesisResult LabOnChipPlatform::run_assay(const cad::AssayGraph& graph,
   cad::SynthesisConfig cfg;
   cfg.dims = {device_.array().cols(), device_.array().rows()};
   cfg.resources = resources;
-  cfg.min_separation = config_.cage_separation;
+  cfg.min_separation = kCageSeparation;
   cfg.step_period = site_period();
-  cfg.seed = config_.seed;
   return cad::synthesize(graph, cfg);
 }
 

@@ -31,11 +31,6 @@ struct PlatformConfig {
   physics::Medium medium;           ///< suspending buffer
   sensor::ScanTiming scan;          ///< readout chain
   double tow_speed = 50e-6;         ///< cage drag speed [m/s] (paper: 10-100 µm/s)
-  /// Trap basin extent in pitches. Must exceed 1.0: a one-pitch cage hop
-  /// momentarily leaves the particle a full pitch from the new trap center,
-  /// which must still be inside the basin for the tow to work.
-  double capture_radius_pitches = 1.5;
-  int cage_separation = 2;          ///< min cage spacing [pitches]
   std::uint64_t seed = 42;          ///< master seed (offsets, dynamics, sampling)
 
   static PlatformConfig paper_defaults();

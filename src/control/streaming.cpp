@@ -155,9 +155,6 @@ StreamingReport StreamingService::run(std::vector<ChamberSetup>& chambers,
   AdmissionController admission(config_.admission, n_inlets);
   std::vector<std::vector<InFlight>> in_flight(n_chambers);
   std::vector<std::size_t> next_goal(n_chambers, 0);
-  std::vector<Aabb> bounds(n_chambers);
-  for (std::size_t c = 0; c < n_chambers; ++c)
-    bounds[c] = chambers[c].engine->integrator().options().bounds;
 
   StreamingReport report;
   report.latency_hist.assign(static_cast<std::size_t>(kLatencyBins) + 1, 0);
@@ -312,7 +309,7 @@ StreamingReport StreamingService::run(std::vector<ChamberSetup>& chambers,
           physics::ParticleBody cell =
               config_.body_prototypes[static_cast<std::size_t>(head.type)];
           cell.id = static_cast<int>(head.seq);
-          cell.position = bounds[c].clamp(rt.trap_center(inlet.site));
+          cell.position = rt.trap_center(inlet.site);
           const std::optional<int> id = rt.admit_cage(inlet.site, goal, t, cell);
           if (id.has_value()) {
             in_flight[c].push_back({*id, t, head.arrival_tick});

@@ -100,8 +100,6 @@ const Supervisor::Cage& Supervisor::cage(int cage_id) const {
 
 CageMode Supervisor::mode(int cage_id) const { return cage(cage_id).mode; }
 
-GridCoord Supervisor::goal(int cage_id) const { return cage(cage_id).goal; }
-
 bool Supervisor::rescuing(int cage_id) const { return cage(cage_id).rescue; }
 
 void Supervisor::retarget(int cage_id, GridCoord goal) {

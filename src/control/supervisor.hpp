@@ -57,7 +57,6 @@ class Supervisor {
   bool supervises(int cage_id) const;
 
   CageMode mode(int cage_id) const;
-  GridCoord goal(int cage_id) const;
   bool all_delivered() const;
 
   /// Re-assign a cage's delivery goal mid-episode (transfer escalation to an

@@ -60,10 +60,6 @@ const Grid3& PhasorSolution::erms2() const {
 
 double PhasorSolution::erms_at(Vec3 p) const { return std::sqrt(std::max(0.0, erms2_at(p))); }
 
-std::pair<Vec3, Vec3> PhasorSolution::complex_field_at(Vec3 p) const {
-  return {phi_re_.gradient(p) * -1.0, phi_im_.gradient(p) * -1.0};
-}
-
 Grid3 erms2_from_quadratures(const Grid3& phi_re, const Grid3& phi_im) {
   BIOCHIP_REQUIRE(phi_re.nx() == phi_im.nx() && phi_re.ny() == phi_im.ny() &&
                       phi_re.nz() == phi_im.nz(),

@@ -42,9 +42,6 @@ class PhasorSolution {
   /// RMS field magnitude [V/m].
   double erms_at(Vec3 p) const;
 
-  /// Instantaneous complex field vector Ẽ = -∇Φ at a point (re, im parts).
-  std::pair<Vec3, Vec3> complex_field_at(Vec3 p) const;
-
  private:
   Grid3 phi_re_;
   Grid3 phi_im_;

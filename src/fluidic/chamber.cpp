@@ -6,8 +6,6 @@ namespace biochip::fluidic {
 
 double Microchamber::volume() const { return length * width * height; }
 
-double Microchamber::footprint_area() const { return length * width; }
-
 double Microchamber::exchange_time(double flow_rate) const {
   BIOCHIP_REQUIRE(flow_rate > 0.0, "flow rate must be positive");
   return volume() / flow_rate;

@@ -14,7 +14,6 @@ struct Microchamber {
   double height = 0.0;  ///< lid gap (resist spacer thickness) [m]
 
   double volume() const;        ///< [m³]
-  double footprint_area() const;  ///< [m²]
   /// Time to exchange one chamber volume at the given volumetric rate [s].
   double exchange_time(double flow_rate) const;
   /// Hydraulic diameter of the slot cross-section [m].

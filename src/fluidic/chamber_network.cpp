@@ -51,14 +51,6 @@ const InletPort& ChamberNetwork::inlet(int id) const {
   return inlets_[static_cast<std::size_t>(id)];
 }
 
-std::vector<int> ChamberNetwork::inlets_of(int chamber_id) const {
-  chamber(chamber_id);  // validates
-  std::vector<int> out;
-  for (std::size_t i = 0; i < inlets_.size(); ++i)
-    if (inlets_[i].chamber == chamber_id) out.push_back(static_cast<int>(i));
-  return out;
-}
-
 const ChamberSite& ChamberNetwork::chamber(int id) const {
   BIOCHIP_REQUIRE(id >= 0 && static_cast<std::size_t>(id) < chambers_.size(),
                   "unknown chamber id");

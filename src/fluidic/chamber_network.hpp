@@ -83,8 +83,6 @@ class ChamberNetwork {
   const ChamberSite& chamber(int id) const;
   const TransferPort& port(int id) const;
   const InletPort& inlet(int id) const;
-  /// Ids of every inlet feeding a chamber, ascending.
-  std::vector<int> inlets_of(int chamber) const;
 
   /// Ids of every port touching a chamber, ascending.
   std::vector<int> ports_of(int chamber) const;

@@ -1,8 +1,8 @@
 // Tests for the closed-loop control subsystem: tracker hysteresis, the
 // replanner's mask ownership, the
-// lost → recapture → delivery loop on a seeded episode, pooled-vs-serial
-// bitwise identity, body-slot reuse and per-body stream keying, and
-// defect-injection fuzz.
+// lost → recapture → delivery loop on a seeded episode, the failed-plan
+// report, pooled-vs-serial bitwise identity, body-slot reuse and per-body
+// stream keying, and defect-injection fuzz.
 
 #include <gtest/gtest.h>
 
@@ -288,6 +288,35 @@ TEST_F(ClosedLoopTest, LostCellIsRecapturedAndDelivered) {
       EventKind::kEscapeInjected, EventKind::kCellLost, EventKind::kRecaptureStarted,
       EventKind::kCellRecaptured, EventKind::kDelivered};
   EXPECT_EQ(story, expected);
+}
+
+// A failed initial plan is an episode of zero ticks with the ordinary
+// accounting: every goal fails once, with one explicit event at tick 0, in
+// goal order. The destination of cage 1 has a dead pixel in its ring, so the
+// defect-aware plan cannot route; cage 3 already sits at its goal, and an
+// unplanned episode still delivers nothing.
+TEST_F(ClosedLoopTest, UnroutableGoalFailsEveryGoalAtTickZero) {
+  auto world = make_world();
+  world->defects.set_state({21, 10}, chip::PixelState::kDead);
+  world->add_cell({12, 20}, {12, 20});
+  const std::vector<GridCoord> starts{{3, 4}, {3, 10}, {3, 16}, {12, 20}};
+
+  const EpisodeReport report = run(*world, ControlConfig{}, 2027);
+  EXPECT_FALSE(report.planned);
+  EXPECT_FALSE(report.success);
+  EXPECT_EQ(report.ticks, 0);
+  EXPECT_TRUE(report.delivered_ids.empty());
+  EXPECT_EQ(report.failed_ids, (std::vector<int>{0, 1, 2, 3}));
+  ASSERT_EQ(report.events.size(), 4u);
+  for (std::size_t n = 0; n < report.events.size(); ++n) {
+    EXPECT_EQ(report.events[n].tick, 0) << "goal " << n;
+    EXPECT_EQ(report.events[n].kind, EventKind::kDeliveryFailed) << "goal " << n;
+    EXPECT_EQ(report.events[n].cage_id, static_cast<int>(n));
+    EXPECT_EQ(report.events[n].site, starts[n]) << "goal " << n;
+  }
+  // No tick ran: every cell is where it started.
+  for (std::size_t n = 0; n < starts.size(); ++n)
+    EXPECT_EQ(world->bodies[n].position, world->engine.field_model().trap_center(starts[n]));
 }
 
 // Bitwise identity of the pooled episode fan-out vs the serial reference:

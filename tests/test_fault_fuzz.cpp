@@ -1,6 +1,7 @@
 // Fault-lifecycle tests: deterministic injector schedules, injected-vs-
 // observed exact accounting through the orchestrator, transfer retry /
-// escalation / deadline discipline, per-port transfer queueing, the rescue
+// escalation / deadline discipline (and explicit failure when no port is
+// left), per-port transfer queueing, the rescue
 // maneuver (with a pocket from the initial map and from mid-episode faults),
 // watchdog quarantine, idle-chamber elision equivalence, and
 // pooled-vs-serial bitwise identity under randomized fault fuzz.
@@ -268,6 +269,117 @@ TEST_F(FaultFuzzTest, PortFailureEscalatesToAlternatePort) {
   EXPECT_EQ(count_events(report.chambers[0].events, EventKind::kTransferRerouted), 1u);
   EXPECT_EQ(count_events(report.chambers[0].events, EventKind::kPortFailed), 1u);
   EXPECT_EQ(report.failed_ports, std::vector<int>{0});
+}
+
+// A transfer whose port fails with no alternate left fails explicitly: one
+// `kDeliveryFailed` in its source's trail and `kFailed`, no reroute. Three
+// arms: the port fails mid-tow and the pair's other port is dead from the
+// start or held by a second transfer from the same chamber (which still
+// delivers), or the port fails while the cage waits at it.
+TEST_F(FaultFuzzTest, PortFailureWithoutAlternateFailsExplicitly) {
+  fluidic::ChamberNetwork net;
+  const fluidic::Microchamber geo = chamber_geometry(cfg_);
+  net.add_chamber(geo, 16, 16);
+  net.add_chamber(geo, 16, 16);
+  net.add_port(0, {14, 8}, 1, {1, 8}, 500e-6, 60e-6);
+  net.add_port(0, {14, 11}, 1, {1, 11}, 500e-6, 60e-6);
+
+  struct Arm {
+    const char* name;
+    std::vector<int> failed_ports;
+    std::vector<chip::FaultEvent> faults;
+    bool second_transfer;
+    int fail_tick;  ///< the tick port 0 fails permanently
+  };
+  const std::vector<Arm> arms{
+      {"mid-tow, alternate dead", {1},
+       {{1, chip::FaultKind::kPortFailed, -1, {}, 0, 0}}, false, 1},
+      {"mid-tow, alternate held", {},
+       {{1, chip::FaultKind::kPortFailed, -1, {}, 0, 0}}, true, 1},
+      {"at the port, alternate dead", {1},
+       {{1, chip::FaultKind::kPortIntermittent, -1, {}, 0, 400},
+        {40, chip::FaultKind::kPortFailed, -1, {}, 0, 0}}, false, 40},
+  };
+  for (const Arm& arm : arms) {
+    auto w0 = make_world();
+    auto w1 = make_world();
+    const int cage = w0->add_cell({10, 8});
+    std::vector<TransferGoal> transfers{{0, cage, 1, {12, 6}}};
+    if (arm.second_transfer) transfers.push_back({0, w0->add_cell({10, 12}), 1, {12, 12}});
+
+    OrchestratorConfig config;
+    config.failed_ports = arm.failed_ports;
+    config.faults.scripted = arm.faults;
+    Orchestrator orch(net, config);
+    std::vector<ChamberSetup> chambers{w0->setup(), w1->setup()};
+    const OrchestratorReport report = orch.run(chambers, transfers, Rng(808), nullptr);
+
+    ASSERT_TRUE(report.planned) << arm.name;
+    EXPECT_EQ(report.transfers[0].phase, TransferPhase::kFailed) << arm.name;
+    EXPECT_EQ(report.transfers[0].port_id, 0) << arm.name;
+    EXPECT_EQ(report.transfers[0].reroutes, 0) << arm.name;
+    EXPECT_FALSE(report.transfers[0].timed_out) << arm.name;
+    std::size_t failures = 0, requested = 0;
+    for (const ControlEvent& e : report.chambers[0].events) {
+      if (e.kind == EventKind::kDeliveryFailed) {
+        EXPECT_EQ(e.cage_id, cage) << arm.name;
+        EXPECT_EQ(e.tick, arm.fail_tick) << arm.name;
+        ++failures;
+      }
+      if (e.kind == EventKind::kTransferRequested && e.cage_id == cage) ++requested;
+    }
+    EXPECT_EQ(failures, 1u) << arm.name;
+    // Only the arm whose port failed at tick 40 had the cage at the port.
+    EXPECT_EQ(requested, arm.fail_tick == 1 ? 0u : 1u) << arm.name;
+    EXPECT_EQ(count_events(report.chambers[0].events, EventKind::kTransferRerouted), 0u)
+        << arm.name;
+    std::vector<int> failed_ports{0};
+    if (!arm.failed_ports.empty()) failed_ports.push_back(1);
+    EXPECT_EQ(report.failed_ports, failed_ports) << arm.name;
+    EXPECT_EQ(report.failed_transfers, (std::vector<std::size_t>{0})) << arm.name;
+    if (arm.second_transfer) {
+      EXPECT_EQ(report.transfers[1].phase, TransferPhase::kDelivered) << arm.name;
+      EXPECT_EQ(report.transfers[1].port_id, 1) << arm.name;
+    }
+  }
+}
+
+// A transfer still queued when the budget runs out gets its explicit failure
+// too. The only port is down for the whole episode and there is no
+// admission deadline, so the first transfer waits at the port to the end and
+// the second never leaves the queue: each fails with one event.
+TEST_F(FaultFuzzTest, TransferQueuedAtBudgetEndFailsExplicitly) {
+  fluidic::ChamberNetwork net = chain(2);
+  auto w0 = make_world();
+  auto w1 = make_world();
+  const int cage_a = w0->add_cell({10, 8});
+  const int cage_b = w0->add_cell({6, 8});
+
+  OrchestratorConfig config;
+  config.faults.scripted = {{1, chip::FaultKind::kPortIntermittent, -1, {}, 0, 100000}};
+  Orchestrator orch(net, config);
+  std::vector<ChamberSetup> chambers{w0->setup(), w1->setup()};
+  const std::vector<TransferGoal> transfers{{0, cage_a, 1, {12, 5}},
+                                            {0, cage_b, 1, {12, 11}}};
+  const OrchestratorReport report = orch.run(chambers, transfers, Rng(909), nullptr);
+
+  ASSERT_TRUE(report.planned);
+  EXPECT_EQ(report.failed_transfers, (std::vector<std::size_t>{0, 1}));
+  EXPECT_EQ(report.transfers[0].phase, TransferPhase::kFailed);
+  EXPECT_EQ(report.transfers[1].phase, TransferPhase::kFailed);
+  EXPECT_EQ(report.transfers[1].port_id, -1);  // never left the queue
+  EXPECT_EQ(report.transfer_requests, 1u);
+  EXPECT_EQ(report.admissions, 0u);
+  for (const int cage : {cage_a, cage_b}) {
+    std::size_t failures = 0;
+    for (const ControlEvent& e : report.chambers[0].events)
+      if (e.kind == EventKind::kDeliveryFailed && e.cage_id == cage) {
+        EXPECT_EQ(e.tick, report.ticks) << "cage " << cage;
+        ++failures;
+      }
+    EXPECT_EQ(failures, 1u) << "cage " << cage;
+  }
+  EXPECT_TRUE(report.chambers[0].failed_ids.empty());
 }
 
 // A long intermittent outage on the only port holds the transfer at the port

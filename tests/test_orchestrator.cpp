@@ -1,7 +1,8 @@
 // Tests for the multi-chamber orchestration layer: ChamberNetwork topology,
 // end-to-end cross-chamber handoff, admission denial + backoff under
-// destination congestion, defect-blocked ports failing explicitly, and
-// pooled-vs-serial bitwise identity with >= 3 chambers.
+// destination congestion, defect-blocked ports failing explicitly, a failed
+// initial plan accounted as an episode of zero ticks, and pooled-vs-serial
+// bitwise identity with >= 3 chambers.
 
 #include <gtest/gtest.h>
 
@@ -279,6 +280,74 @@ TEST_F(OrchestratorTest, DefectBlockedPortFailsExplicitly) {
   EXPECT_EQ(report2.transfers[0].phase, TransferPhase::kFailed);
   EXPECT_EQ(report2.failed_transfers, (std::vector<std::size_t>{0}));
   EXPECT_EQ(report2.denials, 0u);  // fail-fast, not deny/backoff
+}
+
+// A failed initial plan anywhere in the fleet is an episode of zero ticks
+// with the ordinary end-of-run accounting: every transfer fails with exactly
+// one explicit event in its source chamber's trail (staged, queued, or out of
+// the unplanned chamber itself), and every chamber goal lands in exactly one
+// list. Chamber 2's local goal has a dead pixel in its ring, so chamber 2
+// cannot plan; chambers 0 and 1 can.
+TEST_F(OrchestratorTest, FailedInitialPlanFailsEveryTransferExplicitly) {
+  fluidic::ChamberNetwork net = chain(3);
+  auto w0 = make_world();
+  auto w1 = make_world();
+  auto w2 = make_world();
+  const int cage_a = w0->add_cell({10, 8});  // 0 → 1, staged on port 0
+  const int cage_b = w1->add_cell({10, 8});  // 1 → 2, staged on port 1
+  const int cage_c = w1->add_cell({6, 8});   // 1 → 2, queued behind cage_b
+  const int cage_d = w2->add_cell({5, 12});  // 2 → 1, out of the unplanned chamber
+  for (World* w : {w0.get(), w1.get(), w2.get()}) {
+    const int local = w->add_cell({4, 3});
+    w->goals.push_back({local, {12, 3}});
+  }
+  w2->defects.set_state({13, 3}, chip::PixelState::kDead);
+
+  Orchestrator orch(net, OrchestratorConfig{});
+  std::vector<ChamberSetup> chambers{w0->setup(), w1->setup(), w2->setup()};
+  const std::vector<TransferGoal> transfers{{0, cage_a, 1, {12, 8}},
+                                            {1, cage_b, 2, {12, 8}},
+                                            {1, cage_c, 2, {12, 12}},
+                                            {2, cage_d, 1, {12, 12}}};
+  const OrchestratorReport report = orch.run(chambers, transfers, Rng(44), nullptr);
+
+  EXPECT_FALSE(report.planned);
+  EXPECT_EQ(report.ticks, 0);
+  ASSERT_EQ(report.chambers.size(), 3u);
+  EXPECT_TRUE(report.chambers[0].planned);
+  EXPECT_TRUE(report.chambers[1].planned);
+  EXPECT_FALSE(report.chambers[2].planned);
+  EXPECT_TRUE(report.delivered_transfers.empty());
+  EXPECT_EQ(report.failed_transfers, (std::vector<std::size_t>{0, 1, 2, 3}));
+  for (const TransferOutcome& out : report.transfers)
+    EXPECT_EQ(out.phase, TransferPhase::kFailed);
+
+  // One explicit failure per transfer cage, in its source chamber's trail.
+  const auto failures_of = [&](int chamber, int cage) {
+    std::size_t n = 0;
+    for (const ControlEvent& e : report.chambers[static_cast<std::size_t>(chamber)].events)
+      if (e.kind == EventKind::kDeliveryFailed && e.cage_id == cage) {
+        EXPECT_EQ(e.tick, 0);
+        ++n;
+      }
+    return n;
+  };
+  EXPECT_EQ(failures_of(0, cage_a), 1u);
+  EXPECT_EQ(failures_of(1, cage_b), 1u);
+  EXPECT_EQ(failures_of(1, cage_c), 1u);
+  EXPECT_EQ(failures_of(2, cage_d), 1u);
+
+  // Every chamber goal in exactly one list (none delivered at tick 0), and
+  // no transfer cage in any chamber's books.
+  const World* worlds[3] = {w0.get(), w1.get(), w2.get()};
+  for (std::size_t c = 0; c < 3; ++c) {
+    const EpisodeReport& r = report.chambers[c];
+    std::vector<int> goal_ids;
+    for (const CageGoal& g : worlds[c]->goals) goal_ids.push_back(g.cage_id);
+    EXPECT_TRUE(r.delivered_ids.empty()) << "chamber " << c;
+    EXPECT_EQ(r.failed_ids, goal_ids) << "chamber " << c;
+    for (const int id : goal_ids) EXPECT_EQ(failures_of(static_cast<int>(c), id), 1u);
+  }
 }
 
 // An incomplete chamber setup is rejected before the port staging reads the
